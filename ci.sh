@@ -127,6 +127,12 @@ CHATLENS_THREADS=1 cargo test -q --workspace
 echo "==> cargo test (threads=8)"
 CHATLENS_THREADS=8 cargo test -q --workspace
 
+# The benchmark (BENCHMARK.json) is a package of its own outside the
+# workspace, so the workspace runs above never build its unit tests
+# (metric-name grammar, record round-trip, seed tables, spans).
+echo "==> benchmark unit tests"
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> bench timing record (BENCH_par.json)"
 cargo bench -p chatlens-bench --bench par
 

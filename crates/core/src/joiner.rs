@@ -80,6 +80,23 @@ pub struct JoinedGroup {
     pub messages: Vec<Message>,
 }
 
+/// A phone number as it comes off the wire, reduced on the spot to what
+/// the collector keeps: its hash (computed once, shared by the PII store
+/// and the member record) and its country.
+struct PhoneSeen {
+    hash: String,
+    country: Option<&'static str>,
+}
+
+impl PhoneSeen {
+    fn of(e164: &str) -> PhoneSeen {
+        PhoneSeen {
+            hash: hash_phone(e164),
+            country: country_of(e164),
+        }
+    }
+}
+
 /// The joining/collection component.
 #[derive(Default)]
 pub struct Joiner {
@@ -147,10 +164,14 @@ impl Joiner {
         // Discord: demonstrate that a bot credential cannot join (§3.3).
         if platform == PlatformKind::Discord {
             if let Some(first) = candidates.first() {
-                let req = Request::new(join_ep)
-                    .with("account", account.0.to_string())
-                    .with("code", first.invite.code.clone())
-                    .with("actor", "bot");
+                let req = request(
+                    join_ep,
+                    &[
+                        ("account", &account.0),
+                        ("code", &first.invite.code),
+                        ("actor", &"bot"),
+                    ],
+                );
                 if let Ok(resp) = net.platform(eco, platform, now, &req) {
                     self.bot_join_rejected = resp.status == Status::Forbidden;
                 }
@@ -167,9 +188,10 @@ impl Joiner {
                 break;
             }
             cursor += chatlens_simnet::time::SimDuration::secs(1);
-            let req = Request::new(join_ep)
-                .with("account", account.0.to_string())
-                .with("code", rec.invite.code.clone());
+            let req = request(
+                join_ep,
+                &[("account", &account.0), ("code", &rec.invite.code)],
+            );
             let resp = match net.platform(eco, platform, cursor, &req) {
                 Ok(r) => r,
                 Err(_) => continue,
@@ -244,9 +266,10 @@ impl Joiner {
                     // retry this candidate once.
                     account = eco.platforms[pidx].create_account();
                     self.accounts_used[pidx] += 1;
-                    let retry = Request::new(join_ep)
-                        .with("account", account.0.to_string())
-                        .with("code", rec.invite.code.clone());
+                    let retry = request(
+                        join_ep,
+                        &[("account", &account.0), ("code", &rec.invite.code)],
+                    );
                     if let Ok(r2) = net.platform(eco, platform, cursor, &retry) {
                         if r2.status == Status::Ok {
                             // Already the retry of a rotated account:
@@ -389,6 +412,14 @@ fn find_member_account(eco: &Ecosystem, jg: &JoinedGroup) -> Option<u16> {
     })
 }
 
+/// Build a request from borrowed parameter values.
+fn request(ep: &'static str, params: &[(&'static str, &dyn std::fmt::Display)]) -> Request {
+    params.iter().fold(Request::new(ep), |req, &(key, value)| {
+        // lint:allow(D10) `Request` owns its parameters: one copy per fetch, never per message
+        req.with(key, value.to_string())
+    })
+}
+
 /// Advance the collection cursor by one pacing step (1 s per request).
 fn tick(cursor: &mut SimTime) -> SimTime {
     *cursor += chatlens_simnet::time::SimDuration::secs(1);
@@ -396,9 +427,11 @@ fn tick(cursor: &mut SimTime) -> SimTime {
 }
 
 fn parse_messages(doc: &chatlens_platforms::wire::WireView<'_>) -> Result<Vec<Message>, CoreError> {
-    let mut out = Vec::new();
+    // Message pages are all `msg` fields bar a header or two.
+    let mut out = Vec::with_capacity(doc.len());
     for raw in doc.get_all("msg") {
         let Some(m) = parse_message(raw) else {
+            // lint:allow(D10) error-path only: a bad message rejects the whole page
             return Err(CoreError::Protocol(format!("bad message: {raw:?}")));
         };
         out.push(m);
@@ -499,20 +532,16 @@ fn collect_whatsapp(
     failed: &mut u64,
     quarantine: &mut Vec<QuarantineEntry>,
 ) -> Result<(), CoreError> {
-    let base = |ep: &'static str| {
-        Request::new(ep)
-            .with("account", account.to_string())
-            .with("group", jg.group_id.0.to_string())
-    };
+    let base = |ep: &'static str| request(ep, &[("account", &account), ("group", &jg.group_id.0)]);
     // Member phone numbers + creation date (visible only after joining).
     // Transport failures and doubly-corrupted bodies (after retries) cost
     // this group's data, not the campaign.
     let req = base("whatsapp/members");
-    let decode = |body: &str| -> Result<(i64, Vec<String>), CoreError> {
+    let decode = |body: &str| -> Result<(i64, Vec<PhoneSeen>), CoreError> {
         let doc = WireDoc::parse_as(body, "wa-members")?;
         verify_echoes(&doc, &req)?;
         let created_day = doc.req_i64("created_day")?;
-        let phones = doc.get_all("member").map(str::to_string).collect();
+        let phones = doc.get_all("member").map(PhoneSeen::of).collect();
         Ok((created_day, phones))
     };
     match fetch_decoded(
@@ -529,12 +558,12 @@ fn collect_whatsapp(
         Fetched::Decoded((created_day, phones)) => {
             jg.created_day = Some(created_day);
             jg.member_list_available = true;
-            for phone in &phones {
-                pii.record_wa_member(phone);
+            for phone in phones {
+                pii.record_wa_member(&phone.hash);
                 jg.members.push(MemberRecord {
                     user_id: None,
-                    phone_hash: Some(hash_phone(phone)),
-                    country: country_of(phone).map(str::to_string),
+                    phone_hash: Some(phone.hash),
+                    country: phone.country.map(str::to_string),
                     linked: Vec::new(),
                 });
             }
@@ -576,11 +605,7 @@ fn collect_telegram(
     failed: &mut u64,
     quarantine: &mut Vec<QuarantineEntry>,
 ) -> Result<(), CoreError> {
-    let base = |ep: &'static str| {
-        Request::new(ep)
-            .with("account", account.to_string())
-            .with("group", jg.group_id.0.to_string())
-    };
+    let base = |ep: &'static str| request(ep, &[("account", &account), ("group", &jg.group_id.0)]);
     // Full history since creation.
     let req = base("telegram/api/history");
     let decode = |body: &str| -> Result<(i64, Vec<Message>), CoreError> {
@@ -619,6 +644,7 @@ fn collect_telegram(
             // body (silently skipping would undercount members from a
             // document we know is damaged).
             let Ok(id) = raw.parse::<u32>() else {
+                // lint:allow(D10) error-path only: a bad member id rejects the whole page
                 return Err(CoreError::Protocol(format!("bad member id: {raw:?}")));
             };
             ids.push(id);
@@ -652,13 +678,11 @@ fn collect_telegram(
     };
     // Profile lookups: phones only for the opt-in sliver.
     for id in user_ids {
-        let req = Request::new("telegram/api/user")
-            .with("account", account.to_string())
-            .with("id", id.to_string());
-        let decode = |body: &str| -> Result<Option<String>, CoreError> {
+        let req = request("telegram/api/user", &[("account", &account), ("id", &id)]);
+        let decode = |body: &str| -> Result<Option<PhoneSeen>, CoreError> {
             let doc = WireDoc::parse_as(body, "tg-user")?;
             verify_echoes(&doc, &req)?;
-            Ok(doc.get("phone").map(str::to_string))
+            Ok(doc.get("phone").map(PhoneSeen::of))
         };
         let Fetched::Decoded(phone) = fetch_decoded(
             net,
@@ -673,12 +697,14 @@ fn collect_telegram(
         ) else {
             continue;
         };
-        let phone = phone.as_deref();
-        pii.record_tg_user(id, phone);
+        let (phone_hash, country) = phone.map_or((None, None), |p| {
+            (Some(p.hash), p.country.map(str::to_string))
+        });
+        pii.record_tg_user(id, phone_hash.as_deref());
         jg.members.push(MemberRecord {
             user_id: Some(id),
-            phone_hash: phone.map(hash_phone),
-            country: phone.and_then(country_of).map(str::to_string),
+            phone_hash,
+            country,
             linked: Vec::new(),
         });
     }
@@ -696,11 +722,7 @@ fn collect_discord(
     failed: &mut u64,
     quarantine: &mut Vec<QuarantineEntry>,
 ) -> Result<(), CoreError> {
-    let base = |ep: &'static str| {
-        Request::new(ep)
-            .with("account", account.to_string())
-            .with("group", jg.group_id.0.to_string())
-    };
+    let base = |ep: &'static str| request(ep, &[("account", &account), ("group", &jg.group_id.0)]);
     let req = base("discord/api/messages");
     let decode = |body: &str| -> Result<(i64, Vec<Message>), CoreError> {
         let doc = WireDoc::parse_as(body, "dc-messages")?;
@@ -733,7 +755,7 @@ fn collect_discord(
     senders.sort_unstable();
     senders.dedup();
     for id in senders {
-        let req = Request::new("discord/api/user").with("id", id.to_string());
+        let req = request("discord/api/user", &[("id", &id)]);
         let decode = |body: &str| -> Result<Vec<String>, CoreError> {
             let doc = WireDoc::parse_as(body, "dc-user")?;
             verify_echoes(&doc, &req)?;

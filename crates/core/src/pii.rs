@@ -52,17 +52,19 @@ impl PiiStore {
         }
     }
 
-    /// Record a WhatsApp member's phone (hashing it).
-    pub fn record_wa_member(&mut self, e164: &str) {
-        self.wa_member_hashes.insert(hash_phone(e164));
+    /// Record a WhatsApp member by the [`hash_phone`] of their number
+    /// (the collector hashes once and keeps the hash for its own member
+    /// record too).
+    pub fn record_wa_member(&mut self, phone_hash: &str) {
+        insert_hash(&mut self.wa_member_hashes, phone_hash);
     }
 
-    /// Record a Telegram profile observation; `phone` if the user opted
-    /// in to showing it.
-    pub fn record_tg_user(&mut self, user_id: u32, phone: Option<&str>) {
+    /// Record a Telegram profile observation; `phone_hash` is the
+    /// [`hash_phone`] of the number if the user opted in to showing it.
+    pub fn record_tg_user(&mut self, user_id: u32, phone_hash: Option<&str>) {
         self.tg_users_observed.insert(user_id);
-        if let Some(p) = phone {
-            self.tg_phone_hashes.insert(hash_phone(p));
+        if let Some(h) = phone_hash {
+            insert_hash(&mut self.tg_phone_hashes, h);
         }
     }
 
@@ -104,6 +106,14 @@ impl PiiStore {
     }
 }
 
+/// Insert a phone hash, copying it only when it is new (members recur
+/// across groups).
+fn insert_hash(set: &mut HashSet<String>, hash: &str) {
+    if !set.contains(hash) {
+        set.insert(hash.to_string());
+    }
+}
+
 /// Country code of an E.164 number (helper for callers that only hold the
 /// wire string).
 pub fn country_of(e164: &str) -> Option<&'static str> {
@@ -138,8 +148,9 @@ mod tests {
     fn wa_total_unions_creators_and_members() {
         let mut s = PiiStore::new();
         s.record_wa_creator("+5511987654321", "BR");
-        s.record_wa_member("+5511987654321"); // same person
-        s.record_wa_member("+2348012345678");
+        s.record_wa_member(&hash_phone("+5511987654321")); // same person
+        s.record_wa_member(&hash_phone("+2348012345678"));
+        s.record_wa_member(&hash_phone("+2348012345678")); // seen twice
         assert_eq!(s.wa_total_phones(), 2);
     }
 
@@ -147,7 +158,8 @@ mod tests {
     fn tg_rates() {
         let mut s = PiiStore::new();
         for i in 0..100 {
-            s.record_tg_user(i, (i == 0).then_some("+5511987654321"));
+            let phone_hash = (i == 0).then(|| hash_phone("+5511987654321"));
+            s.record_tg_user(i, phone_hash.as_deref());
         }
         assert_eq!(s.tg_users_observed.len(), 100);
         assert_eq!(s.tg_phone_hashes.len(), 1);

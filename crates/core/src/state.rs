@@ -829,8 +829,8 @@ mod tests {
         let mut store = PiiStore::new();
         store.record_wa_creator("+5511999990000", "BR");
         store.record_wa_creator("+4915112345678", "DE");
-        store.record_wa_member("+5511999990001");
-        store.record_tg_user(9, Some("+34600000000"));
+        store.record_wa_member(&crate::pii::hash_phone("+5511999990001"));
+        store.record_tg_user(9, Some(&crate::pii::hash_phone("+34600000000")));
         store.record_tg_user(3, None);
         store.record_dc_user(7, &["steam".to_string(), "twitch".to_string()]);
         store.record_dc_user(2, &[]);

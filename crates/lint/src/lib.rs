@@ -20,7 +20,7 @@
 //! | D7 | discarded transport results: a `.twitter(...)` / `.platform(...)` call in the core crate or the binary whose `Result` is dropped (`let _ = ...;` or a bare expression statement) — transport failures must be handled (retried, queued for backfill, or counted), never silently swallowed |
 //! | D8 | `unwrap()`/`expect()` on a `WireDoc` accessor result (`parse`, `parse_as`, `req`, `req_u64`, `req_i64`, `opt_u64`) outside `#[cfg(test)]` and the quarantine module — wire bodies are hostile input; a failed decode must route into the quarantine ledger, never panic a collector |
 //! | D9 | Persist-coverage: every named field of a type with an `impl Persist` (or a `persist_struct!` field list) must be referenced in both the save and load bodies; every variant of a persisted enum must round-trip unless the impl is table-driven (`ALL`) — checkpoint drift caught at lint time, not at resume time |
-//! | D10 | hot-path allocation: `format!`, `.to_string()`, `.to_owned()`, `String::from`, `.clone()` in the designated hot modules (`core::dataset`, `core::monitor`, wire parsing, `TweetStore`) — protects the zero-copy/`Cow` layout |
+//! | D10 | hot-path allocation: `format!`, `.to_string()`, `.to_owned()`, `String::from`, `.clone()` in the designated hot modules (`core::dataset`, `core::joiner`, `core::monitor`, wire parsing, `TweetStore`) — protects the zero-copy/`Cow` layout |
 //! | D11 | RNG-stream discipline: every `Rng::fork` label must be a string literal declared in `simnet::rng::STREAM_REGISTRY`, globally unique per subsystem — shared streams are a silent determinism hazard |
 //! | D12 | metrics/trace-key registry: metric keys must be the declared constants in `simnet::metrics::keys`, never ad-hoc string literals — key families must not fork via typo |
 //! | D13 | `std::fs` calls (reads included) outside the checkpoint crate's `vfs` module — all durable I/O must flow through the `Vfs` trait so the fault-injection and fsync contracts hold (ARCHITECTURE.md "Durability & the fault VFS") |
@@ -204,17 +204,18 @@ struct Scope {
     /// hostile wire bodies, exempt from D8.
     quarantine_path: bool,
     /// Designated hot modules where D10 bans allocation idioms: the
-    /// dataset/monitor per-request paths, wire parsing, and the tweet
-    /// store (the PR 6 zero-copy surface).
+    /// dataset/monitor per-request paths, the joiner's collect pass, wire
+    /// parsing, and the tweet store.
     hot_path: bool,
     /// The checkpoint crate's `vfs` module — the one place in the
     /// workspace allowed to call `std::fs` (D13).
     vfs_module: bool,
 }
 
-/// The four files whose per-request loops D10 guards.
-const HOT_MODULES: [&str; 4] = [
+/// The five files whose per-request loops D10 guards.
+const HOT_MODULES: [&str; 5] = [
     "core/src/dataset.rs",
+    "core/src/joiner.rs",
     "core/src/monitor.rs",
     "platforms/src/wire.rs",
     "twitter/src/store.rs",
@@ -1493,6 +1494,12 @@ mod tests {
             rules_of("crates/core/src/dataset.rs", from),
             vec![Rule::D10]
         );
+        let param = "fn f(id: u32) -> String { id.to_string() }";
+        assert_eq!(
+            rules_of("crates/core/src/joiner.rs", param),
+            vec![Rule::D10]
+        );
+        assert_eq!(rules_of("crates/core/src/discovery.rs", param), vec![]);
     }
 
     #[test]

@@ -27,29 +27,110 @@ use crate::group::Group;
 use crate::id::{AccountId, GroupId, PlatformKind, UserId};
 use crate::message::{Message, MessageKind};
 use crate::platform::{JoinError, Platform};
-use crate::wire::{sanitize, WireDoc};
+use crate::wire::{decimal_len, push_i64, push_u64, sanitize, WireDoc};
 use chatlens_simnet::time::SimTime;
 use chatlens_simnet::transport::{Request, Response, Service, Status};
 
 /// Encode a message as a single wire-field value: `<secs> <sender> <kind>`.
 pub fn encode_message(m: &Message) -> String {
-    format!("{} {} {}", m.at.as_secs(), m.sender.0, m.kind.index())
+    let mut out = String::with_capacity(encoded_message_len(m));
+    push_message(&mut out, m);
+    out
+}
+
+/// Append [`encode_message`]'s bytes for `m` to `out`.
+fn push_message(out: &mut String, m: &Message) {
+    push_u64(out, m.at.as_secs());
+    out.push(' ');
+    push_u64(out, u64::from(m.sender.0));
+    out.push(' ');
+    push_u64(out, m.kind.index() as u64);
+}
+
+/// Length in bytes of [`encode_message`]'s output for `m`.
+fn encoded_message_len(m: &Message) -> usize {
+    decimal_len(m.at.as_secs()) + decimal_len(u64::from(m.sender.0)) + 3
 }
 
 /// Parse a value produced by [`encode_message`].
+///
+/// A byte-level parser with exactly the acceptance of splitting on `' '`
+/// and `str::parse`-ing three fields: each field is an optional leading
+/// `+` and one or more ASCII digits, the time fits a `u64`, the sender a
+/// `u32`, the kind indexes [`MessageKind::ALL`], and nothing follows.
 pub fn parse_message(s: &str) -> Option<Message> {
-    let mut it = s.split(' ');
-    let at = it.next()?.parse().ok()?;
-    let sender = it.next()?.parse().ok()?;
-    let kind: usize = it.next()?.parse().ok()?;
-    if it.next().is_some() || kind >= MessageKind::ALL.len() {
-        return None;
-    }
+    let mut fields = s.as_bytes().splitn(3, |&b| b == b' ');
+    let at = parse_decimal(fields.next()?, u64::MAX)?;
+    let sender = parse_decimal(fields.next()?, u64::from(u32::MAX))?;
+    // The last field runs to the end of the value, so a fourth field
+    // leaves a space in it, which is not a digit.
+    let kind = parse_decimal(fields.next()?, MessageKind::ALL.len() as u64 - 1)?;
     Some(Message {
         at: SimTime::from_secs(at),
-        sender: UserId(sender),
-        kind: MessageKind::from_index(kind),
+        sender: UserId(u32::try_from(sender).ok()?),
+        kind: MessageKind::from_index(kind as usize),
     })
+}
+
+/// One unsigned decimal field as `str::parse` reads it (optional leading
+/// `+`, then at least one ASCII digit), if its value is at most `max`.
+fn parse_decimal(field: &[u8], max: u64) -> Option<u64> {
+    let digits = field.strip_prefix(b"+").unwrap_or(field);
+    if digits.is_empty() {
+        return None;
+    }
+    let mut v = 0u64;
+    for &b in digits {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        v = v.checked_mul(10)?.checked_add(u64::from(d))?;
+    }
+    (v <= max).then_some(v)
+}
+
+/// Render a message page (`wa-messages`, `tg-history`, `dc-messages`)
+/// straight into one pre-sized body: the bytes [`WireDoc::render`]
+/// produces for a `group` field, an optional `created_day` field and one
+/// `msg` field per message, without the intermediate document or a
+/// `String` per message. `messages` is walked twice — once to size the
+/// body and its `n` header, once to write it — so it must yield the same
+/// sequence both times.
+/// Longest possible header of a message page after its kind line:
+/// `\nn: `, `\ngroup: ` and `\ncreated_day: ` with 20-, 10- and 20-byte
+/// values.
+const PAGE_HEADER_MAX: usize = 4 + 20 + 8 + 10 + 14 + 20;
+
+fn render_message_page<'m, I>(
+    kind: &str,
+    gid: GroupId,
+    created_day: Option<i64>,
+    messages: impl Fn() -> I,
+) -> String
+where
+    I: Iterator<Item = &'m Message>,
+{
+    const MSG: &str = "\nmsg: ";
+    let (count, msg_bytes) = messages().fold((0usize, 0usize), |(n, bytes), m| {
+        (n + 1, bytes + MSG.len() + encoded_message_len(m))
+    });
+    let fields = 1 + usize::from(created_day.is_some()) + count;
+    let mut out = String::with_capacity(kind.len() + PAGE_HEADER_MAX + msg_bytes);
+    out.push_str(kind);
+    out.push_str("\nn: ");
+    push_u64(&mut out, fields as u64);
+    out.push_str("\ngroup: ");
+    push_u64(&mut out, u64::from(gid.0));
+    if let Some(day) = created_day {
+        out.push_str("\ncreated_day: ");
+        push_i64(&mut out, day);
+    }
+    for m in messages() {
+        out.push_str(MSG);
+        push_message(&mut out, m);
+    }
+    out
 }
 
 fn gone() -> Response {
@@ -243,11 +324,9 @@ impl Platform {
             return not_found("history not materialized");
         };
         // WhatsApp only reveals messages sent *after* the join date (§3.3).
-        let mut doc = WireDoc::new("wa-messages").field("group", gid.0);
-        for m in history.messages.iter().filter(|m| m.at >= joined_at) {
-            doc = doc.field_string("msg", encode_message(m));
-        }
-        Response::ok(doc.render())
+        Response::ok(render_message_page("wa-messages", gid, None, || {
+            history.messages.iter().filter(|m| m.at >= joined_at)
+        }))
     }
 
     // ---- Telegram -------------------------------------------------------
@@ -312,13 +391,12 @@ impl Platform {
             return not_found("history not materialized");
         };
         // Telegram's API returns the full history since creation (§3.3).
-        let mut doc = WireDoc::new("tg-history")
-            .field("group", gid.0)
-            .field("created_day", group.created_at.date().day_number());
-        for m in &history.messages {
-            doc = doc.field_string("msg", encode_message(m));
-        }
-        Response::ok(doc.render())
+        Response::ok(render_message_page(
+            "tg-history",
+            gid,
+            Some(group.created_at.date().day_number()),
+            || history.messages.iter(),
+        ))
     }
 
     fn tg_members(&mut self, now: SimTime, req: &Request) -> Response {
@@ -431,13 +509,12 @@ impl Platform {
         let Some(history) = group.history.as_ref() else {
             return not_found("history not materialized");
         };
-        let mut doc = WireDoc::new("dc-messages")
-            .field("group", gid.0)
-            .field("created_day", group.created_at.date().day_number());
-        for m in &history.messages {
-            doc = doc.field_string("msg", encode_message(m));
-        }
-        Response::ok(doc.render())
+        Response::ok(render_message_page(
+            "dc-messages",
+            gid,
+            Some(group.created_at.date().day_number()),
+            || history.messages.iter(),
+        ))
     }
 
     fn dc_user(&self, req: &Request) -> Response {
@@ -583,6 +660,209 @@ mod tests {
         assert_eq!(parse_message("garbage"), None);
         assert_eq!(parse_message("1 2 99"), None, "kind out of range");
         assert_eq!(parse_message("1 2 3 4"), None, "trailing junk");
+    }
+
+    /// The split-based parser `parse_message` replaced, kept as the
+    /// oracle its byte-level successor must agree with.
+    fn parse_message_split(s: &str) -> Option<Message> {
+        let mut it = s.split(' ');
+        let at = it.next()?.parse().ok()?;
+        let sender = it.next()?.parse().ok()?;
+        let kind: usize = it.next()?.parse().ok()?;
+        if it.next().is_some() || kind >= MessageKind::ALL.len() {
+            return None;
+        }
+        Some(Message {
+            at: SimTime::from_secs(at),
+            sender: UserId(sender),
+            kind: MessageKind::from_index(kind),
+        })
+    }
+
+    /// A message page as the generic document builder renders it: the
+    /// bytes the direct page renderer must reproduce.
+    fn page_via_wire_doc<'m>(
+        kind: &'static str,
+        gid: GroupId,
+        created_day: Option<i64>,
+        messages: impl Iterator<Item = &'m Message>,
+    ) -> String {
+        let mut doc = WireDoc::new(kind).field("group", gid.0);
+        if let Some(day) = created_day {
+            doc = doc.field("created_day", day);
+        }
+        for m in messages {
+            let value = format!("{} {} {}", m.at.as_secs(), m.sender.0, m.kind.index());
+            doc = doc.field_string("msg", value);
+        }
+        doc.render()
+    }
+
+    #[test]
+    fn parse_message_edge_cases_match_the_split_parser() {
+        let cases = [
+            "0 0 0",
+            "+1 +2 +3",
+            "00012 007 08",
+            "1 2 8",
+            "1 2 9",
+            "1 2 +9",
+            "1 2 18446744073709551616",
+            "18446744073709551615 4294967295 8",
+            "18446744073709551616 1 1",
+            "1 4294967296 1",
+            "1 2 3 ",
+            " 1 2 3",
+            "1  2 3",
+            "1 2",
+            "",
+            "+ 1 1",
+            "++1 1 1",
+            "-0 1 1",
+            "1 -2 3",
+            "1\t2 3",
+            "1 2 3\n",
+            "١ 2 3",
+            "1 2 ３",
+        ];
+        for s in cases {
+            assert_eq!(parse_message(s), parse_message_split(s), "{s:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn parse_message_agrees_with_the_split_parser_on_arbitrary_strings(
+            lines in proptest::collection::vec("[0-9+ \\-a:\\t]{0,24}", 0..64)
+        ) {
+            for s in &lines {
+                proptest::prop_assert_eq!(parse_message(s), parse_message_split(s));
+            }
+        }
+
+        #[test]
+        fn parse_message_agrees_with_the_split_parser_on_corrupted_lines(
+            at in proptest::any::<u64>(),
+            sender in 0u64..(1u64 << 33),
+            kind in 0u64..24,
+            plus in 0u8..8,
+            cut in 0usize..4,
+            damage in proptest::collection::vec((0usize..48, 0u8..6), 0..3)
+        ) {
+            // A well-formed line whose sender may overflow u32 and whose
+            // kind may be out of range, with optional `+` signs ...
+            let sign = |bit: u8| if plus & bit != 0 { "+" } else { "" };
+            let mut line = format!(
+                "{}{at} {}{sender} {}{kind}",
+                sign(1),
+                sign(2),
+                sign(4)
+            );
+            // ... and u64 overflow on the time field ...
+            if cut == 3 {
+                line.insert(0, '9');
+            }
+            // ... then byte-level damage: a field emptied, a trailing or
+            // doubled space, a stray sign or letter.
+            for (pos, what) in damage {
+                let at = pos.min(line.len());
+                match what {
+                    0 => line.push(' '),
+                    1 => line.insert(at, ' '),
+                    2 => line.insert(at, '+'),
+                    3 => line.insert(at, 'x'),
+                    4 => {
+                        if let Some(end) = line[at..].find(' ') {
+                            line.replace_range(at..at + end, "");
+                        }
+                    }
+                    _ => line.truncate(at),
+                }
+            }
+            proptest::prop_assert_eq!(parse_message(&line), parse_message_split(&line));
+        }
+    }
+
+    #[test]
+    fn message_pages_render_the_wire_doc_bytes() {
+        let extreme = [
+            Message {
+                sender: UserId(u32::MAX),
+                at: SimTime::from_secs(u64::MAX),
+                kind: MessageKind::Service,
+            },
+            Message {
+                sender: UserId(0),
+                at: SimTime::from_secs(0),
+                kind: MessageKind::Text,
+            },
+            Message {
+                sender: UserId(10),
+                at: SimTime::from_secs(1_000_000_000),
+                kind: MessageKind::Location,
+            },
+        ];
+        for created_day in [None, Some(0), Some(18_353), Some(-7), Some(i64::MIN)] {
+            for n in 0..=extreme.len() {
+                let page = render_message_page("tg-history", GroupId(9), created_day, || {
+                    extreme[..n].iter()
+                });
+                let want =
+                    page_via_wire_doc("tg-history", GroupId(9), created_day, extreme[..n].iter());
+                assert_eq!(page, want);
+                assert!(
+                    page.capacity() - page.len() <= PAGE_HEADER_MAX,
+                    "the body never regrows"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn message_endpoints_render_the_wire_doc_bytes() {
+        for kind in PlatformKind::ALL {
+            let (ep, join, doc_kind) = match kind {
+                PlatformKind::WhatsApp => ("whatsapp/messages", "whatsapp/join", "wa-messages"),
+                PlatformKind::Telegram => {
+                    ("telegram/api/history", "telegram/api/join", "tg-history")
+                }
+                PlatformKind::Discord => {
+                    ("discord/api/messages", "discord/api/join", "dc-messages")
+                }
+            };
+            let (mut p, gid, code) = build_platform(kind);
+            p.create_account();
+            let joined = p.handle(now(), &req(join).with("account", "0").with("code", code));
+            assert_eq!(joined.status, Status::Ok);
+            let full = p.group(gid).history.clone().unwrap();
+            let created_day = Some(p.group(gid).created_at.date().day_number());
+            // The fixture history (one message before the join, one
+            // after), then an empty one.
+            for messages in [full.messages.clone(), Vec::new()] {
+                let mut history = full.clone();
+                history.messages = messages;
+                p.install_history(gid, history.clone());
+                let resp = p.handle(
+                    now(),
+                    &req(ep)
+                        .with("account", "0")
+                        .with("group", gid.0.to_string()),
+                );
+                assert_eq!(resp.status, Status::Ok);
+                let want = match kind {
+                    // WhatsApp hides the pre-join history and the
+                    // creation day.
+                    PlatformKind::WhatsApp => page_via_wire_doc(
+                        doc_kind,
+                        gid,
+                        None,
+                        history.messages.iter().filter(|m| m.at >= now()),
+                    ),
+                    _ => page_via_wire_doc(doc_kind, gid, created_day, history.messages.iter()),
+                };
+                assert_eq!(resp.body, want, "{doc_kind}");
+            }
+        }
     }
 
     #[test]

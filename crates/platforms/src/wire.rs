@@ -224,6 +224,8 @@ impl<'a> WireView<'a> {
             .filter(|l| !l.is_empty())
             .ok_or(WireError::Empty)?;
         let mut fields: Vec<(&str, &str)> = Vec::new();
+        // The `n` count header's value, when the first field line is one.
+        let mut header: Option<&str> = None;
         let mut seen = 0usize;
         for line in lines {
             if line.is_empty() {
@@ -236,8 +238,7 @@ impl<'a> WireView<'a> {
                     limit: MAX_LINES,
                 });
             }
-            let (k, v) = line
-                .split_once(": ")
+            let (k, v) = split_field(line)
                 // lint:allow(D10) error-path only: a malformed line aborts the parse, so the copy is never hot
                 .ok_or_else(|| WireError::MalformedLine(line.to_string()))?;
             if v.len() > MAX_VALUE_LEN {
@@ -246,14 +247,25 @@ impl<'a> WireView<'a> {
                     limit: MAX_VALUE_LEN,
                 });
             }
+            if seen == 1 && k == "n" {
+                // Size the field vector from the header, but never past
+                // one field per three body bytes (`: ` plus a newline is
+                // the shortest field line), so a hostile count cannot buy
+                // memory. A garbled header is reported after the line
+                // checks, as it always was.
+                if let Ok(n) = v.parse::<usize>() {
+                    fields.reserve(n.min(body.len() / 3));
+                }
+                header = Some(v);
+                continue;
+            }
             fields.push((k, v));
         }
-        if fields.first().is_some_and(|&(k, _)| k == "n") {
-            let (_, declared) = fields.remove(0);
-            let declared: usize = declared
+        if let Some(raw) = header {
+            let declared: usize = raw
                 .parse()
                 // lint:allow(D10) error-path only: a bad count header aborts the parse
-                .map_err(|_| WireError::BadNumber("n", declared.to_string()))?;
+                .map_err(|_| WireError::BadNumber("n", raw.to_string()))?;
             if fields.len() != declared {
                 return Err(WireError::CountMismatch {
                     declared,
@@ -356,8 +368,8 @@ impl WireDoc {
 
     /// [`WireDoc::field`] for a value that is already an owned `String`:
     /// moves it into the document instead of taking the extra copy the
-    /// `Display` path would (the feeds attach millions of pre-encoded
-    /// tweet/message payloads per campaign).
+    /// `Display` path would (the tweet feeds attach millions of
+    /// pre-encoded payloads per campaign).
     ///
     /// # Panics
     /// Same contract as [`WireDoc::field`].
@@ -421,6 +433,54 @@ impl WireDoc {
     }
 
     wire_accessors!();
+}
+
+/// Split a field line at its first `": "` separator, exactly as
+/// `line.split_once(": ")` would, with a byte scan for `:` instead of the
+/// general substring searcher (message pages run this on millions of
+/// lines).
+fn split_field(line: &str) -> Option<(&str, &str)> {
+    let bytes = line.as_bytes();
+    let mut from = 0;
+    while let Some(off) = bytes[from..].iter().position(|&b| b == b':') {
+        let at = from + off;
+        if bytes.get(at + 1) == Some(&b' ') {
+            // `:` and ` ` are ASCII, so both cuts fall on char boundaries.
+            return Some((&line[..at], &line[at + 2..]));
+        }
+        from = at + 1;
+    }
+    None
+}
+
+/// Append the decimal digits of `v` to `out` — the digit writer behind
+/// the message pages and the report's message digest, which render
+/// millions of integers without `fmt` machinery or a temporary `String`.
+pub fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// [`push_u64`] for signed values (a leading `-` for negatives).
+pub(crate) fn push_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// Number of bytes [`push_u64`] appends for `v`.
+pub(crate) fn decimal_len(v: u64) -> usize {
+    v.checked_ilog10().map_or(1, |l| l as usize + 1)
 }
 
 /// Replace newlines in free-form text (group titles come from user input)
@@ -573,6 +633,85 @@ mod tests {
         let body = doc.render();
         let parsed = WireDoc::parse(&body).unwrap();
         assert_eq!(parsed.get("title"), Some("Grupo: Vagas 🚀 SP: zona sul"));
+    }
+
+    #[test]
+    fn fields_split_at_the_first_colon_space_like_split_once() {
+        let lines = [
+            "a: b",
+            "a:b: c",
+            "a::  b",
+            "a: b: c: d",
+            "::: : :",
+            ": ",
+            ":  ",
+            "a :b",
+            "a:",
+            ":",
+            "x:y:z",
+            "é: ü: 🚀",
+            "a:\tb",
+            "a: ",
+            " : ",
+        ];
+        for line in lines {
+            assert_eq!(split_field(line), line.split_once(": "), "{line:?}");
+        }
+        // Through the parser: every line that has a separator becomes the
+        // field `split_once` names, in order.
+        let good: Vec<&str> = lines.into_iter().filter(|l| l.contains(": ")).collect();
+        let body = format!("doc\n{}", good.join("\n"));
+        let view = WireView::parse(&body).unwrap();
+        let fields: Vec<(&str, &str)> = view.fields_iter().collect();
+        let want: Vec<(&str, &str)> = good.iter().map(|l| l.split_once(": ").unwrap()).collect();
+        assert_eq!(fields, want);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn split_field_agrees_with_split_once(
+            lines in proptest::collection::vec("[a: é]{0,16}", 0..64)
+        ) {
+            for line in &lines {
+                proptest::prop_assert_eq!(split_field(line), line.split_once(": "));
+            }
+        }
+    }
+
+    #[test]
+    fn digit_writer_matches_display() {
+        let mut out = String::new();
+        for v in [0, 1, 9, 10, 99, 100, 4_294_967_295, u64::MAX] {
+            out.clear();
+            push_u64(&mut out, v);
+            assert_eq!(out, v.to_string());
+            assert_eq!(decimal_len(v), out.len());
+        }
+        for v in [0, -1, 7, -10, i64::MIN, i64::MAX] {
+            out.clear();
+            push_i64(&mut out, v);
+            assert_eq!(out, v.to_string());
+        }
+    }
+
+    #[test]
+    fn garbled_count_header_reports_after_line_errors() {
+        // A malformed line still wins over a garbled `n` header, and a
+        // hostile count sizes nothing beyond the body.
+        assert!(matches!(
+            WireDoc::parse("doc\nn: abc\nnocolon"),
+            Err(WireError::MalformedLine(_))
+        ));
+        assert_eq!(
+            WireDoc::parse("doc\nn: 18446744073709551615\na: 1"),
+            Err(WireError::CountMismatch {
+                declared: usize::MAX,
+                actual: 1
+            })
+        );
+        // Only the first field line is the header.
+        let doc = WireDoc::parse("doc\na: 1\nn: 5").unwrap();
+        assert_eq!(doc.get("n"), Some("5"));
     }
 
     #[test]

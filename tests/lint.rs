@@ -177,7 +177,7 @@ fn the_real_workspace_tree_is_clean() {
     // number requires a justification comment at the new site. The audit
     // rules guarantee each one both suppresses a real finding and carries
     // a justification, so the count is exact, not a ceiling.
-    assert_eq!(report.suppressed, 65, "unexpected lint:allow pragma count");
+    assert_eq!(report.suppressed, 68, "unexpected lint:allow pragma count");
 }
 
 #[test]
