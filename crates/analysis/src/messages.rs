@@ -10,7 +10,7 @@ use chatlens_core::{Dataset, DayFold, DaySlice};
 use chatlens_platforms::id::PlatformKind;
 use chatlens_platforms::message::MessageKind;
 use chatlens_simnet::par::Pool;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 /// Per-kind message counts over one platform's joined groups.
@@ -87,15 +87,15 @@ pub fn msgs_per_group_day(ds: &Dataset, kind: PlatformKind) -> Ecdf {
 
 /// Fig 9b per-sender tallies, keyed (and therefore ordered) by sender id.
 fn per_user_from<'a>(groups: impl Iterator<Item = &'a JoinedGroup>) -> BTreeMap<u32, u64> {
-    // BTreeMap: values iterate ordered by sender id, so Fig 9b's series
-    // is identical run-to-run (lint rule D2).
-    let mut per_user: BTreeMap<u32, u64> = BTreeMap::new();
+    // Tally in a HashMap (one hash probe per message), then order once by
+    // sender id so Fig 9b's series is identical run-to-run (lint rule D2).
+    let mut tally: HashMap<u32, u64> = HashMap::new();
     for jg in groups {
         for m in &jg.messages {
-            *per_user.entry(m.sender.0).or_insert(0) += 1;
+            *tally.entry(m.sender.0).or_insert(0) += 1;
         }
     }
-    per_user
+    tally.into_iter().collect::<BTreeMap<u32, u64>>()
 }
 
 /// Fig 9b data: per-user message counts across all joined groups of one
@@ -207,13 +207,15 @@ fn render_platform(
 pub fn fragment(ds: &Dataset, pool: &Pool) -> String {
     let sections = per_platform(pool, |kind| {
         let mut out = String::new();
+        let activity = user_activity(ds, kind);
+        let active = active_share(activity.senders, ds.summary(kind).platform_users);
         render_platform(
             &mut out,
             kind,
             &kind_shares(ds, kind),
             &msgs_per_group_day(ds, kind),
-            &user_activity(ds, kind),
-            active_member_share(ds, kind),
+            &activity,
+            active,
         );
         out
     });

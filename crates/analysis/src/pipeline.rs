@@ -65,8 +65,9 @@
 use crate::lda::LdaConfig;
 use crate::stats::Ecdf;
 use chatlens_core::{Dataset, DayFold};
-use chatlens_simnet::hash::sha256_hex;
+use chatlens_simnet::hash::DigestWriter;
 use chatlens_simnet::par::Pool;
+use std::fmt::Write as _;
 
 /// Every standard analysis fold, in canonical registration order —
 /// the order [`batch_fragments`] uses and the order fold state is filed
@@ -117,7 +118,8 @@ pub fn report_lda_config() -> LdaConfig {
 /// SHA-256 over the full `(x, F(x))` series, so two ECDFs render equal
 /// bytes iff they hold the same sample multiset.
 pub fn ecdf_stats(e: &Ecdf) -> String {
-    let series = format!("{:?}", e.series());
+    let mut series = DigestWriter::new();
+    write!(series, "{:?}", e.series()).unwrap();
     format!(
         "n={} min={:?} q10={:?} q25={:?} median={:?} q75={:?} q90={:?} q99={:?} max={:?} mean={:?} sha256={}",
         e.len(),
@@ -130,7 +132,7 @@ pub fn ecdf_stats(e: &Ecdf) -> String {
         e.quantile(0.99),
         e.max(),
         e.mean(),
-        sha256_hex(series.as_bytes()),
+        series.finish(),
     )
 }
 

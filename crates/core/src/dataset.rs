@@ -11,7 +11,7 @@ use crate::pii::PiiStore;
 use crate::quarantine::QuarantineEntry;
 use chatlens_platforms::id::PlatformKind;
 use chatlens_platforms::wire::push_u64;
-use chatlens_simnet::hash::{to_hex, Sha256};
+use chatlens_simnet::hash::{to_hex, DigestWriter, Sha256};
 use chatlens_simnet::metrics::Metrics;
 use chatlens_simnet::time::StudyWindow;
 use chatlens_twitter::Tweet;
@@ -724,50 +724,4 @@ pub(crate) fn render_campaign_report(rollup: &TweetRollup, inp: &ReportInputs<'_
     });
     writeln!(out, "counters_sha256: {counters_sha}").unwrap();
     out
-}
-
-/// Bytes a [`DigestWriter`] buffers before hashing them.
-const DIGEST_CHUNK: usize = 64 * 1024;
-
-/// Streams a canonical serialization into SHA-256 through one bounded
-/// buffer: the joined-group digest covers every collected message (tens
-/// of megabytes of lines), which never exist as one string.
-struct DigestWriter {
-    buf: String,
-    hasher: Sha256,
-}
-
-impl DigestWriter {
-    fn new() -> DigestWriter {
-        DigestWriter {
-            buf: String::with_capacity(DIGEST_CHUNK),
-            hasher: Sha256::new(),
-        }
-    }
-
-    /// The buffer, after hashing out what it holds if `bytes` more would
-    /// not fit. Writing more than `bytes` only grows it.
-    fn room(&mut self, bytes: usize) -> &mut String {
-        if self.buf.len() + bytes > DIGEST_CHUNK {
-            self.hasher.update(self.buf.as_bytes());
-            self.buf.clear();
-        }
-        &mut self.buf
-    }
-
-    fn push(&mut self, c: char) {
-        self.room(c.len_utf8()).push(c);
-    }
-
-    fn finish(mut self) -> String {
-        self.hasher.update(self.buf.as_bytes());
-        to_hex(&self.hasher.finalize())
-    }
-}
-
-impl std::fmt::Write for DigestWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.room(s.len()).push_str(s);
-        Ok(())
-    }
 }

@@ -234,3 +234,63 @@ fn repro_lint_exits_zero_on_clean_tree_and_nonzero_on_violation() {
         "diagnostic names file and line: {out}"
     );
 }
+
+/// The `unsafe` boundary: the keyword appears only in the SHA-256
+/// module (its hardware kernel), and every library crate that forbids
+/// `unsafe_code` keeps forbidding it. Rustc enforces the attributes; this
+/// pins where they sit.
+#[test]
+fn unsafe_code_is_confined_to_the_hash_module() {
+    fn walk(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for path in entries.map(|e| e.expect("dir entry").path()) {
+            if path.is_dir() {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["src", "tests", "examples", "crates"] {
+        walk(&root.join(dir), &mut files);
+    }
+    assert!(files.len() >= 50, "{} files", files.len());
+    let mut with_unsafe: Vec<String> = files
+        .iter()
+        .filter(|f| {
+            let src = std::fs::read_to_string(f).expect("read source");
+            chatlens_lint::scan::scan(&src)
+                .tokens
+                .iter()
+                .any(|t| t.is_ident("unsafe"))
+        })
+        .map(|f| {
+            f.strip_prefix(root)
+                .unwrap()
+                .to_string_lossy()
+                .replace('\\', "/")
+        })
+        .collect();
+    with_unsafe.sort();
+    assert_eq!(with_unsafe, ["crates/simnet/src/hash.rs"]);
+
+    let attr = |lib: &str| std::fs::read_to_string(root.join(lib)).expect("read lib.rs");
+    for lib in [
+        "src/lib.rs",
+        "crates/analysis/src/lib.rs",
+        "crates/checkpoint/src/lib.rs",
+        "crates/core/src/lib.rs",
+        "crates/perspective/src/lib.rs",
+        "crates/platforms/src/lib.rs",
+        "crates/report/src/lib.rs",
+        "crates/twitter/src/lib.rs",
+        "crates/workload/src/lib.rs",
+    ] {
+        assert!(attr(lib).contains("\n#![forbid(unsafe_code)]\n"), "{lib}");
+    }
+    assert!(attr("crates/simnet/src/lib.rs").contains("\n#![deny(unsafe_code)]\n"));
+}
