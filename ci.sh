@@ -87,6 +87,25 @@ fold_digests() {
 diff <(fold_digests "$INC_DIR/first.out") <(fold_digests "$INC_DIR/resumed.out") \
     || { echo "FAIL: resumed fold fragment digests diverge" >&2; exit 1; }
 
+# Budget x incremental smoke: a budgeted, folded, checkpointed campaign
+# halted at the day-20 boundary and resumed with the same flags must land
+# on the fold digests of an uninterrupted incremental run and on the
+# unbudgeted report bytes (the full matrix lives in tests/budget.rs).
+echo "==> budget x incremental smoke (repro run --mem-budget min --analysis incremental)"
+COMBO_DIR="$(mktemp -d)"
+trap 'rm -rf "$CKPT_DIR" "$INC_DIR" "$COMBO_DIR"' EXIT
+cargo run -q --bin repro -- --scale 0.005 --analysis incremental run \
+    --report-out "$COMBO_DIR/unbudgeted.report" > "$COMBO_DIR/uninterrupted.out"
+cargo run -q --bin repro -- --scale 0.005 --mem-budget min --analysis incremental \
+    --checkpoint-dir "$COMBO_DIR/chain" --halt-after-day 20 run
+cargo run -q --bin repro -- --scale 0.005 --mem-budget min --analysis incremental \
+    --checkpoint-dir "$COMBO_DIR/chain" --resume "$COMBO_DIR/chain" run \
+    --report-out "$COMBO_DIR/budgeted.report" > "$COMBO_DIR/resumed.out"
+diff <(fold_digests "$COMBO_DIR/uninterrupted.out") <(fold_digests "$COMBO_DIR/resumed.out") \
+    || { echo "FAIL: budgeted resumed fold digests diverge" >&2; exit 1; }
+cmp "$COMBO_DIR/unbudgeted.report" "$COMBO_DIR/budgeted.report" \
+    || { echo "FAIL: budgeted incremental report diverges from the unbudgeted run" >&2; exit 1; }
+
 # Torn-write crash-storm smoke: run a checkpointed campaign under the
 # torn disk-fault profile (25% of saves silently lose their rename, 10%
 # land truncated, reads see bit-rot), kill it mid-campaign, verify the
@@ -96,7 +115,7 @@ diff <(fold_digests "$INC_DIR/first.out") <(fold_digests "$INC_DIR/resumed.out")
 # tests/crash_storm.rs).
 echo "==> torn-write crash-storm smoke (repro run --disk-fault torn)"
 TORN_DIR="$(mktemp -d)"
-trap 'rm -rf "$CKPT_DIR" "$INC_DIR" "$TORN_DIR"' EXIT
+trap 'rm -rf "$CKPT_DIR" "$INC_DIR" "$COMBO_DIR" "$TORN_DIR"' EXIT
 cargo run -q --bin repro -- --scale 0.005 run > "$TORN_DIR/golden.out"
 cargo run -q --bin repro -- --scale 0.005 --disk-fault torn \
     --checkpoint-dir "$TORN_DIR/chain" --halt-after-day 20 run
@@ -113,7 +132,7 @@ cmp "$TORN_DIR/golden.out" "$TORN_DIR/resumed.out" \
 # tests/budget.rs.
 echo "==> memory-budget smoke (repro run --mem-budget min)"
 MEM_DIR="$(mktemp -d)"
-trap 'rm -rf "$CKPT_DIR" "$INC_DIR" "$TORN_DIR" "$MEM_DIR"' EXIT
+trap 'rm -rf "$CKPT_DIR" "$INC_DIR" "$COMBO_DIR" "$TORN_DIR" "$MEM_DIR"' EXIT
 cargo run -q --bin repro -- --scale 0.005 run \
     --report-out "$MEM_DIR/unbounded.report"
 cargo run -q --bin repro -- --scale 0.005 --mem-budget min \

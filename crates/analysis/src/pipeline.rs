@@ -23,7 +23,7 @@
 //!
 //! ```
 //! use chatlens_checkpoint::{CheckpointError, Persist, Reader, Writer};
-//! use chatlens_core::{DayFold, DaySlice, FoldDriver};
+//! use chatlens_core::{Attachments, Campaign, DayFold, DaySlice, FoldDriver};
 //! use chatlens_simnet::par::Pool;
 //!
 //! /// Counts collected tweets per study day.
@@ -52,8 +52,12 @@
 //!
 //! let fold = TweetVolume { per_day: Vec::new() };
 //! let mut driver = FoldDriver::new(vec![Box::new(fold)], 1);
-//! let scenario = chatlens_workload::ScenarioConfig::tiny();
-//! let ds = chatlens_core::run_study_folded(scenario, Default::default(), &mut driver);
+//! let mut eco = chatlens_workload::Ecosystem::build(chatlens_workload::ScenarioConfig::tiny());
+//! let attach = Attachments { folds: Some(&mut driver), ..Attachments::default() };
+//! let ds = Campaign::new(&mut eco, Default::default(), attach)
+//!     .and_then(Campaign::finish)
+//!     .unwrap()
+//!     .into_dataset();
 //! let outcome = driver.finish();
 //! let rendered = outcome.fragment("tweet_volume").unwrap();
 //! assert!(rendered.starts_with("tweets_per_day: ["));

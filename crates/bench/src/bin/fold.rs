@@ -31,10 +31,10 @@
 //! [`DayFold`]: chatlens_core::DayFold
 
 use chatlens_analysis::{batch_fragments, standard_folds};
-use chatlens_core::{run_study_folded, FoldDriver};
+use chatlens_core::{Attachments, Campaign, FoldDriver};
 use chatlens_simnet::metrics::{keys, Metrics};
 use chatlens_simnet::par::Pool;
-use chatlens_workload::ScenarioConfig;
+use chatlens_workload::{Ecosystem, ScenarioConfig};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -53,11 +53,18 @@ const RUNS: usize = 3;
 /// One folded campaign + one batch report render, as `entry -> value`.
 fn measure(scale: f64) -> BTreeMap<String, u64> {
     let mut driver = FoldDriver::new(standard_folds(), 1);
-    let ds = run_study_folded(
-        ScenarioConfig::at_scale(scale),
+    let attach = Attachments {
+        folds: Some(&mut driver),
+        ..Attachments::default()
+    };
+    let ds = Campaign::new(
+        &mut Ecosystem::build(ScenarioConfig::at_scale(scale)),
         Default::default(),
-        &mut driver,
-    );
+        attach,
+    )
+    .and_then(Campaign::finish)
+    .expect("an unbudgeted folded campaign cannot fail")
+    .into_dataset();
     let outcome = driver.finish();
 
     let pool = Pool::new(1);

@@ -15,9 +15,10 @@
 //! 1. **Day boundaries, debug builds** — [`crate::study`]'s runner audits
 //!    the live components after every completed study day
 //!    (`debug_assertions` only; release campaigns pay nothing).
-//! 2. **Resume** — every `resume_study*` entry point audits the restored
-//!    components before continuing, so a snapshot that decodes cleanly
-//!    but violates campaign invariants is caught at the boundary.
+//! 2. **Resume** — [`Campaign::resume`](crate::study::Campaign::resume)
+//!    audits the restored components before continuing, so a snapshot
+//!    that decodes cleanly but violates campaign invariants is refused
+//!    with a typed error at the boundary.
 //! 3. **`repro audit <snapshot>`** — the CLI resumes a checkpoint to a
 //!    full dataset and prints every violation (exit code 1 if any).
 

@@ -29,10 +29,13 @@
 //! returning the [`dataset::Dataset`] every analysis in
 //! `chatlens-analysis` consumes.
 //!
-//! Long campaigns are crash-safe: [`study::run_study_checkpointed`]
-//! snapshots the full campaign state ([`state::CampaignState`]) at day
-//! boundaries via `chatlens-checkpoint`, and [`study::resume_study`]
-//! continues from a snapshot to a byte-identical dataset.
+//! Every run mode is one [`study::Campaign`] session: the same day loop
+//! with optional checkpoint, incremental-fold and memory-budget
+//! attachments in any mix. Long campaigns are crash-safe: a checkpointed
+//! session snapshots the full campaign state ([`state::CampaignState`])
+//! at day boundaries via `chatlens-checkpoint`, and
+//! [`study::Campaign::resume`] continues from a snapshot to a
+//! byte-identical dataset.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -61,10 +64,8 @@ pub use fold::{DayFold, DayMark, DayParts, DaySlice, FoldDriver, FoldLedger, Fol
 pub use intern::{Interner, Sym};
 pub use state::{CampaignState, SnapshotSummary};
 pub use study::{
-    recover_latest_state, resume_study, resume_study_budgeted, resume_study_budgeted_checkpointed,
-    resume_study_checkpointed, resume_study_days, resume_study_folded,
-    resume_study_folded_checkpointed, run_study, run_study_budgeted,
-    run_study_budgeted_checkpointed, run_study_checkpointed, run_study_days_budgeted,
-    run_study_days_checkpointed, run_study_folded, run_study_folded_checkpointed, run_study_with,
-    BudgetedRun, CampaignConfig, CampaignEvent, CheckpointPolicy, StudyError,
+    recover_latest_state, resume_study, resume_study_budgeted, resume_study_days, run_study,
+    run_study_budgeted, run_study_days_budgeted, run_study_days_checkpointed, run_study_with,
+    Attachments, BudgetedRun, Campaign, CampaignConfig, CampaignEvent, CheckpointPolicy, Outcome,
+    StudyError,
 };

@@ -37,7 +37,7 @@ use chatlens_simnet::transport::ClientState;
 use chatlens_simnet::Engine;
 use chatlens_twitter::Tweet;
 use chatlens_workload::ecosystem::EcosystemDelta;
-use chatlens_workload::ScenarioConfig;
+use chatlens_workload::{Ecosystem, ScenarioConfig};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -764,6 +764,17 @@ pub struct SnapshotSummary {
 }
 
 impl CampaignState {
+    /// The world this snapshot was taken in: the ecosystem re-derived
+    /// from the scenario (deterministic) with the campaign's mutations
+    /// replayed from the delta. [`Campaign::resume`] runs on it.
+    ///
+    /// [`Campaign::resume`]: crate::study::Campaign::resume
+    pub fn world(&self) -> Ecosystem {
+        let mut eco = Ecosystem::build(self.scenario.clone());
+        eco.apply_delta(&self.delta);
+        eco
+    }
+
     /// Build the inspect digest for this snapshot.
     pub fn summary(&self) -> SnapshotSummary {
         SnapshotSummary {

@@ -12,28 +12,32 @@
 //! * once, at the end of the final day — collect member lists, profiles
 //!   and message histories from every joined group.
 //!
-//! # Checkpointing
+//! # The campaign session
 //!
-//! The campaign advances one study day at a time (an internal `Runner`
-//! owns the event loop), and a day boundary is a *quiescent point*: no
-//! event is ever scheduled in the final second of a day, so the whole
-//! mutable state of the campaign is capturable there as a
-//! [`CampaignState`]. [`run_study_checkpointed`] saves one snapshot per
-//! [`CheckpointPolicy`] interval (and on unwind, if configured);
-//! [`resume_study`] rebuilds the world from the scenario, replays the
-//! delta, and continues — producing a dataset byte-identical to an
-//! uninterrupted run.
+//! A [`Campaign`] owns the live campaign over a borrowed world and
+//! advances it one study day at a time. Every run mode is the same day
+//! loop ([`Campaign::step_day`]) with optional [`Attachments`]:
 //!
-//! # Incremental analysis
+//! * a [`CheckpointPolicy`] — a day boundary is a *quiescent point* (no
+//!   event is ever scheduled in the final second of a day), so the whole
+//!   mutable state of the campaign is capturable there as a
+//!   [`CampaignState`]; the session saves one per policy interval, and
+//!   [`Campaign::resume`] rebuilds the world from the scenario, replays
+//!   the delta, and continues to a dataset byte-identical to an
+//!   uninterrupted run;
+//! * a [`FoldDriver`] — after every completed day the driver hands each
+//!   registered [`DayFold`](crate::fold::DayFold) a borrowed slice of the
+//!   day's appends, so analyses maintain compact per-day state instead of
+//!   replaying history at campaign end; the folded state rides inside
+//!   every snapshot (`CampaignState::folds`), and `tests/fold_parity.rs`
+//!   proves the fragments byte-identical to the batch analyses;
+//! * a [`BudgetPolicy`] — the memory accountant meters the resident
+//!   stores (and the fold state) at every boundary and spills cold day
+//!   partitions; the session then finishes into a [`BudgetedRun`] whose
+//!   report is streamed from disk.
 //!
-//! The `*_folded` entry points thread a [`FoldDriver`] through the day
-//! loop: after every completed day the driver hands each registered
-//! [`DayFold`](crate::fold::DayFold) a borrowed slice of the day's
-//! appends, so analyses maintain compact per-day state instead of
-//! replaying history at campaign end. Folded state rides inside the
-//! snapshot (`CampaignState::folds`), making incremental runs
-//! killable/resumable like batch runs — `tests/fold_parity.rs` proves
-//! the final report fragments byte-identical either way.
+//! The `run_study*`/`resume_study*` functions are one-expression
+//! wrappers over the session for the common modes.
 
 use crate::budget::{BudgetError, BudgetPolicy, BudgetStats, MemoryBudget};
 use crate::dataset::{
@@ -252,8 +256,7 @@ pub fn run_study(scenario: ScenarioConfig) -> Dataset {
 /// Run the full study with explicit campaign settings. Returns the
 /// assembled [`Dataset`].
 pub fn run_study_with(scenario: ScenarioConfig, campaign: CampaignConfig) -> Dataset {
-    let mut eco = Ecosystem::build(scenario);
-    run_study_on(&mut eco, campaign)
+    run_study_on(&mut Ecosystem::build(scenario), campaign)
 }
 
 /// Run the campaign against an existing ecosystem (used by ablation
@@ -261,25 +264,10 @@ pub fn run_study_with(scenario: ScenarioConfig, campaign: CampaignConfig) -> Dat
 /// ecosystem's materialized histories are deterministic per group, so
 /// re-use is safe).
 pub fn run_study_on(eco: &mut Ecosystem, campaign: CampaignConfig) -> Dataset {
-    let mut runner = Runner::new(eco.window, campaign);
-    let days = eco.window.num_days() as u32;
-    while runner.day < days {
-        runner.step_day(eco);
-    }
-    runner.finish(eco)
-}
-
-/// Run the full study, saving a [`CampaignState`] snapshot per the
-/// policy. The result is identical to [`run_study_with`]; only the
-/// snapshot side effects differ. Fails only on snapshot I/O.
-pub fn run_study_checkpointed(
-    scenario: ScenarioConfig,
-    campaign: CampaignConfig,
-    policy: &CheckpointPolicy,
-) -> Result<Dataset, CheckpointError> {
-    let eco = Ecosystem::build(scenario);
-    let runner = Runner::new(eco.window, campaign);
-    run_guarded(runner, eco, policy, None)
+    Campaign::new(eco, campaign, Attachments::default())
+        .and_then(Campaign::finish)
+        .map(Outcome::into_dataset)
+        .expect("a campaign without checkpoints or a budget cannot fail")
 }
 
 /// Run a checkpointed campaign but halt cleanly after `days` completed
@@ -294,11 +282,16 @@ pub fn run_study_days_checkpointed(
     policy: &CheckpointPolicy,
     days: u32,
 ) -> Result<u32, CheckpointError> {
-    let eco = Ecosystem::build(scenario);
-    let runner = Runner::new(eco.window, campaign);
-    let until = days.min(eco.window.num_days() as u32);
-    let (runner, _eco) = run_guarded_until(runner, eco, policy, None, until)?;
-    Ok(runner.day)
+    let attach = Attachments {
+        checkpoint: Some(policy),
+        ..Attachments::default()
+    };
+    Campaign::new(&mut Ecosystem::build(scenario), campaign, attach)
+        .and_then(|mut session| session.run_until(days))
+        .map_err(|err| match err {
+            StudyError::Checkpoint(err) => err,
+            other => unreachable!("an unbudgeted fresh campaign failed: {other}"),
+        })
 }
 
 /// Walk the checkpoint chain in `policy.dir` backwards to the newest
@@ -324,49 +317,106 @@ pub fn recover_latest_state(
 /// dataset is byte-identical to the uninterrupted run's (modulo the
 /// wall-clock `.micros` metrics, which [`Metrics::strip_wall_clock`]
 /// normalizes).
+///
+/// # Panics
+/// Panics if the snapshot cannot be resumed (see [`Campaign::resume`]).
 pub fn resume_study(state: &CampaignState) -> Dataset {
-    let (mut eco, mut runner) = rebuild(state);
-    let days = runner.window.num_days() as u32;
-    while runner.day < days {
-        runner.step_day(&mut eco);
-    }
-    runner.finish(&mut eco)
+    Campaign::resume(&mut state.world(), state, Attachments::default())
+        .and_then(Campaign::finish)
+        .map(Outcome::into_dataset)
+        .unwrap_or_else(|err| panic!("cannot resume the snapshot: {err}"))
 }
 
 /// Resume a snapshotted campaign, advance at most `days` study days, and
 /// return the new snapshot state. Building block for the equivalence
 /// tests (resume day N, run one day, compare against the day-N+1
 /// snapshot of an uninterrupted run).
+///
+/// # Panics
+/// Panics if the snapshot cannot be resumed (see [`Campaign::resume`]).
 pub fn resume_study_days(state: &CampaignState, days: u32) -> CampaignState {
-    let (mut eco, mut runner) = rebuild(state);
-    let total = runner.window.num_days() as u32;
-    let target = runner.day.saturating_add(days).min(total);
-    while runner.day < target {
-        runner.step_day(&mut eco);
-    }
-    runner.state(&eco)
+    Campaign::resume(&mut state.world(), state, Attachments::default())
+        .and_then(|mut session| {
+            session.run_until(state.day.saturating_add(days))?;
+            Ok(session.state())
+        })
+        .unwrap_or_else(|err| panic!("cannot resume the snapshot: {err}"))
 }
 
-/// Resume a snapshotted campaign and run it to completion with snapshot
-/// saves per the policy (i.e. a resumed run is itself resumable).
-pub fn resume_study_checkpointed(
-    state: &CampaignState,
+/// Run the full study under a hard memory budget: day partitions of the
+/// collected logs are spilled coldest-first through the budget policy's
+/// (possibly fault-injected) filesystem whenever the accounted resident
+/// size exceeds the ceiling, and the report is streamed at the end. The
+/// report is byte-identical to [`run_study_with`]'s
+/// [`Dataset::campaign_report`].
+pub fn run_study_budgeted(
+    scenario: ScenarioConfig,
+    campaign: CampaignConfig,
+    budget: &BudgetPolicy,
+) -> Result<BudgetedRun, StudyError> {
+    let attach = Attachments {
+        budget: Some(budget),
+        ..Attachments::default()
+    };
+    Campaign::new(&mut Ecosystem::build(scenario), campaign, attach)
+        .and_then(Campaign::finish)
+        .map(Outcome::into_budgeted)
+}
+
+/// Run a budgeted, checkpointed campaign but halt cleanly after `days`
+/// completed study days (the budgeted `--halt-after-day`). Snapshots
+/// carry the accountant's state (checkpoint format v6), so the halted run
+/// resumes — under the same budget — to a byte-identical report. Returns
+/// the number of days actually completed.
+pub fn run_study_days_budgeted(
+    scenario: ScenarioConfig,
+    campaign: CampaignConfig,
     policy: &CheckpointPolicy,
-) -> Result<Dataset, CheckpointError> {
-    let (eco, runner) = rebuild(state);
-    run_guarded(runner, eco, policy, None)
+    budget: &BudgetPolicy,
+    days: u32,
+) -> Result<u32, StudyError> {
+    let attach = Attachments {
+        checkpoint: Some(policy),
+        budget: Some(budget),
+        ..Attachments::default()
+    };
+    Campaign::new(&mut Ecosystem::build(scenario), campaign, attach)
+        .and_then(|mut session| session.run_until(days))
 }
 
-/// Why a budgeted (and possibly checkpointed) campaign refused to
-/// continue. Both arms are typed refusals — a budgeted campaign
-/// degrades (spill, then refuse) and never aborts.
+/// Resume a budgeted campaign from a v6 snapshot and run it to
+/// completion (no further snapshot saves). The budget policy must carry
+/// the snapshot's ceiling ([`BudgetError::ResumeMismatch`] otherwise);
+/// spilled-partition dedup indexes are rebuilt by faulting each
+/// manifest partition exactly once.
+pub fn resume_study_budgeted(
+    state: &CampaignState,
+    budget: &BudgetPolicy,
+) -> Result<BudgetedRun, StudyError> {
+    let attach = Attachments {
+        budget: Some(budget),
+        ..Attachments::default()
+    };
+    Campaign::resume(&mut state.world(), state, attach)
+        .and_then(Campaign::finish)
+        .map(Outcome::into_budgeted)
+}
+
+/// Why a campaign session refused to start or continue. Every arm is a
+/// typed refusal — a session degrades (spill, then refuse) and never
+/// aborts.
 #[derive(Debug)]
 pub enum StudyError {
     /// Snapshot I/O failed under a non-tolerant disk-fault profile.
     Checkpoint(CheckpointError),
     /// The memory accountant refused: ceiling below the floor,
-    /// un-evictable working set over the ceiling, or damaged spill data.
+    /// un-evictable working set over the ceiling, damaged spill data, or
+    /// a snapshot whose budget state does not fit the attached budget.
     Budget(BudgetError),
+    /// The snapshot decodes but cannot be resumed as asked: it fails the
+    /// restore audit, carries the wrong number of day marks, or its fold
+    /// ledger is missing or does not fit the attached folds.
+    Resume(String),
 }
 
 impl fmt::Display for StudyError {
@@ -374,6 +424,7 @@ impl fmt::Display for StudyError {
         match self {
             StudyError::Checkpoint(e) => write!(f, "checkpoint: {e}"),
             StudyError::Budget(e) => write!(f, "budget: {e}"),
+            StudyError::Resume(why) => write!(f, "resume: {why}"),
         }
     }
 }
@@ -412,370 +463,353 @@ pub struct BudgetedRun {
     pub metrics: Metrics,
 }
 
-/// Run the full study under a hard memory budget: day partitions of the
-/// collected logs are spilled coldest-first through the budget policy's
-/// (possibly fault-injected) filesystem whenever the accounted resident
-/// size exceeds the ceiling, and the report is streamed at the end. The
-/// report is byte-identical to [`run_study_with`]'s
-/// [`Dataset::campaign_report`].
-pub fn run_study_budgeted(
-    scenario: ScenarioConfig,
-    campaign: CampaignConfig,
-    budget: &BudgetPolicy,
-) -> Result<BudgetedRun, StudyError> {
-    let eco = Ecosystem::build(scenario);
-    let mut runner = Runner::new(eco.window, campaign);
-    runner.attach_budget(budget, &eco)?;
-    let days = eco.window.num_days() as u32;
-    let (runner, mut eco) = run_budgeted_until(runner, eco, None, days)?;
-    Ok(runner.finish_budgeted(&mut eco)?)
+/// What a [`Campaign`] session carries besides the campaign itself. Each
+/// attachment is optional and every mix is legal.
+#[derive(Default)]
+pub struct Attachments<'a> {
+    /// Save a snapshot per this policy after every completed interval
+    /// day (and on unwind, if the policy asks for it).
+    pub checkpoint: Option<&'a CheckpointPolicy>,
+    /// Fold every completed day into this driver's incremental analyses;
+    /// its [`FoldLedger`](crate::fold::FoldLedger) rides inside every
+    /// snapshot. Call [`FoldDriver::finish`] after the session for the
+    /// report fragments.
+    pub folds: Option<&'a mut FoldDriver>,
+    /// Run under this memory budget; the session then finishes into a
+    /// [`BudgetedRun`] instead of a [`Dataset`].
+    pub budget: Option<&'a BudgetPolicy>,
 }
 
-/// [`run_study_budgeted`] with snapshot saves per the checkpoint policy.
-/// Snapshots carry the accountant's state (checkpoint format v6), so a
-/// killed budgeted run resumes — under the same budget — to a
-/// byte-identical report.
-pub fn run_study_budgeted_checkpointed(
-    scenario: ScenarioConfig,
-    campaign: CampaignConfig,
-    policy: &CheckpointPolicy,
-    budget: &BudgetPolicy,
-) -> Result<BudgetedRun, StudyError> {
-    let eco = Ecosystem::build(scenario);
-    let mut runner = Runner::new(eco.window, campaign);
-    runner.attach_budget(budget, &eco)?;
-    let days = eco.window.num_days() as u32;
-    let (runner, mut eco) = run_budgeted_until(runner, eco, Some(policy), days)?;
-    Ok(runner.finish_budgeted(&mut eco)?)
+/// What a finished [`Campaign`] hands back: the assembled dataset, or
+/// the streamed report of a budgeted session.
+#[derive(Debug)]
+pub enum Outcome {
+    /// An unbudgeted session's dataset.
+    Dataset(Box<Dataset>),
+    /// A budgeted session's report, totals and accountant statistics.
+    Budgeted(BudgetedRun),
 }
 
-/// Run a budgeted, checkpointed campaign but halt cleanly after `days`
-/// completed study days (the budgeted `--halt-after-day`). Returns the
-/// number of days actually completed.
-pub fn run_study_days_budgeted(
-    scenario: ScenarioConfig,
-    campaign: CampaignConfig,
-    policy: &CheckpointPolicy,
-    budget: &BudgetPolicy,
-    days: u32,
-) -> Result<u32, StudyError> {
-    let eco = Ecosystem::build(scenario);
-    let mut runner = Runner::new(eco.window, campaign);
-    runner.attach_budget(budget, &eco)?;
-    let until = days.min(eco.window.num_days() as u32);
-    let (runner, _eco) = run_budgeted_until(runner, eco, Some(policy), until)?;
-    Ok(runner.day)
+impl Outcome {
+    /// The dataset of an unbudgeted session.
+    ///
+    /// # Panics
+    /// Panics on a budgeted session's outcome.
+    pub fn into_dataset(self) -> Dataset {
+        match self {
+            Outcome::Dataset(ds) => *ds,
+            Outcome::Budgeted(_) => panic!("a budgeted session yields a BudgetedRun"),
+        }
+    }
+
+    /// The report of a budgeted session.
+    ///
+    /// # Panics
+    /// Panics on an unbudgeted session's outcome.
+    pub fn into_budgeted(self) -> BudgetedRun {
+        match self {
+            Outcome::Budgeted(run) => run,
+            Outcome::Dataset(_) => panic!("an unbudgeted session yields a Dataset"),
+        }
+    }
 }
 
-/// Resume a budgeted campaign from a v6 snapshot and run it to
-/// completion (no further snapshot saves). The budget policy must carry
-/// the snapshot's ceiling ([`BudgetError::ResumeMismatch`] otherwise);
-/// spilled-partition dedup indexes are rebuilt by faulting each
-/// manifest partition exactly once.
-pub fn resume_study_budgeted(
-    state: &CampaignState,
-    budget: &BudgetPolicy,
-) -> Result<BudgetedRun, StudyError> {
-    let (eco, runner) = rebuild_budgeted(state, budget)?;
-    let days = runner.window.num_days() as u32;
-    let (runner, mut eco) = run_budgeted_until(runner, eco, None, days)?;
-    Ok(runner.finish_budgeted(&mut eco)?)
+/// One campaign session: the live campaign over a borrowed world plus
+/// its [`Attachments`], advanced one study day at a time.
+///
+/// Every run mode — plain, checkpointed, incremental, budgeted, and any
+/// mix of them, fresh or resumed — goes through the same day loop in
+/// [`Campaign::step_day`]: run the day's events, fold the day if folds
+/// are attached, enforce the budget (metering the fold state) if one is
+/// attached, then save a snapshot if the checkpoint policy says the day
+/// is due.
+///
+/// If the session unwinds while its policy has `on_drop` set, it saves
+/// the current day boundary — but only when it sits exactly at one whose
+/// snapshot is not yet on disk. A panic in the middle of a day leaves the
+/// chain untouched rather than overwriting a clean snapshot with
+/// half-run state.
+pub struct Campaign<'a> {
+    eco: &'a mut Ecosystem,
+    runner: Runner,
+    folds: Option<&'a mut FoldDriver>,
+    snapshots: Option<Snapshots<'a>>,
+    /// False while a day is in flight: the unwind save only captures
+    /// completed day boundaries.
+    at_boundary: bool,
+    /// Resumed from a budgeted snapshot without a budget: the session
+    /// cannot read the spilled partitions, so it refuses to run.
+    budget_unmet: bool,
 }
 
-/// [`resume_study_budgeted`] with snapshot saves per the checkpoint
-/// policy (a resumed budgeted run is itself resumable).
-pub fn resume_study_budgeted_checkpointed(
-    state: &CampaignState,
-    policy: &CheckpointPolicy,
-    budget: &BudgetPolicy,
-) -> Result<BudgetedRun, StudyError> {
-    let (eco, runner) = rebuild_budgeted(state, budget)?;
-    let days = runner.window.num_days() as u32;
-    let (runner, mut eco) = run_budgeted_until(runner, eco, Some(policy), days)?;
-    Ok(runner.finish_budgeted(&mut eco)?)
+/// The checkpoint attachment: where snapshots go and which day is on
+/// disk already.
+struct Snapshots<'a> {
+    policy: &'a CheckpointPolicy,
+    vfs: Box<dyn Vfs>,
+    /// The newest day boundary this session knows to be on disk.
+    saved: Option<u32>,
 }
 
-/// [`rebuild`] plus budget-accountant restoration: resume the
-/// accountant from the snapshot's budget state and re-register the
-/// spilled tweet/control ids into the discovery dedup indexes.
-fn rebuild_budgeted(
-    state: &CampaignState,
-    budget: &BudgetPolicy,
-) -> Result<(Ecosystem, Runner), StudyError> {
-    let (eco, mut runner) = rebuild(state);
-    let bs = state.budget.as_ref().ok_or_else(|| {
-        StudyError::Budget(BudgetError::ResumeMismatch(
-            "snapshot carries no budget state: it was written by an unbudgeted run; \
-             resume it without --mem-budget"
+impl<'a> Campaign<'a> {
+    /// A fresh campaign over `eco`. Fails only if an attached budget
+    /// refuses outright (a ceiling below the world's floor).
+    pub fn new(
+        eco: &'a mut Ecosystem,
+        campaign: CampaignConfig,
+        attach: Attachments<'a>,
+    ) -> Result<Campaign<'a>, StudyError> {
+        let mut runner = Runner::new(eco.window, campaign);
+        if let Some(policy) = attach.budget {
+            let floor = eco.twitter.encoded_bytes();
+            runner.budget = Some(MemoryBudget::attach(policy, campaign.seed, floor)?);
+        }
+        Ok(Campaign::start(eco, runner, attach, None, false))
+    }
+
+    /// Resume a snapshotted campaign. `eco` must be the snapshot's world,
+    /// [`CampaignState::world`]. The restored components are audited
+    /// before any event runs on top of them, attached folds are restored
+    /// from the snapshot's fold ledger, and an attached budget resumes
+    /// the snapshot's accountant.
+    ///
+    /// Fails with [`StudyError::Resume`] if the snapshot violates the
+    /// campaign invariants, does not carry one day mark per completed
+    /// day, or — with folds attached — carries no fold ledger, a ledger
+    /// for other folds, or one whose day count or cursors disagree with
+    /// the snapshot; with [`StudyError::Budget`] if a budget is attached
+    /// to an unbudgeted snapshot or does not fit its accountant. A
+    /// budgeted snapshot resumed *without* a budget restores (so
+    /// [`Campaign::state`] still works) but refuses to run a day or
+    /// finish, since its cold partitions sit in a spill directory it
+    /// cannot read.
+    pub fn resume(
+        eco: &'a mut Ecosystem,
+        state: &CampaignState,
+        mut attach: Attachments<'a>,
+    ) -> Result<Campaign<'a>, StudyError> {
+        let mut runner = Runner::from_state(state, eco.window);
+        let violations = crate::audit::audit_components(
+            runner.days(),
+            &runner.discovery,
+            &runner.monitor,
+            &runner.joiner,
+        );
+        if !violations.is_empty() {
+            return Err(StudyError::Resume(format!(
+                "restored snapshot violates campaign invariants: {violations:#?}"
+            )));
+        }
+        if runner.marks.len() != state.day as usize {
+            return Err(StudyError::Resume(format!(
+                "snapshot carries {} day marks for {} completed days",
+                runner.marks.len(),
+                state.day
+            )));
+        }
+        if let Some(driver) = attach.folds.as_deref_mut() {
+            restore_folds(driver, state, &runner)?;
+        }
+        if let Some(policy) = attach.budget {
+            let bs = state.budget.as_ref().ok_or_else(|| {
+                BudgetError::ResumeMismatch(
+                    "snapshot carries no budget state: it was written by an unbudgeted run; \
+                     resume it without --mem-budget"
+                        .into(),
+                )
+            })?;
+            let mut accountant = MemoryBudget::resume(bs, policy, runner.campaign.seed)?;
+            accountant.reindex_spilled(&mut runner.discovery)?;
+            runner.budget = Some(accountant);
+        }
+        let budget_unmet = state.budget.is_some() && attach.budget.is_none();
+        Ok(Campaign::start(
+            eco,
+            runner,
+            attach,
+            Some(state.day),
+            budget_unmet,
+        ))
+    }
+
+    fn start(
+        eco: &'a mut Ecosystem,
+        runner: Runner,
+        attach: Attachments<'a>,
+        saved: Option<u32>,
+        budget_unmet: bool,
+    ) -> Campaign<'a> {
+        let snapshots = attach.checkpoint.map(|policy| Snapshots {
+            policy,
+            vfs: policy.vfs(runner.campaign.seed),
+            saved,
+        });
+        Campaign {
+            eco,
+            runner,
+            folds: attach.folds,
+            snapshots,
+            at_boundary: true,
+            budget_unmet,
+        }
+    }
+
+    /// Run the next study day through the one day loop: the day's
+    /// events, then the attached folds, then budget enforcement at the
+    /// boundary (spill first, typed refusal only if spilling cannot
+    /// satisfy the ceiling), then a snapshot if the policy says the day
+    /// is due. Does nothing once every study day has run.
+    pub fn step_day(&mut self) -> Result<(), StudyError> {
+        self.ready()?;
+        if self.runner.day >= self.runner.days() {
+            return Ok(());
+        }
+        self.at_boundary = false;
+        self.runner.run_day(self.eco);
+        let mut fold_bytes = 0;
+        if let Some(driver) = self.folds.as_deref_mut() {
+            driver.fold_day(&self.runner.parts());
+            fold_bytes = driver.state_sizes().map(|(_, bytes)| bytes).sum();
+        }
+        self.runner.enforce_budget(fold_bytes)?;
+        self.at_boundary = true;
+        let day = self.runner.day;
+        let Some(snaps) = &self.snapshots else {
+            return Ok(());
+        };
+        let policy = snaps.policy;
+        if policy.every_days == 0 || !day.is_multiple_of(policy.every_days) {
+            return Ok(());
+        }
+        match self.save() {
+            Err(err) if policy.disk_fault.tolerates_save_failures() => {
+                // An injected fault costs durability (the chain gets a
+                // hole recovery must walk past), never the run.
+                eprintln!("# snapshot save failed (injected): {err}");
+                Ok(())
+            }
+            result => result.map_err(StudyError::from),
+        }
+    }
+
+    /// Run study days until `day` are complete (or the window ends) and
+    /// return the number of completed days. The session stays live: run
+    /// further, capture [`Campaign::state`], or [`Campaign::finish`].
+    pub fn run_until(&mut self, day: u32) -> Result<u32, StudyError> {
+        while self.runner.day < day.min(self.runner.days()) {
+            self.step_day()?;
+        }
+        Ok(self.runner.day)
+    }
+
+    /// Capture the full campaign state (including the fold ledger when
+    /// folds are attached). Valid at any day boundary.
+    pub fn state(&self) -> CampaignState {
+        let mut state = self.runner.state(self.eco);
+        state.folds = self.folds.as_deref().map(FoldDriver::ledger);
+        state
+    }
+
+    /// Run the remaining days, record the end-of-run metrics, and
+    /// deliver the result: the assembled [`Dataset`], or — with a budget
+    /// attached — the [`BudgetedRun`] streamed from spilled partitions.
+    pub fn finish(mut self) -> Result<Outcome, StudyError> {
+        self.run_until(self.runner.days())?;
+        self.ready()?;
+        // Disarm the unwind save: a finished run leaves exactly its
+        // interval snapshots behind.
+        self.snapshots = None;
+        self.runner.drain_tail(self.eco);
+        self.runner.record_final_metrics();
+        Ok(match self.runner.budget.take() {
+            Some(budget) => Outcome::Budgeted(self.runner.budgeted_report(budget)?),
+            None => Outcome::Dataset(Box::new(self.runner.assemble())),
+        })
+    }
+
+    fn ready(&self) -> Result<(), StudyError> {
+        if !self.budget_unmet {
+            return Ok(());
+        }
+        Err(StudyError::Budget(BudgetError::ResumeMismatch(
+            "snapshot was written under a memory budget; resume it with the same \
+             budget (and its spill directory)"
                 .into(),
+        )))
+    }
+
+    /// Write the current day boundary's snapshot.
+    fn save(&mut self) -> Result<(), CheckpointError> {
+        let state = self.state();
+        let snaps = self.snapshots.as_mut().expect("saving needs a policy");
+        save_to_file_with(
+            snaps.vfs.as_mut(),
+            &snaps.policy.snapshot_path(state.day),
+            &state,
+        )?;
+        snaps.saved = Some(state.day);
+        Ok(())
+    }
+}
+
+impl Drop for Campaign<'_> {
+    fn drop(&mut self) {
+        let unsaved = self
+            .snapshots
+            .as_ref()
+            .is_some_and(|s| s.policy.on_drop && s.saved != Some(self.runner.day));
+        if unsaved && self.at_boundary && std::thread::panicking() {
+            // Best-effort: never surface I/O errors mid-unwind.
+            let _ = self.save();
+        }
+    }
+}
+
+/// Restore `driver` from the snapshot's fold ledger and check that the
+/// ledger agrees with the snapshot's day count and collections.
+fn restore_folds(
+    driver: &mut FoldDriver,
+    state: &CampaignState,
+    runner: &Runner,
+) -> Result<(), StudyError> {
+    let ledger = state.folds.as_ref().ok_or_else(|| {
+        StudyError::Resume(
+            "snapshot carries no fold ledger: it was written by a batch run; \
+             resume it in batch mode or re-run incrementally from scratch"
+                .into(),
+        )
+    })?;
+    driver.restore(ledger).map_err(|err| {
+        StudyError::Resume(format!(
+            "fold ledger does not match the registered folds: {err}"
         ))
     })?;
-    let mut accountant = MemoryBudget::resume(bs, budget, runner.campaign.seed)?;
-    accountant.reindex_spilled(&mut runner.discovery)?;
-    runner.budget = Some(accountant);
-    Ok((eco, runner))
-}
-
-/// The budgeted day loop: step, enforce the budget at the day boundary
-/// (spill first, typed refusal only if spilling cannot satisfy the
-/// ceiling), then snapshot per the policy. Mirrors [`run_guarded_until`]
-/// without the unwind guard — budgeted runs stop at clean boundaries or
-/// refuse with a typed error, never mid-day.
-fn run_budgeted_until(
-    mut runner: Runner,
-    mut eco: Ecosystem,
-    policy: Option<&CheckpointPolicy>,
-    until: u32,
-) -> Result<(Runner, Ecosystem), StudyError> {
-    let seed = runner.campaign.seed;
-    let mut vfs = policy.map(|p| p.vfs(seed));
-    while runner.day < until {
-        runner.step_day(&mut eco);
-        runner.enforce_budget(0)?;
-        if let (Some(policy), Some(vfs)) = (policy, vfs.as_mut()) {
-            if policy.every_days > 0 && runner.day.is_multiple_of(policy.every_days) {
-                let state = runner.state(&eco);
-                let path = policy.snapshot_path(runner.day);
-                if let Err(err) = save_to_file_with(vfs.as_mut(), &path, &state) {
-                    if policy.disk_fault.tolerates_save_failures() {
-                        // Injected fault: costs chain durability, never
-                        // the run (recovery walks past the hole).
-                        eprintln!("# snapshot save failed (injected): {err}");
-                    } else {
-                        return Err(StudyError::Checkpoint(err));
-                    }
-                }
-            }
-        }
+    if driver.days_folded() != state.day {
+        return Err(StudyError::Resume(format!(
+            "fold ledger covers {} days, the snapshot {}",
+            driver.days_folded(),
+            state.day
+        )));
     }
-    Ok((runner, eco))
-}
-
-/// Run the full study while folding every completed day into `driver`'s
-/// incremental analyses. The returned dataset is identical to
-/// [`run_study_with`]'s; the analysis results live in the driver — call
-/// [`FoldDriver::finish`] afterwards for the report fragments.
-pub fn run_study_folded(
-    scenario: ScenarioConfig,
-    campaign: CampaignConfig,
-    driver: &mut FoldDriver,
-) -> Dataset {
-    let mut eco = Ecosystem::build(scenario);
-    let mut runner = Runner::new(eco.window, campaign);
-    let days = eco.window.num_days() as u32;
-    while runner.day < days {
-        runner.step_day(&mut eco);
-        driver.fold_day(&runner.parts());
+    let cursors = (
+        ledger.tweets_seen,
+        ledger.control_seen,
+        ledger.groups_seen,
+        ledger.joined_seen,
+    );
+    let collections = (
+        runner.discovery.tweets.len() as u64,
+        runner.discovery.control.len() as u64,
+        runner.discovery.groups.len() as u64,
+        runner.joiner.joined.len() as u64,
+    );
+    if cursors != collections {
+        return Err(StudyError::Resume(format!(
+            "fold ledger cursors {cursors:?} disagree with the snapshot's collections \
+             {collections:?}"
+        )));
     }
-    runner.finish(&mut eco)
-}
-
-/// [`run_study_folded`] with snapshot saves per the policy. Every
-/// snapshot carries the driver's [`FoldLedger`](crate::fold::FoldLedger),
-/// so the run resumes via [`resume_study_folded`] without replaying any
-/// raw history.
-pub fn run_study_folded_checkpointed(
-    scenario: ScenarioConfig,
-    campaign: CampaignConfig,
-    policy: &CheckpointPolicy,
-    driver: &mut FoldDriver,
-) -> Result<Dataset, CheckpointError> {
-    let eco = Ecosystem::build(scenario);
-    let runner = Runner::new(eco.window, campaign);
-    run_guarded(runner, eco, policy, Some(driver))
-}
-
-/// Resume a snapshotted incremental campaign: restore `driver`'s folds
-/// from the snapshot's ledger (auditing day and cursor agreement), then
-/// run — and fold — the remaining days.
-///
-/// # Panics
-/// Panics if the snapshot carries no fold ledger (it was written by a
-/// batch run — resume it with [`resume_study`] instead, or re-run
-/// incrementally from scratch), if the ledger does not match the
-/// driver's registered folds, or if the ledger's cursors disagree with
-/// the snapshot's collections.
-pub fn resume_study_folded(state: &CampaignState, driver: &mut FoldDriver) -> Dataset {
-    let (mut eco, mut runner) = rebuild_folded(state, driver);
-    let days = runner.window.num_days() as u32;
-    while runner.day < days {
-        runner.step_day(&mut eco);
-        driver.fold_day(&runner.parts());
-    }
-    runner.finish(&mut eco)
-}
-
-/// [`resume_study_folded`] with snapshot saves per the policy (a resumed
-/// incremental run is itself resumable).
-///
-/// # Panics
-/// As [`resume_study_folded`].
-pub fn resume_study_folded_checkpointed(
-    state: &CampaignState,
-    policy: &CheckpointPolicy,
-    driver: &mut FoldDriver,
-) -> Result<Dataset, CheckpointError> {
-    let (eco, runner) = rebuild_folded(state, driver);
-    run_guarded(runner, eco, policy, Some(driver))
-}
-
-/// [`rebuild`] plus fold-ledger restoration and audit.
-fn rebuild_folded(state: &CampaignState, driver: &mut FoldDriver) -> (Ecosystem, Runner) {
-    let (eco, runner) = rebuild(state);
-    let ledger = state.folds.as_ref().expect(
-        "snapshot carries no fold ledger: it was written by a batch run; \
-         resume it in batch mode or re-run incrementally from scratch",
-    );
-    driver
-        .restore(ledger)
-        .expect("fold ledger does not match this build's registered folds");
-    assert_eq!(
-        driver.days_folded(),
-        state.day,
-        "fold ledger day count disagrees with snapshot day"
-    );
-    assert_eq!(
-        (
-            ledger.tweets_seen,
-            ledger.control_seen,
-            ledger.groups_seen,
-            ledger.joined_seen,
-        ),
-        (
-            runner.discovery.tweets.len() as u64,
-            runner.discovery.control.len() as u64,
-            runner.discovery.groups.len() as u64,
-            runner.joiner.joined.len() as u64,
-        ),
-        "fold ledger cursors disagree with the snapshot's collections"
-    );
-    (eco, runner)
-}
-
-/// Rebuild the world and the runner from a snapshot: the ecosystem is
-/// re-derived from the scenario (deterministic), the campaign's mutations
-/// are replayed from the delta, and every pipeline component is restored.
-fn rebuild(state: &CampaignState) -> (Ecosystem, Runner) {
-    let mut eco = Ecosystem::build(state.scenario.clone());
-    eco.apply_delta(&state.delta);
-    let runner = Runner::from_state(state, eco.window);
-    // A snapshot can decode cleanly (magic, version, checksum all good)
-    // and still describe a state no campaign can reach; audit the
-    // restored components before running a single event on top of them.
-    let violations = crate::audit::audit_components(
-        runner.window.num_days() as u32,
-        &runner.discovery,
-        &runner.monitor,
-        &runner.joiner,
-    );
-    assert!(
-        violations.is_empty(),
-        "restored snapshot violates campaign invariants: {violations:#?}"
-    );
-    assert_eq!(
-        runner.marks.len(),
-        state.day as usize,
-        "snapshot must carry one day mark per completed day"
-    );
-    (eco, runner)
-}
-
-/// Drive a runner to completion under a checkpoint policy, optionally
-/// folding each completed day into an incremental-analysis driver (whose
-/// ledger then rides inside every snapshot, including the drop-save).
-fn run_guarded(
-    runner: Runner,
-    eco: Ecosystem,
-    policy: &CheckpointPolicy,
-    driver: Option<&mut FoldDriver>,
-) -> Result<Dataset, CheckpointError> {
-    let days = runner.window.num_days() as u32;
-    let (runner, mut eco) = run_guarded_until(runner, eco, policy, driver, days)?;
-    Ok(runner.finish(&mut eco))
-}
-
-/// The guarded day loop, stopping after `until` completed days (callers
-/// pass the full window length for a complete run). Returns the runner
-/// and ecosystem so the caller decides between final assembly and a
-/// mid-campaign halt.
-fn run_guarded_until(
-    runner: Runner,
-    eco: Ecosystem,
-    policy: &CheckpointPolicy,
-    driver: Option<&mut FoldDriver>,
-    until: u32,
-) -> Result<(Runner, Ecosystem), CheckpointError> {
-    let seed = runner.campaign.seed;
-    let mut guard = RunGuard {
-        runner: Some(runner),
-        eco: Some(eco),
-        policy,
-        driver,
-        vfs: policy.vfs(seed),
-    };
-    loop {
-        let runner = guard.runner.as_mut().expect("runner present until taken");
-        let eco = guard.eco.as_mut().expect("eco present until taken");
-        if runner.day >= until {
-            break;
-        }
-        runner.step_day(eco);
-        if let Some(driver) = guard.driver.as_deref_mut() {
-            driver.fold_day(&runner.parts());
-        }
-        if policy.every_days > 0 && runner.day.is_multiple_of(policy.every_days) {
-            let state = match guard.driver.as_deref() {
-                Some(driver) => runner.state_with_folds(eco, driver),
-                None => runner.state(eco),
-            };
-            let path = policy.snapshot_path(runner.day);
-            if let Err(err) = save_to_file_with(guard.vfs.as_mut(), &path, &state) {
-                if policy.disk_fault.tolerates_save_failures() {
-                    // An injected fault costs durability (the chain gets
-                    // a hole recovery must walk past), never the run.
-                    eprintln!("# snapshot save failed (injected): {err}");
-                } else {
-                    return Err(err);
-                }
-            }
-        }
-    }
-    // Disarm the drop guard before handing the pair back.
-    let runner = guard.runner.take().expect("runner");
-    let eco = guard.eco.take().expect("eco");
-    drop(guard);
-    Ok((runner, eco))
-}
-
-/// Owns the runner across the checkpointed loop so an unwind (a panic in
-/// an event handler) still leaves a snapshot of the last completed day on
-/// disk. Disarmed by `take`-ing the fields before final assembly.
-struct RunGuard<'p, 'd> {
-    runner: Option<Runner>,
-    eco: Option<Ecosystem>,
-    policy: &'p CheckpointPolicy,
-    driver: Option<&'d mut FoldDriver>,
-    vfs: Box<dyn Vfs>,
-}
-
-impl Drop for RunGuard<'_, '_> {
-    fn drop(&mut self) {
-        if !self.policy.on_drop {
-            return;
-        }
-        if let (Some(runner), Some(eco)) = (self.runner.as_ref(), self.eco.as_ref()) {
-            // Best-effort: never panic (or surface I/O errors) mid-unwind.
-            let state = match self.driver.as_deref() {
-                Some(driver) => runner.state_with_folds(eco, driver),
-                None => runner.state(eco),
-            };
-            let _ = save_to_file_with(
-                self.vfs.as_mut(),
-                &self.policy.snapshot_path(runner.day),
-                &state,
-            );
-        }
-    }
+    Ok(())
 }
 
 /// The live campaign: every mutable component plus the event timeline,
@@ -874,14 +908,55 @@ impl Runner {
         }
     }
 
+    /// Study days in the window.
+    fn days(&self) -> u32 {
+        self.window.num_days() as u32
+    }
+
     /// Execute every event of the next study day. The day's deadline is
     /// its final second (23:59:59) — no campaign event is ever scheduled
     /// there, so running to it is equivalent to running through the day
     /// as part of one uninterrupted `run_until`.
-    fn step_day(&mut self, eco: &mut Ecosystem) {
+    fn run_day(&mut self, eco: &mut Ecosystem) {
         let deadline = (self.window.start_time() + SimDuration::days(u64::from(self.day) + 1))
             .checked_sub(SimDuration::secs(1))
             .expect("window");
+        self.run_to(eco, deadline);
+        self.day += 1;
+        self.marks.push(DayMark {
+            day: self.day - 1,
+            tweets: self.discovery.tweets.len() as u64,
+            control: self.discovery.control.len() as u64,
+            groups: self.discovery.groups.len() as u64,
+            joined: self.joiner.joined.len() as u64,
+        });
+        // Day boundaries are quiescent points, so the cross-component
+        // invariants must hold here; debug builds prove it after every
+        // day, release campaigns skip the sweep.
+        #[cfg(debug_assertions)]
+        {
+            let violations = crate::audit::audit_components(
+                self.days(),
+                &self.discovery,
+                &self.monitor,
+                &self.joiner,
+            );
+            assert!(
+                violations.is_empty(),
+                "invariant audit failed after day {}: {violations:#?}",
+                self.day - 1
+            );
+        }
+    }
+
+    /// Run any events left past the final day boundary (a complete run
+    /// has none; a resumed mid-campaign runner may).
+    fn drain_tail(&mut self, eco: &mut Ecosystem) {
+        self.run_to(eco, self.window.end_time());
+    }
+
+    /// Run every event scheduled up to `deadline`.
+    fn run_to(&mut self, eco: &mut Ecosystem, deadline: SimTime) {
         let Runner {
             engine,
             campaign,
@@ -909,86 +984,24 @@ impl Runner {
                 metrics,
             );
         });
-        self.day += 1;
-        self.marks.push(DayMark {
-            day: self.day - 1,
-            tweets: self.discovery.tweets.len() as u64,
-            control: self.discovery.control.len() as u64,
-            groups: self.discovery.groups.len() as u64,
-            joined: self.joiner.joined.len() as u64,
-        });
-        // Day boundaries are quiescent points, so the cross-component
-        // invariants must hold here; debug builds prove it after every
-        // day, release campaigns skip the sweep.
-        #[cfg(debug_assertions)]
-        {
-            let violations = crate::audit::audit_components(
-                self.window.num_days() as u32,
-                &self.discovery,
-                &self.monitor,
-                &self.joiner,
-            );
-            assert!(
-                violations.is_empty(),
-                "invariant audit failed after day {}: {violations:#?}",
-                self.day - 1
-            );
-        }
     }
 
-    /// Run any remaining events (the final day's tail past 23:59:59 holds
-    /// none, but resumed runners may still be mid-campaign), record the
-    /// end-of-run metrics, and assemble the dataset.
-    fn finish(mut self, eco: &mut Ecosystem) -> Dataset {
-        self.drain_tail(eco);
-        self.record_final_metrics();
+    /// Assemble the dataset from the finished campaign's collections,
+    /// leaving the runner's collections empty.
+    fn assemble(&mut self) -> Dataset {
+        let start = self.window.start_time();
         let mut ds = Dataset::assemble(
             self.window,
-            self.discovery,
-            self.monitor.timelines,
-            self.monitor.gaps,
-            self.monitor.quarantine,
-            self.joiner,
-            self.pii,
-            self.marks,
+            std::mem::replace(&mut self.discovery, Discovery::new(start)),
+            std::mem::take(&mut self.monitor.timelines),
+            std::mem::take(&mut self.monitor.gaps),
+            std::mem::take(&mut self.monitor.quarantine),
+            std::mem::take(&mut self.joiner),
+            std::mem::take(&mut self.pii),
+            std::mem::take(&mut self.marks),
         );
-        ds.metrics = self.metrics;
+        ds.metrics = std::mem::take(&mut self.metrics);
         ds
-    }
-
-    /// Run any events left past the final day boundary (a complete run
-    /// has none; a resumed mid-campaign runner may).
-    fn drain_tail(&mut self, eco: &mut Ecosystem) {
-        let end = self.window.end_time();
-        {
-            let Runner {
-                engine,
-                campaign,
-                net,
-                rng,
-                discovery,
-                monitor,
-                joiner,
-                pii,
-                metrics,
-                ..
-            } = self;
-            engine.run_until(end, |eng, ev| {
-                handle_event(
-                    ev,
-                    eng.now(),
-                    eco,
-                    campaign,
-                    net,
-                    rng,
-                    discovery,
-                    monitor,
-                    joiner,
-                    pii,
-                    metrics,
-                );
-            });
-        }
     }
 
     /// Record the end-of-run metrics (part of the frozen counter digest,
@@ -1034,15 +1047,6 @@ impl Runner {
         );
     }
 
-    /// Attach a memory accountant to this runner. The floor is the
-    /// simulated world's tweet store at encoded size — the irreducible
-    /// working set no eviction can shrink.
-    fn attach_budget(&mut self, policy: &BudgetPolicy, eco: &Ecosystem) -> Result<(), BudgetError> {
-        let floor = eco.twitter.encoded_bytes();
-        self.budget = Some(MemoryBudget::attach(policy, self.campaign.seed, floor)?);
-        Ok(())
-    }
-
     /// Day-boundary budget enforcement (no-op on unbudgeted runners).
     /// The accountant is taken out of the runner for the call so it can
     /// mutate the discovery logs it accounts for.
@@ -1066,17 +1070,10 @@ impl Runner {
     /// dataset in memory: spilled day-partitions are faulted back one at
     /// a time (tweets pass, then control pass — the frozen digest
     /// layout), the resident tails follow, and the resident stores
-    /// render as usual. Byte-identical to [`Runner::finish`]'s
+    /// render as usual. Byte-identical to the assembled dataset's
     /// [`Dataset::campaign_report`] by construction — both funnel
     /// through `render_campaign_report`.
-    fn finish_budgeted(mut self, eco: &mut Ecosystem) -> Result<BudgetedRun, BudgetError> {
-        self.drain_tail(eco);
-        self.record_final_metrics();
-        let mut budget = self
-            .budget
-            .take()
-            .expect("budgeted runner has an accountant");
-
+    fn budgeted_report(&mut self, mut budget: MemoryBudget) -> Result<BudgetedRun, BudgetError> {
         let mut quarantine = std::mem::take(&mut self.discovery.quarantine);
         quarantine.extend(std::mem::take(&mut self.monitor.quarantine));
         quarantine.extend(std::mem::take(&mut self.joiner.quarantine));
@@ -1147,14 +1144,6 @@ impl Runner {
             delta: eco.export_delta(),
             budget: self.budget.as_ref().map(|b| b.state()),
         }
-    }
-
-    /// Capture the full campaign state including the fold ledger of an
-    /// incremental run's driver.
-    fn state_with_folds(&self, eco: &Ecosystem, driver: &FoldDriver) -> CampaignState {
-        let mut state = self.state(eco);
-        state.folds = Some(driver.ledger());
-        state
     }
 
     /// Borrow the live collections for per-day fold slicing.
@@ -1302,6 +1291,9 @@ fn handle_event(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::BudgetLimit;
+    use crate::quarantine::{QuarantineCode, QuarantineEntry};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::OnceLock;
 
     /// The full tiny campaign is the expensive fixture here; run it once
@@ -1424,17 +1416,222 @@ mod tests {
         let scenario = ScenarioConfig::at_scale(0.003);
         let mut full = run_study(scenario.clone());
 
-        let mut eco = Ecosystem::build(scenario);
-        let mut runner = Runner::new(eco.window, CampaignConfig::default());
-        for _ in 0..3 {
-            runner.step_day(&mut eco);
-        }
-        let state = runner.state(&eco);
-        drop((runner, eco));
+        let state = mid_campaign(scenario, Attachments::default());
         let mut resumed = resume_study(&state);
 
         full.metrics.strip_wall_clock();
         resumed.metrics.strip_wall_clock();
         assert_eq!(full, resumed);
+    }
+
+    /// A scale-0.003 campaign stopped after three days, as a snapshot.
+    fn mid_campaign(scenario: ScenarioConfig, attach: Attachments<'_>) -> CampaignState {
+        let mut eco = Ecosystem::build(scenario);
+        let mut session = Campaign::new(&mut eco, CampaignConfig::default(), attach)
+            .unwrap_or_else(|err| panic!("session starts: {err}"));
+        assert_eq!(session.run_until(3).expect("three days run"), 3);
+        session.state()
+    }
+
+    /// Per-test scratch directory under the system temp dir.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("chatlens-study-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        dir
+    }
+
+    /// Run `body` on a fresh checkpointed session and let it panic, so
+    /// the session drops mid-unwind.
+    fn unwind_with(policy: &CheckpointPolicy, body: impl FnOnce(&mut Campaign<'_>)) {
+        let mut eco = Ecosystem::build(ScenarioConfig::at_scale(0.003));
+        let attach = Attachments {
+            checkpoint: Some(policy),
+            ..Attachments::default()
+        };
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let mut session =
+                Campaign::new(&mut eco, CampaignConfig::default(), attach).expect("starts");
+            body(&mut session);
+            panic!("a campaign event handler failed");
+        }));
+        assert!(unwound.is_err());
+    }
+
+    #[test]
+    fn unwind_save_never_overwrites_a_clean_snapshot_with_mid_day_state() {
+        let dir = scratch("unwind-mid-day");
+        let policy = CheckpointPolicy::daily(&dir);
+        let day3 = policy.snapshot_path(3);
+        let mut clean = Vec::new();
+        unwind_with(&policy, |session| {
+            session.run_until(3).expect("three days run");
+            clean = std::fs::read(&day3).expect("day-3 snapshot written");
+            // What a handler panicking at noon on day 3 leaves behind:
+            // the engine has popped (and lost) events past the boundary
+            // whose snapshot is already on disk.
+            session.at_boundary = false;
+            let noon =
+                session.runner.window.start_time() + SimDuration::days(3) + SimDuration::hours(12);
+            session.runner.run_to(session.eco, noon);
+        });
+        assert!(
+            std::fs::read(&day3).expect("day-3 snapshot still there") == clean,
+            "the unwind save overwrote a clean snapshot with mid-day state"
+        );
+        assert!(!policy.snapshot_path(4).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unwind_save_writes_an_unsaved_day_boundary() {
+        let dir = scratch("unwind-boundary");
+        let policy = CheckpointPolicy {
+            every_days: 2,
+            ..CheckpointPolicy::daily(&dir)
+        };
+        let mut expected = None;
+        unwind_with(&policy, |session| {
+            session.run_until(3).expect("three days run");
+            assert!(!policy.snapshot_path(3).exists(), "day 3 is off-interval");
+            expected = Some(session.state());
+        });
+        let saved: CampaignState = chatlens_checkpoint::load_from_file(&policy.snapshot_path(3))
+            .expect("the unwind save wrote the unsaved boundary");
+        assert_eq!(Some(saved), expected);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Resume `state` with `attach`, expecting a refusal.
+    fn resume_refusal(state: &CampaignState, attach: Attachments<'_>) -> StudyError {
+        match Campaign::resume(&mut state.world(), state, attach) {
+            Ok(_) => panic!("resume accepted a snapshot it must refuse"),
+            Err(err) => err,
+        }
+    }
+
+    /// Resume `state` with a fresh (empty) fold driver attached,
+    /// expecting a refusal.
+    fn folded_refusal(state: &CampaignState) -> StudyError {
+        let mut driver = FoldDriver::new(Vec::new(), 1);
+        resume_refusal(
+            state,
+            Attachments {
+                folds: Some(&mut driver),
+                ..Attachments::default()
+            },
+        )
+    }
+
+    fn assert_resume_refusal(err: StudyError, needle: &str) {
+        match err {
+            StudyError::Resume(why) => assert!(why.contains(needle), "{why}"),
+            other => panic!("expected a resume refusal mentioning {needle:?}, got {other}"),
+        }
+    }
+
+    #[test]
+    fn resume_refuses_damaged_snapshots_with_typed_errors() {
+        let scenario = ScenarioConfig::at_scale(0.003);
+        let batch = mid_campaign(scenario.clone(), Attachments::default());
+        let mut driver = FoldDriver::new(Vec::new(), 1);
+        let folded = mid_campaign(
+            scenario,
+            Attachments {
+                folds: Some(&mut driver),
+                ..Attachments::default()
+            },
+        );
+        // Folds attached to a batch snapshot.
+        assert_resume_refusal(folded_refusal(&batch), "no fold ledger");
+
+        // A ledger for folds this driver does not register.
+        let mut state = folded.clone();
+        let ledger = state.folds.as_mut().expect("folded snapshot has a ledger");
+        ledger.entries.push(("ghost".into(), Vec::new()));
+        assert_resume_refusal(folded_refusal(&state), "registered folds");
+
+        // A ledger whose day count or cursors disagree with the snapshot.
+        let mut state = folded.clone();
+        state.folds.as_mut().expect("ledger").days_folded += 1;
+        assert_resume_refusal(folded_refusal(&state), "covers 4 days");
+        let mut state = folded.clone();
+        state.folds.as_mut().expect("ledger").tweets_seen += 1;
+        assert_resume_refusal(folded_refusal(&state), "cursors");
+
+        // One day mark short.
+        let mut state = batch.clone();
+        state.marks.pop();
+        assert_resume_refusal(
+            resume_refusal(&state, Attachments::default()),
+            "2 day marks for 3 completed days",
+        );
+
+        // A quarantine entry no campaign could have written.
+        let mut state = batch.clone();
+        state.discovery.quarantine.push(QuarantineEntry {
+            service: "twitter".into(),
+            endpoint: "twitter/stream".into(),
+            group: String::new(),
+            day: 99,
+            code: QuarantineCode::MissingField,
+            detail: "missing".into(),
+            body: String::new(),
+        });
+        assert_resume_refusal(
+            resume_refusal(&state, Attachments::default()),
+            "violates campaign invariants",
+        );
+
+        // The undamaged snapshots still resume.
+        assert!(Campaign::resume(&mut batch.world(), &batch, Attachments::default()).is_ok());
+        let attach = Attachments {
+            folds: Some(&mut driver),
+            ..Attachments::default()
+        };
+        assert!(Campaign::resume(&mut folded.world(), &folded, attach).is_ok());
+    }
+
+    #[test]
+    fn budget_mismatches_on_resume_are_typed_refusals() {
+        let scenario = ScenarioConfig::at_scale(0.003);
+        let dir = scratch("resume-budget");
+        let budget = BudgetPolicy::new(BudgetLimit::Min, &dir);
+        let budgeted = mid_campaign(
+            scenario.clone(),
+            Attachments {
+                budget: Some(&budget),
+                ..Attachments::default()
+            },
+        );
+        assert!(budgeted.budget.is_some());
+
+        // A budget attached to an unbudgeted snapshot.
+        let batch = mid_campaign(scenario, Attachments::default());
+        let attach = Attachments {
+            budget: Some(&budget),
+            ..Attachments::default()
+        };
+        assert!(matches!(
+            resume_refusal(&batch, attach),
+            StudyError::Budget(BudgetError::ResumeMismatch(_))
+        ));
+
+        // A budgeted snapshot without its budget restores, but refuses to
+        // run a day or to finish.
+        let mut eco = budgeted.world();
+        let mut session = Campaign::resume(&mut eco, &budgeted, Attachments::default())
+            .unwrap_or_else(|err| panic!("a budgeted snapshot restores: {err}"));
+        assert_eq!(session.run_until(3).expect("no day to run"), 3);
+        assert_eq!(session.state().day, 3);
+        assert!(matches!(
+            session.run_until(4),
+            Err(StudyError::Budget(BudgetError::ResumeMismatch(_)))
+        ));
+        assert!(matches!(
+            session.finish(),
+            Err(StudyError::Budget(BudgetError::ResumeMismatch(_)))
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,14 +22,11 @@ use chatlens::analysis::{
 use chatlens::checkpoint::{chain, load_from_file, CheckpointError, RealVfs, Vfs};
 use chatlens::core::audit_dataset;
 use chatlens::core::budget::{BudgetLimit, BudgetPolicy};
+use chatlens::core::dataset::PlatformSummary;
 use chatlens::core::net::SERVICE_NAMES;
 use chatlens::core::{
-    recover_latest_state, resume_study, resume_study_budgeted, resume_study_budgeted_checkpointed,
-    resume_study_checkpointed, resume_study_folded, resume_study_folded_checkpointed,
-    run_study_budgeted, run_study_budgeted_checkpointed, run_study_checkpointed,
-    run_study_days_budgeted, run_study_days_checkpointed, run_study_folded,
-    run_study_folded_checkpointed, BudgetedRun, CampaignConfig, CampaignState, CheckpointPolicy,
-    FoldDriver,
+    recover_latest_state, Attachments, BudgetedRun, Campaign, CampaignConfig, CampaignState,
+    CheckpointPolicy, FoldDriver, Outcome, StudyError,
 };
 use chatlens::perspective::score_dataset;
 use chatlens::platforms::id::PlatformKind;
@@ -44,7 +41,7 @@ use chatlens::simnet::metrics::{keys, Metrics};
 use chatlens::simnet::par::Pool;
 use chatlens::twitter::Lang;
 use chatlens::workload::Vocabulary;
-use chatlens::{run_study_with, Dataset, ScenarioConfig};
+use chatlens::{Dataset, Ecosystem, ScenarioConfig};
 
 const PLATFORMS: [PlatformKind; 3] = PlatformKind::ALL;
 
@@ -175,7 +172,8 @@ OPTIONS:
                      (checkpoint, disk) RNG stream off the campaign
                      seed.
     --halt-after-day <n>
-                     run a fresh checkpointed batch campaign but stop
+                     run the campaign (fresh or resumed, with any of
+                     --analysis incremental and --mem-budget) but stop
                      cleanly after <n> completed study days, leaving the
                      snapshot chain on disk (the deterministic kill at a
                      day boundary used by the crash-storm CI smoke);
@@ -193,8 +191,11 @@ OPTIONS:
                      the spiller cannot satisfy is refused with a typed
                      error, never an abort. `min` evicts everything
                      eligible (the tightest deterministic residency).
-                     Budgeted snapshots carry the accountant (format
-                     v6) and must be resumed with the same --mem-budget
+                     Composes with --analysis incremental (the fold
+                     state is metered too) and with --checkpoint-dir /
+                     --resume / --halt-after-day. Budgeted snapshots
+                     carry the accountant (format v6) and must be
+                     resumed with the same --mem-budget
     --spill-dir <dir>
                      where spill partitions (day<NNN>.part) and the
                      spill ledger live (default: <checkpoint-dir>/spill)
@@ -479,21 +480,18 @@ fn main() {
         on_drop: true,
         disk_fault,
     });
-    // `--mem-budget`: the budgeted campaign. Only the `run` artifact is
-    // supported — the analyses need the fully assembled dataset, while a
-    // budgeted campaign streams its report from spilled partitions.
-    if let Some(limit) = mem_budget {
+    // `--mem-budget`: run under a hard memory budget. Only the `run`
+    // artifact is supported — the analyses need the fully assembled
+    // dataset, while a budgeted campaign streams its report from spilled
+    // partitions.
+    let budget = mem_budget.map(|limit| {
         if artifact != "run" {
             exit_with(CliError::usage(
                 "--mem-budget only supports the `run` artifact (analyses need the full dataset)",
             ));
         }
-        if incremental {
-            exit_with(CliError::usage(
-                "--mem-budget does not combine with --analysis incremental",
-            ));
-        }
         let dir = spill_dir
+            .clone()
             .or_else(|| ckpt_dir.as_ref().map(|d| d.join("spill")))
             .unwrap_or_else(|| {
                 exit_with(CliError::usage(
@@ -505,47 +503,31 @@ fn main() {
         if let Err(e) = std::fs::create_dir_all(&dir) {
             exit_with(CliError::failed(format!("{}: {e}", dir.display())));
         }
-        let budget = BudgetPolicy {
-            limit,
-            dir,
-            disk_fault,
-        };
         eprintln!(
             "# memory budget: {} (spill dir {})",
             match limit {
                 BudgetLimit::Bytes(b) => fmt_bytes(b),
                 BudgetLimit::Min => "min".to_string(),
             },
-            budget.dir.display()
+            dir.display()
         );
-        if let Some(days) = halt_after {
-            let Some(p) = &policy else {
-                exit_with(CliError::usage("--halt-after-day needs --checkpoint-dir"));
-            };
-            if resume.is_some() {
-                exit_with(CliError::usage(
-                    "--halt-after-day only applies to a fresh run",
-                ));
-            }
-            match run_study_days_budgeted(config, campaign, p, &budget, days) {
-                Ok(done) => {
-                    println!(
-                        "campaign halted after day {done} (snapshots in {}, spills in {})",
-                        p.dir.display(),
-                        budget.dir.display()
-                    );
-                    return;
-                }
-                Err(e) => exit_with(CliError::failed(format!("{e}"))),
-            }
+        BudgetPolicy {
+            limit,
+            dir,
+            disk_fault,
         }
-        let result = if let Some(path) = &resume {
-            let state = match load_resume_state(path, campaign.seed, disk_fault) {
+    });
+    if halt_after.is_some() && policy.is_none() {
+        exit_with(CliError::usage("--halt-after-day needs --checkpoint-dir"));
+    }
+    let state =
+        resume.as_ref().and_then(
+            |path| match load_resume_state(path, campaign.seed, disk_fault) {
                 Ok(Some(mut state)) => {
                     eprintln!(
-                        "# resuming budgeted campaign from {} (day {}, threads {threads})",
+                        "# resuming campaign from {} (day {}, threads {threads})",
                         path.display(),
-                        state.day
+                        state.day,
                     );
                     state.campaign.threads = threads;
                     Some(state)
@@ -558,90 +540,51 @@ fn main() {
                     None
                 }
                 Err(e) => exit_with(e),
-            };
-            match (state, &policy) {
-                (Some(state), Some(p)) => resume_study_budgeted_checkpointed(&state, p, &budget),
-                (Some(state), None) => resume_study_budgeted(&state, &budget),
-                (None, Some(p)) => run_study_budgeted_checkpointed(config, campaign, p, &budget),
-                (None, None) => run_study_budgeted(config, campaign, &budget),
-            }
-        } else {
-            eprintln!("# building ecosystem and running the 38-day budgeted campaign...");
-            match &policy {
-                Some(p) => run_study_budgeted_checkpointed(config, campaign, p, &budget),
-                None => run_study_budgeted(config, campaign, &budget),
-            }
-        };
-        let run = result.unwrap_or_else(|e| exit_with(CliError::failed(format!("{e}"))));
-        eprintln!("# campaign done in {:.1?}\n", t0.elapsed());
-        print_budgeted_run(&run, report_out.as_deref());
+            },
+        );
+    // One session whatever the flags: attach what they ask for, then run
+    // to the halt day or to the end. `--analysis incremental` folds every
+    // completed day into the standard analyses; checkpoints then carry
+    // folded state.
+    let mut driver = incremental.then(|| FoldDriver::new(standard_folds(), threads));
+    let attach = Attachments {
+        checkpoint: policy.as_ref(),
+        folds: driver.as_mut(),
+        budget: budget.as_ref(),
+    };
+    let mut eco = match &state {
+        Some(state) => state.world(),
+        None => {
+            eprintln!("# building ecosystem and running the 38-day campaign...");
+            Ecosystem::build(config)
+        }
+    };
+    let session = match &state {
+        Some(state) => Campaign::resume(&mut eco, state, attach),
+        None => Campaign::new(&mut eco, campaign, attach),
+    };
+    let mut session = session.unwrap_or_else(|e| exit_with(study_failure(e)));
+    if let Some(days) = halt_after {
+        let done = session
+            .run_until(days)
+            .unwrap_or_else(|e| exit_with(study_failure(e)));
+        let dir = &policy
+            .as_ref()
+            .expect("checked: halting needs a policy")
+            .dir;
+        let spills = budget
+            .as_ref()
+            .map(|b| format!(", spills in {}", b.dir.display()))
+            .unwrap_or_default();
+        println!(
+            "campaign halted after day {done} (snapshots in {}{spills})",
+            dir.display()
+        );
         return;
     }
-    // `--halt-after-day N`: the deterministic mid-campaign kill. Runs the
-    // checkpointed batch campaign to the requested day boundary, leaves
-    // the snapshot chain on disk, and stops before final assembly.
-    if let Some(days) = halt_after {
-        let Some(p) = &policy else {
-            exit_with(CliError::usage("--halt-after-day needs --checkpoint-dir"));
-        };
-        if resume.is_some() || incremental {
-            exit_with(CliError::usage(
-                "--halt-after-day only applies to a fresh batch run",
-            ));
-        }
-        match run_study_days_checkpointed(config, campaign, p, days) {
-            Ok(done) => {
-                println!(
-                    "campaign halted after day {done} (snapshots in {})",
-                    p.dir.display()
-                );
-                return;
-            }
-            Err(e) => exit_with(CliError::usage(format!("snapshot save failed: {e}"))),
-        }
-    }
-    // `--analysis incremental`: fold every completed day into the
-    // standard analyses; checkpoints then carry folded state.
-    let mut driver = incremental.then(|| FoldDriver::new(standard_folds(), threads));
-    let ds = if let Some(path) = &resume {
-        let state = match load_resume_state(path, campaign.seed, disk_fault) {
-            Ok(s) => s,
-            Err(e) => exit_with(e),
-        };
-        match state {
-            Some(mut state) => {
-                if state.budget.is_some() {
-                    exit_with(CliError::usage(
-                        "snapshot was written under --mem-budget; resume it with the \
-                         same --mem-budget (and the original --spill-dir)",
-                    ));
-                }
-                eprintln!(
-                    "# resuming campaign from {} (day {}, threads {threads})",
-                    path.display(),
-                    state.day,
-                );
-                state.campaign.threads = threads;
-                run_resumed_campaign(&state, policy.as_ref(), driver.as_mut()).unwrap_or_else(|e| {
-                    exit_with(CliError::usage(format!("snapshot save failed: {e}")))
-                })
-            }
-            None => {
-                eprintln!(
-                    "# no valid snapshot in {}; restarting the campaign from scratch",
-                    path.display()
-                );
-                run_fresh_campaign(config, campaign, policy.as_ref(), driver.as_mut())
-                    .unwrap_or_else(|e| {
-                        exit_with(CliError::usage(format!("snapshot save failed: {e}")))
-                    })
-            }
-        }
-    } else {
-        eprintln!("# building ecosystem and running the 38-day campaign...");
-        run_fresh_campaign(config, campaign, policy.as_ref(), driver.as_mut())
-            .unwrap_or_else(|e| exit_with(CliError::usage(format!("snapshot save failed: {e}"))))
-    };
+    let outcome = session
+        .finish()
+        .unwrap_or_else(|e| exit_with(study_failure(e)));
     eprintln!("# campaign done in {:.1?}\n", t0.elapsed());
     if let Some(p) = &policy {
         eprintln!("# snapshots in {}", p.dir.display());
@@ -673,22 +616,15 @@ fn main() {
             fold_summary(&rows, outcome.peak_state_bytes, outcome.days_folded).render()
         );
     }
-    if artifact == "run" {
-        if let Some(path) = &report_out {
-            // lint:allow(D6, D13) operator-requested report export, outside the durability domain
-            if let Err(e) = std::fs::write(path, ds.campaign_report().as_bytes()) {
-                exit_with(CliError::failed(format!("{}: {e}", path.display())));
-            }
-            eprintln!("# report written to {}", path.display());
+    let ds = match outcome {
+        Outcome::Dataset(ds) => *ds,
+        Outcome::Budgeted(run) => {
+            print_budgeted_run(run, report_out.as_deref());
+            return;
         }
-        let tot = ds.totals();
-        println!(
-            "campaign complete: {} tweets, {} group URLs, {} joined groups, {} messages",
-            fmt_count(tot.tweets),
-            fmt_count(tot.group_urls),
-            fmt_count(tot.joined_groups),
-            fmt_count(tot.messages)
-        );
+    };
+    if artifact == "run" {
+        print_run_summary(|| ds.campaign_report(), ds.totals(), report_out.as_deref());
         if !ds.gaps.is_empty() {
             println!(
                 "gap ledger: {} group(s) with {} censored observation day(s)",
@@ -824,23 +760,21 @@ fn parse_outage(arg: &str, ban: bool) -> (usize, OutageSpec) {
     )
 }
 
-/// A typed CLI failure: the diagnostic for stderr plus the process exit
-/// code — `1` when the requested check found problems, `2` on usage or
-/// I/O errors. Threaded back to [`exit_with`] through `Result` so the
-/// subcommand bodies stay ordinary fallible functions instead of
-/// sprinkling `process::exit` through every filesystem touch.
-/// Print the budgeted `run` summary: Table 2 totals, the accountant's
-/// final statistics, and (optionally) the canonical report bytes to a
-/// file for byte-comparison against an unbudgeted run.
-fn print_budgeted_run(run: &BudgetedRun, report_out: Option<&std::path::Path>) {
+/// The `run` artifact's summary: the canonical campaign report bytes to
+/// a file if asked (budgeted or not — the CI budget smoke byte-compares
+/// the two), then the Table 2 totals.
+fn print_run_summary(
+    report: impl FnOnce() -> String,
+    tot: PlatformSummary,
+    report_out: Option<&std::path::Path>,
+) {
     if let Some(path) = report_out {
         // lint:allow(D6, D13) operator-requested report export, outside the durability domain
-        if let Err(e) = std::fs::write(path, run.report.as_bytes()) {
+        if let Err(e) = std::fs::write(path, report().as_bytes()) {
             exit_with(CliError::failed(format!("{}: {e}", path.display())));
         }
         eprintln!("# report written to {}", path.display());
     }
-    let tot = run.totals;
     println!(
         "campaign complete: {} tweets, {} group URLs, {} joined groups, {} messages",
         fmt_count(tot.tweets),
@@ -848,7 +782,18 @@ fn print_budgeted_run(run: &BudgetedRun, report_out: Option<&std::path::Path>) {
         fmt_count(tot.joined_groups),
         fmt_count(tot.messages)
     );
-    let s = &run.stats;
+}
+
+/// Print the budgeted `run` summary: the run summary plus the
+/// accountant's final statistics.
+fn print_budgeted_run(run: BudgetedRun, report_out: Option<&std::path::Path>) {
+    let BudgetedRun {
+        report,
+        totals,
+        stats: s,
+        ..
+    } = run;
+    print_run_summary(|| report, totals, report_out);
     let limit = match s.limit {
         Some(b) => fmt_bytes(b),
         None => "min".to_string(),
@@ -866,6 +811,11 @@ fn print_budgeted_run(run: &BudgetedRun, report_out: Option<&std::path::Path>) {
     );
 }
 
+/// A typed CLI failure: the diagnostic for stderr plus the process exit
+/// code — `1` when the requested check found problems, `2` on usage or
+/// I/O errors. Threaded back to [`exit_with`] through `Result` so the
+/// subcommand bodies stay ordinary fallible functions instead of
+/// sprinkling `process::exit` through every filesystem touch.
 struct CliError {
     message: String,
     code: i32,
@@ -895,32 +845,13 @@ fn exit_with(err: CliError) -> ! {
     std::process::exit(err.code);
 }
 
-/// Dispatch a fresh campaign across the four policy × analysis modes.
-fn run_fresh_campaign(
-    config: ScenarioConfig,
-    campaign: CampaignConfig,
-    policy: Option<&CheckpointPolicy>,
-    driver: Option<&mut FoldDriver>,
-) -> Result<Dataset, CheckpointError> {
-    match (policy, driver) {
-        (Some(p), Some(d)) => run_study_folded_checkpointed(config, campaign, p, d),
-        (Some(p), None) => run_study_checkpointed(config, campaign, p),
-        (None, Some(d)) => Ok(run_study_folded(config, campaign, d)),
-        (None, None) => Ok(run_study_with(config, campaign)),
-    }
-}
-
-/// Dispatch a resumed campaign across the four policy × analysis modes.
-fn run_resumed_campaign(
-    state: &CampaignState,
-    policy: Option<&CheckpointPolicy>,
-    driver: Option<&mut FoldDriver>,
-) -> Result<Dataset, CheckpointError> {
-    match (policy, driver) {
-        (Some(p), Some(d)) => resume_study_folded_checkpointed(state, p, d),
-        (Some(p), None) => resume_study_checkpointed(state, p),
-        (None, Some(d)) => Ok(resume_study_folded(state, d)),
-        (None, None) => Ok(resume_study(state)),
+/// A campaign session's refusal as a CLI failure: snapshot I/O is an
+/// environment error (exit 2), a budget or resume refusal a failed run
+/// (exit 1).
+fn study_failure(err: StudyError) -> CliError {
+    match err {
+        StudyError::Checkpoint(e) => CliError::usage(format!("snapshot save failed: {e}")),
+        other => CliError::failed(other.to_string()),
     }
 }
 
@@ -1184,7 +1115,10 @@ fn audit_snapshot(path: &std::path::Path) -> Result<(), CliError> {
         path.display(),
         state.day
     );
-    let ds = resume_study(&state);
+    let ds = Campaign::resume(&mut state.world(), &state, Attachments::default())
+        .and_then(Campaign::finish)
+        .map_err(study_failure)?
+        .into_dataset();
     let violations = audit_dataset(&ds);
     println!(
         "audited {} groups, {} timelines, {} quarantined bodies",

@@ -12,13 +12,15 @@
 
 use std::path::PathBuf;
 
+use chatlens::analysis::{batch_fragments, standard_folds};
 use chatlens::core::budget::{load_spill_ledger, BudgetLimit, BudgetPolicy};
 use chatlens::core::{
-    recover_latest_state, resume_study_budgeted, run_study_budgeted,
-    run_study_budgeted_checkpointed, run_study_days_budgeted, CampaignConfig, CheckpointPolicy,
+    recover_latest_state, resume_study_budgeted, run_study_budgeted, run_study_days_budgeted,
+    Attachments, BudgetedRun, Campaign, CampaignConfig, CheckpointPolicy, FoldDriver,
 };
 use chatlens::simnet::fault::DiskFaultProfile;
-use chatlens::{run_study_with, ScenarioConfig};
+use chatlens::simnet::par::Pool;
+use chatlens::{run_study_with, Ecosystem, ScenarioConfig};
 
 /// Same scale as the crash-storm and checkpoint suites: every pipeline
 /// stage fires, runs stay CI-sized.
@@ -217,9 +219,100 @@ fn budgeted_checkpointed_run_reports_identically() {
         disk_fault: DiskFaultProfile::Calm,
     };
     let budget = BudgetPolicy::new(BudgetLimit::Min, &spill_dir);
-    let run =
-        run_study_budgeted_checkpointed(scenario(), CampaignConfig::default(), &policy, &budget)
-            .expect("calm budgeted checkpointed run completes");
+    let attach = Attachments {
+        checkpoint: Some(&policy),
+        budget: Some(&budget),
+        ..Attachments::default()
+    };
+    let run = Campaign::new(
+        &mut Ecosystem::build(scenario()),
+        CampaignConfig::default(),
+        attach,
+    )
+    .and_then(Campaign::finish)
+    .expect("calm budgeted checkpointed run completes")
+    .into_budgeted();
     assert_eq!(run.report, reference);
     assert!(run.stats.partitions > 0);
+}
+
+/// The budget composes with the incremental folds: under `Min`, a
+/// folded budgeted run reports the unbudgeted bytes and every fold
+/// fragment equals the batch analysis of the unbudgeted dataset — at 1,
+/// 2 and 8 threads, and across a kill at the day-17 boundary resumed
+/// through chain recovery with a fresh driver under the same budget.
+#[test]
+fn min_budget_composes_with_incremental_folds() {
+    let ds = run_study_with(scenario(), CampaignConfig::default());
+    let reference = ds.campaign_report();
+    let batch = batch_fragments(&ds, &Pool::new(1));
+    let check = |context: &str, run: &BudgetedRun, driver: &mut FoldDriver| {
+        assert!(
+            run.report == reference,
+            "{context}: the folded budgeted report must equal the unbudgeted one"
+        );
+        let outcome = driver.finish();
+        assert_eq!(outcome.fragments.len(), batch.len(), "{context}");
+        for (name, expected) in &batch {
+            assert!(
+                outcome.fragment(name) == Some(expected.as_str()),
+                "{context}: fold {name} diverged from the batch analysis"
+            );
+        }
+    };
+
+    for threads in [1usize, 2, 8] {
+        let campaign = CampaignConfig {
+            threads,
+            ..CampaignConfig::default()
+        };
+        let budget = BudgetPolicy::new(BudgetLimit::Min, scratch(&format!("folds-t{threads}")));
+        let mut driver = FoldDriver::new(standard_folds(), threads);
+        let attach = Attachments {
+            folds: Some(&mut driver),
+            budget: Some(&budget),
+            ..Attachments::default()
+        };
+        let run = Campaign::new(&mut Ecosystem::build(scenario()), campaign, attach)
+            .and_then(Campaign::finish)
+            .expect("Min mode never refuses")
+            .into_budgeted();
+        assert!(
+            run.stats.partitions > 0,
+            "Min mode must spill under folds too: {:?}",
+            run.stats
+        );
+        check(&format!("threads={threads}"), &run, &mut driver);
+    }
+
+    let campaign = CampaignConfig::default();
+    let policy = CheckpointPolicy::daily(scratch("folds-kill-ckpt"));
+    let budget = BudgetPolicy::new(BudgetLimit::Min, scratch("folds-kill-spill"));
+    let mut driver = FoldDriver::new(standard_folds(), 1);
+    let attach = Attachments {
+        checkpoint: Some(&policy),
+        folds: Some(&mut driver),
+        budget: Some(&budget),
+    };
+    let halted = Campaign::new(&mut Ecosystem::build(scenario()), campaign, attach)
+        .and_then(|mut session| session.run_until(17))
+        .expect("halting a budgeted folded run at a boundary is clean");
+    assert_eq!(halted, 17);
+    let state = recover_latest_state(&policy, campaign.seed, None)
+        .expect("chain walk never hard-fails")
+        .state
+        .expect("the calm chain survives");
+    assert_eq!(state.day, 17);
+    assert!(state.budget.is_some() && state.folds.is_some());
+    let mut resumed = FoldDriver::new(standard_folds(), 1);
+    let attach = Attachments {
+        folds: Some(&mut resumed),
+        budget: Some(&budget),
+        ..Attachments::default()
+    };
+    let run = Campaign::resume(&mut state.world(), &state, attach)
+        .and_then(Campaign::finish)
+        .expect("resume under the same budget with a fresh driver completes")
+        .into_budgeted();
+    check("kill/resume", &run, &mut resumed);
 }

@@ -18,10 +18,10 @@ use std::path::PathBuf;
 
 use chatlens::checkpoint::{encode_snapshot, load_from_file, CheckpointError, FORMAT_VERSION};
 use chatlens::core::{
-    resume_study, run_study_checkpointed, run_study_with, CampaignState, CheckpointPolicy,
+    resume_study, run_study_with, Attachments, Campaign, CampaignState, CheckpointPolicy,
 };
 use chatlens::core::{resume_study_days, CampaignConfig};
-use chatlens::{Dataset, ScenarioConfig};
+use chatlens::{Dataset, Ecosystem, ScenarioConfig};
 
 /// Small world: ~75 groups per platform, still exercising every stage
 /// (discovery, monitoring, joins, messages) across the full 38 days.
@@ -42,15 +42,18 @@ fn scratch(tag: &str) -> PathBuf {
 fn run_with_daily_snapshots(tag: &str, threads: usize) -> (PathBuf, Dataset) {
     let dir = scratch(tag);
     let policy = CheckpointPolicy::daily(dir.clone());
-    let ds = run_study_checkpointed(
-        scenario(),
-        CampaignConfig {
-            threads,
-            ..CampaignConfig::default()
-        },
-        &policy,
-    )
-    .expect("snapshots save");
+    let campaign = CampaignConfig {
+        threads,
+        ..CampaignConfig::default()
+    };
+    let attach = Attachments {
+        checkpoint: Some(&policy),
+        ..Attachments::default()
+    };
+    let ds = Campaign::new(&mut Ecosystem::build(scenario()), campaign, attach)
+        .and_then(Campaign::finish)
+        .expect("snapshots save")
+        .into_dataset();
     (dir, ds)
 }
 

@@ -179,7 +179,9 @@ fn hostile_run_quarantines_every_rejected_body() {
 #[test]
 fn hostile_run_is_bit_identical_across_threads_and_resume() {
     use chatlens::checkpoint::load_from_file;
-    use chatlens::core::{resume_study, run_study_checkpointed, CampaignState, CheckpointPolicy};
+    use chatlens::core::{
+        resume_study, run_study_days_checkpointed, CampaignState, CheckpointPolicy,
+    };
     let small = ScenarioConfig::at_scale(0.002);
     let mut reference = run_study_with(small.clone(), hostile_campaign());
     reference.metrics.strip_wall_clock();
@@ -200,10 +202,11 @@ fn hostile_run_is_bit_identical_across_threads_and_resume() {
     let dir = std::env::temp_dir().join(format!("chatlens-hostile-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    run_study_checkpointed(
+    run_study_days_checkpointed(
         small,
         hostile_campaign(),
         &CheckpointPolicy::daily(dir.clone()),
+        38,
     )
     .expect("snapshots save");
     for threads in [1usize, 2, 8] {

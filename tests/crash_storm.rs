@@ -14,10 +14,10 @@ use std::path::PathBuf;
 
 use chatlens::checkpoint::chain::{load_ledger, RecoveryEntry};
 use chatlens::core::{
-    recover_latest_state, resume_study, run_study_checkpointed, CampaignConfig, CheckpointPolicy,
+    recover_latest_state, resume_study, Attachments, Campaign, CampaignConfig, CheckpointPolicy,
 };
 use chatlens::simnet::fault::DiskFaultProfile;
-use chatlens::{run_study_with, Dataset, ScenarioConfig};
+use chatlens::{run_study_with, Dataset, Ecosystem, ScenarioConfig};
 
 /// Small world, full 38-day window — the same scale the checkpoint
 /// suite uses, so every stage still fires.
@@ -52,8 +52,18 @@ fn torn_storm_survives_a_kill_at_every_day_boundary() {
         on_drop: false,
         disk_fault: DiskFaultProfile::Torn,
     };
-    let mut torn = run_study_checkpointed(scenario(), CampaignConfig::default(), &policy)
-        .expect("torn-profile saves are tolerated, not fatal");
+    let attach = Attachments {
+        checkpoint: Some(&policy),
+        ..Attachments::default()
+    };
+    let mut torn = Campaign::new(
+        &mut Ecosystem::build(scenario()),
+        CampaignConfig::default(),
+        attach,
+    )
+    .and_then(Campaign::finish)
+    .expect("torn-profile saves are tolerated, not fatal")
+    .into_dataset();
     torn.metrics.strip_wall_clock();
     assert_eq!(
         torn, fault_free,

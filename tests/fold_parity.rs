@@ -19,12 +19,11 @@
 use chatlens::analysis::{batch_fragments, standard_folds};
 use chatlens::checkpoint::load_from_file;
 use chatlens::core::{
-    resume_study_folded, run_study_folded, run_study_folded_checkpointed, run_study_with,
-    CampaignState, CheckpointPolicy, FoldDriver,
+    run_study_with, Attachments, Campaign, CampaignState, CheckpointPolicy, FoldDriver,
 };
 use chatlens::simnet::fault::{CorruptionProfile, FaultProfile};
 use chatlens::simnet::par::Pool;
-use chatlens::{CampaignConfig, Dataset, ScenarioConfig};
+use chatlens::{CampaignConfig, Dataset, Ecosystem, ScenarioConfig};
 
 /// Same scale as the golden suite: all three platforms discover, join
 /// and revoke, small enough for profiles × thread counts in CI.
@@ -97,11 +96,18 @@ fn incremental_matches_batch_across_profiles_and_threads() {
         let (batch_ds, batch) = batch_reference(profile);
         for threads in [1usize, 2, 8] {
             let mut driver = FoldDriver::new(standard_folds(), threads);
-            let ds = run_study_folded(
-                ScenarioConfig::at_scale(SCALE),
+            let attach = Attachments {
+                folds: Some(&mut driver),
+                ..Attachments::default()
+            };
+            let ds = Campaign::new(
+                &mut Ecosystem::build(ScenarioConfig::at_scale(SCALE)),
                 campaign_for(profile, threads),
-                &mut driver,
-            );
+                attach,
+            )
+            .and_then(Campaign::finish)
+            .expect("folded run completes")
+            .into_dataset();
             assert_eq!(
                 ds.campaign_report(),
                 batch_ds.campaign_report(),
@@ -131,12 +137,17 @@ fn incremental_survives_kill_and_resume() {
 
         // The "killed" first attempt: full run, snapshots daily.
         let mut driver = FoldDriver::new(standard_folds(), 1);
-        run_study_folded_checkpointed(
-            ScenarioConfig::at_scale(SCALE),
+        let attach = Attachments {
+            checkpoint: Some(&policy),
+            folds: Some(&mut driver),
+            ..Attachments::default()
+        };
+        Campaign::new(
+            &mut Ecosystem::build(ScenarioConfig::at_scale(SCALE)),
             campaign_for(profile, 1),
-            &policy,
-            &mut driver,
+            attach,
         )
+        .and_then(Campaign::finish)
         .expect("checkpointed folded run completes");
 
         // Resume from a mid-campaign snapshot with a *fresh* driver:
@@ -146,7 +157,14 @@ fn incremental_survives_kill_and_resume() {
         assert!(mid.exists(), "{profile}: day-17 snapshot missing");
         let state: CampaignState = load_from_file(&mid).expect("mid-campaign snapshot loads");
         let mut resumed = FoldDriver::new(standard_folds(), 1);
-        let ds = resume_study_folded(&state, &mut resumed);
+        let attach = Attachments {
+            folds: Some(&mut resumed),
+            ..Attachments::default()
+        };
+        let ds = Campaign::resume(&mut state.world(), &state, attach)
+            .and_then(Campaign::finish)
+            .expect("the snapshot's fold ledger restores")
+            .into_dataset();
         assert_eq!(
             ds.campaign_report(),
             batch_ds.campaign_report(),

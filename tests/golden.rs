@@ -31,10 +31,10 @@
 //! and justify the new bytes in the PR description.
 
 use chatlens::checkpoint::{encode_snapshot, load_from_file};
-use chatlens::core::{run_study_checkpointed, CampaignState, CheckpointPolicy};
+use chatlens::core::{Attachments, Campaign, CampaignState, CheckpointPolicy};
 use chatlens::simnet::fault::{CorruptionProfile, FaultProfile};
 use chatlens::simnet::hash::sha256_hex;
-use chatlens::{run_study_with, CampaignConfig, ScenarioConfig};
+use chatlens::{run_study_with, CampaignConfig, Ecosystem, ScenarioConfig};
 use std::path::PathBuf;
 
 /// Same scale the Byzantine-hardening suite uses: large enough that all
@@ -127,8 +127,14 @@ fn run_profile_checkpointed(profile: &str) -> (String, String) {
         threads: 1,
         ..campaign_for(profile)
     };
-    let ds =
-        run_study_checkpointed(scenario, campaign, &policy).expect("checkpointed run completes");
+    let attach = Attachments {
+        checkpoint: Some(&policy),
+        ..Attachments::default()
+    };
+    let ds = Campaign::new(&mut Ecosystem::build(scenario), campaign, attach)
+        .and_then(Campaign::finish)
+        .expect("checkpointed run completes")
+        .into_dataset();
     let report = ds.campaign_report();
     let last = (0..num_days)
         .rev()

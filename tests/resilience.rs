@@ -339,7 +339,9 @@ fn service_recovers_to_baseline_after_outage_window() {
 #[test]
 fn bursty_checkpoint_resume_is_bit_identical() {
     use chatlens::checkpoint::load_from_file;
-    use chatlens::core::{resume_study, run_study_checkpointed, CampaignState, CheckpointPolicy};
+    use chatlens::core::{
+        resume_study, run_study_days_checkpointed, CampaignState, CheckpointPolicy,
+    };
     let small = ScenarioConfig::at_scale(0.002);
     let campaign = CampaignConfig {
         profile: FaultProfile::Bursty,
@@ -351,7 +353,7 @@ fn bursty_checkpoint_resume_is_bit_identical() {
     let dir = std::env::temp_dir().join(format!("chatlens-bursty-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    run_study_checkpointed(small, campaign, &CheckpointPolicy::daily(dir.clone()))
+    run_study_days_checkpointed(small, campaign, &CheckpointPolicy::daily(dir.clone()), 38)
         .expect("snapshots save");
     // Kill mid-storm and resume at every thread count: the finished
     // dataset — burst phases, breaker states, backfill queues, gap ledger
