@@ -152,32 +152,4 @@ CHATLENS_THREADS=8 cargo test -q --workspace
 echo "==> benchmark unit tests"
 cargo test --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> bench timing record (BENCH_par.json)"
-cargo bench -p chatlens-bench --bench par
-
-# Hot-path regression gate: re-measure the campaign's per-stage
-# wall-clock and fail on any stage >25% slower than the committed
-# BENCH_hotpath.json baseline. After an intentional perf change (or on
-# a machine with a different clock base), refresh with
-#   BENCH_HOTPATH_UPDATE=1 cargo run --release -p chatlens-bench
-# and commit the rewritten baseline.
-echo "==> hot-path regression gate (BENCH_hotpath.json)"
-cargo run --release -p chatlens-bench
-
-# Fold regression gate: report-stage latency (batch render vs folded
-# finish), per-day fold cost, and peak encoded fold-state bytes against
-# the committed BENCH_fold.json baseline. Refresh intentional changes
-# with BENCH_FOLD_UPDATE=1 (same contract as the hotpath knob).
-echo "==> fold regression gate (BENCH_fold.json)"
-cargo run --release -p chatlens-bench --bin fold
-
-# Memory-accounting regression gate: peak accounted resident bytes and
-# spill/fault counts at the paper and 10x stand-in scales against the
-# committed BENCH_mem.json baseline. Every entry is deterministic (byte
-# and partition counts, not wall-clock); >25% growth fails. Refresh
-# intentional changes with BENCH_MEM_UPDATE=1 (same contract as the
-# hotpath knob).
-echo "==> memory-budget regression gate (BENCH_mem.json)"
-cargo run --release -p chatlens-bench --bin mem
-
 echo "CI green."

@@ -48,10 +48,9 @@
 //!
 //! ## Who writes files
 //!
-//! This crate is one of the two sanctioned filesystem writers in the
-//! workspace (the other is `chatlens-report`); lint rule D6 enforces
-//! that, and rule D13 narrows it further: every `std::fs` call lives in
-//! the [`vfs`] module, and all snapshot/report I/O flows through the
+//! Every `std::fs` call in the workspace lives in this crate's [`vfs`]
+//! module (lint rule D13; each exception carries a justified
+//! `lint:allow` pragma): snapshot and spill I/O flows through the
 //! [`Vfs`] trait — [`RealVfs`] in production, [`FaultVfs`] under an
 //! injected disk-fault profile.
 //!

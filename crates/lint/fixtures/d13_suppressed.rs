@@ -1,3 +1,3 @@
-//@ path: crates/bench/src/main.rs
-// lint:allow(D13) fixture: bench baselines sit outside the durability domain
-fn f() -> String { std::fs::read_to_string("BENCH.json").unwrap() } //~ SUPPRESSED D13
+//@ path: src/bin/repro.rs
+// lint:allow(D13) fixture: operator-requested export sits outside the durability domain
+fn f() { std::fs::write("out.csv", "data").unwrap(); } //~ SUPPRESSED D13

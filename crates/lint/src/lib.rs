@@ -16,7 +16,6 @@
 //! | D3 | ambient entropy: `thread_rng`, `from_entropy`, `OsRng`, `getrandom`, `RandomState` — every RNG must derive from the seeded root via `Rng::fork` |
 //! | D4 | `par_map`/`par_fold`/`par_chunks_mut`/`run_tasks` closures must not touch locks or shared atomics (ordered merge is the only legal reduction; the `Fn` bound already forbids `&mut` capture at compile time) |
 //! | D5 | no `unwrap()`/`expect()` on lock acquisition in library crates (the `parking_lot` shim never poisons; a `Result`-shaped lock call is a sign std locks leaked in) |
-//! | D6 | direct `std::fs` writes (`fs::write`, `File::create`, `OpenOptions`, ...) outside the checkpoint and report crates — all artifact and snapshot output must flow through the sanctioned writers so runs stay reproducible and atomic |
 //! | D7 | discarded transport results: a `.twitter(...)` / `.platform(...)` call in the core crate or the binary whose `Result` is dropped (`let _ = ...;` or a bare expression statement) — transport failures must be handled (retried, queued for backfill, or counted), never silently swallowed |
 //! | D8 | `unwrap()`/`expect()` on a `WireDoc` accessor result (`parse`, `parse_as`, `req`, `req_u64`, `req_i64`, `opt_u64`) outside `#[cfg(test)]` and the quarantine module — wire bodies are hostile input; a failed decode must route into the quarantine ledger, never panic a collector |
 //! | D9 | Persist-coverage: every named field of a type with an `impl Persist` (or a `persist_struct!` field list) must be referenced in both the save and load bodies; every variant of a persisted enum must round-trip unless the impl is table-driven (`ALL`) — checkpoint drift caught at lint time, not at resume time |
@@ -61,8 +60,6 @@ pub enum Rule {
     D4,
     /// `unwrap`/`expect` on lock acquisition in library crates.
     D5,
-    /// Direct filesystem writes outside the checkpoint/report crates.
-    D6,
     /// Discarded `Net::twitter` / `Net::platform` results.
     D7,
     /// `unwrap`/`expect` on `WireDoc` accessor results outside tests.
@@ -83,13 +80,12 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in catalog order.
-    pub const ALL: [Rule; 14] = [
+    pub const ALL: [Rule; 13] = [
         Rule::D1,
         Rule::D2,
         Rule::D3,
         Rule::D4,
         Rule::D5,
-        Rule::D6,
         Rule::D7,
         Rule::D8,
         Rule::D9,
@@ -108,7 +104,6 @@ impl Rule {
             Rule::D3 => "D3",
             Rule::D4 => "D4",
             Rule::D5 => "D5",
-            Rule::D6 => "D6",
             Rule::D7 => "D7",
             Rule::D8 => "D8",
             Rule::D9 => "D9",
@@ -135,7 +130,6 @@ impl Rule {
             Rule::D3 => "ambient entropy (thread_rng, OsRng, from_entropy, ...)",
             Rule::D4 => "lock or shared atomic inside a par_* closure",
             Rule::D5 => "unwrap()/expect() on lock acquisition in a library crate",
-            Rule::D6 => "direct std::fs write outside the checkpoint/report crates",
             Rule::D7 => "discarded Net::twitter/Net::platform Result (let _ = / bare statement)",
             Rule::D8 => "unwrap()/expect() on a WireDoc accessor result outside tests",
             Rule::D9 => {
@@ -196,8 +190,6 @@ struct Scope {
     library: bool,
     /// analysis or report crate (strictest `std::time` ban).
     analysis_or_report: bool,
-    /// checkpoint or report crate — the two sanctioned file writers (D6).
-    fs_writer: bool,
     /// Where `Net` lives and is called: the core crate and the binary (D7).
     net_caller: bool,
     /// The quarantine module — the one place sanctioned to dissect
@@ -231,7 +223,6 @@ fn scope_of(path: &str) -> Scope {
         metrics_exempt: p.ends_with("simnet/src/metrics.rs"),
         library: p.contains("crates/"),
         analysis_or_report: in_crate("analysis") || in_crate("report"),
-        fs_writer: in_crate("checkpoint") || in_crate("report"),
         net_caller: in_crate("core") || !p.contains("crates/"),
         quarantine_path: p.ends_with("core/src/quarantine.rs"),
         hot_path: HOT_MODULES.iter().any(|m| p.ends_with(m)),
@@ -257,17 +248,6 @@ fn crate_of(path: &str) -> String {
 
 /// `Net` methods whose `Result` D7 refuses to see discarded.
 const NET_CALL_METHODS: [&str; 2] = ["twitter", "platform"];
-
-/// `std::fs` free functions that mutate the filesystem (D6).
-const FS_WRITE_FNS: [&str; 7] = [
-    "write",
-    "create_dir",
-    "create_dir_all",
-    "rename",
-    "remove_file",
-    "remove_dir_all",
-    "copy",
-];
 
 /// Methods whose call on an unordered map/set observes iteration order.
 const ITER_METHODS: [&str; 13] = [
@@ -357,7 +337,7 @@ const D14_ALLOC_CALLS: [&str; 3] = ["with_capacity", "reserve", "reserve_exact"]
 /// explicitly bounded before allocating.
 const D14_GUARDS: [&str; 3] = ["get_len", "min", "clamp"];
 
-/// The token-shaped rules (D1–D8, D13, D14) over one file's token
+/// The token-shaped rules (D1–D5, D7, D8, D13, D14) over one file's token
 /// stream. Returns raw findings, before suppression.
 fn token_findings(
     path: &str,
@@ -408,36 +388,8 @@ fn token_findings(
                 push(Rule::D1, &toks[i], "std::time in an analysis/report crate; artifacts must be pure functions of (seed, config)".into());
             }
         }
-        // ---- D6: direct filesystem writes --------------------------------
-        if !scope.fs_writer {
-            if i + 3 < toks.len() {
-                if let Some(f) = FS_WRITE_FNS.iter().find(|f| assoc(i, "fs", f)) {
-                    push(
-                        Rule::D6,
-                        &toks[i + 3],
-                        format!(
-                            "`fs::{f}` outside the checkpoint/report crates; route output through the sanctioned writers (report exporters, checkpoint::save_to_file)"
-                        ),
-                    );
-                }
-                if assoc(i, "File", "create") {
-                    push(
-                        Rule::D6,
-                        &toks[i],
-                        "`File::create` outside the checkpoint/report crates; route output through the sanctioned writers".into(),
-                    );
-                }
-            }
-            if toks[i].is_ident("OpenOptions") {
-                push(
-                    Rule::D6,
-                    &toks[i],
-                    "`OpenOptions` outside the checkpoint/report crates; route output through the sanctioned writers".into(),
-                );
-            }
-        }
         // ---- D13: std::fs outside the checkpoint VFS module ---------------
-        // Stricter than D6: *reads* count too, and no crate is exempt — only
+        // Reads and writes alike, and no crate is exempt — only
         // `checkpoint/src/vfs.rs` itself may touch `std::fs`, so that every
         // durable byte passes through the `Vfs` trait's fault-injection and
         // fsync contracts.
@@ -1270,53 +1222,6 @@ mod tests {
     }
 
     #[test]
-    fn d6_fires_on_fs_writes_outside_writers() {
-        let src = "fn f() { std::fs::write(\"out.csv\", b\"x\").unwrap(); }";
-        // Every direct write also trips D13 (only checkpoint::vfs may
-        // touch std::fs at all).
-        assert_eq!(
-            rules_of("crates/core/src/x.rs", src),
-            vec![Rule::D6, Rule::D13]
-        );
-        assert_eq!(rules_of("src/bin/repro.rs", src), vec![Rule::D6, Rule::D13]);
-        // The sanctioned writer crates are exempt from D6, not D13.
-        assert_eq!(
-            rules_of("crates/checkpoint/src/snapshot.rs", src),
-            vec![Rule::D13]
-        );
-        assert_eq!(rules_of("crates/report/src/x.rs", src), vec![Rule::D13]);
-    }
-
-    #[test]
-    fn d6_covers_file_create_and_openoptions() {
-        let src = "fn f() { let f = File::create(\"x\").unwrap(); }";
-        assert_eq!(
-            rules_of("crates/analysis/src/x.rs", src),
-            vec![Rule::D6, Rule::D13]
-        );
-        let src2 = "fn f() { OpenOptions::new().append(true).open(\"x\").unwrap(); }";
-        assert_eq!(
-            rules_of("crates/workload/src/x.rs", src2),
-            vec![Rule::D6, Rule::D13]
-        );
-    }
-
-    #[test]
-    fn d6_reads_are_fine() {
-        // Reads never trip D6; D13 still wants them behind the Vfs trait.
-        let src = "fn f() -> String { std::fs::read_to_string(\"in.json\").unwrap() }";
-        assert_eq!(rules_of("crates/core/src/x.rs", src), vec![Rule::D13]);
-    }
-
-    #[test]
-    fn d6_pragma_suppresses() {
-        let src = "// lint:allow(D6, D13) CSV export is this binary's whole job\nfn f() { std::fs::write(\"t.csv\", b\"x\").unwrap(); }";
-        let (findings, suppressed) = check_source_counting("src/bin/repro.rs", src);
-        assert!(findings.is_empty());
-        assert_eq!(suppressed, 2);
-    }
-
-    #[test]
     fn d13_fires_on_reads_and_opens_everywhere_but_vfs() {
         let read = "fn f() -> Vec<u8> { std::fs::read(\"snap.ckpt\").unwrap() }";
         assert_eq!(
@@ -1332,8 +1237,8 @@ mod tests {
 
     #[test]
     fn d13_pragma_suppresses() {
-        let src = "// lint:allow(D13) bench baselines live outside the durability domain\nfn f() -> String { std::fs::read_to_string(\"b.json\").unwrap() }";
-        let (findings, suppressed) = check_source_counting("crates/bench/src/main.rs", src);
+        let src = "// lint:allow(D13) CSV export is this binary's whole job\nfn f() { std::fs::write(\"t.csv\", b\"x\").unwrap(); }";
+        let (findings, suppressed) = check_source_counting("src/bin/repro.rs", src);
         assert!(findings.is_empty());
         assert_eq!(suppressed, 1);
     }
@@ -1409,14 +1314,14 @@ mod tests {
 
     #[test]
     fn unused_pragma_is_a_finding() {
-        let src = "// lint:allow(D6) nothing to suppress here at all\nfn f() {}";
+        let src = "// lint:allow(D13) nothing to suppress here at all\nfn f() {}";
         let findings = check_source("crates/core/src/x.rs", src);
         assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, Rule::D6);
+        assert_eq!(findings[0].rule, Rule::D13);
         assert!(findings[0].message.contains("suppresses nothing"));
         // Inside a test mod, stale pragmas are exempt like everything else.
         let in_test =
-            "#[cfg(test)]\nmod tests {\n // lint:allow(D6) stale but in tests\n fn t() {}\n}";
+            "#[cfg(test)]\nmod tests {\n // lint:allow(D13) stale but in tests\n fn t() {}\n}";
         assert_eq!(rules_of("crates/core/src/x.rs", in_test), vec![]);
     }
 

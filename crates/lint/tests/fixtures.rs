@@ -12,7 +12,7 @@
 //! The harness diffs expectations against the real report and prints
 //! the missing and unexpected findings side by side on drift.
 
-use chatlens_lint::check_source_counting;
+use chatlens_lint::{check_source_counting, Rule};
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct Expected {
@@ -79,7 +79,8 @@ fn fixture_corpus_matches_expectations() {
     files.sort();
 
     // Corpus completeness: one firing and one suppressed fixture per rule.
-    for k in 1..=13 {
+    for rule in Rule::ALL {
+        let k: u32 = rule.id()[1..].parse().expect("rule ids are D<n>");
         for kind in ["fires", "suppressed"] {
             let want = format!("d{k:02}_{kind}.rs");
             assert!(

@@ -177,7 +177,7 @@ pub mod keys {
     pub const STAGE_JOIN: &str = "join";
     pub const STAGE_COLLECT: &str = "collect";
     pub const STAGE_BACKFILL: &str = "backfill";
-    // Artifact-generation stage timers (the repro binary and bench).
+    // Artifact-generation stage timers (the repro binary).
     pub const STAGE_TABLE2: &str = "table2";
     pub const STAGE_TABLE4: &str = "table4";
     pub const STAGE_TABLE5: &str = "table5";
@@ -193,7 +193,6 @@ pub mod keys {
     pub const STAGE_LDA: &str = "lda";
     pub const STAGE_EXTRAS: &str = "extras";
     pub const STAGE_EXTENSIONS: &str = "extensions";
-    pub const STAGE_REPORT: &str = "report";
 
     // Incremental analysis folds (per-fold stages are computed as
     // `fold.<name>` / `fold_finish.<name>` from these prefixes).
@@ -201,9 +200,6 @@ pub mod keys {
     pub const STAGE_FOLD_FINISH: &str = "fold_finish";
     pub const FOLD_DAYS: &str = "fold.days";
     pub const FOLD_STATE_PEAK_BYTES: &str = "fold.state_peak_bytes";
-    /// Full batch-analysis report render, timed by the fold bench gate
-    /// as the baseline the incremental path is compared against.
-    pub const STAGE_BATCH_REPORT: &str = "batch_report";
 
     // Memory-budget accounting (`repro run --mem-budget`). These live in
     // the budget runtime's own registry, never the dataset's — the

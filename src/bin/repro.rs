@@ -285,141 +285,101 @@ fn main() {
                 return;
             }
             "--scale" => {
-                let v = args.next().expect("--scale <f64|paper|10x>");
-                scale = match v.as_str() {
+                scale = match flag_value::<String>(&mut args, "--scale <f64|paper|10x>").as_str() {
                     "paper" => 1.0,
                     "10x" => 10.0,
-                    other => other.parse().unwrap_or_else(|_| {
-                        eprintln!(
-                            "error: bad scale {other:?} (expected a positive number, `paper`, or `10x`)"
-                        );
-                        std::process::exit(2);
-                    }),
+                    other => match other.parse::<f64>() {
+                        Ok(s) if s > 0.0 && s.is_finite() => s,
+                        _ => exit_with(CliError::usage(format!(
+                            "bad scale {other:?} (expected a positive number, `paper`, or `10x`)"
+                        ))),
+                    },
                 };
             }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed <u64>");
-            }
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--threads <usize>");
-            }
+            "--seed" => seed = flag_value(&mut args, "--seed <u64>"),
+            "--threads" => threads = flag_value(&mut args, "--threads <usize>"),
             "--analysis" => {
-                let v = args.next().expect("--analysis <batch|incremental>");
-                incremental = match v.as_str() {
+                incremental = match flag_value::<String>(
+                    &mut args,
+                    "--analysis <batch|incremental>",
+                )
+                .as_str()
+                {
                     "batch" => false,
                     "incremental" => true,
-                    other => {
-                        eprintln!(
-                            "error: unknown analysis mode {other:?} (expected batch|incremental)"
-                        );
-                        std::process::exit(2);
-                    }
+                    other => exit_with(CliError::usage(format!(
+                        "unknown analysis mode {other:?} (expected batch|incremental)"
+                    ))),
                 };
             }
             "--timings" => timings = true,
             "--stats" => stats = true,
             "--format" => {
-                let v = args.next().expect("--format <text|json>");
-                match v.as_str() {
-                    "json" => lint_json = true,
-                    "text" => lint_json = false,
-                    other => {
-                        eprintln!("error: unknown format {other:?} (expected text or json)");
-                        std::process::exit(2);
-                    }
-                }
+                lint_json = match flag_value::<String>(&mut args, "--format <text|json>").as_str() {
+                    "json" => true,
+                    "text" => false,
+                    other => exit_with(CliError::usage(format!(
+                        "unknown format {other:?} (expected text or json)"
+                    ))),
+                };
             }
-            "--out" => {
-                lint_out = Some(std::path::PathBuf::from(args.next().expect("--out <path>")));
-            }
+            "--out" => lint_out = Some(flag_value(&mut args, "--out <path>")),
             "--validate" => {
-                let file = args.next().expect("--validate <file>");
-                if let Err(e) = validate_lint_json(std::path::Path::new(&file)) {
+                let file: std::path::PathBuf = flag_value(&mut args, "--validate <file>");
+                if let Err(e) = validate_lint_json(&file) {
                     exit_with(e);
                 }
                 return;
             }
-            "--csv" => {
-                csv_dir = Some(std::path::PathBuf::from(args.next().expect("--csv <dir>")));
-            }
-            "--checkpoint-dir" => {
-                ckpt_dir = Some(std::path::PathBuf::from(
-                    args.next().expect("--checkpoint-dir <dir>"),
-                ));
-            }
+            "--csv" => csv_dir = Some(flag_value(&mut args, "--csv <dir>")),
+            "--checkpoint-dir" => ckpt_dir = Some(flag_value(&mut args, "--checkpoint-dir <dir>")),
             "--checkpoint-every" => {
-                ckpt_every = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--checkpoint-every <days>");
+                ckpt_every = flag_value(&mut args, "--checkpoint-every <days>");
             }
-            "--resume" => {
-                resume = Some(std::path::PathBuf::from(
-                    args.next().expect("--resume <file>"),
-                ));
-            }
+            "--resume" => resume = Some(flag_value(&mut args, "--resume <file>")),
             "--fault-profile" => {
-                let v = args.next().expect("--fault-profile <calm|bursty|outage>");
+                let v: String = flag_value(&mut args, "--fault-profile <calm|bursty|outage>");
                 profile = FaultProfile::parse(&v).unwrap_or_else(|| {
-                    eprintln!(
-                        "error: unknown fault profile {v:?} (expected calm, bursty, or outage)"
-                    );
-                    std::process::exit(2);
+                    exit_with(CliError::usage(format!(
+                        "unknown fault profile {v:?} (expected calm, bursty, or outage)"
+                    )))
                 });
             }
             "--corruption" => {
-                let v = args.next().expect("--corruption <calm|noisy|hostile>");
+                let v: String = flag_value(&mut args, "--corruption <calm|noisy|hostile>");
                 corruption = CorruptionProfile::parse(&v).unwrap_or_else(|| {
-                    eprintln!(
-                        "error: unknown corruption profile {v:?} (expected calm, noisy, or hostile)"
-                    );
-                    std::process::exit(2);
+                    exit_with(CliError::usage(format!(
+                        "unknown corruption profile {v:?} (expected calm, noisy, or hostile)"
+                    )))
                 });
             }
             "--disk-fault" => {
-                let v = args.next().expect("--disk-fault <calm|flaky|torn>");
+                let v: String = flag_value(&mut args, "--disk-fault <calm|flaky|torn>");
                 disk_fault = DiskFaultProfile::parse(&v).unwrap_or_else(|| {
-                    eprintln!(
-                        "error: unknown disk-fault profile {v:?} (expected calm, flaky, or torn)"
-                    );
-                    std::process::exit(2);
+                    exit_with(CliError::usage(format!(
+                        "unknown disk-fault profile {v:?} (expected calm, flaky, or torn)"
+                    )))
                 });
             }
             "--halt-after-day" => {
-                halt_after = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--halt-after-day <days>"),
-                );
+                halt_after = Some(flag_value(&mut args, "--halt-after-day <days>"));
             }
             "--mem-budget" => {
-                let v = args.next().expect("--mem-budget <bytes|min>");
-                mem_budget = Some(match v.as_str() {
-                    "min" => BudgetLimit::Min,
-                    other => BudgetLimit::Bytes(other.parse().unwrap_or_else(|_| {
-                        eprintln!("error: bad budget {other:?} (expected a byte count or `min`)");
-                        std::process::exit(2);
-                    })),
-                });
+                mem_budget = Some(
+                    match flag_value::<String>(&mut args, "--mem-budget <bytes|min>").as_str() {
+                        "min" => BudgetLimit::Min,
+                        other => BudgetLimit::Bytes(other.parse().unwrap_or_else(|_| {
+                            exit_with(CliError::usage(format!(
+                                "bad budget {other:?} (expected a byte count or `min`)"
+                            )))
+                        })),
+                    },
+                );
             }
-            "--spill-dir" => {
-                spill_dir = Some(std::path::PathBuf::from(
-                    args.next().expect("--spill-dir <dir>"),
-                ));
-            }
-            "--report-out" => {
-                report_out = Some(std::path::PathBuf::from(
-                    args.next().expect("--report-out <path>"),
-                ));
-            }
+            "--spill-dir" => spill_dir = Some(flag_value(&mut args, "--spill-dir <dir>")),
+            "--report-out" => report_out = Some(flag_value(&mut args, "--report-out <path>")),
             "--outage" | "--ban" => {
-                let spec = args.next().expect("--outage/--ban <svc:start_day:days>");
+                let spec: String = flag_value(&mut args, "--outage/--ban <svc:start_day:days>");
                 let (idx, spec) = parse_outage(&spec, a == "--ban");
                 outages[idx] = Some(spec);
             }
@@ -499,7 +459,7 @@ fn main() {
                      whose spill/ subdirectory is the default)",
                 ))
             });
-        // lint:allow(D6, D13) operator-addressed spill scratch dir; the Vfs owns every byte inside it
+        // lint:allow(D13) operator-addressed spill scratch dir; the Vfs owns every byte inside it
         if let Err(e) = std::fs::create_dir_all(&dir) {
             exit_with(CliError::failed(format!("{}: {e}", dir.display())));
         }
@@ -732,8 +692,9 @@ fn pname(k: PlatformKind) -> &'static str {
 /// into the service's [`SERVICE_NAMES`] index and its [`OutageSpec`].
 fn parse_outage(arg: &str, ban: bool) -> (usize, OutageSpec) {
     let bail = |what: &str| -> ! {
-        eprintln!("error: bad outage spec {arg:?}: {what} (expected <svc:start_day:days>)");
-        std::process::exit(2);
+        exit_with(CliError::usage(format!(
+            "bad outage spec {arg:?}: {what} (expected <svc:start_day:days>)"
+        )))
     };
     let mut parts = arg.split(':');
     let (Some(svc), Some(start), Some(days), None) =
@@ -769,7 +730,7 @@ fn print_run_summary(
     report_out: Option<&std::path::Path>,
 ) {
     if let Some(path) = report_out {
-        // lint:allow(D6, D13) operator-requested report export, outside the durability domain
+        // lint:allow(D13) operator-requested report export, outside the durability domain
         if let Err(e) = std::fs::write(path, report().as_bytes()) {
             exit_with(CliError::failed(format!("{}: {e}", path.display())));
         }
@@ -843,6 +804,19 @@ impl CliError {
 fn exit_with(err: CliError) -> ! {
     eprintln!("error: {}", err.message);
     std::process::exit(err.code);
+}
+
+/// The value that follows a flag on the command line, parsed as `T`. A
+/// missing or malformed value is a usage error (exit 2), never a panic;
+/// `usage` names the flag and its expected form.
+fn flag_value<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, usage: &str) -> T {
+    let parsed = match args.next() {
+        Some(v) => v
+            .parse()
+            .map_err(|_| CliError::usage(format!("bad value {v:?} for {usage}"))),
+        None => Err(CliError::usage(format!("missing value for {usage}"))),
+    };
+    parsed.unwrap_or_else(|e| exit_with(e))
 }
 
 /// A campaign session's refusal as a CLI failure: snapshot I/O is an

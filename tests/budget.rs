@@ -316,3 +316,51 @@ fn min_budget_composes_with_incremental_folds() {
         .into_budgeted();
     check("kill/resume", &run, &mut resumed);
 }
+
+/// The accountant's counters at `scale`: the unbounded probe's floor
+/// and resident peak, then the spill partitions, spilled bytes and
+/// faults under a ceiling of the floor plus half the unbounded headroom
+/// (a tighter ceiling runs into the warm residency window, which is not
+/// evictable, and is refused instead).
+fn accounting_counters(scale: f64, tag: &str) -> [u64; 5] {
+    let probe_dir = scratch(&format!("{tag}-probe"));
+    let probe = run_study_budgeted(
+        ScenarioConfig::at_scale(scale),
+        CampaignConfig::default(),
+        &BudgetPolicy::new(BudgetLimit::Bytes(u64::MAX), &probe_dir),
+    )
+    .expect("an unreachable ceiling never refuses");
+    let (floor, peak) = (probe.stats.floor, probe.stats.resident_peak);
+    let tight_dir = scratch(&format!("{tag}-tight"));
+    let run = run_study_budgeted(
+        ScenarioConfig::at_scale(scale),
+        CampaignConfig::default(),
+        &BudgetPolicy::new(BudgetLimit::Bytes(floor + (peak - floor) / 2), &tight_dir),
+    )
+    .expect("a ceiling above the floor spills, never refuses");
+    let _ = std::fs::remove_dir_all(&probe_dir);
+    let _ = std::fs::remove_dir_all(&tight_dir);
+    let s = run.stats;
+    [floor, peak, s.partitions, s.spilled_bytes, s.faults]
+}
+
+// The accounting is pinned exactly at the paper stand-in scale (0.02)
+// and its 10x stand-in (0.2). Every value is a byte or partition count
+// that depends only on `(seed, scale)`, so the pins hold at every
+// thread count and any drift is a real accounting change.
+
+#[test]
+fn accounting_counters_are_pinned_at_scale_0_02() {
+    assert_eq!(
+        accounting_counters(0.02, "pin-paper"),
+        [7_238_625, 15_003_114, 18, 3_933_595, 36]
+    );
+}
+
+#[test]
+fn accounting_counters_are_pinned_at_scale_0_2() {
+    assert_eq!(
+        accounting_counters(0.2, "pin-x10"),
+        [73_808_410, 152_857_930, 22, 40_188_620, 44]
+    );
+}

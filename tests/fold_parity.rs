@@ -176,3 +176,25 @@ fn incremental_survives_kill_and_resume() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// Peak encoded fold-state bytes over a folded campaign at scale 0.02,
+/// pinned exactly: a byte count that depends only on `(seed, scale)`,
+/// so any drift is a real change to a fold's state, never noise, and
+/// the value holds at every thread count.
+#[test]
+fn fold_state_peak_bytes_is_pinned_at_scale_0_02() {
+    let config = CampaignConfig::default();
+    let mut driver = FoldDriver::new(standard_folds(), config.threads);
+    let attach = Attachments {
+        folds: Some(&mut driver),
+        ..Attachments::default()
+    };
+    Campaign::new(
+        &mut Ecosystem::build(ScenarioConfig::at_scale(0.02)),
+        config,
+        attach,
+    )
+    .and_then(Campaign::finish)
+    .expect("an unbudgeted folded campaign completes");
+    assert_eq!(driver.peak_state_bytes(), 764_546);
+}

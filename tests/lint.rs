@@ -46,12 +46,6 @@ fn fixtures() -> Vec<(Rule, &'static str, &'static str, &'static str)> {
             "fn f(m: &std::sync::Mutex<u32>) -> u32 {\n // lint:allow(D5) fixture: std mutex on purpose\n *m.lock().unwrap()\n}",
         ),
         (
-            Rule::D6,
-            "crates/core/src/fixture.rs",
-            "fn f() { std::fs::write(\"out.txt\", \"data\").unwrap(); }",
-            "// lint:allow(D6, D13) fixture: operator-requested export path\nfn f() { std::fs::write(\"out.txt\", \"data\").unwrap(); }",
-        ),
-        (
             Rule::D7,
             "crates/core/src/fixture.rs",
             "fn f(net: &mut Net) { let _ = net.twitter(eco, now, &req); }",
@@ -106,13 +100,7 @@ fn fixtures() -> Vec<(Rule, &'static str, &'static str, &'static str)> {
 fn every_rule_fires_on_its_fixture() {
     for (rule, path, bad, _) in fixtures() {
         let got = rules_of(path, bad);
-        // A direct fs *write* trips both the artifact rule (D6) and the
-        // VFS-confinement rule (D13) — distinct contracts, one site.
-        let want = match rule {
-            Rule::D6 => vec![Rule::D6, Rule::D13],
-            _ => vec![rule],
-        };
-        assert_eq!(got, want, "{rule} fixture at {path}: {got:?}");
+        assert_eq!(got, vec![rule], "{rule} fixture at {path}: {got:?}");
     }
 }
 
@@ -124,8 +112,7 @@ fn every_rule_is_suppressed_by_its_pragma() {
             findings.is_empty(),
             "{rule} pragma fixture still fires: {findings:?}"
         );
-        let want = if rule == Rule::D6 { 2 } else { 1 };
-        assert_eq!(suppressed, want, "{rule} pragma fixture suppression count");
+        assert_eq!(suppressed, 1, "{rule} pragma fixture suppression count");
     }
 }
 
@@ -177,7 +164,7 @@ fn the_real_workspace_tree_is_clean() {
     // number requires a justification comment at the new site. The audit
     // rules guarantee each one both suppresses a real finding and carries
     // a justification, so the count is exact, not a ceiling.
-    assert_eq!(report.suppressed, 66, "unexpected lint:allow pragma count");
+    assert_eq!(report.suppressed, 45, "unexpected lint:allow pragma count");
 }
 
 #[test]
