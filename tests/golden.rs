@@ -11,6 +11,9 @@
 //!   and must never be regenerated casually: they are the differential
 //!   baseline proving the optimised pipeline produces byte-identical
 //!   output.
+//! - `<profile>.fragments.txt` — every analysis fragment
+//!   ([`batch_fragments`]) of the same run, in full, so a drift names
+//!   the analysis and the line.
 //! - `<profile>.ckpt.sha256` — SHA-256 of the final-day checkpoint,
 //!   canonicalized: the snapshot is loaded, wall-clock stage timings are
 //!   stripped (they vary run-to-run by construction), and the state is
@@ -30,10 +33,12 @@
 //!
 //! and justify the new bytes in the PR description.
 
+use chatlens::analysis::batch_fragments;
 use chatlens::checkpoint::{encode_snapshot, load_from_file};
 use chatlens::core::{Attachments, Campaign, CampaignState, CheckpointPolicy};
 use chatlens::simnet::fault::{CorruptionProfile, FaultProfile};
 use chatlens::simnet::hash::sha256_hex;
+use chatlens::simnet::par::Pool;
 use chatlens::{run_study_with, CampaignConfig, Ecosystem, ScenarioConfig};
 use std::path::PathBuf;
 
@@ -84,19 +89,19 @@ fn check_fixture(profile: &str, what: &str, actual: &str) {
             path.display()
         )
     });
-    if what == "report.txt" {
+    if what.ends_with(".txt") {
         // Byte-level diff with a readable first-divergence message.
         if expected != actual {
             for (i, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
                 assert_eq!(
                     e,
                     a,
-                    "{profile} report diverged from golden at line {}",
+                    "{profile} {what} diverged from golden at line {}",
                     i + 1
                 );
             }
             panic!(
-                "{profile} report diverged from golden in length: {} vs {} bytes",
+                "{profile} {what} diverged from golden in length: {} vs {} bytes",
                 expected.len(),
                 actual.len()
             );
@@ -114,8 +119,9 @@ fn check_fixture(profile: &str, what: &str, actual: &str) {
 /// inherited from `CHATLENS_THREADS`: the snapshot persists the
 /// `threads` knob, so checkpoint *bytes* — unlike the dataset — are
 /// tied to the thread count the run used), returning the campaign
-/// report and the hex SHA-256 of the final-day checkpoint bytes.
-fn run_profile_checkpointed(profile: &str) -> (String, String) {
+/// report, every analysis fragment (`== <name>` headed, in registration
+/// order) and the hex SHA-256 of the final-day checkpoint bytes.
+fn run_profile_checkpointed(profile: &str) -> (String, String, String) {
     let dir =
         std::env::temp_dir().join(format!("chatlens-golden-{profile}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -136,6 +142,10 @@ fn run_profile_checkpointed(profile: &str) -> (String, String) {
         .expect("checkpointed run completes")
         .into_dataset();
     let report = ds.campaign_report();
+    let fragments = batch_fragments(&ds, &Pool::new(1))
+        .into_iter()
+        .map(|(name, text)| format!("== {name}\n{text}"))
+        .collect();
     let last = (0..num_days)
         .rev()
         .map(|d| policy.snapshot_path(d))
@@ -153,18 +163,20 @@ fn run_profile_checkpointed(profile: &str) -> (String, String) {
         last.file_name().expect("snapshot name").to_string_lossy()
     );
     let _ = std::fs::remove_dir_all(&dir);
-    (report, ckpt_sha)
+    (report, fragments, ckpt_sha)
 }
 
 /// The tentpole guarantee: for every profile, the campaign report matches
-/// the pre-rewrite golden bytes, the final-day checkpoint hash matches
-/// its fixture, and re-running at 2 and 8 threads reproduces the same
+/// the pre-rewrite golden bytes, every analysis fragment matches its
+/// fixture, the final-day checkpoint hash matches its fixture, and
+/// re-running at 2 and 8 threads reproduces the same
 /// report byte-for-byte.
 #[test]
 fn golden_reports_and_checkpoints_across_profiles_and_threads() {
     for profile in PROFILES {
-        let (report, ckpt_sha) = run_profile_checkpointed(profile);
+        let (report, fragments, ckpt_sha) = run_profile_checkpointed(profile);
         check_fixture(profile, "report.txt", &report);
+        check_fixture(profile, "fragments.txt", &fragments);
         check_fixture(profile, "ckpt.sha256", &ckpt_sha);
         for threads in [2usize, 8] {
             let ds = run_study_with(
