@@ -63,48 +63,48 @@ cargo run -q --bin repro -- checkpoint inspect "$LAST_CKPT" \
     | grep -q '"format_version":6'
 cargo run -q --bin repro -- audit "$LAST_CKPT"
 
-# Incremental-parity smoke: the folded analysis pipeline must complete a
-# checkpointed campaign, its snapshots must carry all 8 fold ledgers,
-# and resuming from a mid-campaign snapshot must reproduce the same
-# fragment digests as the uninterrupted run (the full byte-level parity
-# matrix lives in tests/fold_parity.rs).
-echo "==> incremental analysis smoke (repro run --analysis incremental)"
+# Fold-ledger smoke: every repro run folds its analyses day by day, so
+# a checkpointed campaign's snapshots must carry all 8 fold ledgers, and
+# resuming from a mid-campaign snapshot must reproduce the same fragment
+# digests as the uninterrupted run (the full byte-level parity matrix
+# lives in tests/fold_parity.rs).
+echo "==> fold ledger smoke (repro run + resume)"
 INC_DIR="$(mktemp -d)"
 trap 'rm -rf "$CKPT_DIR" "$INC_DIR"' EXIT
-cargo run -q --bin repro -- --scale 0.005 --analysis incremental \
+cargo run -q --bin repro -- --scale 0.005 \
     --checkpoint-dir "$INC_DIR" run | tee "$INC_DIR/first.out"
 MID_CKPT="$INC_DIR/day020.ckpt"
 cargo run -q --bin repro -- checkpoint inspect "$MID_CKPT" \
     | grep -q '"folds":8'
-cargo run -q --bin repro -- --analysis incremental --resume "$MID_CKPT" run \
+cargo run -q --bin repro -- --resume "$MID_CKPT" run \
     | tee "$INC_DIR/resumed.out"
 fold_digests() {
-    # Fold-summary rows: "<name>  <state>  <fold µs>  <finish µs>  <digest>".
-    # Timing columns are wall-clock; only name + digest must reproduce.
+    # Fold-summary rows: "<name>  <state>  <digest>"; the digest is the
+    # last column.
     grep -E '^(discovery|content|membership|lifecycle|messages|pii|topics|stats) ' "$1" \
         | awk '{print $1, $NF}'
 }
 diff <(fold_digests "$INC_DIR/first.out") <(fold_digests "$INC_DIR/resumed.out") \
     || { echo "FAIL: resumed fold fragment digests diverge" >&2; exit 1; }
 
-# Budget x incremental smoke: a budgeted, folded, checkpointed campaign
-# halted at the day-20 boundary and resumed with the same flags must land
-# on the fold digests of an uninterrupted incremental run and on the
-# unbudgeted report bytes (the full matrix lives in tests/budget.rs).
-echo "==> budget x incremental smoke (repro run --mem-budget min --analysis incremental)"
+# Budget x fold smoke: a budgeted, checkpointed campaign halted at the
+# day-20 boundary and resumed with the same flags must land on the fold
+# digests of an uninterrupted unbudgeted run and on its report bytes
+# (the full matrix lives in tests/budget.rs).
+echo "==> budget x fold smoke (repro run --mem-budget min)"
 COMBO_DIR="$(mktemp -d)"
 trap 'rm -rf "$CKPT_DIR" "$INC_DIR" "$COMBO_DIR"' EXIT
-cargo run -q --bin repro -- --scale 0.005 --analysis incremental run \
+cargo run -q --bin repro -- --scale 0.005 run \
     --report-out "$COMBO_DIR/unbudgeted.report" > "$COMBO_DIR/uninterrupted.out"
-cargo run -q --bin repro -- --scale 0.005 --mem-budget min --analysis incremental \
+cargo run -q --bin repro -- --scale 0.005 --mem-budget min \
     --checkpoint-dir "$COMBO_DIR/chain" --halt-after-day 20 run
-cargo run -q --bin repro -- --scale 0.005 --mem-budget min --analysis incremental \
+cargo run -q --bin repro -- --scale 0.005 --mem-budget min \
     --checkpoint-dir "$COMBO_DIR/chain" --resume "$COMBO_DIR/chain" run \
     --report-out "$COMBO_DIR/budgeted.report" > "$COMBO_DIR/resumed.out"
 diff <(fold_digests "$COMBO_DIR/uninterrupted.out") <(fold_digests "$COMBO_DIR/resumed.out") \
     || { echo "FAIL: budgeted resumed fold digests diverge" >&2; exit 1; }
 cmp "$COMBO_DIR/unbudgeted.report" "$COMBO_DIR/budgeted.report" \
-    || { echo "FAIL: budgeted incremental report diverges from the unbudgeted run" >&2; exit 1; }
+    || { echo "FAIL: budgeted folded report diverges from the unbudgeted run" >&2; exit 1; }
 
 # Torn-write crash-storm smoke: run a checkpointed campaign under the
 # torn disk-fault profile (25% of saves silently lose their rename, 10%

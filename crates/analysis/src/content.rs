@@ -1,7 +1,6 @@
 //! Tweet content features: Fig 3 (hashtags, mentions, retweets) and Fig 4
 //! (languages).
 
-use crate::fanout::per_platform;
 use chatlens_checkpoint::{persist_struct, CheckpointError, Persist, Reader, Writer};
 use chatlens_core::{Dataset, DayFold, DaySlice};
 use chatlens_platforms::id::PlatformKind;
@@ -27,9 +26,7 @@ pub struct ContentFeatures {
     pub retweets: f64,
 }
 
-/// Raw Fig 3 tallies — the foldable core both the batch [`features`]
-/// sweep and [`ContentFold`] accumulate, converted to rates by
-/// [`FeatureCounts::rates`] so the two paths share every division.
+/// Raw Fig 3 tallies, converted to rates by [`FeatureCounts::rates`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct FeatureCounts {
     n: u64,
@@ -82,58 +79,28 @@ impl FeatureCounts {
     }
 }
 
-fn features<'a>(tweets: impl Iterator<Item = &'a Tweet>) -> ContentFeatures {
-    let mut counts = FeatureCounts::default();
-    for t in tweets {
-        counts.add(t);
+/// Everything the content fold yields: Figs 3 and 4 per platform
+/// (indexed by [`PlatformKind::index`]) plus the control sample's Fig 3.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ContentOutput {
+    /// Fig 3 rates over the tweets sharing each platform's group URLs.
+    pub features: [ContentFeatures; 3],
+    /// Fig 4: language shares over each platform's sharing tweets, in
+    /// [`Lang::ALL`] order.
+    pub languages: [Vec<(Lang, f64)>; 3],
+    /// Fig 3 rates over the control sample.
+    pub control: ContentFeatures,
+}
+
+impl ContentOutput {
+    /// The share of one specific language on one platform.
+    pub fn language_share(&self, kind: PlatformKind, lang: Lang) -> f64 {
+        self.languages[kind.index()]
+            .iter()
+            .find(|(l, _)| *l == lang)
+            .map(|(_, s)| *s)
+            .unwrap_or(0.0)
     }
-    counts.rates()
-}
-
-/// Fig 3 rates over the tweets sharing `kind`'s group URLs.
-pub fn platform_features(ds: &Dataset, kind: PlatformKind) -> ContentFeatures {
-    features(ds.tweets_of(kind).map(|ct| &ct.tweet))
-}
-
-/// Fig 3 rates over the control sample.
-pub fn control_features(ds: &Dataset) -> ContentFeatures {
-    features(ds.control.iter())
-}
-
-/// Fig 4: language shares over one platform's sharing tweets, in
-/// [`Lang::ALL`] order.
-pub fn language_shares(ds: &Dataset, kind: PlatformKind) -> Vec<(Lang, f64)> {
-    let mut counts = vec![0u64; Lang::ALL.len()];
-    let mut n = 0u64;
-    for ct in ds.tweets_of(kind) {
-        counts[ct.tweet.lang.index()] += 1;
-        n += 1;
-    }
-    Lang::ALL
-        .into_iter()
-        .zip(counts)
-        .map(|(l, c)| (l, c as f64 / n.max(1) as f64))
-        .collect()
-}
-
-/// The share of one specific language on one platform.
-pub fn language_share(ds: &Dataset, kind: PlatformKind, lang: Lang) -> f64 {
-    language_shares(ds, kind)
-        .into_iter()
-        .find(|(l, _)| *l == lang)
-        .map(|(_, s)| s)
-        .unwrap_or(0.0)
-}
-
-/// Fig 3 for all three platforms, fanned out across the pool; element `i`
-/// equals `platform_features(ds, PlatformKind::ALL[i])` at any thread count.
-pub fn platform_features_all(ds: &Dataset, pool: &Pool) -> [ContentFeatures; 3] {
-    per_platform(pool, |kind| platform_features(ds, kind))
-}
-
-/// Fig 4 for all three platforms, fanned out across the pool.
-pub fn language_shares_all(ds: &Dataset, pool: &Pool) -> [Vec<(Lang, f64)>; 3] {
-    per_platform(pool, |kind| language_shares(ds, kind))
 }
 
 fn render_features(out: &mut String, label: &str, f: &ContentFeatures) {
@@ -145,20 +112,10 @@ fn render_features(out: &mut String, label: &str, f: &ContentFeatures) {
     .unwrap();
 }
 
-/// The batch content fragment: Fig 3 rates per platform and for the
-/// control sample, plus Fig 4 language shares, rendered canonically from
-/// the final dataset. [`ContentFold`] reproduces these bytes
-/// incrementally.
+/// The content fragment of an assembled dataset (see
+/// [`fold_dataset`](crate::pipeline::fold_dataset)).
 pub fn fragment(ds: &Dataset, pool: &Pool) -> String {
-    let feats = platform_features_all(ds, pool);
-    let langs = language_shares_all(ds, pool);
-    let mut out = String::from("content v1\n");
-    for (i, kind) in PlatformKind::ALL.into_iter().enumerate() {
-        render_features(&mut out, kind.name(), &feats[i]);
-        writeln!(out, "{}.languages: {:?}", kind.name(), langs[i]).unwrap();
-    }
-    render_features(&mut out, "control", &control_features(ds));
-    out
+    crate::pipeline::fold_dataset(ds, ContentFold::new()).finish(pool)
 }
 
 /// One platform's folded content state: feature tallies plus language
@@ -171,8 +128,8 @@ struct PlatContent {
 
 persist_struct!(PlatContent { feats, langs });
 
-/// Incremental twin of [`fragment`]: constant-size counters per platform
-/// (plus the control sample), folded from each day's collected tweets.
+/// Figs 3 and 4: constant-size counters per platform (plus the control
+/// sample), folded from each day's collected tweets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ContentFold {
     plats: [PlatContent; 3],
@@ -183,6 +140,21 @@ impl ContentFold {
     /// An empty fold.
     pub fn new() -> ContentFold {
         ContentFold::default()
+    }
+
+    /// The folded Figs 3 and 4.
+    pub fn output(&self) -> ContentOutput {
+        ContentOutput {
+            features: self.plats.each_ref().map(|p| p.feats.rates()),
+            languages: self.plats.each_ref().map(|p| {
+                Lang::ALL
+                    .into_iter()
+                    .zip(p.langs.iter())
+                    .map(|(l, &c)| (l, c as f64 / p.feats.n.max(1) as f64))
+                    .collect()
+            }),
+            control: self.control.rates(),
+        }
     }
 }
 
@@ -216,24 +188,15 @@ impl DayFold for ContentFold {
         }
     }
 
-    fn finish(&self, pool: &Pool) -> String {
-        let sections = per_platform(pool, |kind| {
-            let p = &self.plats[kind.index()];
-            let shares: Vec<(Lang, f64)> = Lang::ALL
-                .into_iter()
-                .zip(p.langs.iter())
-                .map(|(l, &c)| (l, c as f64 / p.feats.n.max(1) as f64))
-                .collect();
-            let mut out = String::new();
-            render_features(&mut out, kind.name(), &p.feats.rates());
-            writeln!(out, "{}.languages: {shares:?}", kind.name()).unwrap();
-            out
-        });
+    fn finish(&self, _pool: &Pool) -> String {
+        let o = self.output();
         let mut out = String::from("content v1\n");
-        for s in sections {
-            out.push_str(&s);
+        for kind in PlatformKind::ALL {
+            let i = kind.index();
+            render_features(&mut out, kind.name(), &o.features[i]);
+            writeln!(out, "{}.languages: {:?}", kind.name(), o.languages[i]).unwrap();
         }
-        render_features(&mut out, "control", &self.control.rates());
+        render_features(&mut out, "control", &o.control);
         out
     }
 
@@ -252,22 +215,16 @@ impl DayFold for ContentFold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chatlens_core::run_study;
-    use chatlens_workload::ScenarioConfig;
-    use std::sync::OnceLock;
+    use crate::pipeline::tests::folded;
 
-    fn dataset() -> &'static Dataset {
-        static DS: OnceLock<Dataset> = OnceLock::new();
-        DS.get_or_init(|| run_study(ScenarioConfig::tiny()))
+    fn output() -> ContentOutput {
+        folded().content.output()
     }
 
     #[test]
     fn fig3a_hashtags() {
-        let ds = dataset();
-        let wa = platform_features(ds, PlatformKind::WhatsApp);
-        let tg = platform_features(ds, PlatformKind::Telegram);
-        let dc = platform_features(ds, PlatformKind::Discord);
-        let ctl = control_features(ds);
+        let [wa, tg, dc] = output().features;
+        let ctl = output().control;
         assert!(
             (wa.with_hashtag - 0.13).abs() < 0.04,
             "WA {}",
@@ -296,11 +253,8 @@ mod tests {
 
     #[test]
     fn fig3b_mentions() {
-        let ds = dataset();
-        let wa = platform_features(ds, PlatformKind::WhatsApp);
-        let tg = platform_features(ds, PlatformKind::Telegram);
-        let dc = platform_features(ds, PlatformKind::Discord);
-        let ctl = control_features(ds);
+        let [wa, tg, dc] = output().features;
+        let ctl = output().control;
         assert!(
             (wa.with_mention - 0.73).abs() < 0.05,
             "WA {}",
@@ -325,10 +279,7 @@ mod tests {
 
     #[test]
     fn fig3c_retweets_ordering() {
-        let ds = dataset();
-        let wa = platform_features(ds, PlatformKind::WhatsApp);
-        let tg = platform_features(ds, PlatformKind::Telegram);
-        let dc = platform_features(ds, PlatformKind::Discord);
+        let [wa, tg, dc] = output().features;
         // Paper: 33% < 50% < 76%.
         assert!(
             wa.retweets < dc.retweets,
@@ -352,22 +303,22 @@ mod tests {
         // shares noisy (one viral group dominates a language), so the
         // tolerances here are loose; the repro harness at 0.1+ scale
         // reports the tight numbers.
-        let ds = dataset();
-        let wa_en = language_share(ds, PlatformKind::WhatsApp, Lang::En);
-        let tg_en = language_share(ds, PlatformKind::Telegram, Lang::En);
-        let dc_en = language_share(ds, PlatformKind::Discord, Lang::En);
+        let o = output();
+        let wa_en = o.language_share(PlatformKind::WhatsApp, Lang::En);
+        let tg_en = o.language_share(PlatformKind::Telegram, Lang::En);
+        let dc_en = o.language_share(PlatformKind::Discord, Lang::En);
         assert!((wa_en - 0.26).abs() < 0.12, "WA en {wa_en}");
         assert!((tg_en - 0.35).abs() < 0.12, "TG en {tg_en}");
         assert!((dc_en - 0.47).abs() < 0.12, "DC en {dc_en}");
         assert!(dc_en > wa_en, "Discord is the most English platform");
-        let dc_ja = language_share(ds, PlatformKind::Discord, Lang::Ja);
+        let dc_ja = o.language_share(PlatformKind::Discord, Lang::Ja);
         assert!((dc_ja - 0.27).abs() < 0.12, "Discord Japanese {dc_ja}");
         assert!(
-            dc_ja > language_share(ds, PlatformKind::WhatsApp, Lang::Ja),
+            dc_ja > o.language_share(PlatformKind::WhatsApp, Lang::Ja),
             "Japanese is a Discord phenomenon"
         );
         // Shares sum to one.
-        let total: f64 = language_shares(ds, PlatformKind::WhatsApp)
+        let total: f64 = o.languages[PlatformKind::WhatsApp.index()]
             .iter()
             .map(|(_, s)| s)
             .sum();
@@ -376,26 +327,10 @@ mod tests {
 
     #[test]
     fn multi_feature_rates_below_single() {
-        let ds = dataset();
-        for kind in PlatformKind::ALL {
-            let f = platform_features(ds, kind);
+        for f in output().features {
             assert!(f.with_multi_hashtag <= f.with_hashtag);
             assert!(f.with_multi_mention <= f.with_mention);
             assert!(f.n > 0);
-        }
-    }
-
-    #[test]
-    fn parallel_fanout_matches_serial() {
-        let ds = dataset();
-        for threads in [1, 2, 8] {
-            let pool = Pool::new(threads);
-            let features = platform_features_all(ds, &pool);
-            let langs = language_shares_all(ds, &pool);
-            for (i, kind) in PlatformKind::ALL.into_iter().enumerate() {
-                assert_eq!(features[i], platform_features(ds, kind), "{kind}");
-                assert_eq!(langs[i], language_shares(ds, kind), "{kind}");
-            }
         }
     }
 }

@@ -1,7 +1,6 @@
 //! Group-sharing dynamics: Fig 1 (URLs discovered per day) and Fig 2
 //! (tweets per group URL).
 
-use crate::fanout::per_platform;
 use crate::pipeline::ecdf_stats;
 use crate::stats::Ecdf;
 use chatlens_checkpoint::{CheckpointError, Persist, Reader, Writer};
@@ -48,101 +47,27 @@ impl DailyDiscovery {
     }
 }
 
-/// Compute Fig 1's three panels for `kind`. Days are indexed by the
-/// *collection* day (`seen_at`), so the day-0 spike from the Search API's
-/// 7-day backlog shows up exactly as in the paper.
-pub fn daily_discovery(ds: &Dataset, kind: PlatformKind) -> DailyDiscovery {
-    let days = ds.window.num_days() as usize;
-    let mut all = vec![0u64; days];
-    // BTreeSets so the day-order "new" sweep below visits keys in a
-    // dataset-determined order, never hasher order (lint rule D2).
-    let mut unique_sets: Vec<BTreeSet<String>> = vec![BTreeSet::new(); days];
-    let mut ever_seen: BTreeSet<String> = BTreeSet::new();
-    let mut new = vec![0u64; days];
-    for ct in &ds.tweets {
-        let Some(day) = ds.window.day_index(ct.seen_at) else {
-            continue;
-        };
-        let day = day as usize;
-        for url in &ct.tweet.urls {
-            let Some(invite) = parse_invite_url(url) else {
-                continue;
-            };
-            if invite.platform() != kind {
-                continue;
-            }
-            let key = invite.dedup_key();
-            all[day] += 1;
-            unique_sets[day].insert(key);
-        }
+/// Everything the discovery fold yields: Fig 1 and Fig 2 per platform
+/// (indexed by [`PlatformKind::index`]) plus the cross-platform count.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DiscoveryOutput {
+    /// Fig 1's three panels, indexed by the *collection* day
+    /// (`seen_at`), so the day-0 spike from the Search API's 7-day
+    /// backlog shows up exactly as in the paper.
+    pub daily: [DailyDiscovery; 3],
+    /// Fig 2: tweets per group URL (each URL counted once per tweet).
+    pub tweets_per_url: [Ecdf; 3],
+    /// Tweets carrying invites of more than one platform — the reason
+    /// Table 2's per-platform rows sum to more than its printed total.
+    pub cross_platform_tweets: u64,
+}
+
+impl DiscoveryOutput {
+    /// Fraction of `kind`'s URLs shared exactly once (the headline of
+    /// Fig 2).
+    pub fn share_once(&self, kind: PlatformKind) -> f64 {
+        self.tweets_per_url[kind.index()].fraction_at_most(1.0)
     }
-    // "New" needs day order, not tweet order.
-    for (day, set) in unique_sets.iter().enumerate() {
-        for key in set {
-            if ever_seen.insert(key.clone()) {
-                new[day] += 1;
-            }
-        }
-    }
-    DailyDiscovery {
-        all,
-        unique: unique_sets.iter().map(|s| s.len() as u64).collect(),
-        new,
-    }
-}
-
-/// Fig 2: the distribution of tweets per group URL for one platform.
-pub fn tweets_per_url(ds: &Dataset, kind: PlatformKind) -> Ecdf {
-    let mut counts: BTreeMap<String, u64> = BTreeMap::new();
-    for ct in &ds.tweets {
-        // Count each URL once per tweet even if repeated in the text.
-        let mut seen_in_tweet: BTreeSet<String> = BTreeSet::new();
-        for url in &ct.tweet.urls {
-            if let Some(invite) = parse_invite_url(url) {
-                if invite.platform() == kind {
-                    seen_in_tweet.insert(invite.dedup_key());
-                }
-            }
-        }
-        for key in seen_in_tweet {
-            *counts.entry(key).or_insert(0) += 1;
-        }
-    }
-    Ecdf::from_ints(counts.into_values())
-}
-
-/// Fraction of `kind`'s URLs shared exactly once (the headline of Fig 2).
-pub fn share_once_fraction(ds: &Dataset, kind: PlatformKind) -> f64 {
-    let e = tweets_per_url(ds, kind);
-    e.fraction_at_most(1.0)
-}
-
-/// Fig 1 for all three platforms, fanned out across the pool; element `i`
-/// equals `daily_discovery(ds, PlatformKind::ALL[i])` at any thread count.
-pub fn daily_discovery_all(ds: &Dataset, pool: &Pool) -> [DailyDiscovery; 3] {
-    per_platform(pool, |kind| daily_discovery(ds, kind))
-}
-
-/// Fig 2 for all three platforms, fanned out across the pool.
-pub fn tweets_per_url_all(ds: &Dataset, pool: &Pool) -> [Ecdf; 3] {
-    per_platform(pool, |kind| tweets_per_url(ds, kind))
-}
-
-/// Tweets carrying invites of more than one platform — the reason
-/// Table 2's per-platform rows sum to more than its printed total.
-pub fn cross_platform_tweets(ds: &Dataset) -> u64 {
-    ds.tweets
-        .iter()
-        .filter(|ct| {
-            let mut seen = [false; 3];
-            for url in &ct.tweet.urls {
-                if let Some(inv) = parse_invite_url(url) {
-                    seen[inv.platform().index()] = true;
-                }
-            }
-            seen.iter().filter(|&&b| b).count() > 1
-        })
-        .count() as u64
 }
 
 /// One platform's section of the discovery report fragment.
@@ -163,18 +88,10 @@ fn render_platform(out: &mut String, kind: PlatformKind, daily: &DailyDiscovery,
     .unwrap();
 }
 
-/// The batch discovery fragment: Fig 1 and Fig 2 for every platform plus
-/// the cross-platform tweet count, rendered canonically from the final
-/// dataset. [`DiscoveryFold`] reproduces these bytes incrementally.
+/// The discovery fragment of an assembled dataset (see
+/// [`fold_dataset`](crate::pipeline::fold_dataset)).
 pub fn fragment(ds: &Dataset, pool: &Pool) -> String {
-    let daily = daily_discovery_all(ds, pool);
-    let per_url = tweets_per_url_all(ds, pool);
-    let mut out = String::from("discovery v1\n");
-    for (i, kind) in PlatformKind::ALL.into_iter().enumerate() {
-        render_platform(&mut out, kind, &daily[i], &per_url[i]);
-    }
-    writeln!(out, "cross_platform_tweets: {}", cross_platform_tweets(ds)).unwrap();
-    out
+    crate::pipeline::fold_dataset(ds, DiscoveryFold::new()).finish(pool)
 }
 
 /// One platform's folded discovery state.
@@ -189,18 +106,19 @@ struct PlatDiscovery {
 }
 
 impl PlatDiscovery {
-    /// Reconstruct Fig 1's three panels (the "new" panel needs the
-    /// day-order sweep, identical to the batch computation's).
+    /// Reconstruct Fig 1's three panels; the "new" panel needs a sweep
+    /// in day order, not tweet order.
     fn daily(&self) -> DailyDiscovery {
-        let mut ever_seen: BTreeSet<String> = BTreeSet::new();
-        let mut new = vec![0u64; self.unique.len()];
-        for (day, set) in self.unique.iter().enumerate() {
-            for key in set {
-                if ever_seen.insert(key.clone()) {
-                    new[day] += 1;
-                }
-            }
-        }
+        let mut ever_seen: BTreeSet<&str> = BTreeSet::new();
+        let new = self
+            .unique
+            .iter()
+            .map(|set| {
+                set.iter()
+                    .filter(|key| ever_seen.insert(key.as_str()))
+                    .count() as u64
+            })
+            .collect();
         DailyDiscovery {
             all: self.all.clone(),
             unique: self.unique.iter().map(|s| s.len() as u64).collect(),
@@ -209,10 +127,9 @@ impl PlatDiscovery {
     }
 }
 
-/// Incremental twin of [`fragment`]: folds each day's collected tweets
-/// into per-day URL tallies, per-URL tweet counts and the cross-platform
-/// counter. State grows with the number of *distinct* URLs, not with the
-/// tweet volume.
+/// Fig 1 and Fig 2: folds each day's collected tweets into per-day URL
+/// tallies, per-URL tweet counts and the cross-platform counter. State
+/// grows with the number of *distinct* URLs, not with the tweet volume.
 #[derive(Debug, Clone, Default)]
 pub struct DiscoveryFold {
     plats: [PlatDiscovery; 3],
@@ -223,6 +140,18 @@ impl DiscoveryFold {
     /// An empty fold.
     pub fn new() -> DiscoveryFold {
         DiscoveryFold::default()
+    }
+
+    /// The folded Figs 1 and 2.
+    pub fn output(&self) -> DiscoveryOutput {
+        DiscoveryOutput {
+            daily: self.plats.each_ref().map(PlatDiscovery::daily),
+            tweets_per_url: self
+                .plats
+                .each_ref()
+                .map(|p| Ecdf::from_ints(p.counts.values().copied())),
+            cross_platform_tweets: self.cross,
+        }
     }
 }
 
@@ -240,8 +169,8 @@ impl DayFold for DiscoveryFold {
             }
         }
         for ct in slice.tweets_today() {
-            // Bucketing follows the tweet's collection timestamp, exactly
-            // like the batch sweep — not the fold day it arrived in.
+            // Bucketing follows the tweet's collection timestamp, not the
+            // fold day it arrived in.
             let day = slice.window.day_index(ct.seen_at).map(|d| d as usize);
             let mut in_tweet: [BTreeSet<String>; 3] = Default::default();
             for url in &ct.tweet.urls {
@@ -267,20 +196,14 @@ impl DayFold for DiscoveryFold {
         }
     }
 
-    fn finish(&self, pool: &Pool) -> String {
-        let sections = per_platform(pool, |kind| {
-            let p = &self.plats[kind.index()];
-            let daily = p.daily();
-            let per_url = Ecdf::from_ints(p.counts.values().copied());
-            let mut out = String::new();
-            render_platform(&mut out, kind, &daily, &per_url);
-            out
-        });
+    fn finish(&self, _pool: &Pool) -> String {
+        let o = self.output();
         let mut out = String::from("discovery v1\n");
-        for s in sections {
-            out.push_str(&s);
+        for kind in PlatformKind::ALL {
+            let i = kind.index();
+            render_platform(&mut out, kind, &o.daily[i], &o.tweets_per_url[i]);
         }
-        writeln!(out, "cross_platform_tweets: {}", self.cross).unwrap();
+        writeln!(out, "cross_platform_tweets: {}", o.cross_platform_tweets).unwrap();
         out
     }
 
@@ -316,19 +239,17 @@ impl DayFold for DiscoveryFold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chatlens_core::run_study;
-    use chatlens_workload::ScenarioConfig;
-    use std::sync::OnceLock;
+    use crate::pipeline::tests::{dataset, folded};
 
-    fn dataset() -> &'static Dataset {
-        static DS: OnceLock<Dataset> = OnceLock::new();
-        DS.get_or_init(|| run_study(ScenarioConfig::tiny()))
+    fn output() -> DiscoveryOutput {
+        folded().discovery.output()
     }
 
     #[test]
     fn day_zero_backlog_spike() {
+        let o = output();
         for kind in PlatformKind::ALL {
-            let d = daily_discovery(dataset(), kind);
+            let d = &o.daily[kind.index()];
             assert_eq!(d.all.len(), 38);
             let later_max = d.new[3..].iter().copied().max().unwrap_or(0);
             assert!(
@@ -341,8 +262,9 @@ mod tests {
 
     #[test]
     fn panels_are_consistent() {
+        let o = output();
         for kind in PlatformKind::ALL {
-            let d = daily_discovery(dataset(), kind);
+            let d = &o.daily[kind.index()];
             for day in 0..38 {
                 assert!(d.unique[day] <= d.all[day], "{kind} day {day}");
                 assert!(d.new[day] <= d.unique[day], "{kind} day {day}");
@@ -364,10 +286,10 @@ mod tests {
     #[test]
     fn telegram_urls_shared_most() {
         // Fig 1a/2: Telegram URLs are shared in the most tweets per URL.
-        let ds = dataset();
-        let tg = tweets_per_url(ds, PlatformKind::Telegram).mean().unwrap();
-        let wa = tweets_per_url(ds, PlatformKind::WhatsApp).mean().unwrap();
-        let dc = tweets_per_url(ds, PlatformKind::Discord).mean().unwrap();
+        let mean = |kind: PlatformKind| output().tweets_per_url[kind.index()].mean().unwrap();
+        let tg = mean(PlatformKind::Telegram);
+        let wa = mean(PlatformKind::WhatsApp);
+        let dc = mean(PlatformKind::Discord);
         assert!(tg > wa, "TG {tg:.1} vs WA {wa:.1}");
         assert!(tg > dc, "TG {tg:.1} vs DC {dc:.1}");
     }
@@ -375,7 +297,7 @@ mod tests {
     #[test]
     fn cross_platform_tweets_exist_but_rare() {
         let ds = dataset();
-        let cross = cross_platform_tweets(ds);
+        let cross = output().cross_platform_tweets;
         assert!(cross > 0, "some tweets advertise two platforms");
         let rate = cross as f64 / ds.tweets.len() as f64;
         assert!(rate < 0.02, "cross-platform rate {rate}");
@@ -391,27 +313,13 @@ mod tests {
 
     #[test]
     fn share_once_fractions_match_fig2() {
-        let ds = dataset();
-        let wa = share_once_fraction(ds, PlatformKind::WhatsApp);
-        let tg = share_once_fraction(ds, PlatformKind::Telegram);
-        let dc = share_once_fraction(ds, PlatformKind::Discord);
+        let o = output();
+        let wa = o.share_once(PlatformKind::WhatsApp);
+        let tg = o.share_once(PlatformKind::Telegram);
+        let dc = o.share_once(PlatformKind::Discord);
         assert!((wa - 0.50).abs() < 0.08, "WA {wa}");
         assert!((tg - 0.50).abs() < 0.08, "TG {tg}");
         assert!((dc - 0.62).abs() < 0.08, "DC {dc}");
         assert!(dc > wa && dc > tg, "Discord has the most share-once URLs");
-    }
-
-    #[test]
-    fn parallel_fanout_matches_serial() {
-        let ds = dataset();
-        for threads in [1, 2, 8] {
-            let pool = chatlens_simnet::par::Pool::new(threads);
-            let daily = daily_discovery_all(ds, &pool);
-            let per_url = tweets_per_url_all(ds, &pool);
-            for (i, kind) in PlatformKind::ALL.into_iter().enumerate() {
-                assert_eq!(daily[i], daily_discovery(ds, kind), "{kind}");
-                assert_eq!(per_url[i], tweets_per_url(ds, kind), "{kind}");
-            }
-        }
     }
 }

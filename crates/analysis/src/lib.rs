@@ -1,8 +1,9 @@
 //! # chatlens-analysis — the paper's analyses, one module per section
 //!
-//! Everything here consumes the [`Dataset`] produced by the collection
-//! campaign (never the simulator's ground truth — the analyses must work
-//! from what the instrument saw, like the paper's did):
+//! Everything here consumes what the collection campaign saw (never the
+//! simulator's ground truth — the analyses must work from what the
+//! instrument saw, like the paper's did). Each results-section module is
+//! one [`DayFold`] with a typed `output()`:
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -18,10 +19,10 @@
 //! [`lda`] (collapsed-Gibbs Latent Dirichlet Allocation, from scratch),
 //! and [`stats`] (ECDFs, quantiles, concentration shares).
 //!
-//! Every module above also ships an incremental [`DayFold`] twin of its
-//! batch computation; [`pipeline`] registers the full fold set and the
-//! matching batch fragments, locked byte-for-byte against each other by
-//! `tests/fold_parity.rs`.
+//! A fold runs live inside a campaign session or over an assembled
+//! [`Dataset`] ([`pipeline::fold_dataset`]); [`pipeline`] registers the
+//! full fold set, and `tests/fold_parity.rs` locks the two ways of
+//! running it byte-for-byte against golden fragments.
 //!
 //! [`Dataset`]: chatlens_core::Dataset
 //! [`DayFold`]: chatlens_core::DayFold
@@ -31,7 +32,6 @@
 
 pub mod content;
 pub mod discovery;
-pub mod fanout;
 pub mod lda;
 pub mod lifecycle;
 pub mod membership;
@@ -43,5 +43,5 @@ pub mod text;
 pub mod topics;
 
 pub use lda::{LdaConfig, LdaModel};
-pub use pipeline::{batch_fragments, standard_folds};
+pub use pipeline::{batch_fragments, fold_dataset, standard_folds, StandardFolds};
 pub use stats::Ecdf;

@@ -1,7 +1,6 @@
 //! Group lifecycle: Fig 5 (staleness — group age when shared on Twitter)
 //! and Fig 6 (URL lifetime and revocation).
 
-use crate::fanout::per_platform;
 use crate::pipeline::ecdf_stats;
 use crate::stats::Ecdf;
 use chatlens_checkpoint::{persist_struct, CheckpointError, Persist, Reader, Writer};
@@ -19,20 +18,7 @@ use std::fmt::Write as _;
 /// Availability follows the paper (§5): WhatsApp and Telegram creation
 /// dates are only known for *joined* groups; Discord's come from the
 /// invite API for every monitored group.
-pub fn staleness_days(ds: &Dataset, kind: PlatformKind) -> Ecdf {
-    Ecdf::new(staleness_from(
-        &ds.joined,
-        &ds.groups,
-        &ds.interner,
-        &ds.timelines,
-        kind,
-    ))
-}
-
-/// Raw Fig 5 ages from the campaign's constituent stores; shared by the
-/// batch path ([`staleness_days`]) and [`LifecycleFold`]'s final-day
-/// capture so both run the identical arithmetic.
-pub(crate) fn staleness_from(
+fn staleness_from(
     joined: &[JoinedGroup],
     groups: &[DiscoveryRecord],
     interner: &Interner,
@@ -95,86 +81,17 @@ pub struct RevocationStats {
     pub revoked_per_day: Vec<f64>,
 }
 
-/// Compute Fig 6 for one platform.
-pub fn revocation_stats(ds: &Dataset, kind: PlatformKind) -> RevocationStats {
-    let days = ds.window.num_days() as usize;
-    let mut observed = 0u64;
-    let mut revoked = 0u64;
-    let mut doa = 0u64;
-    let mut censored = 0u64;
-    let mut lifetimes: Vec<f64> = Vec::new();
-    let mut per_day = vec![0u64; days];
-    for (slot, rec) in ds.groups.iter().enumerate() {
-        if rec.platform != kind {
-            continue;
-        }
-        let Some(tl) = ds.timeline_at(slot) else {
-            continue;
-        };
-        let Some(first) = tl.first() else {
-            continue;
-        };
-        observed += 1;
-        if tl.dead_on_arrival() {
-            doa += 1;
-        }
-        if let Some(rd) = tl.revoked_day() {
-            revoked += 1;
-            per_day[rd as usize] += 1;
-            // A revocation first seen right after a censored day may have
-            // happened any time inside the gap — the exact lifetime is
-            // unknowable, so it is excluded from the ECDF instead of
-            // being fabricated. With an empty gap ledger this branch
-            // never fires and the statistics are unchanged.
-            let gap_before = rd > 0 && ds.gaps.get(slot).is_some_and(|g| g.contains(&(rd - 1)));
-            if gap_before {
-                censored += 1;
-            } else {
-                lifetimes.push(f64::from(rd - first.day));
-            }
-        }
-    }
-    let denom = observed.max(1) as f64;
-    RevocationStats {
-        observed,
-        revoked_fraction: revoked as f64 / denom,
-        dead_on_arrival_fraction: doa as f64 / denom,
-        lifetime_days: Ecdf::new(lifetimes),
-        censored,
-        revoked_per_day: per_day.into_iter().map(|c| c as f64 / denom).collect(),
-    }
-}
-
-/// Sanity view used by tests and EXPERIMENTS.md: sizes observed alive at
-/// least once.
-pub fn ever_alive_fraction(ds: &Dataset, kind: PlatformKind) -> f64 {
-    let mut observed = 0u64;
-    let mut alive = 0u64;
-    for rec in ds.groups.iter().filter(|g| g.platform == kind) {
-        if let Some(tl) = ds.timeline_of(rec) {
-            if tl.first().is_some() {
-                observed += 1;
-                if tl
-                    .iter()
-                    .any(|o| matches!(o.status, ObservedStatus::Alive { .. }))
-                {
-                    alive += 1;
-                }
-            }
-        }
-    }
-    alive as f64 / observed.max(1) as f64
-}
-
-/// Fig 5 for all three platforms, fanned out across the pool; element `i`
-/// equals `staleness_days(ds, PlatformKind::ALL[i])` at any thread count.
-pub fn staleness_days_all(ds: &Dataset, pool: &Pool) -> [Ecdf; 3] {
-    per_platform(pool, |kind| staleness_days(ds, kind))
-}
-
-/// Fig 6 for all three platforms, fanned out across the pool.
-pub fn revocation_stats_all(ds: &Dataset, pool: &Pool) -> [RevocationStats; 3] {
-    per_platform(pool, |kind| revocation_stats(ds, kind))
+/// Everything the lifecycle fold yields: Figs 5 and 6 per platform
+/// (indexed by [`PlatformKind::index`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct LifecycleOutput {
+    /// Fig 5: group ages (in days) when their URL was first tweeted.
+    pub staleness: [Ecdf; 3],
+    /// Fig 6: lifetime and revocation.
+    pub revocation: [RevocationStats; 3],
+    /// Share of observed groups seen alive at least once (a sanity view
+    /// of the monitor).
+    pub ever_alive: [f64; 3],
 }
 
 fn render_platform(
@@ -202,23 +119,10 @@ fn render_platform(
     writeln!(out, "{name}.ever_alive_fraction: {ever_alive:?}").unwrap();
 }
 
-/// The batch lifecycle fragment: Fig 5 staleness, Fig 6 revocation, and
-/// the ever-alive sanity view, rendered canonically from the final
-/// dataset. [`LifecycleFold`] reproduces these bytes incrementally.
+/// The lifecycle fragment of an assembled dataset (see
+/// [`fold_dataset`](crate::pipeline::fold_dataset)).
 pub fn fragment(ds: &Dataset, pool: &Pool) -> String {
-    let stale = staleness_days_all(ds, pool);
-    let rev = revocation_stats_all(ds, pool);
-    let mut out = String::from("lifecycle v1\n");
-    for (i, kind) in PlatformKind::ALL.into_iter().enumerate() {
-        render_platform(
-            &mut out,
-            kind,
-            &stale[i],
-            &rev[i],
-            ever_alive_fraction(ds, kind),
-        );
-    }
-    out
+    crate::pipeline::fold_dataset(ds, LifecycleFold::new()).finish(pool)
 }
 
 /// One monitored group's folded lifecycle state, advanced from the
@@ -248,8 +152,8 @@ persist_struct!(SlotLifecycle {
     ever_alive
 });
 
-/// Incremental twin of [`fragment`]: one compact record per monitored
-/// group, advanced from each day's observation — censoring consults the
+/// Figs 5 and 6: one compact record per monitored group, advanced from
+/// each day's observation — censoring consults the
 /// gap ledger on the revocation day, which is sound because a gap for
 /// day `d` is filed at day `d`'s own backfill, before any later fold
 /// step runs. Fig 5 staleness is captured on the final day (its joined
@@ -265,6 +169,60 @@ impl LifecycleFold {
     /// An empty fold.
     pub fn new() -> LifecycleFold {
         LifecycleFold::default()
+    }
+
+    /// The folded Figs 5 and 6.
+    pub fn output(&self) -> LifecycleOutput {
+        let mut ever_alive = [0.0; 3];
+        let revocation = PlatformKind::ALL.map(|kind| {
+            let p = kind.index() as u8;
+            let mut observed = 0u64;
+            let mut revoked = 0u64;
+            let mut doa = 0u64;
+            let mut censored = 0u64;
+            let mut alive = 0u64;
+            let mut lifetimes: Vec<f64> = Vec::new();
+            let mut per_day = vec![0u64; self.days_total as usize];
+            for s in self.slots.iter().filter(|s| s.platform == p) {
+                let Some(first_day) = s.first_day else {
+                    continue;
+                };
+                observed += 1;
+                if s.doa {
+                    doa += 1;
+                }
+                if s.ever_alive {
+                    alive += 1;
+                }
+                if let Some(rd) = s.revoked_day {
+                    revoked += 1;
+                    per_day[rd as usize] += 1;
+                    // A revocation first seen right after a censored day
+                    // may have happened any time inside the gap, so its
+                    // lifetime is excluded instead of fabricated.
+                    if s.censored {
+                        censored += 1;
+                    } else {
+                        lifetimes.push(f64::from(rd - first_day));
+                    }
+                }
+            }
+            let denom = observed.max(1) as f64;
+            ever_alive[kind.index()] = alive as f64 / denom;
+            RevocationStats {
+                observed,
+                revoked_fraction: revoked as f64 / denom,
+                dead_on_arrival_fraction: doa as f64 / denom,
+                lifetime_days: Ecdf::new(lifetimes),
+                censored,
+                revoked_per_day: per_day.into_iter().map(|c| c as f64 / denom).collect(),
+            }
+        });
+        LifecycleOutput {
+            staleness: self.staleness.clone().map(Ecdf::new),
+            revocation,
+            ever_alive,
+        }
     }
 }
 
@@ -322,56 +280,18 @@ impl DayFold for LifecycleFold {
         }
     }
 
-    fn finish(&self, pool: &Pool) -> String {
-        let sections = per_platform(pool, |kind| {
-            let p = kind.index() as u8;
-            let days = self.days_total as usize;
-            let mut observed = 0u64;
-            let mut revoked = 0u64;
-            let mut doa = 0u64;
-            let mut censored = 0u64;
-            let mut alive = 0u64;
-            let mut lifetimes: Vec<f64> = Vec::new();
-            let mut per_day = vec![0u64; days];
-            for s in self.slots.iter().filter(|s| s.platform == p) {
-                let Some(first_day) = s.first_day else {
-                    continue;
-                };
-                observed += 1;
-                if s.doa {
-                    doa += 1;
-                }
-                if s.ever_alive {
-                    alive += 1;
-                }
-                if let Some(rd) = s.revoked_day {
-                    revoked += 1;
-                    per_day[rd as usize] += 1;
-                    if s.censored {
-                        censored += 1;
-                    } else {
-                        lifetimes.push(f64::from(rd - first_day));
-                    }
-                }
-            }
-            let denom = observed.max(1) as f64;
-            let rev = RevocationStats {
-                observed,
-                revoked_fraction: revoked as f64 / denom,
-                dead_on_arrival_fraction: doa as f64 / denom,
-                lifetime_days: Ecdf::new(lifetimes),
-                censored,
-                revoked_per_day: per_day.into_iter().map(|c| c as f64 / denom).collect(),
-            };
-            let stale = Ecdf::new(self.staleness[kind.index()].clone());
-            let ever_alive = alive as f64 / observed.max(1) as f64;
-            let mut out = String::new();
-            render_platform(&mut out, kind, &stale, &rev, ever_alive);
-            out
-        });
+    fn finish(&self, _pool: &Pool) -> String {
+        let o = self.output();
         let mut out = String::from("lifecycle v1\n");
-        for s in sections {
-            out.push_str(&s);
+        for kind in PlatformKind::ALL {
+            let i = kind.index();
+            render_platform(
+                &mut out,
+                kind,
+                &o.staleness[i],
+                &o.revocation[i],
+                o.ever_alive[i],
+            );
         }
         out
     }
@@ -393,23 +313,18 @@ impl DayFold for LifecycleFold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chatlens_core::run_study;
-    use chatlens_workload::ScenarioConfig;
-    use std::sync::OnceLock;
+    use crate::pipeline::tests::folded;
 
-    fn dataset() -> &'static Dataset {
-        static DS: OnceLock<Dataset> = OnceLock::new();
-        DS.get_or_init(|| run_study(ScenarioConfig::tiny()))
+    fn output() -> LifecycleOutput {
+        folded().lifecycle.output()
     }
 
     #[test]
     fn fig5_whatsapp_is_fresh() {
-        let ds = dataset();
-        let wa = staleness_days(ds, PlatformKind::WhatsApp);
+        let [wa, _, dc] = output().staleness;
         assert!(!wa.is_empty());
         let same_day = wa.fraction_at_most(0.0);
         assert!(same_day > 0.55, "WA same-day {same_day}");
-        let dc = staleness_days(ds, PlatformKind::Discord);
         let dc_same_day = dc.fraction_at_most(0.0);
         assert!(
             dc_same_day < same_day,
@@ -419,8 +334,7 @@ mod tests {
 
     #[test]
     fn fig5_old_groups_exist() {
-        let ds = dataset();
-        let dc = staleness_days(ds, PlatformKind::Discord);
+        let [_, _, dc] = output().staleness;
         let over_year = dc.fraction_above(365.0);
         assert!(
             (0.1..=0.4).contains(&over_year),
@@ -430,10 +344,7 @@ mod tests {
 
     #[test]
     fn fig6_revocation_ordering() {
-        let ds = dataset();
-        let wa = revocation_stats(ds, PlatformKind::WhatsApp);
-        let tg = revocation_stats(ds, PlatformKind::Telegram);
-        let dc = revocation_stats(ds, PlatformKind::Discord);
+        let [wa, tg, dc] = output().revocation;
         // Paper: 27.3% / 20.4% / 68.4%.
         assert!(
             dc.revoked_fraction > 0.55,
@@ -468,9 +379,7 @@ mod tests {
 
     #[test]
     fn fig6_internal_consistency() {
-        let ds = dataset();
-        for kind in PlatformKind::ALL {
-            let s = revocation_stats(ds, kind);
+        for (kind, s) in PlatformKind::ALL.into_iter().zip(output().revocation) {
             assert!(s.observed > 0);
             assert!(s.dead_on_arrival_fraction <= s.revoked_fraction + 1e-9);
             let per_day_total: f64 = s.revoked_per_day.iter().sum();
@@ -487,24 +396,8 @@ mod tests {
 
     #[test]
     fn most_whatsapp_groups_observed_alive() {
-        let ds = dataset();
-        let f = ever_alive_fraction(ds, PlatformKind::WhatsApp);
+        let [f, _, f_dc] = output().ever_alive;
         assert!(f > 0.85, "WA ever-alive {f}");
-        let f_dc = ever_alive_fraction(ds, PlatformKind::Discord);
         assert!(f_dc < 0.5, "DC ever-alive {f_dc}");
-    }
-
-    #[test]
-    fn parallel_fanout_matches_serial() {
-        let ds = dataset();
-        for threads in [1, 2, 8] {
-            let pool = Pool::new(threads);
-            let stale = staleness_days_all(ds, &pool);
-            let revoked = revocation_stats_all(ds, &pool);
-            for (i, kind) in PlatformKind::ALL.into_iter().enumerate() {
-                assert_eq!(stale[i], staleness_days(ds, kind), "{kind}");
-                assert_eq!(revoked[i], revocation_stats(ds, kind), "{kind}");
-            }
-        }
     }
 }

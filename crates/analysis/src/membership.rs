@@ -1,7 +1,6 @@
 //! Group composition: Fig 7 (member counts, online share, growth) and
 //! §5's "Group Creators" analysis.
 
-use crate::fanout::per_platform;
 use crate::pipeline::ecdf_stats;
 use crate::stats::Ecdf;
 use chatlens_checkpoint::{persist_struct, CheckpointError, Persist, Reader, Writer};
@@ -14,39 +13,6 @@ use chatlens_platforms::id::PlatformKind;
 use chatlens_simnet::par::Pool;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Fig 7a: member counts at each group's first alive observation.
-pub fn member_counts(ds: &Dataset, kind: PlatformKind) -> Ecdf {
-    let mut sizes: Vec<f64> = Vec::new();
-    for rec in ds.groups.iter().filter(|g| g.platform == kind) {
-        if let Some(tl) = ds.timeline_of(rec) {
-            if let Some((first, _)) = tl.size_span() {
-                sizes.push(f64::from(first));
-            }
-        }
-    }
-    Ecdf::new(sizes)
-}
-
-/// Fig 7b: online members as a fraction of total, at the first alive
-/// observation (only meaningful for Telegram and Discord).
-pub fn online_fractions(ds: &Dataset, kind: PlatformKind) -> Ecdf {
-    let mut fracs: Vec<f64> = Vec::new();
-    for rec in ds.groups.iter().filter(|g| g.platform == kind) {
-        let Some(tl) = ds.timeline_of(rec) else {
-            continue;
-        };
-        for o in tl.iter() {
-            if let ObservedStatus::Alive { size, online } = o.status {
-                if size > 0 {
-                    fracs.push(f64::from(online) / f64::from(size));
-                }
-                break;
-            }
-        }
-    }
-    Ecdf::new(fracs)
-}
 
 /// Fig 7c roll-up: growth between first and last observation.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,43 +27,8 @@ pub struct GrowthStats {
     pub flat: f64,
 }
 
-/// Compute Fig 7c for one platform. Growth is only measurable for groups
-/// with at least two alive observations (a single snapshot has no "first
-/// and last day" to difference).
-pub fn growth(ds: &Dataset, kind: PlatformKind) -> GrowthStats {
-    let mut deltas: Vec<f64> = Vec::new();
-    let (mut grew, mut shrank, mut flat) = (0u64, 0u64, 0u64);
-    for rec in ds.groups.iter().filter(|g| g.platform == kind) {
-        let Some(tl) = ds.timeline_of(rec) else {
-            continue;
-        };
-        if tl.alive_days() < 2 {
-            continue;
-        }
-        let Some((first, last)) = tl.size_span() else {
-            continue;
-        };
-        let delta = f64::from(last) - f64::from(first);
-        deltas.push(delta);
-        if last > first {
-            grew += 1;
-        } else if last < first {
-            shrank += 1;
-        } else {
-            flat += 1;
-        }
-    }
-    let n = (grew + shrank + flat).max(1) as f64;
-    GrowthStats {
-        deltas: Ecdf::new(deltas),
-        grew: grew as f64 / n,
-        shrank: shrank as f64 / n,
-        flat: flat as f64 / n,
-    }
-}
-
 /// §5 "Group Creators" roll-up.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CreatorStats {
     /// Distinct creators identified.
     pub creators: u64,
@@ -114,14 +45,7 @@ pub struct CreatorStats {
 /// API's creator id; Telegram creators are only known for joined groups
 /// (each had a distinct creator in the paper — and here, by
 /// construction of the generator).
-pub fn creators(ds: &Dataset, kind: PlatformKind) -> CreatorStats {
-    creators_from(&ds.groups, &ds.interner, &ds.timelines, &ds.joined, kind)
-}
-
-/// [`creators`] over the raw collections — the shared core the batch
-/// path and [`MembershipFold`]'s final-day capture both call, so the two
-/// report paths share every creator aggregate and division.
-pub(crate) fn creators_from(
+fn creators_from(
     groups: &[DiscoveryRecord],
     interner: &Interner,
     timelines: &TimelineStore,
@@ -172,13 +96,7 @@ pub(crate) fn creators_from(
 }
 
 /// §5 "Group Countries": WhatsApp creator country counts, descending.
-pub fn whatsapp_countries(ds: &Dataset) -> Vec<(String, u64)> {
-    countries_from(&ds.pii)
-}
-
-/// [`whatsapp_countries`] over the raw PII store (shared with
-/// [`MembershipFold`]'s final-day capture).
-pub(crate) fn countries_from(pii: &PiiStore) -> Vec<(String, u64)> {
+fn countries_from(pii: &PiiStore) -> Vec<(String, u64)> {
     let mut v: Vec<(String, u64)> = pii
         .wa_creator_countries
         .iter()
@@ -188,21 +106,23 @@ pub(crate) fn countries_from(pii: &PiiStore) -> Vec<(String, u64)> {
     v
 }
 
-/// Fig 7a for all three platforms, fanned out across the pool; element
-/// `i` equals `member_counts(ds, PlatformKind::ALL[i])` at any thread
-/// count.
-pub fn member_counts_all(ds: &Dataset, pool: &Pool) -> [Ecdf; 3] {
-    per_platform(pool, |kind| member_counts(ds, kind))
-}
-
-/// Fig 7b for all three platforms, fanned out across the pool.
-pub fn online_fractions_all(ds: &Dataset, pool: &Pool) -> [Ecdf; 3] {
-    per_platform(pool, |kind| online_fractions(ds, kind))
-}
-
-/// Fig 7c for all three platforms, fanned out across the pool.
-pub fn growth_all(ds: &Dataset, pool: &Pool) -> [GrowthStats; 3] {
-    per_platform(pool, |kind| growth(ds, kind))
+/// Everything the membership fold yields: Fig 7 and the §5 creator
+/// roll-ups per platform (indexed by [`PlatformKind::index`]), plus the
+/// WhatsApp creator countries.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MembershipOutput {
+    /// Fig 7a: member counts at each group's first alive observation.
+    pub member_counts: [Ecdf; 3],
+    /// Fig 7b: online members as a fraction of total, at the first
+    /// alive observation (only meaningful for Telegram and Discord).
+    pub online_fractions: [Ecdf; 3],
+    /// Fig 7c: growth between first and last alive observation.
+    pub growth: [GrowthStats; 3],
+    /// §5 "Group Creators".
+    pub creators: [CreatorStats; 3],
+    /// §5 "Group Countries": WhatsApp creator country counts,
+    /// descending.
+    pub whatsapp_countries: Vec<(String, u64)>,
 }
 
 persist_struct!(CreatorStats {
@@ -238,26 +158,10 @@ fn render_platform(
     .unwrap();
 }
 
-/// The batch membership fragment: Fig 7 and the §5 creator/country
-/// roll-ups, rendered canonically from the final dataset.
-/// [`MembershipFold`] reproduces these bytes incrementally.
+/// The membership fragment of an assembled dataset (see
+/// [`fold_dataset`](crate::pipeline::fold_dataset)).
 pub fn fragment(ds: &Dataset, pool: &Pool) -> String {
-    let counts = member_counts_all(ds, pool);
-    let online = online_fractions_all(ds, pool);
-    let grown = growth_all(ds, pool);
-    let mut out = String::from("membership v1\n");
-    for (i, kind) in PlatformKind::ALL.into_iter().enumerate() {
-        render_platform(
-            &mut out,
-            kind,
-            &counts[i],
-            &online[i],
-            &grown[i],
-            &creators(ds, kind),
-        );
-    }
-    writeln!(out, "whatsapp_countries: {:?}", whatsapp_countries(ds)).unwrap();
-    out
+    crate::pipeline::fold_dataset(ds, MembershipFold::new()).finish(pool)
 }
 
 /// One monitored group's folded membership state, updated from the day's
@@ -288,10 +192,12 @@ persist_struct!(SlotMembership {
     online_frac
 });
 
-/// Incremental twin of [`fragment`]: one compact record per monitored
-/// group, updated from each day's observation, plus the creator and
-/// country roll-ups captured on the final day (their inputs — landing
-/// metadata and joined groups — are only complete then).
+/// Fig 7 and §5's creators: one compact record per monitored group,
+/// updated from each day's observation, plus the creator and country
+/// roll-ups captured on the final day (their inputs — landing metadata
+/// and joined groups — are only complete then). Growth is only
+/// measurable for groups with at least two alive observations (a single
+/// snapshot has no "first and last day" to difference).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MembershipFold {
     slots: Vec<SlotMembership>,
@@ -303,6 +209,55 @@ impl MembershipFold {
     /// An empty fold.
     pub fn new() -> MembershipFold {
         MembershipFold::default()
+    }
+
+    /// The folded Fig 7 and §5 roll-ups.
+    pub fn output(&self) -> MembershipOutput {
+        let per_platform = PlatformKind::ALL.map(|kind| {
+            let p = kind.index() as u8;
+            let mut sizes: Vec<f64> = Vec::new();
+            let mut fracs: Vec<f64> = Vec::new();
+            let mut deltas: Vec<f64> = Vec::new();
+            let (mut grew, mut shrank, mut flat) = (0u64, 0u64, 0u64);
+            for s in self.slots.iter().filter(|s| s.platform == p) {
+                if let Some(first) = s.first_size {
+                    sizes.push(f64::from(first));
+                }
+                if let Some(f) = s.online_frac {
+                    fracs.push(f);
+                }
+                if s.alive_days >= 2 {
+                    if let (Some(first), Some(last)) = (s.first_size, s.last_size) {
+                        deltas.push(f64::from(last) - f64::from(first));
+                        if last > first {
+                            grew += 1;
+                        } else if last < first {
+                            shrank += 1;
+                        } else {
+                            flat += 1;
+                        }
+                    }
+                }
+            }
+            let n = (grew + shrank + flat).max(1) as f64;
+            let growth = GrowthStats {
+                deltas: Ecdf::new(deltas),
+                grew: grew as f64 / n,
+                shrank: shrank as f64 / n,
+                flat: flat as f64 / n,
+            };
+            (Ecdf::new(sizes), Ecdf::new(fracs), growth)
+        });
+        let [wa, tg, dc] = per_platform;
+        let creators = PlatformKind::ALL
+            .map(|kind| self.creators.get(kind.index()).cloned().unwrap_or_default());
+        MembershipOutput {
+            member_counts: [wa.0, tg.0, dc.0],
+            online_fractions: [wa.1, tg.1, dc.1],
+            growth: [wa.2, tg.2, dc.2],
+            creators,
+            whatsapp_countries: self.countries.clone(),
+        }
     }
 }
 
@@ -358,63 +313,21 @@ impl DayFold for MembershipFold {
         }
     }
 
-    fn finish(&self, pool: &Pool) -> String {
-        let sections = per_platform(pool, |kind| {
-            let p = kind.index() as u8;
-            let mut sizes: Vec<f64> = Vec::new();
-            let mut fracs: Vec<f64> = Vec::new();
-            let mut deltas: Vec<f64> = Vec::new();
-            let (mut grew, mut shrank, mut flat) = (0u64, 0u64, 0u64);
-            for s in self.slots.iter().filter(|s| s.platform == p) {
-                if let Some(first) = s.first_size {
-                    sizes.push(f64::from(first));
-                }
-                if let Some(f) = s.online_frac {
-                    fracs.push(f);
-                }
-                if s.alive_days >= 2 {
-                    if let (Some(first), Some(last)) = (s.first_size, s.last_size) {
-                        deltas.push(f64::from(last) - f64::from(first));
-                        if last > first {
-                            grew += 1;
-                        } else if last < first {
-                            shrank += 1;
-                        } else {
-                            flat += 1;
-                        }
-                    }
-                }
-            }
-            let n = (grew + shrank + flat).max(1) as f64;
-            let growth = GrowthStats {
-                deltas: Ecdf::new(deltas),
-                grew: grew as f64 / n,
-                shrank: shrank as f64 / n,
-                flat: flat as f64 / n,
-            };
-            let zero = CreatorStats {
-                creators: 0,
-                groups: 0,
-                single_group_share: 0.0,
-                max_groups: 0,
-            };
-            let creators = self.creators.get(kind.index()).unwrap_or(&zero);
-            let mut out = String::new();
+    fn finish(&self, _pool: &Pool) -> String {
+        let o = self.output();
+        let mut out = String::from("membership v1\n");
+        for kind in PlatformKind::ALL {
+            let i = kind.index();
             render_platform(
                 &mut out,
                 kind,
-                &Ecdf::new(sizes),
-                &Ecdf::new(fracs),
-                &growth,
-                creators,
+                &o.member_counts[i],
+                &o.online_fractions[i],
+                &o.growth[i],
+                &o.creators[i],
             );
-            out
-        });
-        let mut out = String::from("membership v1\n");
-        for s in sections {
-            out.push_str(&s);
         }
-        writeln!(out, "whatsapp_countries: {:?}", self.countries).unwrap();
+        writeln!(out, "whatsapp_countries: {:?}", o.whatsapp_countries).unwrap();
         out
     }
 
@@ -435,21 +348,15 @@ impl DayFold for MembershipFold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chatlens_core::run_study;
-    use chatlens_workload::ScenarioConfig;
-    use std::sync::OnceLock;
+    use crate::pipeline::tests::folded;
 
-    fn dataset() -> &'static Dataset {
-        static DS: OnceLock<Dataset> = OnceLock::new();
-        DS.get_or_init(|| run_study(ScenarioConfig::tiny()))
+    fn output() -> MembershipOutput {
+        folded().membership.output()
     }
 
     #[test]
     fn fig7a_size_ordering() {
-        let ds = dataset();
-        let wa = member_counts(ds, PlatformKind::WhatsApp);
-        let tg = member_counts(ds, PlatformKind::Telegram);
-        let dc = member_counts(ds, PlatformKind::Discord);
+        let [wa, tg, dc] = output().member_counts;
         assert!(wa.max().unwrap() <= 257.0, "WhatsApp cap");
         assert!(
             tg.max().unwrap() > 10_000.0,
@@ -465,9 +372,7 @@ mod tests {
 
     #[test]
     fn fig7b_online_fractions() {
-        let ds = dataset();
-        let dc = online_fractions(ds, PlatformKind::Discord);
-        let tg = online_fractions(ds, PlatformKind::Telegram);
+        let [wa, tg, dc] = output().online_fractions;
         let dc_active = dc.fraction_above(0.5);
         let tg_active = tg.fraction_above(0.5);
         assert!(
@@ -475,7 +380,6 @@ mod tests {
             "DC >50% online: {dc_active}"
         );
         assert!(tg_active < dc_active, "TG {tg_active} < DC {dc_active}");
-        let wa = online_fractions(ds, PlatformKind::WhatsApp);
         assert_eq!(
             wa.max().unwrap_or(0.0),
             0.0,
@@ -485,9 +389,8 @@ mod tests {
 
     #[test]
     fn fig7c_growth() {
-        let ds = dataset();
-        for kind in PlatformKind::ALL {
-            let g = growth(ds, kind);
+        let growth = output().growth;
+        for (kind, g) in PlatformKind::ALL.into_iter().zip(&growth) {
             assert!(
                 g.grew > g.shrank,
                 "{kind}: sharing on Twitter grows groups ({} vs {})",
@@ -497,15 +400,15 @@ mod tests {
             assert!((g.grew + g.shrank + g.flat - 1.0).abs() < 1e-9);
         }
         // WhatsApp deltas are bounded by the cap.
-        let wa = growth(ds, PlatformKind::WhatsApp);
+        let wa = &growth[PlatformKind::WhatsApp.index()];
         assert!(wa.deltas.max().unwrap() <= 257.0);
     }
 
     #[test]
     fn creators_mostly_single_group() {
-        let ds = dataset();
+        let creators = output().creators;
         for kind in [PlatformKind::WhatsApp, PlatformKind::Discord] {
-            let c = creators(ds, kind);
+            let c = &creators[kind.index()];
             assert!(c.creators > 0, "{kind}");
             assert!(c.creators <= c.groups);
             assert!(
@@ -514,32 +417,15 @@ mod tests {
                 c.single_group_share
             );
         }
-        let tg = creators(ds, PlatformKind::Telegram);
+        let tg = &creators[PlatformKind::Telegram.index()];
         assert_eq!(tg.single_group_share, 1.0);
         assert_eq!(tg.creators, tg.groups);
     }
 
     #[test]
     fn whatsapp_countries_brazil_first() {
-        let ds = dataset();
-        let countries = whatsapp_countries(ds);
+        let countries = output().whatsapp_countries;
         assert!(!countries.is_empty());
         assert_eq!(countries[0].0, "BR", "countries: {countries:?}");
-    }
-
-    #[test]
-    fn parallel_fanout_matches_serial() {
-        let ds = dataset();
-        for threads in [1, 2, 8] {
-            let pool = Pool::new(threads);
-            let counts = member_counts_all(ds, &pool);
-            let online = online_fractions_all(ds, &pool);
-            let grown = growth_all(ds, &pool);
-            for (i, kind) in PlatformKind::ALL.into_iter().enumerate() {
-                assert_eq!(counts[i], member_counts(ds, kind), "{kind}");
-                assert_eq!(online[i], online_fractions(ds, kind), "{kind}");
-                assert_eq!(grown[i], growth(ds, kind), "{kind}");
-            }
-        }
     }
 }

@@ -1,7 +1,6 @@
 //! In-group activity: Fig 8 (message types) and Fig 9 (volumes per group
 //! and per user), plus §5's active-member shares.
 
-use crate::fanout::per_platform;
 use crate::pipeline::ecdf_stats;
 use crate::stats::{top_share, Ecdf};
 use chatlens_checkpoint::{persist_struct, CheckpointError, Persist, Reader, Writer};
@@ -24,8 +23,8 @@ fn kind_counts_from<'a>(groups: impl Iterator<Item = &'a JoinedGroup>) -> [u64; 
     counts
 }
 
-/// Fig 8 shares from raw per-kind counts; shared by the batch path and
-/// [`MessagesFold`] so both run the identical division.
+/// Fig 8: share of messages per [`MessageKind`], in `MessageKind::ALL`
+/// order.
 fn shares_from(counts: &[u64; 9]) -> Vec<(MessageKind, f64)> {
     let total: u64 = counts.iter().sum();
     MessageKind::ALL
@@ -33,12 +32,6 @@ fn shares_from(counts: &[u64; 9]) -> Vec<(MessageKind, f64)> {
         .zip(counts)
         .map(|(k, c)| (k, *c as f64 / total.max(1) as f64))
         .collect()
-}
-
-/// Fig 8: share of messages per [`MessageKind`], in `MessageKind::ALL`
-/// order.
-pub fn kind_shares(ds: &Dataset, kind: PlatformKind) -> Vec<(MessageKind, f64)> {
-    shares_from(&kind_counts_from(ds.joined_of(kind)))
 }
 
 /// Multimedia share of an already-computed Fig 8 breakdown.
@@ -50,13 +43,10 @@ fn multimedia_from(shares: &[(MessageKind, f64)]) -> f64 {
         .sum()
 }
 
-/// Share of multimedia messages (image/video/audio/sticker) — §5 notes
-/// WhatsApp exceeds 20%.
-pub fn multimedia_share(ds: &Dataset, kind: PlatformKind) -> f64 {
-    multimedia_from(&kind_shares(ds, kind))
-}
-
-/// Fig 9a per-group daily rates, in joined order.
+/// Fig 9a per-group daily rates, in joined order: mean messages per day
+/// per joined group. WhatsApp rates are normalised by the membership
+/// period (messages are only visible from the join date);
+/// Telegram/Discord by the group's age (full history).
 fn rates_from<'a>(
     end_day: i64,
     kind: PlatformKind,
@@ -74,17 +64,6 @@ fn rates_from<'a>(
     rates
 }
 
-/// Fig 9a: mean messages per day per joined group. WhatsApp rates are
-/// normalised by the membership period (messages are only visible from the
-/// join date); Telegram/Discord by the group's age (full history).
-pub fn msgs_per_group_day(ds: &Dataset, kind: PlatformKind) -> Ecdf {
-    Ecdf::new(rates_from(
-        ds.window.end.day_number(),
-        kind,
-        ds.joined_of(kind),
-    ))
-}
-
 /// Fig 9b per-sender tallies, keyed (and therefore ordered) by sender id.
 fn per_user_from<'a>(groups: impl Iterator<Item = &'a JoinedGroup>) -> BTreeMap<u32, u64> {
     // Tally in a HashMap (one hash probe per message), then order once by
@@ -96,12 +75,6 @@ fn per_user_from<'a>(groups: impl Iterator<Item = &'a JoinedGroup>) -> BTreeMap<
         }
     }
     tally.into_iter().collect::<BTreeMap<u32, u64>>()
-}
-
-/// Fig 9b data: per-user message counts across all joined groups of one
-/// platform.
-pub fn msgs_per_user(ds: &Dataset, kind: PlatformKind) -> Vec<u64> {
-    per_user_from(ds.joined_of(kind)).into_values().collect()
 }
 
 /// Fig 9b roll-up.
@@ -117,8 +90,7 @@ pub struct UserActivity {
     pub volumes: Ecdf,
 }
 
-/// Fig 9b roll-up from an id-ordered volume series; shared by the batch
-/// path and [`MessagesFold`].
+/// Fig 9b roll-up from an id-ordered volume series.
 fn activity_from(volumes: &[u64]) -> UserActivity {
     let e = Ecdf::from_ints(volumes.iter().copied());
     UserActivity {
@@ -127,11 +99,6 @@ fn activity_from(volumes: &[u64]) -> UserActivity {
         top1_share: top_share(volumes, 0.01),
         volumes: e,
     }
-}
-
-/// Compute Fig 9b for one platform.
-pub fn user_activity(ds: &Dataset, kind: PlatformKind) -> UserActivity {
-    activity_from(&msgs_per_user(ds, kind))
 }
 
 /// The §5 active-member division, `0.0` when no members were counted.
@@ -144,29 +111,30 @@ fn active_share(senders: u64, members: u64) -> f64 {
     }
 }
 
-/// §5: distinct senders as a share of the joined groups' total members
-/// (59.4% WhatsApp, 14.6% Telegram, 65.8% Discord in the paper).
-pub fn active_member_share(ds: &Dataset, kind: PlatformKind) -> f64 {
-    active_share(
-        user_activity(ds, kind).senders,
-        ds.summary(kind).platform_users,
-    )
+/// Everything the messages fold yields: Figs 8 and 9 and the §5
+/// active-member shares per platform (indexed by
+/// [`PlatformKind::index`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct MessagesOutput {
+    /// Fig 8: share of messages per [`MessageKind`], in
+    /// `MessageKind::ALL` order.
+    pub kind_shares: [Vec<(MessageKind, f64)>; 3],
+    /// Fig 9a: mean messages per day per joined group.
+    pub msgs_per_group_day: [Ecdf; 3],
+    /// Fig 9b: per-sender volumes and their concentration.
+    pub user_activity: [UserActivity; 3],
+    /// §5: distinct senders as a share of the joined groups' total
+    /// members (59.4% WhatsApp, 14.6% Telegram, 65.8% Discord in the
+    /// paper).
+    pub active_member_share: [f64; 3],
 }
 
-/// Fig 8 for all three platforms, fanned out across the pool; element `i`
-/// equals `kind_shares(ds, PlatformKind::ALL[i])` at any thread count.
-pub fn kind_shares_all(ds: &Dataset, pool: &Pool) -> [Vec<(MessageKind, f64)>; 3] {
-    per_platform(pool, |kind| kind_shares(ds, kind))
-}
-
-/// Fig 9a for all three platforms, fanned out across the pool.
-pub fn msgs_per_group_day_all(ds: &Dataset, pool: &Pool) -> [Ecdf; 3] {
-    per_platform(pool, |kind| msgs_per_group_day(ds, kind))
-}
-
-/// Fig 9b for all three platforms, fanned out across the pool.
-pub fn user_activity_all(ds: &Dataset, pool: &Pool) -> [UserActivity; 3] {
-    per_platform(pool, |kind| user_activity(ds, kind))
+impl MessagesOutput {
+    /// Share of multimedia messages (image/video/audio/sticker) — §5
+    /// notes WhatsApp exceeds 20%.
+    pub fn multimedia_share(&self, kind: PlatformKind) -> f64 {
+        multimedia_from(&self.kind_shares[kind.index()])
+    }
 }
 
 fn render_platform(
@@ -201,29 +169,10 @@ fn render_platform(
     writeln!(out, "{name}.active_member_share: {active:?}").unwrap();
 }
 
-/// The batch messages fragment: Fig 8 kind shares, Fig 9 volumes, and
-/// the §5 active-member shares, rendered canonically from the final
-/// dataset. [`MessagesFold`] reproduces these bytes incrementally.
+/// The messages fragment of an assembled dataset (see
+/// [`fold_dataset`](crate::pipeline::fold_dataset)).
 pub fn fragment(ds: &Dataset, pool: &Pool) -> String {
-    let sections = per_platform(pool, |kind| {
-        let mut out = String::new();
-        let activity = user_activity(ds, kind);
-        let active = active_share(activity.senders, ds.summary(kind).platform_users);
-        render_platform(
-            &mut out,
-            kind,
-            &kind_shares(ds, kind),
-            &msgs_per_group_day(ds, kind),
-            &activity,
-            active,
-        );
-        out
-    });
-    let mut out = String::from("messages v1\n");
-    for s in sections {
-        out.push_str(&s);
-    }
-    out
+    crate::pipeline::fold_dataset(ds, MessagesFold::new()).finish(pool)
 }
 
 /// One platform's folded message state.
@@ -246,7 +195,7 @@ persist_struct!(PlatMessages {
     platform_users
 });
 
-/// Incremental twin of [`fragment`].
+/// Figs 8 and 9 and the §5 active-member shares.
 ///
 /// Every messages artifact is a pure function of the joined-group store,
 /// and a joined group's message log and member list keep growing until
@@ -254,8 +203,7 @@ persist_struct!(PlatMessages {
 /// deliberate no-op until [`DaySlice::is_final`], where it captures the
 /// compact tallies (kind counts, per-group rates, per-sender volumes,
 /// member totals) the finish step renders from. The state is still a
-/// fraction of the raw message log's size, which is what the checkpoint
-/// carries on the batch path.
+/// fraction of the raw message log's size.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MessagesFold {
     plats: [PlatMessages; 3],
@@ -265,6 +213,23 @@ impl MessagesFold {
     /// An empty fold.
     pub fn new() -> MessagesFold {
         MessagesFold::default()
+    }
+
+    /// The folded Figs 8 and 9 and active-member shares.
+    pub fn output(&self) -> MessagesOutput {
+        let user_activity = self.plats.each_ref().map(|p| {
+            let volumes: Vec<u64> = p.per_user.values().copied().collect();
+            activity_from(&volumes)
+        });
+        MessagesOutput {
+            kind_shares: self.plats.each_ref().map(|p| shares_from(&p.kind_counts)),
+            msgs_per_group_day: self.plats.each_ref().map(|p| Ecdf::new(p.rates.clone())),
+            active_member_share: PlatformKind::ALL.map(|kind| {
+                let i = kind.index();
+                active_share(user_activity[i].senders, self.plats[i].platform_users)
+            }),
+            user_activity,
+        }
     }
 }
 
@@ -299,21 +264,19 @@ impl DayFold for MessagesFold {
         }
     }
 
-    fn finish(&self, pool: &Pool) -> String {
-        let sections = per_platform(pool, |kind| {
-            let p = &self.plats[kind.index()];
-            let shares = shares_from(&p.kind_counts);
-            let rates = Ecdf::new(p.rates.clone());
-            let volumes: Vec<u64> = p.per_user.values().copied().collect();
-            let activity = activity_from(&volumes);
-            let active = active_share(activity.senders, p.platform_users);
-            let mut out = String::new();
-            render_platform(&mut out, kind, &shares, &rates, &activity, active);
-            out
-        });
+    fn finish(&self, _pool: &Pool) -> String {
+        let o = self.output();
         let mut out = String::from("messages v1\n");
-        for s in sections {
-            out.push_str(&s);
+        for kind in PlatformKind::ALL {
+            let i = kind.index();
+            render_platform(
+                &mut out,
+                kind,
+                &o.kind_shares[i],
+                &o.msgs_per_group_day[i],
+                &o.user_activity[i],
+                o.active_member_share[i],
+            );
         }
         out
     }
@@ -331,20 +294,23 @@ impl DayFold for MessagesFold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chatlens_core::run_study;
-    use chatlens_workload::ScenarioConfig;
-    use std::sync::OnceLock;
+    use crate::pipeline::tests::folded;
 
-    fn dataset() -> &'static Dataset {
-        static DS: OnceLock<Dataset> = OnceLock::new();
-        DS.get_or_init(|| run_study(ScenarioConfig::tiny()))
+    fn output() -> MessagesOutput {
+        folded().messages.output()
+    }
+
+    fn share_of(kind: PlatformKind, message: MessageKind) -> f64 {
+        output().kind_shares[kind.index()]
+            .iter()
+            .find(|(k, _)| *k == message)
+            .unwrap()
+            .1
     }
 
     #[test]
     fn fig8_text_dominates_everywhere() {
-        let ds = dataset();
-        for kind in PlatformKind::ALL {
-            let shares = kind_shares(ds, kind);
+        for (kind, shares) in PlatformKind::ALL.into_iter().zip(output().kind_shares) {
             assert_eq!(shares[0].0, MessageKind::Text);
             assert!(shares[0].1 > 0.7, "{kind} text share {}", shares[0].1);
             let total: f64 = shares.iter().map(|(_, s)| s).sum();
@@ -354,44 +320,28 @@ mod tests {
 
     #[test]
     fn fig8_whatsapp_multimedia_heavy() {
-        let ds = dataset();
-        let wa = multimedia_share(ds, PlatformKind::WhatsApp);
-        let tg = multimedia_share(ds, PlatformKind::Telegram);
-        let dc = multimedia_share(ds, PlatformKind::Discord);
+        let o = output();
+        let wa = o.multimedia_share(PlatformKind::WhatsApp);
+        let tg = o.multimedia_share(PlatformKind::Telegram);
+        let dc = o.multimedia_share(PlatformKind::Discord);
         assert!(wa > 0.15, "WA multimedia {wa}");
         assert!(wa > tg && tg > dc, "WA {wa} > TG {tg} > DC {dc}");
         // Stickers specifically are a WhatsApp phenomenon (~10%).
-        let sticker = kind_shares(ds, PlatformKind::WhatsApp)
-            .into_iter()
-            .find(|(k, _)| *k == MessageKind::Sticker)
-            .unwrap()
-            .1;
+        let sticker = share_of(PlatformKind::WhatsApp, MessageKind::Sticker);
         assert!((sticker - 0.10).abs() < 0.04, "WA sticker share {sticker}");
     }
 
     #[test]
     fn fig8_telegram_has_service_messages() {
-        let ds = dataset();
-        let service = kind_shares(ds, PlatformKind::Telegram)
-            .into_iter()
-            .find(|(k, _)| *k == MessageKind::Service)
-            .unwrap()
-            .1;
+        let service = share_of(PlatformKind::Telegram, MessageKind::Service);
         assert!(service > 0.005, "TG service share {service}");
-        let dc_service = kind_shares(ds, PlatformKind::Discord)
-            .into_iter()
-            .find(|(k, _)| *k == MessageKind::Service)
-            .unwrap()
-            .1;
+        let dc_service = share_of(PlatformKind::Discord, MessageKind::Service);
         assert!(dc_service < 0.005, "DC service share {dc_service}");
     }
 
     #[test]
     fn fig9a_telegram_least_active_per_day() {
-        let ds = dataset();
-        let wa = msgs_per_group_day(ds, PlatformKind::WhatsApp);
-        let tg = msgs_per_group_day(ds, PlatformKind::Telegram);
-        let dc = msgs_per_group_day(ds, PlatformKind::Discord);
+        let [wa, tg, dc] = output().msgs_per_group_day;
         // Paper: ~60% of WA/DC groups above 10 msgs/day vs ~25% of TG.
         let wa_busy = wa.fraction_above(10.0);
         let tg_busy = tg.fraction_above(10.0);
@@ -403,9 +353,8 @@ mod tests {
 
     #[test]
     fn fig9b_low_volume_majority_and_heavy_tail() {
-        let ds = dataset();
-        for kind in PlatformKind::ALL {
-            let ua = user_activity(ds, kind);
+        let activity = output().user_activity;
+        for (kind, ua) in PlatformKind::ALL.into_iter().zip(&activity) {
             assert!(ua.senders > 0, "{kind}");
             assert!(
                 ua.low_volume_share > 0.5,
@@ -420,36 +369,17 @@ mod tests {
         }
         // Telegram/Discord are more concentrated than WhatsApp (60/63% vs
         // 31% in the paper).
-        let wa = user_activity(ds, PlatformKind::WhatsApp).top1_share;
-        let tg = user_activity(ds, PlatformKind::Telegram).top1_share;
+        let wa = activity[PlatformKind::WhatsApp.index()].top1_share;
+        let tg = activity[PlatformKind::Telegram.index()].top1_share;
         assert!(tg > wa, "TG {tg} > WA {wa}");
     }
 
     #[test]
     fn active_member_share_ordering() {
-        let ds = dataset();
-        let wa = active_member_share(ds, PlatformKind::WhatsApp);
-        let tg = active_member_share(ds, PlatformKind::Telegram);
-        let dc = active_member_share(ds, PlatformKind::Discord);
+        let [wa, tg, dc] = output().active_member_share;
         // Paper: 59.4% / 14.6% / 65.8% — Telegram far below the others
         // (channels mute almost everyone).
         assert!(tg < wa && tg < dc, "TG {tg} vs WA {wa}, DC {dc}");
         assert!(tg < 0.45, "TG active share {tg}");
-    }
-
-    #[test]
-    fn parallel_fanout_matches_serial() {
-        let ds = dataset();
-        for threads in [1, 2, 8] {
-            let pool = Pool::new(threads);
-            let kinds = kind_shares_all(ds, &pool);
-            let volumes = msgs_per_group_day_all(ds, &pool);
-            let activity = user_activity_all(ds, &pool);
-            for (i, kind) in PlatformKind::ALL.into_iter().enumerate() {
-                assert_eq!(kinds[i], kind_shares(ds, kind), "{kind}");
-                assert_eq!(volumes[i], msgs_per_group_day(ds, kind), "{kind}");
-                assert_eq!(activity[i], user_activity(ds, kind), "{kind}");
-            }
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! PII exposure: Table 4 (per-platform exposure) and Table 5 (Discord
 //! connected accounts).
 
-use chatlens_checkpoint::{persist_struct, CheckpointError, Persist, Reader, Writer};
+use chatlens_checkpoint::{CheckpointError, Persist, Reader, Writer};
 use chatlens_core::pii::PiiStore;
 use chatlens_core::{Dataset, DayFold, DaySlice};
 use chatlens_platforms::id::PlatformKind;
@@ -26,14 +26,8 @@ pub struct ExposureRow {
     pub link_rate: Option<f64>,
 }
 
-/// One row of Table 4 for a single platform.
-pub fn exposure_row(ds: &Dataset, kind: PlatformKind) -> ExposureRow {
-    exposure_from(&ds.pii, kind)
-}
-
-/// Table 4 row from the raw PII store; shared by the batch path and
-/// [`PiiFold`]'s final-day capture.
-pub(crate) fn exposure_from(pii: &PiiStore, kind: PlatformKind) -> ExposureRow {
+/// One row of Table 4 from the PII store.
+fn exposure_from(pii: &PiiStore, kind: PlatformKind) -> ExposureRow {
     match kind {
         // WhatsApp: every member of joined groups plus every creator of an
         // accessible group exposes a phone number (100% by construction of
@@ -69,26 +63,9 @@ pub(crate) fn exposure_from(pii: &PiiStore, kind: PlatformKind) -> ExposureRow {
     }
 }
 
-/// Compute Table 4.
-pub fn exposure_table(ds: &Dataset) -> [ExposureRow; 3] {
-    PlatformKind::ALL.map(|kind| exposure_row(ds, kind))
-}
-
-/// Compute Table 4 with rows fanned out across the pool; identical to
-/// [`exposure_table`] at any thread count.
-pub fn exposure_table_par(ds: &Dataset, pool: &chatlens_simnet::par::Pool) -> [ExposureRow; 3] {
-    crate::fanout::per_platform(pool, |kind| exposure_row(ds, kind))
-}
-
 /// Table 5: Discord users per linked platform, descending, with shares of
 /// observed users.
-pub fn linked_accounts_table(ds: &Dataset) -> Vec<(String, u64, f64)> {
-    linked_from(&ds.pii)
-}
-
-/// Table 5 rows from the raw PII store; shared by the batch path and
-/// [`PiiFold`]'s final-day capture.
-pub(crate) fn linked_from(pii: &PiiStore) -> Vec<(String, u64, f64)> {
+fn linked_from(pii: &PiiStore) -> Vec<(String, u64, f64)> {
     let observed = pii.dc_users_observed.len().max(1) as f64;
     let mut rows: Vec<(String, u64, f64)> = pii
         .dc_linked_counts
@@ -116,58 +93,61 @@ fn render(out: &mut String, rows: &[ExposureRow; 3], linked: &[(String, u64, f64
     writeln!(out, "linked_accounts: {linked:?}").unwrap();
 }
 
-/// The batch PII fragment: Tables 4 and 5 rendered canonically from the
-/// final dataset. [`PiiFold`] reproduces these bytes incrementally.
+/// Everything the PII fold yields: Tables 4 and 5.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PiiOutput {
+    /// Table 4, one row per platform in [`PlatformKind::ALL`] order.
+    pub exposure: [ExposureRow; 3],
+    /// Table 5: Discord users per linked platform, descending, with
+    /// shares of observed users.
+    pub linked_accounts: Vec<(String, u64, f64)>,
+}
+
+/// The PII fragment of an assembled dataset (see
+/// [`fold_dataset`](crate::pipeline::fold_dataset)).
 pub fn fragment(ds: &Dataset, pool: &Pool) -> String {
-    let mut out = String::from("pii v1\n");
-    render(
-        &mut out,
-        &exposure_table_par(ds, pool),
-        &linked_accounts_table(ds),
-    );
-    out
+    crate::pipeline::fold_dataset(ds, PiiFold::new()).finish(pool)
 }
 
-/// One platform's folded Table 4 fields ([`ExposureRow`] minus the
-/// platform tag, which the row's position carries).
-#[derive(Debug, Clone, Default, PartialEq)]
-struct FoldRow {
-    /// Users whose information the collector observed.
-    users_observed: u64,
-    /// Distinct phone hashes exposed, where applicable.
-    phones: Option<u64>,
-    /// Phones as a share of observed users.
-    phone_rate: Option<f64>,
-    /// Users with at least one linked account (Discord only).
-    linked_users: Option<u64>,
-    /// Linked users as a share of observed users.
-    link_rate: Option<f64>,
-}
-
-persist_struct!(FoldRow {
-    users_observed,
-    phones,
-    phone_rate,
-    linked_users,
-    link_rate
-});
-
-/// Incremental twin of [`fragment`].
+/// Tables 4 and 5.
 ///
 /// The PII store only grows (hash sets and tallies), so the compact
 /// Table 4/5 summaries are captured once, on the final day, after the
-/// collection event has filed the last joined group's member list —
-/// exactly the store the batch path reads.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// collection event has filed the last joined group's member list. The
+/// captured output is the whole state.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PiiFold {
-    rows: [FoldRow; 3],
-    linked: Vec<(String, u64, f64)>,
+    output: PiiOutput,
 }
 
 impl PiiFold {
     /// An empty fold.
     pub fn new() -> PiiFold {
-        PiiFold::default()
+        let empty = |platform| ExposureRow {
+            platform,
+            users_observed: 0,
+            phones: None,
+            phone_rate: None,
+            linked_users: None,
+            link_rate: None,
+        };
+        PiiFold {
+            output: PiiOutput {
+                exposure: PlatformKind::ALL.map(empty),
+                linked_accounts: Vec::new(),
+            },
+        }
+    }
+
+    /// The folded Tables 4 and 5.
+    pub fn output(&self) -> PiiOutput {
+        self.output.clone()
+    }
+}
+
+impl Default for PiiFold {
+    fn default() -> PiiFold {
+        PiiFold::new()
     }
 }
 
@@ -177,49 +157,45 @@ impl DayFold for PiiFold {
     }
 
     fn fold_day(&mut self, slice: &DaySlice<'_>) {
-        if !slice.is_final() {
-            return;
+        if slice.is_final() {
+            self.output = PiiOutput {
+                exposure: PlatformKind::ALL.map(|kind| exposure_from(slice.pii, kind)),
+                linked_accounts: linked_from(slice.pii),
+            };
         }
-        self.rows = PlatformKind::ALL.map(|kind| {
-            let row = exposure_from(slice.pii, kind);
-            FoldRow {
-                users_observed: row.users_observed,
-                phones: row.phones,
-                phone_rate: row.phone_rate,
-                linked_users: row.linked_users,
-                link_rate: row.link_rate,
-            }
-        });
-        self.linked = linked_from(slice.pii);
     }
 
     fn finish(&self, _pool: &Pool) -> String {
-        let mut i = 0usize;
-        let rows = PlatformKind::ALL.map(|kind| {
-            let r = &self.rows[i];
-            i += 1;
-            ExposureRow {
-                platform: kind,
-                users_observed: r.users_observed,
-                phones: r.phones,
-                phone_rate: r.phone_rate,
-                linked_users: r.linked_users,
-                link_rate: r.link_rate,
-            }
-        });
         let mut out = String::from("pii v1\n");
-        render(&mut out, &rows, &self.linked);
+        render(
+            &mut out,
+            &self.output.exposure,
+            &self.output.linked_accounts,
+        );
         out
     }
 
+    // A row's platform is its position, so it is not encoded.
     fn save_state(&self, w: &mut Writer) {
-        self.rows.save(w);
-        self.linked.save(w);
+        for row in &self.output.exposure {
+            row.users_observed.save(w);
+            row.phones.save(w);
+            row.phone_rate.save(w);
+            row.linked_users.save(w);
+            row.link_rate.save(w);
+        }
+        self.output.linked_accounts.save(w);
     }
 
     fn load_state(&mut self, r: &mut Reader<'_>) -> Result<(), CheckpointError> {
-        self.rows = Persist::load(r)?;
-        self.linked = Persist::load(r)?;
+        for row in &mut self.output.exposure {
+            row.users_observed = Persist::load(r)?;
+            row.phones = Persist::load(r)?;
+            row.phone_rate = Persist::load(r)?;
+            row.linked_users = Persist::load(r)?;
+            row.link_rate = Persist::load(r)?;
+        }
+        self.output.linked_accounts = Persist::load(r)?;
         Ok(())
     }
 }
@@ -227,18 +203,15 @@ impl DayFold for PiiFold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chatlens_core::run_study;
-    use chatlens_workload::ScenarioConfig;
-    use std::sync::OnceLock;
+    use crate::pipeline::tests::{dataset, folded};
 
-    fn dataset() -> &'static Dataset {
-        static DS: OnceLock<Dataset> = OnceLock::new();
-        DS.get_or_init(|| run_study(ScenarioConfig::tiny()))
+    fn output() -> PiiOutput {
+        folded().pii.output()
     }
 
     #[test]
     fn table4_whatsapp_exposes_everyone() {
-        let [wa, _, _] = exposure_table(dataset());
+        let [wa, _, _] = output().exposure;
         assert!(wa.users_observed > 0);
         assert_eq!(wa.phone_rate, Some(1.0));
         assert!(wa.phones.unwrap() > 0);
@@ -248,7 +221,7 @@ mod tests {
 
     #[test]
     fn table4_telegram_phone_rate_tiny() {
-        let [_, tg, _] = exposure_table(dataset());
+        let [_, tg, _] = output().exposure;
         assert!(tg.users_observed > 0);
         let rate = tg.phone_rate.unwrap();
         assert!(rate < 0.05, "TG phone rate {rate} (paper: 0.68%)");
@@ -256,7 +229,7 @@ mod tests {
 
     #[test]
     fn table4_discord_no_phones_but_links() {
-        let [_, _, dc] = exposure_table(dataset());
+        let [_, _, dc] = output().exposure;
         assert_eq!(dc.phones, None, "Discord has no phone numbers");
         assert!(dc.users_observed > 0);
         let rate = dc.link_rate.unwrap();
@@ -265,7 +238,7 @@ mod tests {
 
     #[test]
     fn table5_twitch_leads() {
-        let rows = linked_accounts_table(dataset());
+        let rows = output().linked_accounts;
         assert!(!rows.is_empty());
         assert_eq!(rows[0].0, "Twitch", "rows: {rows:?}");
         // Shares are monotone by construction of the sort.
@@ -275,15 +248,6 @@ mod tests {
         // Facebook/Skype are near the bottom when present.
         if let Some(fb) = rows.iter().find(|r| r.0 == "Facebook") {
             assert!(fb.2 < 0.05, "Facebook share {}", fb.2);
-        }
-    }
-
-    #[test]
-    fn parallel_table4_matches_serial() {
-        let serial = exposure_table(dataset());
-        for threads in [1, 2, 8] {
-            let pool = chatlens_simnet::par::Pool::new(threads);
-            assert_eq!(exposure_table_par(dataset(), &pool), serial);
         }
     }
 

@@ -92,14 +92,6 @@ impl Ecdf {
         }
         out
     }
-
-    /// Evaluate `F` at the given grid points (for fixed-grid figure
-    /// regeneration).
-    pub fn sample_at(&self, grid: &[f64]) -> Vec<(f64, f64)> {
-        grid.iter()
-            .map(|&x| (x, self.fraction_at_most(x)))
-            .collect()
-    }
 }
 
 /// Share of the total mass held by the top `frac` of values (e.g.
@@ -120,31 +112,11 @@ pub fn top_share(values: &[u64], frac: f64) -> f64 {
     top as f64 / total as f64
 }
 
-/// Fraction of `items` satisfying `pred` (0 for an empty slice).
-pub fn fraction_of<T>(items: &[T], pred: impl Fn(&T) -> bool) -> f64 {
-    if items.is_empty() {
-        return 0.0;
-    }
-    items.iter().filter(|x| pred(x)).count() as f64 / items.len() as f64
-}
-
 use crate::pipeline::ecdf_stats;
 use chatlens_checkpoint::{CheckpointError, Persist, Reader, Writer};
 use chatlens_core::{Dataset, DayFold, DaySlice};
 use chatlens_simnet::par::Pool;
 use std::fmt::Write as _;
-
-/// Per-day collection volumes — `[tweets, control, groups, joined]`
-/// records filed on each study day, in day order. The batch twin of
-/// [`StatsFold`]'s state, computed post hoc through
-/// [`Dataset::day_slice`].
-pub fn collection_volumes(ds: &Dataset) -> Vec<[u64; 4]> {
-    let days = ds.window.num_days() as u32;
-    (0..days)
-        .filter_map(|d| ds.day_slice(d))
-        .map(|slice| day_volumes(&slice))
-        .collect()
-}
 
 /// The day's `[tweets, control, groups, joined]` record counts.
 fn day_volumes(slice: &DaySlice<'_>) -> [u64; 4] {
@@ -181,17 +153,14 @@ fn render(out: &mut String, days: &[[u64; 4]]) {
     .unwrap();
 }
 
-/// The batch stats fragment: per-day collection volumes with their
-/// distributional roll-ups. [`StatsFold`] reproduces these bytes
-/// incrementally.
-pub fn fragment(ds: &Dataset, _pool: &Pool) -> String {
-    let mut out = String::from("stats v1\n");
-    render(&mut out, &collection_volumes(ds));
-    out
+/// The stats fragment of an assembled dataset (see
+/// [`fold_dataset`](crate::pipeline::fold_dataset)).
+pub fn fragment(ds: &Dataset, pool: &Pool) -> String {
+    crate::pipeline::fold_dataset(ds, StatsFold::new()).finish(pool)
 }
 
-/// Incremental twin of [`fragment`]: one `[u64; 4]` volume record per
-/// folded day.
+/// Per-day collection volumes: one `[tweets, control, groups, joined]`
+/// record count per folded day.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsFold {
     days: Vec<[u64; 4]>,
@@ -201,6 +170,12 @@ impl StatsFold {
     /// An empty fold.
     pub fn new() -> StatsFold {
         StatsFold::default()
+    }
+
+    /// The folded `[tweets, control, groups, joined]` records per study
+    /// day, in day order.
+    pub fn output(&self) -> &[[u64; 4]] {
+        &self.days
     }
 }
 
@@ -215,7 +190,7 @@ impl DayFold for StatsFold {
 
     fn finish(&self, _pool: &Pool) -> String {
         let mut out = String::from("stats v1\n");
-        render(&mut out, &self.days);
+        render(&mut out, self.output());
         out
     }
 
@@ -281,16 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_at_grid() {
-        let e = Ecdf::from_ints([1, 10, 100]);
-        let pts = e.sample_at(&[0.0, 1.0, 50.0, 1000.0]);
-        assert_eq!(pts[0].1, 0.0);
-        assert!((pts[1].1 - 1.0 / 3.0).abs() < 1e-12);
-        assert!((pts[2].1 - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(pts[3].1, 1.0);
-    }
-
-    #[test]
     fn top_share_concentration() {
         // One giant + 99 ones: top 1% holds 901/1000.
         let mut v = vec![1u64; 99];
@@ -301,13 +266,5 @@ mod tests {
         assert!((top_share(&u, 0.10) - 0.10).abs() < 1e-12);
         assert_eq!(top_share(&[], 0.01), 0.0);
         assert_eq!(top_share(&[0, 0], 0.5), 0.0);
-    }
-
-    #[test]
-    fn fraction_of_helper() {
-        let v = [1, 2, 3, 4];
-        assert!((fraction_of(&v, |&x| x % 2 == 0) - 0.5).abs() < 1e-12);
-        let empty: [u8; 0] = [];
-        assert_eq!(fraction_of(&empty, |_| true), 0.0);
     }
 }

@@ -6,7 +6,6 @@
 //! vocabularies (the closest label wins and the overlap score is
 //! reported), which makes the comparison mechanical and testable.
 
-use crate::fanout::per_platform;
 use crate::lda::{LdaConfig, LdaModel};
 use crate::pipeline::report_lda_config;
 use crate::text::StopwordFilter;
@@ -66,36 +65,38 @@ pub fn english_corpus(ds: &Dataset, kind: PlatformKind, vocab: &Vocabulary) -> V
     corpus_for_lang(ds, kind, Lang::En, vocab)
 }
 
-/// Fit LDA and label the topics for one platform (Table 3, one column
-/// group).
-pub fn analyze_topics(
-    ds: &Dataset,
-    kind: PlatformKind,
-    vocab: &Vocabulary,
-    cfg: LdaConfig,
-) -> TopicAnalysis {
-    analyze_corpus(kind, &english_corpus(ds, kind, vocab), vocab, cfg)
-}
-
-/// Fit LDA and label the topics over an already-built English corpus;
-/// shared by the batch path ([`analyze_topics`]) and [`TopicsFold`],
-/// whose corpus accrues day by day instead of being rebuilt at the end.
+/// Fit LDA and label the topics over one platform's English corpus
+/// (Table 3, one column group) — typically [`TopicsFold::output`]'s,
+/// which accrues day by day.
 pub fn analyze_corpus(
     kind: PlatformKind,
     docs: &[Vec<u16>],
     vocab: &Vocabulary,
     cfg: LdaConfig,
 ) -> TopicAnalysis {
+    fit_and_label(kind, docs, vocab, cfg, 10, &topics_for(kind))
+}
+
+/// Fit LDA over `docs` and label each topic's top `terms` words against
+/// `refs`.
+fn fit_and_label(
+    kind: PlatformKind,
+    docs: &[Vec<u16>],
+    vocab: &Vocabulary,
+    cfg: LdaConfig,
+    terms: usize,
+    refs: &[Topic],
+) -> TopicAnalysis {
     let model = LdaModel::fit(docs, vocab.len(), cfg);
     let doc_shares = model.topic_doc_shares();
     let topics = (0..model.k())
         .map(|t| {
             let top: Vec<String> = model
-                .top_words(t, 10)
+                .top_words(t, terms)
                 .into_iter()
                 .map(|(w, _)| vocab.word(w).to_string())
                 .collect();
-            let (label, score) = best_label(kind, &top);
+            let (label, score) = best_label_among(refs, &top);
             LabeledTopic {
                 label,
                 match_score: score,
@@ -146,29 +147,7 @@ pub fn analyze_topics_lang(
 ) -> Option<TopicAnalysis> {
     let refs = topics_for_lang(kind, lang)?;
     let docs = corpus_for_lang(ds, kind, lang, vocab);
-    let model = LdaModel::fit(&docs, vocab.len(), cfg);
-    let doc_shares = model.topic_doc_shares();
-    let topics = (0..model.k())
-        .map(|t| {
-            let top: Vec<String> = model
-                .top_words(t, 8)
-                .into_iter()
-                .map(|(w, _)| vocab.word(w).to_string())
-                .collect();
-            let (label, score) = best_label_among(&refs, &top);
-            LabeledTopic {
-                label,
-                match_score: score,
-                top_terms: top,
-                tweet_share: doc_shares[t],
-            }
-        })
-        .collect();
-    Some(TopicAnalysis {
-        platform: kind,
-        num_docs: docs.len(),
-        topics,
-    })
+    Some(fit_and_label(kind, &docs, vocab, cfg, 8, &refs))
 }
 
 /// Aggregate the share of English tweets per *label* (several recovered
@@ -197,30 +176,19 @@ fn render_platform(out: &mut String, analysis: &TopicAnalysis) {
     writeln!(out, "{name}.share_by_label: {:?}", share_by_label(analysis)).unwrap();
 }
 
-/// The batch topics fragment: Table 3 refit with the report's fixed LDA
-/// settings ([`report_lda_config`]) and rendered canonically from the
-/// final dataset. [`TopicsFold`] reproduces these bytes incrementally.
+/// The topics fragment of an assembled dataset (see
+/// [`fold_dataset`](crate::pipeline::fold_dataset)).
 pub fn fragment(ds: &Dataset, pool: &Pool) -> String {
-    let vocab = Vocabulary::build();
-    let sections = per_platform(pool, |kind| {
-        let analysis = analyze_topics(ds, kind, &vocab, report_lda_config());
-        let mut out = String::new();
-        render_platform(&mut out, &analysis);
-        out
-    });
-    let mut out = String::from("topics v1\n");
-    for s in sections {
-        out.push_str(&s);
-    }
-    out
+    crate::pipeline::fold_dataset(ds, TopicsFold::new()).finish(pool)
 }
 
-/// Incremental twin of [`fragment`]: accrues each platform's
-/// stopword-filtered English corpus day by day (tokenising only the
-/// day's tweets), then fits and labels once at `finish` with the same
-/// fixed-seed configuration as the batch path. The vocabulary and
-/// stopword filter are dataset-independent and rebuilt on construction,
-/// so only the token-id corpus rides in the checkpoint.
+/// Table 3's input: accrues each platform's stopword-filtered English
+/// corpus day by day (tokenising only the day's tweets). `finish` fits
+/// and labels it with the report's fixed-seed configuration
+/// ([`report_lda_config`]); other fits run [`analyze_corpus`] over
+/// [`TopicsFold::output`]. The vocabulary and stopword filter are
+/// dataset-independent and rebuilt on construction, so only the
+/// token-id corpus rides in the checkpoint.
 pub struct TopicsFold {
     corpora: [Vec<Vec<u16>>; 3],
     vocab: Vocabulary,
@@ -237,6 +205,12 @@ impl TopicsFold {
             vocab,
             filter,
         }
+    }
+
+    /// The folded English corpora, indexed by [`PlatformKind::index`]:
+    /// stopword-filtered token-id documents in collection order.
+    pub fn output(&self) -> &[Vec<Vec<u16>>; 3] {
+        &self.corpora
     }
 }
 
@@ -278,7 +252,9 @@ impl DayFold for TopicsFold {
     }
 
     fn finish(&self, pool: &Pool) -> String {
-        let sections = per_platform(pool, |kind| {
+        // The three fits are independent; results land in platform order
+        // whichever worker ran them.
+        let sections = pool.par_map_chunked(1, &PlatformKind::ALL, |&kind| {
             let analysis = analyze_corpus(
                 kind,
                 &self.corpora[kind.index()],
@@ -309,13 +285,10 @@ impl DayFold for TopicsFold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chatlens_core::run_study;
-    use chatlens_workload::ScenarioConfig;
-    use std::sync::OnceLock;
+    use crate::pipeline::tests::{dataset, folded};
 
-    fn dataset() -> &'static Dataset {
-        static DS: OnceLock<Dataset> = OnceLock::new();
-        DS.get_or_init(|| run_study(ScenarioConfig::tiny()))
+    fn corpus(kind: PlatformKind) -> &'static [Vec<u16>] {
+        &folded().topics.output()[kind.index()]
     }
 
     fn vocab() -> Vocabulary {
@@ -327,6 +300,7 @@ mod tests {
         let v = vocab();
         let docs = english_corpus(dataset(), PlatformKind::Telegram, &v);
         assert!(docs.len() > 100, "corpus size {}", docs.len());
+        assert_eq!(docs, corpus(PlatformKind::Telegram), "the fold's corpus");
         let filter = StopwordFilter::new(&v);
         for doc in docs.iter().take(200) {
             assert!(doc.iter().all(|&t| !filter.is_stop(t)));
@@ -339,9 +313,9 @@ mod tests {
         // (33% + 10% + 4%); even a tiny corpus recovers it as the largest
         // label.
         let v = vocab();
-        let analysis = analyze_topics(
-            dataset(),
+        let analysis = analyze_corpus(
             PlatformKind::Discord,
+            corpus(PlatformKind::Discord),
             &v,
             LdaConfig {
                 k: 10,
@@ -370,9 +344,9 @@ mod tests {
     #[test]
     fn recovered_topics_match_reference_vocabulary() {
         let v = vocab();
-        let analysis = analyze_topics(
-            dataset(),
+        let analysis = analyze_corpus(
             PlatformKind::WhatsApp,
+            corpus(PlatformKind::WhatsApp),
             &v,
             LdaConfig {
                 k: 10,

@@ -288,24 +288,6 @@ impl<'a, T> LogView<'a, T> {
         );
         &self.items[r.start - self.base..r.end - self.base]
     }
-
-    /// The full prefix `0..len()` as one slice.
-    ///
-    /// # Panics
-    /// Panics if a prefix was spilled; full-history consumers are only
-    /// reachable on unbudgeted runs.
-    pub fn full(&self) -> &'a [T] {
-        self.slice(0..self.len())
-    }
-
-    /// A view truncated to the global prefix `0..upto`.
-    pub fn truncated(&self, upto: usize) -> LogView<'a, T> {
-        assert!(upto >= self.base && upto <= self.len());
-        LogView {
-            base: self.base,
-            items: &self.items[..upto - self.base],
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1134,7 +1116,6 @@ mod tests {
         let v = log.view();
         assert_eq!(v.len(), 6);
         assert_eq!(v.slice(3..5), &[13, 14]);
-        assert_eq!(v.truncated(4).len(), 4);
     }
 
     #[test]

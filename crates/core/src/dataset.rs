@@ -188,11 +188,6 @@ impl Dataset {
         self.interner.get(key).map(|s| s.index())
     }
 
-    /// Monitor timeline of the group at `slot` (its discovery index).
-    pub fn timeline_at(&self, slot: usize) -> Option<&GroupTimeline> {
-        self.timelines.get(slot)
-    }
-
     /// Monitor timeline of a discovered group.
     pub fn timeline_of(&self, rec: &DiscoveryRecord) -> Option<&GroupTimeline> {
         self.slot_of_key(&rec.invite.dedup_key())

@@ -60,7 +60,7 @@ pub use audit::{audit_dataset, AuditCode, AuditViolation};
 pub use budget::{BudgetError, BudgetLimit, BudgetPolicy, BudgetStats, MemoryBudget, SpillableLog};
 pub use dataset::Dataset;
 pub use error::CoreError;
-pub use fold::{DayFold, DayMark, DayParts, DaySlice, FoldDriver, FoldLedger, FoldOutcome};
+pub use fold::{DayFold, DayMark, DayParts, DaySlice, FoldDriver, FoldLedger, FoldSet};
 pub use intern::{Interner, Sym};
 pub use state::{CampaignState, SnapshotSummary};
 pub use study::{

@@ -675,9 +675,10 @@ pub struct CampaignState {
     /// incremental analysis folds and `Dataset::day_slice`.
     pub marks: Vec<DayMark>,
     /// Folded analysis state (format v5). `Some` when the snapshot was
-    /// written by an incremental (`--analysis incremental`) run; batch
-    /// runs write `None`. Resuming incrementally requires it — the
-    /// folds' inputs are never replayed from raw history.
+    /// written by a session with analysis folds attached (every `repro`
+    /// run); sessions without folds write `None`. Resuming with folds
+    /// attached requires it — the folds' inputs are never replayed from
+    /// raw history.
     pub folds: Option<FoldLedger>,
     /// Campaign-mutated slice of the ecosystem.
     pub delta: EcosystemDelta,

@@ -1,7 +1,8 @@
-//! Rendering of the incremental-analysis fold summary (`repro run
-//! --analysis incremental`).
+//! Rendering of the analysis fold summary (`repro run`). Every column is
+//! deterministic, so the table is byte-stable across runs, thread counts
+//! and kill/resume; the per-fold wall-clock timings go to `--timings`.
 
-use crate::table::{fmt_bytes, fmt_count, Table};
+use crate::table::{fmt_bytes, Table};
 
 /// One row of the fold summary: a fold's accounting as reported by the
 /// driver after `finish`.
@@ -11,37 +12,21 @@ pub struct FoldSummaryRow {
     pub name: String,
     /// Final encoded state size in bytes.
     pub state_bytes: u64,
-    /// Total microseconds spent folding days into this analysis.
-    pub fold_micros: u64,
-    /// Microseconds spent rendering the final fragment.
-    pub finish_micros: u64,
-    /// Short digest of the rendered fragment (parity spot-check against
-    /// a batch run's fragment digest).
+    /// Short digest of the rendered fragment (the last column, so a
+    /// resumed run's digests compare with `awk '{print $NF}'`).
     pub digest: String,
 }
 
-/// Render the per-fold summary table: state sizes, per-stage timings and
-/// fragment digests, with a peak-state/days headline.
+/// Render the per-fold summary table: state sizes and fragment digests,
+/// with a peak-state/days headline.
 pub fn fold_summary(rows: &[FoldSummaryRow], peak_state_bytes: u64, days_folded: u32) -> Table {
     let mut t = Table::new(format!(
-        "Incremental analysis folds — {days_folded} day(s) folded, peak state {}",
+        "Analysis folds — {days_folded} day(s) folded, peak state {}",
         fmt_bytes(peak_state_bytes)
     ))
-    .header([
-        "fold",
-        "state",
-        "fold \u{b5}s",
-        "finish \u{b5}s",
-        "fragment",
-    ]);
+    .header(["fold", "state", "fragment"]);
     for r in rows {
-        t.row([
-            r.name.clone(),
-            fmt_bytes(r.state_bytes),
-            fmt_count(r.fold_micros),
-            fmt_count(r.finish_micros),
-            r.digest.clone(),
-        ]);
+        t.row([r.name.clone(), fmt_bytes(r.state_bytes), r.digest.clone()]);
     }
     t
 }
@@ -56,15 +41,11 @@ mod tests {
             FoldSummaryRow {
                 name: "discovery".into(),
                 state_bytes: 2048,
-                fold_micros: 1500,
-                finish_micros: 90,
                 digest: "ab12cd34ef56".into(),
             },
             FoldSummaryRow {
                 name: "stats".into(),
                 state_bytes: 64,
-                fold_micros: 12,
-                finish_micros: 5,
                 digest: "0011223344aa".into(),
             },
         ];
@@ -73,7 +54,7 @@ mod tests {
         assert!(s.contains("4.0 KiB"));
         assert!(s.contains("discovery"));
         assert!(s.contains("ab12cd34ef56"));
-        assert!(s.contains("1,500"));
+        assert!(!s.contains("\u{b5}s"), "no wall-clock columns");
         // Byte columns are lossless: the exact counts round-trip out of
         // the rendered table (no float approximation in accounting).
         assert!(s.contains("(4,096 B)"), "headline peak must be exact");

@@ -5,7 +5,8 @@
 //! cargo run --release --example ablation_study
 //! ```
 
-use chatlens::analysis::lifecycle;
+use chatlens::analysis::fold_dataset;
+use chatlens::analysis::lifecycle::LifecycleFold;
 use chatlens::analysis::topics::english_corpus;
 use chatlens::analysis::{LdaConfig, LdaModel};
 use chatlens::core::joiner::JoinStrategy;
@@ -74,7 +75,8 @@ fn ablate_monitor_cadence() {
                 ..CampaignConfig::default()
             },
         );
-        let s = lifecycle::revocation_stats(&ds, PlatformKind::Discord);
+        let lifecycle = fold_dataset(&ds, LifecycleFold::new()).output();
+        let s = &lifecycle.revocation[PlatformKind::Discord.index()];
         t.row([
             format!("every {days}d"),
             fmt_pct(s.revoked_fraction),

@@ -6,7 +6,8 @@
 //! cargo run --release --example group_lifecycle
 //! ```
 
-use chatlens::analysis::lifecycle;
+use chatlens::analysis::fold_dataset;
+use chatlens::analysis::lifecycle::LifecycleFold;
 use chatlens::platforms::id::PlatformKind;
 use chatlens::report::series::sparkline;
 use chatlens::report::table::{fmt_pct, Table};
@@ -15,6 +16,7 @@ use chatlens::{run_study, ScenarioConfig};
 fn main() {
     println!("running the campaign at scale 0.02...\n");
     let dataset = run_study(ScenarioConfig::at_scale(0.02));
+    let lifecycle = fold_dataset(&dataset, LifecycleFold::new()).output();
 
     let mut table = Table::new("URL ephemerality (paper: 27.3% / 20.4% / 68.4% revoked)").header([
         "Platform",
@@ -24,7 +26,7 @@ fn main() {
         "median lifetime (days)",
     ]);
     for kind in PlatformKind::ALL {
-        let s = lifecycle::revocation_stats(&dataset, kind);
+        let s = &lifecycle.revocation[kind.index()];
         table.row([
             kind.name().to_string(),
             s.observed.to_string(),
@@ -40,13 +42,13 @@ fn main() {
 
     println!("revocations observed per study day:");
     for kind in PlatformKind::ALL {
-        let s = lifecycle::revocation_stats(&dataset, kind);
+        let s = &lifecycle.revocation[kind.index()];
         println!("  {:<8} {}", kind.name(), sparkline(&s.revoked_per_day));
     }
 
     println!("\nstaleness (age when first shared; paper Fig 5):");
     for kind in PlatformKind::ALL {
-        let e = lifecycle::staleness_days(&dataset, kind);
+        let e = &lifecycle.staleness[kind.index()];
         if e.is_empty() {
             continue;
         }

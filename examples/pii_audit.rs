@@ -6,7 +6,8 @@
 //! cargo run --release --example pii_audit
 //! ```
 
-use chatlens::analysis::pii;
+use chatlens::analysis::fold_dataset;
+use chatlens::analysis::pii::PiiFold;
 use chatlens::core::pii::hash_phone;
 use chatlens::platforms::id::PlatformKind;
 use chatlens::report::table::{fmt_count, fmt_pct, Table};
@@ -19,6 +20,7 @@ fn main() {
 
     println!("running the campaign at scale 0.02...\n");
     let dataset = run_study(ScenarioConfig::at_scale(0.02));
+    let pii = fold_dataset(&dataset, PiiFold::new()).output();
 
     let mut t = Table::new("Table 4-style exposure audit").header([
         "Platform",
@@ -27,7 +29,7 @@ fn main() {
         "rate",
         "linked accounts",
     ]);
-    for row in pii::exposure_table(&dataset) {
+    for row in &pii.exposure {
         t.row([
             row.platform.name().to_string(),
             fmt_count(row.users_observed),
@@ -54,11 +56,11 @@ fn main() {
     );
 
     println!("\nDiscord connected accounts (Table 5):");
-    for (platform, users, share) in pii::linked_accounts_table(&dataset).into_iter().take(6) {
+    for (platform, users, share) in pii.linked_accounts.iter().take(6) {
         println!(
             "  {platform:<18} {:>8}  {}",
-            fmt_count(users),
-            fmt_pct(share)
+            fmt_count(*users),
+            fmt_pct(*share)
         );
     }
 

@@ -7,8 +7,7 @@
 //! cargo run --release --example seed_sweep [n_seeds] [scale] [threads]
 //! ```
 
-use chatlens::analysis::lifecycle::revocation_stats;
-use chatlens::analysis::{content, discovery};
+use chatlens::analysis::{fold_dataset, StandardFolds};
 use chatlens::platforms::id::PlatformKind;
 use chatlens::simnet::par::Pool;
 use chatlens::{run_study, ScenarioConfig};
@@ -51,11 +50,16 @@ fn main() {
         let mut config = ScenarioConfig::at_scale(scale);
         config.seed = seed;
         let ds = run_study(config);
+        let folds = fold_dataset(&ds, StandardFolds::new());
+        let (dc, tg) = (
+            PlatformKind::Discord.index(),
+            PlatformKind::Telegram.index(),
+        );
         Headline {
             seed,
-            discord_revoked: revocation_stats(&ds, PlatformKind::Discord).revoked_fraction,
-            telegram_retweets: content::platform_features(&ds, PlatformKind::Telegram).retweets,
-            whatsapp_share_once: discovery::share_once_fraction(&ds, PlatformKind::WhatsApp),
+            discord_revoked: folds.lifecycle.output().revocation[dc].revoked_fraction,
+            telegram_retweets: folds.content.output().features[tg].retweets,
+            whatsapp_share_once: folds.discovery.output().share_once(PlatformKind::WhatsApp),
             group_urls: ds.totals().group_urls,
         }
     });

@@ -7,7 +7,8 @@
 //! ```
 //! `platform` is `whatsapp`, `telegram`, or `discord` (default).
 
-use chatlens::analysis::topics::{analyze_topics, share_by_label};
+use chatlens::analysis::fold_dataset;
+use chatlens::analysis::topics::{analyze_corpus, share_by_label, TopicsFold};
 use chatlens::analysis::LdaConfig;
 use chatlens::platforms::id::PlatformKind;
 use chatlens::report::table::fmt_pct;
@@ -22,15 +23,16 @@ fn main() {
     };
     println!("running the campaign at scale 0.02...");
     let dataset = run_study(ScenarioConfig::at_scale(0.02));
+    let topics = fold_dataset(&dataset, TopicsFold::new());
     let vocab = Vocabulary::build();
 
     println!(
         "fitting 10-topic LDA over {}'s English tweets...\n",
         kind.name()
     );
-    let analysis = analyze_topics(
-        &dataset,
+    let analysis = analyze_corpus(
         kind,
+        &topics.output()[kind.index()],
         &vocab,
         LdaConfig {
             k: 10,

@@ -15,10 +15,13 @@
 //! wall-clock time changes. `--timings` prints the per-stage wall-clock
 //! table recorded in [`chatlens::simnet::metrics::Metrics`].
 
-use chatlens::analysis::LdaConfig;
-use chatlens::analysis::{
-    content, discovery, lifecycle, membership, messages, pii, standard_folds, topics,
-};
+use chatlens::analysis::content::ContentOutput;
+use chatlens::analysis::discovery::DiscoveryOutput;
+use chatlens::analysis::lifecycle::LifecycleOutput;
+use chatlens::analysis::membership::MembershipOutput;
+use chatlens::analysis::messages::MessagesOutput;
+use chatlens::analysis::pii::PiiOutput;
+use chatlens::analysis::{topics, LdaConfig, StandardFolds};
 use chatlens::checkpoint::{chain, load_from_file, CheckpointError, RealVfs, Vfs};
 use chatlens::core::audit_dataset;
 use chatlens::core::budget::{BudgetLimit, BudgetPolicy};
@@ -38,7 +41,6 @@ use chatlens::report::table::{fmt_bytes, fmt_count, fmt_pct, Table};
 use chatlens::simnet::fault::{CorruptionProfile, DiskFaultProfile, FaultProfile, OutageSpec};
 use chatlens::simnet::hash::sha256_hex;
 use chatlens::simnet::metrics::{keys, Metrics};
-use chatlens::simnet::par::Pool;
 use chatlens::twitter::Lang;
 use chatlens::workload::Vocabulary;
 use chatlens::{Dataset, Ecosystem, ScenarioConfig};
@@ -54,9 +56,9 @@ USAGE:
 ARTIFACT:
     one of: table1 table2 table3 table4 table5 fig1..fig9 extras
     extensions dump-config run all    (default: all)
-    `run` executes the campaign and prints the dataset totals without
-    regenerating the analyses — pair it with the checkpoint options
-    and `--analysis incremental` for the per-day folded pipeline
+    `run` executes the campaign and prints the dataset totals and the
+    per-fold analysis summary (state size, fragment digest) without
+    rendering the artifacts — pair it with the checkpoint options
 
 SUBCOMMANDS:
     lint [--stats] [--format <text|json>] [--out <path>]
@@ -110,15 +112,6 @@ OPTIONS:
                      at ANY thread count — parallelism only changes
                      wall-clock time, never a table, figure, or the
                      collected dataset.
-    --analysis <batch|incremental>
-                     analysis pipeline mode (default batch). `incremental`
-                     folds every completed study day into compact per-
-                     analysis state (the DayFold pipeline) instead of
-                     replaying history at campaign end: checkpoints carry
-                     folded state (smaller snapshots, audited on resume)
-                     and a per-fold state-size/timing summary is printed
-                     after the run. Fold output is byte-identical to the
-                     batch analyses — locked by tests/fold_parity.rs.
     --checkpoint-dir <dir>
                      save a campaign snapshot (day<NNN>.ckpt) into <dir>
                      at day boundaries during the run
@@ -172,8 +165,8 @@ OPTIONS:
                      (checkpoint, disk) RNG stream off the campaign
                      seed.
     --halt-after-day <n>
-                     run the campaign (fresh or resumed, with any of
-                     --analysis incremental and --mem-budget) but stop
+                     run the campaign (fresh or resumed, with or without
+                     --mem-budget) but stop
                      cleanly after <n> completed study days, leaving the
                      snapshot chain on disk (the deterministic kill at a
                      day boundary used by the crash-storm CI smoke);
@@ -191,9 +184,9 @@ OPTIONS:
                      the spiller cannot satisfy is refused with a typed
                      error, never an abort. `min` evicts everything
                      eligible (the tightest deterministic residency).
-                     Composes with --analysis incremental (the fold
-                     state is metered too) and with --checkpoint-dir /
-                     --resume / --halt-after-day. Budgeted snapshots
+                     The analysis fold state is metered too. Composes
+                     with --checkpoint-dir / --resume / --halt-after-day.
+                     Budgeted snapshots
                      carry the accountant (format v6) and must be
                      resumed with the same --mem-budget
     --spill-dir <dir>
@@ -203,8 +196,9 @@ OPTIONS:
                      write the canonical campaign report bytes to
                      <path> after a `run` (budgeted or not) — the CI
                      budget smoke byte-compares the two
-    --timings        print per-stage wall-clock timings (campaign stages
-                     and per-artifact analysis stages) to stderr
+    --timings        print per-stage wall-clock timings (campaign stages,
+                     per-fold day and finish stages, and per-artifact
+                     analysis stages) to stderr
     --csv <dir>      export figure series as CSV files into <dir>
     -h, --help       show this help";
 
@@ -221,7 +215,6 @@ fn main() {
     let mut ckpt_dir: Option<std::path::PathBuf> = None;
     let mut ckpt_every = 1u32;
     let mut resume: Option<std::path::PathBuf> = None;
-    let mut incremental = false;
     let mut profile = FaultProfile::Calm;
     let mut outages: [Option<OutageSpec>; 4] = [None; 4];
     let mut corruption = CorruptionProfile::Calm;
@@ -298,20 +291,6 @@ fn main() {
             }
             "--seed" => seed = flag_value(&mut args, "--seed <u64>"),
             "--threads" => threads = flag_value(&mut args, "--threads <usize>"),
-            "--analysis" => {
-                incremental = match flag_value::<String>(
-                    &mut args,
-                    "--analysis <batch|incremental>",
-                )
-                .as_str()
-                {
-                    "batch" => false,
-                    "incremental" => true,
-                    other => exit_with(CliError::usage(format!(
-                        "unknown analysis mode {other:?} (expected batch|incremental)"
-                    ))),
-                };
-            }
             "--timings" => timings = true,
             "--stats" => stats = true,
             "--format" => {
@@ -387,6 +366,9 @@ fn main() {
                 println!("{HELP}");
                 return;
             }
+            flag if flag.starts_with("--") => exit_with(CliError::usage(format!(
+                "unknown option {flag:?} (see --help)"
+            ))),
             other => artifact = other.to_string(),
         }
     }
@@ -394,7 +376,6 @@ fn main() {
         run_lint(stats, lint_json, lint_out.as_deref());
         return;
     }
-    let pool = Pool::new(threads);
     let mut config = ScenarioConfig::at_scale(scale);
     config.seed = seed;
     if artifact == "dump-config" {
@@ -503,13 +484,13 @@ fn main() {
             },
         );
     // One session whatever the flags: attach what they ask for, then run
-    // to the halt day or to the end. `--analysis incremental` folds every
-    // completed day into the standard analyses; checkpoints then carry
-    // folded state.
-    let mut driver = incremental.then(|| FoldDriver::new(standard_folds(), threads));
+    // to the halt day or to the end. Every completed day is folded into
+    // the standard analyses, so checkpoints carry folded state and the
+    // artifacts render from the folds' outputs.
+    let mut driver = FoldDriver::new(StandardFolds::new(), threads);
     let attach = Attachments {
         checkpoint: policy.as_ref(),
-        folds: driver.as_mut(),
+        folds: Some(&mut driver),
         budget: budget.as_ref(),
     };
     let mut eco = match &state {
@@ -549,31 +530,23 @@ fn main() {
     if let Some(p) = &policy {
         eprintln!("# snapshots in {}", p.dir.display());
     }
-    if let Some(d) = &mut driver {
-        let outcome = d.finish();
-        let rows: Vec<FoldSummaryRow> = outcome
-            .fragments
+    let fragments = driver.finish();
+    if timings {
+        print_stage_timings("fold stage timings", driver.metrics());
+    }
+    if artifact == "run" {
+        let rows: Vec<FoldSummaryRow> = fragments
             .iter()
-            .map(|(name, fragment)| FoldSummaryRow {
+            .zip(driver.state_sizes())
+            .map(|((name, fragment), (_, state_bytes))| FoldSummaryRow {
                 name: (*name).to_string(),
-                state_bytes: outcome
-                    .state_sizes
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(_, b)| *b)
-                    .unwrap_or(0),
-                fold_micros: outcome
-                    .metrics
-                    .stage_micros(&format!("{}.{name}", keys::STAGE_FOLD)),
-                finish_micros: outcome
-                    .metrics
-                    .stage_micros(&format!("{}.{name}", keys::STAGE_FOLD_FINISH)),
+                state_bytes,
                 digest: sha256_hex(fragment.as_bytes())[..12].to_string(),
             })
             .collect();
         println!(
             "{}",
-            fold_summary(&rows, outcome.peak_state_bytes, outcome.days_folded).render()
+            fold_summary(&rows, driver.peak_state_bytes(), driver.days_folded()).render()
         );
     }
     let ds = match outcome {
@@ -607,6 +580,7 @@ fn main() {
     // (`stage.*` counters inside `ds.metrics`) under `--timings`.
     let mut stages = Metrics::new();
     let all = artifact == "all";
+    let folds = driver.folds();
     if all || artifact == "table1" {
         table1();
     }
@@ -614,64 +588,77 @@ fn main() {
         stages.time_stage(keys::STAGE_TABLE2, || table2(&ds, scale, &mut cmp));
     }
     if all || artifact == "fig1" {
-        stages.time_stage(keys::STAGE_FIG1, || fig1(&ds, &pool, scale, &mut cmp));
+        stages.time_stage(keys::STAGE_FIG1, || {
+            fig1(&folds.discovery.output(), scale, &mut cmp)
+        });
     }
     if all || artifact == "fig2" {
-        stages.time_stage(keys::STAGE_FIG2, || fig2(&ds, &pool, &mut cmp));
+        stages.time_stage(keys::STAGE_FIG2, || {
+            fig2(&folds.discovery.output(), &mut cmp)
+        });
     }
     if all || artifact == "fig3" {
-        stages.time_stage(keys::STAGE_FIG3, || fig3(&ds, &mut cmp));
+        stages.time_stage(keys::STAGE_FIG3, || fig3(&folds.content.output(), &mut cmp));
     }
     if all || artifact == "fig4" {
-        stages.time_stage(keys::STAGE_FIG4, || fig4(&ds, &mut cmp));
+        stages.time_stage(keys::STAGE_FIG4, || fig4(&folds.content.output(), &mut cmp));
     }
     if all || artifact == "table3" {
-        stages.time_stage(keys::STAGE_LDA, || table3(&ds, threads, &mut cmp));
+        stages.time_stage(keys::STAGE_LDA, || {
+            table3(folds.topics.output(), threads, &mut cmp)
+        });
     }
     if all || artifact == "fig5" {
-        stages.time_stage(keys::STAGE_FIG5, || fig5(&ds, &pool, &mut cmp));
+        stages.time_stage(keys::STAGE_FIG5, || {
+            fig5(&folds.lifecycle.output(), &mut cmp)
+        });
     }
     if all || artifact == "fig6" {
-        stages.time_stage(keys::STAGE_FIG6, || fig6(&ds, &pool, &mut cmp));
+        stages.time_stage(keys::STAGE_FIG6, || {
+            fig6(&folds.lifecycle.output(), &mut cmp)
+        });
     }
     if all || artifact == "fig7" {
-        stages.time_stage(keys::STAGE_FIG7, || fig7(&ds, &mut cmp));
+        stages.time_stage(keys::STAGE_FIG7, || {
+            fig7(&folds.membership.output(), &mut cmp)
+        });
     }
     if all || artifact == "fig8" {
-        stages.time_stage(keys::STAGE_FIG8, || fig8(&ds, &mut cmp));
+        stages.time_stage(keys::STAGE_FIG8, || {
+            fig8(&folds.messages.output(), &mut cmp)
+        });
     }
     if all || artifact == "fig9" {
-        stages.time_stage(keys::STAGE_FIG9, || fig9(&ds, &pool, &mut cmp));
+        stages.time_stage(keys::STAGE_FIG9, || {
+            fig9(&folds.messages.output(), &mut cmp)
+        });
     }
     if all || artifact == "table4" {
-        stages.time_stage(keys::STAGE_TABLE4, || table4(&ds, &pool, &mut cmp));
+        stages.time_stage(keys::STAGE_TABLE4, || table4(&folds.pii.output(), &mut cmp));
     }
     if all || artifact == "table5" {
-        stages.time_stage(keys::STAGE_TABLE5, || table5(&ds, &mut cmp));
+        stages.time_stage(keys::STAGE_TABLE5, || table5(&folds.pii.output(), &mut cmp));
     }
     if all || artifact == "extras" {
-        stages.time_stage(keys::STAGE_EXTRAS, || extras(&ds, &mut cmp));
+        stages.time_stage(keys::STAGE_EXTRAS, || extras(&ds, folds, &mut cmp));
     }
     if all || artifact == "extensions" {
         stages.time_stage(keys::STAGE_EXTENSIONS, || {
-            extensions(&ds, threads, &mut cmp)
+            extensions(&ds, &folds.discovery.output(), threads, &mut cmp)
         });
     }
     if let Some(dir) = &csv_dir {
-        if let Err(e) = export_csv(&ds, &pool, dir) {
+        if let Err(e) = export_csv(folds, dir) {
             exit_with(CliError::usage(format!("CSV export failed: {e}")));
         }
         eprintln!("# figure series written to {}", dir.display());
     }
     if timings {
-        eprintln!("# campaign stage timings (wall-clock, nondeterministic):");
-        for (name, v) in ds.metrics.stages() {
-            eprintln!("#   {name} = {v}");
-        }
-        eprintln!("# analysis stage timings:");
-        for (name, v) in stages.stages() {
-            eprintln!("#   {name} = {v}");
-        }
+        print_stage_timings(
+            "campaign stage timings (wall-clock, nondeterministic)",
+            &ds.metrics,
+        );
+        print_stage_timings("analysis stage timings", &stages);
     }
     if !cmp.is_empty() {
         println!("\n## Paper vs measured (scale {scale}, seed {seed})\n");
@@ -681,6 +668,15 @@ fn main() {
             holding(&cmp),
             cmp.len()
         );
+    }
+}
+
+/// One `--timings` block on stderr: a title, then every stage timing of
+/// `metrics`.
+fn print_stage_timings(title: &str, metrics: &Metrics) {
+    eprintln!("# {title}:");
+    for (name, v) in metrics.stages() {
+        eprintln!("#   {name} = {v}");
     }
 }
 
@@ -1116,30 +1112,34 @@ fn audit_snapshot(path: &std::path::Path) -> Result<(), CliError> {
 /// Write every figure's plottable series as CSV files into `dir`, each
 /// through the VFS tmp+rename path so a crash never leaves a truncated
 /// report file.
-fn export_csv(ds: &Dataset, pool: &Pool, dir: &std::path::Path) -> Result<(), CheckpointError> {
+fn export_csv(folds: &StandardFolds, dir: &std::path::Path) -> Result<(), CheckpointError> {
     let mut vfs = RealVfs;
     vfs.create_dir_all(dir)?;
     let mut write = |name: String, body: String| vfs.write_atomic(&dir.join(name), body.as_bytes());
-    let daily = discovery::daily_discovery_all(ds, pool);
-    let per_url = discovery::tweets_per_url_all(ds, pool);
-    let staleness = lifecycle::staleness_days_all(ds, pool);
-    let revocations = lifecycle::revocation_stats_all(ds, pool);
+    let discovery = folds.discovery.output();
+    let lifecycle = folds.lifecycle.output();
+    let membership = folds.membership.output();
+    let messages = folds.messages.output();
     for kind in PLATFORMS {
         let tag = pname(kind).to_lowercase();
-        let d = daily[kind.index()].clone();
+        let i = kind.index();
+        let d = discovery.daily[i].clone();
         write(
             format!("fig1_{tag}.csv"),
             days_csv(&["all", "unique", "new"], &[d.all, d.unique, d.new]),
         )?;
         write(
             format!("fig2_tweets_per_url_{tag}.csv"),
-            to_csv(("tweets_per_url", "cdf"), &per_url[kind.index()].series()),
+            to_csv(
+                ("tweets_per_url", "cdf"),
+                &discovery.tweets_per_url[i].series(),
+            ),
         )?;
         write(
             format!("fig5_staleness_{tag}.csv"),
-            to_csv(("age_days", "cdf"), &staleness[kind.index()].series()),
+            to_csv(("age_days", "cdf"), &lifecycle.staleness[i].series()),
         )?;
-        let r = &revocations[kind.index()];
+        let r = &lifecycle.revocation[i];
         write(
             format!("fig6_lifetime_{tag}.csv"),
             to_csv(("days_accessible", "cdf"), &r.lifetime_days.series()),
@@ -1157,37 +1157,34 @@ fn export_csv(ds: &Dataset, pool: &Pool, dir: &std::path::Path) -> Result<(), Ch
         )?;
         write(
             format!("fig7_members_{tag}.csv"),
-            to_csv(
-                ("members", "cdf"),
-                &membership::member_counts(ds, kind).series(),
-            ),
+            to_csv(("members", "cdf"), &membership.member_counts[i].series()),
         )?;
         write(
             format!("fig7_online_{tag}.csv"),
             to_csv(
                 ("online_fraction", "cdf"),
-                &membership::online_fractions(ds, kind).series(),
+                &membership.online_fractions[i].series(),
             ),
         )?;
         write(
             format!("fig7_growth_{tag}.csv"),
             to_csv(
                 ("delta_members", "cdf"),
-                &membership::growth(ds, kind).deltas.series(),
+                &membership.growth[i].deltas.series(),
             ),
         )?;
         write(
             format!("fig9_msgs_per_group_day_{tag}.csv"),
             to_csv(
                 ("msgs_per_day", "cdf"),
-                &messages::msgs_per_group_day(ds, kind).series(),
+                &messages.msgs_per_group_day[i].series(),
             ),
         )?;
         write(
             format!("fig9_msgs_per_user_{tag}.csv"),
             to_csv(
                 ("msgs_per_user", "cdf"),
-                &messages::user_activity(ds, kind).volumes.series(),
+                &messages.user_activity[i].volumes.series(),
             ),
         )?;
     }
@@ -1196,10 +1193,15 @@ fn export_csv(ds: &Dataset, pool: &Pool, dir: &std::path::Path) -> Result<(), Ch
 
 // ---- Extensions: §4 multilingual topics, §8 toxicity, Table 2 overlap ----
 
-fn extensions(ds: &Dataset, threads: usize, cmp: &mut Vec<Comparison>) {
+fn extensions(
+    ds: &Dataset,
+    discovery: &DiscoveryOutput,
+    threads: usize,
+    cmp: &mut Vec<Comparison>,
+) {
     println!("Extensions (paper's omitted-for-space / future-work analyses)");
     // Cross-platform co-shares: the Table 2 rows-vs-total gap.
-    let cross = discovery::cross_platform_tweets(ds);
+    let cross = discovery.cross_platform_tweets;
     println!(
         "  {} tweets advertise groups on more than one platform — the gap \
          between Table 2's per-platform rows and its printed total",
@@ -1435,12 +1437,12 @@ fn table2(ds: &Dataset, scale: f64, cmp: &mut Vec<Comparison>) {
 
 // ---- Fig 1 ---------------------------------------------------------------
 
-fn fig1(ds: &Dataset, pool: &Pool, scale: f64, cmp: &mut Vec<Comparison>) {
+fn fig1(discovery: &DiscoveryOutput, scale: f64, cmp: &mut Vec<Comparison>) {
     println!("Fig 1: group URLs discovered per day (collection-day axis)");
     // Paper medians: all (TG 33,864 / DC 19,970), unique (DC 8,090 /
     // TG 4,661), new (WA 1,111 / TG 1,817 / DC 5,664).
     let paper_new = [1_111.0, 1_817.0, 5_664.0];
-    let daily = discovery::daily_discovery_all(ds, pool);
+    let daily = &discovery.daily;
     for kind in PLATFORMS {
         let d = &daily[kind.index()];
         println!(
@@ -1473,7 +1475,7 @@ fn fig1(ds: &Dataset, pool: &Pool, scale: f64, cmp: &mut Vec<Comparison>) {
             0.35,
         ));
     }
-    let [wa, tg, dc] = &daily;
+    let [wa, tg, dc] = daily;
     cmp.push(Comparison {
         artifact: "Fig 1".into(),
         quantity: "Telegram has most URL mentions/day".into(),
@@ -1495,10 +1497,10 @@ fn fig1(ds: &Dataset, pool: &Pool, scale: f64, cmp: &mut Vec<Comparison>) {
 
 // ---- Fig 2 ---------------------------------------------------------------
 
-fn fig2(ds: &Dataset, pool: &Pool, cmp: &mut Vec<Comparison>) {
+fn fig2(discovery: &DiscoveryOutput, cmp: &mut Vec<Comparison>) {
     println!("Fig 2: tweets per group URL");
-    let per_url = discovery::tweets_per_url_all(ds, pool);
-    let [wa, tg, dc] = &per_url;
+    let per_url = &discovery.tweets_per_url;
+    let [wa, tg, dc] = per_url;
     println!(
         "{}",
         chatlens::report::plot::plot_cdfs(
@@ -1528,7 +1530,7 @@ fn fig2(ds: &Dataset, pool: &Pool, cmp: &mut Vec<Comparison>) {
 
 // ---- Fig 3 ---------------------------------------------------------------
 
-fn fig3(ds: &Dataset, cmp: &mut Vec<Comparison>) {
+fn fig3(content: &ContentOutput, cmp: &mut Vec<Comparison>) {
     let mut t = Table::new("Fig 3: tweet features").header([
         "Population",
         ">=1 hashtag",
@@ -1542,7 +1544,7 @@ fn fig3(ds: &Dataset, cmp: &mut Vec<Comparison>) {
     let paper = [(0.13, 0.73, 0.33), (0.24, 0.84, 0.76), (0.14, 0.68, 0.50)];
     let paper_multi = [(0.04, 0.20), (0.10, 0.14), (0.07, 0.15)];
     for kind in PLATFORMS {
-        let f = content::platform_features(ds, kind);
+        let f = &content.features[kind.index()];
         t.row([
             pname(kind).to_string(),
             fmt_pct(f.with_hashtag),
@@ -1589,7 +1591,7 @@ fn fig3(ds: &Dataset, cmp: &mut Vec<Comparison>) {
             0.2,
         ));
     }
-    let c = content::control_features(ds);
+    let c = &content.control;
     t.row([
         "control".to_string(),
         fmt_pct(c.with_hashtag),
@@ -1610,11 +1612,11 @@ fn fig3(ds: &Dataset, cmp: &mut Vec<Comparison>) {
 
 // ---- Fig 4 ---------------------------------------------------------------
 
-fn fig4(ds: &Dataset, cmp: &mut Vec<Comparison>) {
+fn fig4(content: &ContentOutput, cmp: &mut Vec<Comparison>) {
     let mut t = Table::new("Fig 4: tweet languages").header(["Platform", "top languages (share)"]);
     let paper_en = [0.26, 0.35, 0.47];
     for kind in PLATFORMS {
-        let mut shares = content::language_shares(ds, kind);
+        let mut shares = content.languages[kind.index()].clone();
         shares.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
         let top: Vec<String> = shares
             .iter()
@@ -1626,7 +1628,7 @@ fn fig4(ds: &Dataset, cmp: &mut Vec<Comparison>) {
             "Fig 4",
             format!("{kind} English share"),
             paper_en[kind.index()],
-            content::language_share(ds, kind, Lang::En),
+            content.language_share(kind, Lang::En),
             0.25,
         ));
     }
@@ -1634,14 +1636,14 @@ fn fig4(ds: &Dataset, cmp: &mut Vec<Comparison>) {
         "Fig 4",
         "Discord Japanese share",
         0.27,
-        content::language_share(ds, PlatformKind::Discord, Lang::Ja),
+        content.language_share(PlatformKind::Discord, Lang::Ja),
         0.3,
     ));
     cmp.push(Comparison::near(
         "Fig 4",
         "Telegram Arabic share",
         0.15,
-        content::language_share(ds, PlatformKind::Telegram, Lang::Ar),
+        content.language_share(PlatformKind::Telegram, Lang::Ar),
         0.3,
     ));
     println!("{}", t.render());
@@ -1649,13 +1651,14 @@ fn fig4(ds: &Dataset, cmp: &mut Vec<Comparison>) {
 
 // ---- Table 3 -------------------------------------------------------------
 
-fn table3(ds: &Dataset, threads: usize, cmp: &mut Vec<Comparison>) {
+fn table3(corpora: &[Vec<Vec<u16>>; 3], threads: usize, cmp: &mut Vec<Comparison>) {
     println!("Table 3: LDA topics over English tweets (10 per platform)");
     let vocab = Vocabulary::build();
+    let mut discord_advertising = 0.0;
     for kind in PLATFORMS {
-        let analysis = topics::analyze_topics(
-            ds,
+        let analysis = topics::analyze_corpus(
             kind,
+            &corpora[kind.index()],
             &vocab,
             LdaConfig {
                 k: 10,
@@ -1715,34 +1718,15 @@ fn table3(ds: &Dataset, threads: usize, cmp: &mut Vec<Comparison>) {
                 share_of("Sex"),
                 0.6,
             )),
-            PlatformKind::Discord => {}
+            PlatformKind::Discord => discord_advertising = share_of("Advertising Discord groups"),
         }
     }
     // Signature platform-specific topics must be recovered.
-    let vocab2 = Vocabulary::build();
-    let dc = topics::analyze_topics(
-        ds,
-        PlatformKind::Discord,
-        &vocab2,
-        LdaConfig {
-            k: 10,
-            iterations: 60,
-            seed: 3,
-            threads,
-            ..LdaConfig::default()
-        },
-    );
-    let shares = topics::share_by_label(&dc);
-    let adv = shares
-        .iter()
-        .find(|(l, _)| l == "Advertising Discord groups")
-        .map(|(_, s)| *s)
-        .unwrap_or(0.0);
     cmp.push(Comparison::near(
         "Table 3",
         "Discord advertising-label share",
         0.47,
-        adv,
+        discord_advertising,
         0.5,
     ));
     println!();
@@ -1750,10 +1734,10 @@ fn table3(ds: &Dataset, threads: usize, cmp: &mut Vec<Comparison>) {
 
 // ---- Fig 5 ---------------------------------------------------------------
 
-fn fig5(ds: &Dataset, pool: &Pool, cmp: &mut Vec<Comparison>) {
+fn fig5(lifecycle: &LifecycleOutput, cmp: &mut Vec<Comparison>) {
     println!("Fig 5: staleness (group age in days at first share)");
-    let staleness = lifecycle::staleness_days_all(ds, pool);
-    let [wa, tg, dc] = &staleness;
+    let staleness = &lifecycle.staleness;
+    let [wa, tg, dc] = staleness;
     println!(
         "{}",
         chatlens::report::plot::plot_cdfs(
@@ -1805,11 +1789,11 @@ fn fig5(ds: &Dataset, pool: &Pool, cmp: &mut Vec<Comparison>) {
 
 // ---- Fig 6 ---------------------------------------------------------------
 
-fn fig6(ds: &Dataset, pool: &Pool, cmp: &mut Vec<Comparison>) {
+fn fig6(lifecycle: &LifecycleOutput, cmp: &mut Vec<Comparison>) {
     println!("Fig 6: URL lifetime and revocation");
     let paper_revoked = [0.273, 0.204, 0.684];
     let paper_doa = [0.064, 0.163, 0.674];
-    let revocations = lifecycle::revocation_stats_all(ds, pool);
+    let revocations = &lifecycle.revocation;
     for kind in PLATFORMS {
         let s = &revocations[kind.index()];
         println!(
@@ -1844,19 +1828,17 @@ fn fig6(ds: &Dataset, pool: &Pool, cmp: &mut Vec<Comparison>) {
 
 // ---- Fig 7 ---------------------------------------------------------------
 
-fn fig7(ds: &Dataset, cmp: &mut Vec<Comparison>) {
+fn fig7(membership: &MembershipOutput, cmp: &mut Vec<Comparison>) {
     println!("Fig 7: members, online share, growth");
-    let wa_sizes = membership::member_counts(ds, PlatformKind::WhatsApp);
-    let tg_sizes = membership::member_counts(ds, PlatformKind::Telegram);
-    let dc_sizes = membership::member_counts(ds, PlatformKind::Discord);
+    let [wa_sizes, tg_sizes, dc_sizes] = &membership.member_counts;
     println!(
         "{}",
         chatlens::report::plot::plot_cdfs(
             "  Fig 7a: members per group (CDF, log x)",
             &[
-                ("WhatsApp", &wa_sizes),
-                ("Telegram", &tg_sizes),
-                ("Discord", &dc_sizes),
+                ("WhatsApp", wa_sizes),
+                ("Telegram", tg_sizes),
+                ("Discord", dc_sizes),
             ],
             64,
             12,
@@ -1866,9 +1848,12 @@ fn fig7(ds: &Dataset, cmp: &mut Vec<Comparison>) {
     let paper_grew = [0.51, 0.53, 0.54];
     let paper_shrank = [0.38, 0.24, 0.19];
     for kind in PLATFORMS {
-        let sizes = membership::member_counts(ds, kind);
-        println!("  {}", cdf_summary(pname(kind), &sizes).trim_end());
-        let online = membership::online_fractions(ds, kind);
+        let i = kind.index();
+        println!(
+            "  {}",
+            cdf_summary(pname(kind), &membership.member_counts[i]).trim_end()
+        );
+        let online = &membership.online_fractions[i];
         if !online.is_empty() && online.max().unwrap_or(0.0) > 0.0 {
             println!(
                 "  {:<8} online>50%: {}",
@@ -1876,7 +1861,7 @@ fn fig7(ds: &Dataset, cmp: &mut Vec<Comparison>) {
                 fmt_pct(online.fraction_above(0.5))
             );
         }
-        let g = membership::growth(ds, kind);
+        let g = &membership.growth[i];
         println!(
             "  {:<8} grew {} shrank {} flat {}  max |Δ| {:.0}",
             "",
@@ -1904,17 +1889,16 @@ fn fig7(ds: &Dataset, cmp: &mut Vec<Comparison>) {
             0.35,
         ));
     }
-    let wa = membership::member_counts(ds, PlatformKind::WhatsApp);
     cmp.push(Comparison {
         artifact: "Fig 7".into(),
         quantity: "WhatsApp max members <= 257".into(),
         paper: 257.0,
-        measured: wa.max().unwrap_or(0.0),
+        measured: wa_sizes.max().unwrap_or(0.0),
         direction: chatlens::report::Direction::AtMost,
         tolerance: 0.0,
     });
-    let dc_small = membership::member_counts(ds, PlatformKind::Discord).fraction_at_most(100.0);
-    let tg_small = membership::member_counts(ds, PlatformKind::Telegram).fraction_at_most(100.0);
+    let dc_small = dc_sizes.fraction_at_most(100.0);
+    let tg_small = tg_sizes.fraction_at_most(100.0);
     cmp.push(Comparison::near(
         "Fig 7",
         "Discord <100 members",
@@ -1934,13 +1918,13 @@ fn fig7(ds: &Dataset, cmp: &mut Vec<Comparison>) {
 
 // ---- Fig 8 ---------------------------------------------------------------
 
-fn fig8(ds: &Dataset, cmp: &mut Vec<Comparison>) {
+fn fig8(messages: &MessagesOutput, cmp: &mut Vec<Comparison>) {
     let mut t = Table::new("Fig 8: message types").header([
         "Platform", "text", "image", "video", "audio", "sticker", "doc", "contact", "loc", "other",
     ]);
     let paper_text = [0.78, 0.85, 0.96];
     for kind in PLATFORMS {
-        let shares = messages::kind_shares(ds, kind);
+        let shares = &messages.kind_shares[kind.index()];
         let mut row = vec![pname(kind).to_string()];
         row.extend(shares.iter().map(|(_, s)| fmt_pct(*s)));
         t.row(row);
@@ -1956,7 +1940,7 @@ fn fig8(ds: &Dataset, cmp: &mut Vec<Comparison>) {
         "Fig 8",
         "WhatsApp sticker share",
         0.10,
-        messages::kind_shares(ds, PlatformKind::WhatsApp)
+        messages.kind_shares[PlatformKind::WhatsApp.index()]
             .iter()
             .find(|(k, _)| k.label() == "sticker")
             .map(|(_, s)| *s)
@@ -1967,7 +1951,7 @@ fn fig8(ds: &Dataset, cmp: &mut Vec<Comparison>) {
         "Fig 8",
         "WhatsApp multimedia share",
         0.21,
-        messages::multimedia_share(ds, PlatformKind::WhatsApp),
+        messages.multimedia_share(PlatformKind::WhatsApp),
         0.3,
     ));
     println!("{}", t.render());
@@ -1975,11 +1959,11 @@ fn fig8(ds: &Dataset, cmp: &mut Vec<Comparison>) {
 
 // ---- Fig 9 ---------------------------------------------------------------
 
-fn fig9(ds: &Dataset, pool: &Pool, cmp: &mut Vec<Comparison>) {
+fn fig9(messages: &MessagesOutput, cmp: &mut Vec<Comparison>) {
     println!("Fig 9: message volumes");
-    let per_group_day = messages::msgs_per_group_day_all(ds, pool);
-    let activity = messages::user_activity_all(ds, pool);
-    let [wa, tg, dc] = &per_group_day;
+    let per_group_day = &messages.msgs_per_group_day;
+    let activity = &messages.user_activity;
+    let [wa, tg, dc] = per_group_day;
     println!(
         "{}",
         chatlens::report::plot::plot_cdfs(
@@ -2033,7 +2017,7 @@ fn fig9(ds: &Dataset, pool: &Pool, cmp: &mut Vec<Comparison>) {
 
 // ---- Table 4 -------------------------------------------------------------
 
-fn table4(ds: &Dataset, pool: &Pool, cmp: &mut Vec<Comparison>) {
+fn table4(pii: &PiiOutput, cmp: &mut Vec<Comparison>) {
     let mut t = Table::new("Table 4: PII exposure").header([
         "Platform",
         "users observed",
@@ -2042,8 +2026,8 @@ fn table4(ds: &Dataset, pool: &Pool, cmp: &mut Vec<Comparison>) {
         "linked users",
         "link rate",
     ]);
-    let rows = pii::exposure_table_par(ds, pool);
-    for row in &rows {
+    let rows = &pii.exposure;
+    for row in rows {
         t.row([
             pname(row.platform).to_string(),
             fmt_count(row.users_observed),
@@ -2055,7 +2039,7 @@ fn table4(ds: &Dataset, pool: &Pool, cmp: &mut Vec<Comparison>) {
             row.link_rate.map(fmt_pct).unwrap_or_else(|| "-".into()),
         ]);
     }
-    let [wa, tg, dc] = &rows;
+    let [wa, tg, dc] = rows;
     cmp.push(Comparison::near(
         "Table 4",
         "WhatsApp phone rate (all observed users)",
@@ -2082,14 +2066,14 @@ fn table4(ds: &Dataset, pool: &Pool, cmp: &mut Vec<Comparison>) {
 
 // ---- Table 5 -------------------------------------------------------------
 
-fn table5(ds: &Dataset, cmp: &mut Vec<Comparison>) {
+fn table5(pii: &PiiOutput, cmp: &mut Vec<Comparison>) {
     let mut t = Table::new("Table 5: Discord linked platforms").header([
         "Platform",
         "#Users",
         "share of observed",
     ]);
-    let rows = pii::linked_accounts_table(ds);
-    for (label, n, share) in &rows {
+    let rows = &pii.linked_accounts;
+    for (label, n, share) in rows {
         t.row([label.clone(), fmt_count(*n), fmt_pct(*share)]);
     }
     println!("{}", t.render());
@@ -2118,10 +2102,11 @@ fn table5(ds: &Dataset, cmp: &mut Vec<Comparison>) {
 
 // ---- §5 extras -----------------------------------------------------------
 
-fn extras(ds: &Dataset, cmp: &mut Vec<Comparison>) {
+fn extras(ds: &Dataset, folds: &StandardFolds, cmp: &mut Vec<Comparison>) {
     println!("§5 extras: creators, countries, active members");
+    let membership = folds.membership.output();
     for kind in PLATFORMS {
-        let c = membership::creators(ds, kind);
+        let c = &membership.creators[kind.index()];
         println!(
             "  {:<8} creators {:<7} groups {:<7} single-group {}  max {}",
             pname(kind),
@@ -2131,7 +2116,7 @@ fn extras(ds: &Dataset, cmp: &mut Vec<Comparison>) {
             c.max_groups
         );
     }
-    let wa = membership::creators(ds, PlatformKind::WhatsApp);
+    let wa = &membership.creators[PlatformKind::WhatsApp.index()];
     cmp.push(Comparison::near(
         "§5",
         "WhatsApp single-group creator share",
@@ -2146,7 +2131,7 @@ fn extras(ds: &Dataset, cmp: &mut Vec<Comparison>) {
         wa.groups as f64 / wa.creators.max(1) as f64,
         0.15,
     ));
-    let countries = membership::whatsapp_countries(ds);
+    let countries = &membership.whatsapp_countries;
     let top: Vec<String> = countries
         .iter()
         .take(7)
@@ -2164,10 +2149,7 @@ fn extras(ds: &Dataset, cmp: &mut Vec<Comparison>) {
     // Active-member shares are dominated by whether the join sample
     // caught one of the giant rooms, so the robust check is the paper's
     // qualitative finding: Telegram's share is far below the others.
-    let shares: Vec<f64> = PLATFORMS
-        .iter()
-        .map(|&k| messages::active_member_share(ds, k))
-        .collect();
+    let shares = folds.messages.output().active_member_share;
     for (kind, share) in PLATFORMS.iter().zip(&shares) {
         println!(
             "  {:<8} active members (senders/members): {}",

@@ -1,23 +1,38 @@
-//! Cross-crate integration: one tiny campaign, the paper's qualitative
-//! findings checked end-to-end through the public API.
+//! Cross-crate integration: one tiny campaign and its folded analyses,
+//! the paper's qualitative findings checked end-to-end through the
+//! public API.
 
-use chatlens::analysis::{content, discovery, lifecycle, membership, messages, pii};
+use chatlens::analysis::{fold_dataset, StandardFolds};
 use chatlens::platforms::id::PlatformKind;
 use chatlens::twitter::Lang;
 use chatlens::{run_study, Dataset, ScenarioConfig};
 use std::sync::OnceLock;
 
+/// The campaign's dataset and every analysis folded over it.
+fn study() -> &'static (Dataset, StandardFolds) {
+    static STUDY: OnceLock<(Dataset, StandardFolds)> = OnceLock::new();
+    STUDY.get_or_init(|| {
+        let ds = run_study(ScenarioConfig::tiny());
+        let folds = fold_dataset(&ds, StandardFolds::new());
+        (ds, folds)
+    })
+}
+
 fn dataset() -> &'static Dataset {
-    static DS: OnceLock<Dataset> = OnceLock::new();
-    DS.get_or_init(|| run_study(ScenarioConfig::tiny()))
+    &study().0
+}
+
+fn folds() -> &'static StandardFolds {
+    &study().1
 }
 
 #[test]
 fn finding_1_twitter_is_a_rich_source() {
     // Every platform yields a steady stream of new groups every day.
     let ds = dataset();
+    let discovery = folds().discovery.output();
     for kind in PlatformKind::ALL {
-        let d = discovery::daily_discovery(ds, kind);
+        let d = &discovery.daily[kind.index()];
         let days_with_new = d.new.iter().filter(|&&n| n > 0).count();
         assert!(
             days_with_new >= 30,
@@ -31,23 +46,18 @@ fn finding_1_twitter_is_a_rich_source() {
 fn finding_2_platform_content_differs() {
     // The tweet populations differ measurably across platforms: Telegram
     // is retweet- and hashtag-heavy, Discord skews Japanese.
-    let ds = dataset();
-    let wa = content::platform_features(ds, PlatformKind::WhatsApp);
-    let tg = content::platform_features(ds, PlatformKind::Telegram);
-    let dc = content::platform_features(ds, PlatformKind::Discord);
+    let content = folds().content.output();
+    let [wa, tg, dc] = content.features;
     assert!(tg.retweets > dc.retweets && dc.retweets > wa.retweets);
     assert!(tg.with_hashtag > wa.with_hashtag);
-    let dc_ja = content::language_share(ds, PlatformKind::Discord, Lang::Ja);
-    let wa_ja = content::language_share(ds, PlatformKind::WhatsApp, Lang::Ja);
+    let dc_ja = content.language_share(PlatformKind::Discord, Lang::Ja);
+    let wa_ja = content.language_share(PlatformKind::WhatsApp, Lang::Ja);
     assert!(dc_ja > 0.10 && dc_ja > 3.0 * wa_ja.max(1e-9));
 }
 
 #[test]
 fn finding_3_group_urls_are_ephemeral() {
-    let ds = dataset();
-    let wa = lifecycle::revocation_stats(ds, PlatformKind::WhatsApp);
-    let tg = lifecycle::revocation_stats(ds, PlatformKind::Telegram);
-    let dc = lifecycle::revocation_stats(ds, PlatformKind::Discord);
+    let [wa, tg, dc] = folds().lifecycle.output().revocation;
     // Paper finding 3: 27% / 20.4% / 68.4% become inaccessible.
     assert!(dc.revoked_fraction > 0.5, "DC {}", dc.revoked_fraction);
     assert!(wa.revoked_fraction > tg.revoked_fraction);
@@ -58,8 +68,7 @@ fn finding_3_group_urls_are_ephemeral() {
 
 #[test]
 fn finding_4_pii_exposure_hierarchy() {
-    let ds = dataset();
-    let [wa, tg, dc] = pii::exposure_table(ds);
+    let [wa, tg, dc] = folds().pii.output().exposure;
     // WhatsApp: every observed user's phone is exposed.
     assert_eq!(wa.phone_rate, Some(1.0));
     assert!(wa.phones.unwrap() as f64 >= wa.users_observed as f64 * 0.95);
@@ -74,12 +83,12 @@ fn finding_4_pii_exposure_hierarchy() {
 fn whatsapp_limits_shape_everything() {
     // The 257-member cap explains three separate observations: small
     // groups, fresh sharing, multi-group creators.
-    let ds = dataset();
-    let sizes = membership::member_counts(ds, PlatformKind::WhatsApp);
-    assert!(sizes.max().unwrap() <= 257.0);
-    let stale = lifecycle::staleness_days(ds, PlatformKind::WhatsApp);
+    let wa = PlatformKind::WhatsApp.index();
+    let membership = folds().membership.output();
+    assert!(membership.member_counts[wa].max().unwrap() <= 257.0);
+    let stale = &folds().lifecycle.output().staleness[wa];
     assert!(stale.fraction_at_most(0.0) > 0.55, "shared fresh");
-    let creators = membership::creators(ds, PlatformKind::WhatsApp);
+    let creators = &membership.creators[wa];
     assert!(
         creators.single_group_share < 1.0,
         "some creators run multiple groups to beat the cap"
@@ -130,11 +139,12 @@ fn telegram_member_lists_mostly_hidden() {
 #[test]
 fn activity_analyses_are_consistent() {
     let ds = dataset();
+    let messages = folds().messages.output();
     for kind in PlatformKind::ALL {
-        let shares = messages::kind_shares(ds, kind);
+        let shares = &messages.kind_shares[kind.index()];
         let total: f64 = shares.iter().map(|(_, s)| s).sum();
         assert!((total - 1.0).abs() < 1e-9, "{kind}");
-        let ua = messages::user_activity(ds, kind);
+        let ua = &messages.user_activity[kind.index()];
         let total_msgs: u64 = ds.joined_of(kind).map(|j| j.messages.len() as u64).sum();
         let sum_volumes: f64 = ua.volumes.mean().unwrap_or(0.0) * ua.senders as f64;
         assert!(

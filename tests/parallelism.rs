@@ -5,10 +5,9 @@
 //! `simnet::metrics` stage counters, which are never compared across
 //! runs).
 
-use chatlens::analysis::{lifecycle, pii, LdaConfig, LdaModel};
+use chatlens::analysis::{fold_dataset, LdaConfig, LdaModel, StandardFolds};
 use chatlens::platforms::id::PlatformKind;
 use chatlens::simnet::metrics::Metrics;
-use chatlens::simnet::par::Pool;
 use chatlens::{run_study_with, CampaignConfig, Dataset, ScenarioConfig};
 
 fn scenario() -> ScenarioConfig {
@@ -30,19 +29,20 @@ fn collect(threads: usize) -> Dataset {
 /// Render the three artifacts named by the acceptance criteria into one
 /// byte string: Table 2 (dataset overview), Fig 6 (lifetime/revocation),
 /// Table 4 (PII exposure).
-fn artifact_bytes(ds: &Dataset, pool: &Pool) -> Vec<u8> {
+fn artifact_bytes(ds: &Dataset) -> Vec<u8> {
     let mut out = String::new();
     // Table 2: per-platform rows plus the distinct total.
     for kind in PlatformKind::ALL {
         out.push_str(&format!("table2 {kind}: {:?}\n", ds.summary(kind)));
     }
     out.push_str(&format!("table2 total: {:?}\n", ds.totals()));
-    // Fig 6: revocation stats, through the parallel fan-out.
-    for stats in lifecycle::revocation_stats_all(ds, pool) {
+    let folds = fold_dataset(ds, StandardFolds::new());
+    // Fig 6: revocation stats.
+    for stats in folds.lifecycle.output().revocation {
         out.push_str(&format!("fig6: {stats:?}\n"));
     }
-    // Table 4: PII exposure, through the parallel fan-out.
-    for row in pii::exposure_table_par(ds, pool) {
+    // Table 4: PII exposure.
+    for row in folds.pii.output().exposure {
         out.push_str(&format!("table4: {row:?}\n"));
     }
     out.into_bytes()
@@ -51,11 +51,11 @@ fn artifact_bytes(ds: &Dataset, pool: &Pool) -> Vec<u8> {
 #[test]
 fn artifacts_are_byte_identical_across_thread_counts() {
     let reference_ds = collect(1);
-    let reference = artifact_bytes(&reference_ds, &Pool::new(1));
+    let reference = artifact_bytes(&reference_ds);
     assert!(!reference.is_empty());
     for threads in [2, 8] {
         let ds = collect(threads);
-        let bytes = artifact_bytes(&ds, &Pool::new(threads));
+        let bytes = artifact_bytes(&ds);
         assert_eq!(
             bytes, reference,
             "{threads}-thread run diverged from the serial run"

@@ -84,10 +84,10 @@ fn degraded_campaign_still_reproduces_the_shape() {
             ..CampaignConfig::default()
         },
     );
-    use chatlens::analysis::lifecycle::revocation_stats;
-    let wa = revocation_stats(&ds, PlatformKind::WhatsApp);
-    let tg = revocation_stats(&ds, PlatformKind::Telegram);
-    let dc = revocation_stats(&ds, PlatformKind::Discord);
+    let lifecycle = chatlens::analysis::lifecycle::LifecycleFold::new();
+    let [wa, tg, dc] = chatlens::analysis::fold_dataset(&ds, lifecycle)
+        .output()
+        .revocation;
     assert!(dc.revoked_fraction > wa.revoked_fraction);
     assert!(wa.revoked_fraction > tg.revoked_fraction);
     // Failed fetches show up as Failed observations, not phantom
