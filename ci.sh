@@ -89,9 +89,11 @@ diff <(fold_digests "$INC_DIR/first.out") <(fold_digests "$INC_DIR/resumed.out")
 
 # Budget x fold smoke: a budgeted, checkpointed campaign halted at the
 # day-20 boundary and resumed with the same flags must land on the fold
-# digests of an uninterrupted unbudgeted run and on its report bytes
-# (the full matrix lives in tests/budget.rs).
-echo "==> budget x fold smoke (repro run --mem-budget min)"
+# digests of an uninterrupted unbudgeted run and on its report bytes,
+# and every artifact rendered from the resumed chain (`all`) must print
+# the unbudgeted stdout byte for byte (the full matrix lives in
+# tests/budget.rs).
+echo "==> budget x fold smoke (repro run|all --mem-budget min)"
 COMBO_DIR="$(mktemp -d)"
 trap 'rm -rf "$CKPT_DIR" "$INC_DIR" "$COMBO_DIR"' EXIT
 cargo run -q --bin repro -- --scale 0.005 run \
@@ -105,6 +107,11 @@ diff <(fold_digests "$COMBO_DIR/uninterrupted.out") <(fold_digests "$COMBO_DIR/r
     || { echo "FAIL: budgeted resumed fold digests diverge" >&2; exit 1; }
 cmp "$COMBO_DIR/unbudgeted.report" "$COMBO_DIR/budgeted.report" \
     || { echo "FAIL: budgeted folded report diverges from the unbudgeted run" >&2; exit 1; }
+cargo run -q --bin repro -- --scale 0.005 all > "$COMBO_DIR/unbudgeted.all"
+cargo run -q --bin repro -- --scale 0.005 --mem-budget min \
+    --checkpoint-dir "$COMBO_DIR/chain" --resume "$COMBO_DIR/chain" all > "$COMBO_DIR/budgeted.all"
+cmp "$COMBO_DIR/unbudgeted.all" "$COMBO_DIR/budgeted.all" \
+    || { echo "FAIL: budgeted resumed \`all\` diverges from the unbudgeted run" >&2; exit 1; }
 
 # Torn-write crash-storm smoke: run a checkpointed campaign under the
 # torn disk-fault profile (25% of saves silently lose their rename, 10%

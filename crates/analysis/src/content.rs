@@ -4,7 +4,6 @@
 use chatlens_checkpoint::{persist_struct, CheckpointError, Persist, Reader, Writer};
 use chatlens_core::{Dataset, DayFold, DaySlice};
 use chatlens_platforms::id::PlatformKind;
-use chatlens_platforms::invite::parse_invite_url;
 use chatlens_simnet::par::Pool;
 use chatlens_twitter::{Lang, Tweet};
 use std::fmt::Write as _;
@@ -170,13 +169,7 @@ impl DayFold for ContentFold {
             }
         }
         for ct in slice.tweets_today() {
-            let mut on = [false; 3];
-            for url in &ct.tweet.urls {
-                if let Some(inv) = parse_invite_url(url) {
-                    on[inv.platform().index()] = true;
-                }
-            }
-            for (i, hit) in on.into_iter().enumerate() {
+            for (i, hit) in ct.platforms().into_iter().enumerate() {
                 if hit {
                     self.plats[i].feats.add(&ct.tweet);
                     self.plats[i].langs[ct.tweet.lang.index()] += 1;

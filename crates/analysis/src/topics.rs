@@ -10,9 +10,9 @@ use crate::lda::{LdaConfig, LdaModel};
 use crate::pipeline::report_lda_config;
 use crate::text::StopwordFilter;
 use chatlens_checkpoint::{CheckpointError, Persist, Reader, Writer};
+use chatlens_core::discovery::CollectedTweet;
 use chatlens_core::{Dataset, DayFold, DaySlice};
 use chatlens_platforms::id::PlatformKind;
-use chatlens_platforms::invite::parse_invite_url;
 use chatlens_simnet::par::Pool;
 use chatlens_twitter::Lang;
 use chatlens_workload::topics::{topics_for, topics_for_lang, Topic};
@@ -44,17 +44,19 @@ pub struct TopicAnalysis {
     pub topics: Vec<LabeledTopic>,
 }
 
-/// Build the tweet corpus for one platform in one language:
-/// stopword-filtered token-id documents.
+/// Build the corpus of the `tweets` in `lang` that share a `kind` group:
+/// stopword-filtered token-id documents, in log order (so corpora of
+/// consecutive chunks of a log concatenate).
 pub fn corpus_for_lang(
-    ds: &Dataset,
+    tweets: &[CollectedTweet],
     kind: PlatformKind,
     lang: Lang,
     vocab: &Vocabulary,
 ) -> Vec<Vec<u16>> {
     let filter = StopwordFilter::new(vocab);
-    ds.tweets_of(kind)
-        .filter(|t| t.tweet.lang == lang)
+    tweets
+        .iter()
+        .filter(|t| t.tweet.lang == lang && t.platforms()[kind.index()])
         .map(|t| filter.filter(&t.tweet.tokens))
         .filter(|doc| !doc.is_empty())
         .collect()
@@ -62,7 +64,7 @@ pub fn corpus_for_lang(
 
 /// Build the English-tweet corpus for one platform (Table 3's input).
 pub fn english_corpus(ds: &Dataset, kind: PlatformKind, vocab: &Vocabulary) -> Vec<Vec<u16>> {
-    corpus_for_lang(ds, kind, Lang::En, vocab)
+    corpus_for_lang(&ds.tweets, kind, Lang::En, vocab)
 }
 
 /// Fit LDA and label the topics over one platform's English corpus
@@ -135,19 +137,19 @@ pub fn best_label(kind: PlatformKind, top_terms: &[String]) -> (String, f64) {
 }
 
 /// The multilingual analysis of §4's closing remark: fit LDA over one
-/// platform's tweets in `lang` and label against that language's
-/// reference set (COVID-19 / politics vocabularies). Returns `None` for
-/// (platform, language) pairs the paper found no distinct topics for.
+/// platform's corpus in `lang` ([`corpus_for_lang`]) and label against
+/// that language's reference set (COVID-19 / politics vocabularies).
+/// Returns `None` for (platform, language) pairs the paper found no
+/// distinct topics for.
 pub fn analyze_topics_lang(
-    ds: &Dataset,
     kind: PlatformKind,
     lang: Lang,
+    docs: &[Vec<u16>],
     vocab: &Vocabulary,
     cfg: LdaConfig,
 ) -> Option<TopicAnalysis> {
     let refs = topics_for_lang(kind, lang)?;
-    let docs = corpus_for_lang(ds, kind, lang, vocab);
-    Some(fit_and_label(kind, &docs, vocab, cfg, 8, &refs))
+    Some(fit_and_label(kind, docs, vocab, cfg, 8, &refs))
 }
 
 /// Aggregate the share of English tweets per *label* (several recovered
@@ -230,12 +232,7 @@ impl DayFold for TopicsFold {
             if ct.tweet.lang != Lang::En {
                 continue;
             }
-            let mut on = [false; 3];
-            for url in &ct.tweet.urls {
-                if let Some(inv) = parse_invite_url(url) {
-                    on[inv.platform().index()] = true;
-                }
-            }
+            let on = ct.platforms();
             if !on.iter().any(|&b| b) {
                 continue;
             }
@@ -372,10 +369,11 @@ mod tests {
         // §4: "topics that do not emerge in our English analysis mainly
         // due to the COVID-19 pandemic (in Spanish for WhatsApp...)".
         let v = vocab();
+        let docs = corpus_for_lang(&dataset().tweets, PlatformKind::WhatsApp, Lang::Es, &v);
         let analysis = analyze_topics_lang(
-            dataset(),
             PlatformKind::WhatsApp,
             Lang::Es,
+            &docs,
             &v,
             LdaConfig {
                 k: 4,
@@ -396,10 +394,11 @@ mod tests {
     #[test]
     fn portuguese_whatsapp_recovers_politics() {
         let v = vocab();
+        let docs = corpus_for_lang(&dataset().tweets, PlatformKind::WhatsApp, Lang::Pt, &v);
         let analysis = analyze_topics_lang(
-            dataset(),
             PlatformKind::WhatsApp,
             Lang::Pt,
+            &docs,
             &v,
             LdaConfig {
                 k: 4,
@@ -416,10 +415,11 @@ mod tests {
     #[test]
     fn no_lang_topics_where_paper_found_none() {
         let v = vocab();
+        let docs = corpus_for_lang(&dataset().tweets, PlatformKind::Discord, Lang::Ja, &v);
         assert!(analyze_topics_lang(
-            dataset(),
             PlatformKind::Discord,
             Lang::Ja,
+            &docs,
             &v,
             LdaConfig::default()
         )

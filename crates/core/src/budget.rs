@@ -210,18 +210,9 @@ impl<T> SpillableLog<T> {
         self.base = upto;
     }
 
-    /// The full log as one vector.
-    ///
-    /// # Panics
-    /// Panics if a prefix was spilled — batch consumers (dataset
-    /// assembly) are only reachable on unbudgeted runs.
-    pub fn into_full_vec(self) -> Vec<T> {
-        assert!(
-            self.base == 0,
-            "{} item(s) were spilled to disk; the full log is only \
-             materializable on unbudgeted runs",
-            self.base
-        );
+    /// The resident tail as one vector: the whole log unless a prefix
+    /// was spilled.
+    pub fn into_resident(self) -> Vec<T> {
         self.items
     }
 }
@@ -1127,11 +1118,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "spilled to disk")]
-    fn into_full_vec_panics_when_spilled() {
+    fn into_resident_keeps_only_the_unspilled_tail() {
         let mut log = SpillableLog::from_vec(vec![1, 2, 3]);
         log.spill_to(1);
-        let _ = log.into_full_vec();
+        assert_eq!(log.into_resident(), vec![2, 3]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The assembled campaign output — everything the analyses consume.
 
-use crate::budget::LogView;
+use crate::budget::{BudgetError, LogView, MemoryBudget, SpillPartitionData};
 use crate::discovery::{CollectedTweet, Discovery, DiscoveryRecord};
 use crate::fold::{DayMark, DayParts, DaySlice};
 use crate::intern::Interner;
@@ -12,7 +12,6 @@ use crate::quarantine::QuarantineEntry;
 use chatlens_platforms::id::PlatformKind;
 use chatlens_platforms::wire::push_u64;
 use chatlens_simnet::hash::{to_hex, DigestWriter, Sha256};
-use chatlens_simnet::metrics::Metrics;
 use chatlens_simnet::time::StudyWindow;
 use chatlens_twitter::Tweet;
 use std::collections::{BTreeMap, HashSet};
@@ -112,11 +111,9 @@ impl Dataset {
             window,
             extraction: discovery.stats,
             failed_requests: discovery.failed_requests,
-            // Batch assembly needs the full logs in memory; budgeted
-            // campaigns stream their report instead of assembling
-            // (`into_full_vec` refuses loudly if a prefix was spilled).
-            tweets: discovery.tweets.into_full_vec(),
-            control: discovery.control.into_full_vec(),
+            // Under a budget these are the tails after the spilled days.
+            tweets: discovery.tweets.into_resident(),
+            control: discovery.control.into_resident(),
             groups: discovery.groups,
             interner: discovery.interner,
             timelines,
@@ -166,18 +163,6 @@ impl Dataset {
         Some(parts.slice_between(day, &prev, cur))
     }
 
-    /// Tweets that carry at least one URL of `kind` (a tweet sharing two
-    /// platforms counts toward both, like Table 2's per-platform rows).
-    pub fn tweets_of(&self, kind: PlatformKind) -> impl Iterator<Item = &CollectedTweet> {
-        self.tweets.iter().filter(move |t| {
-            t.tweet
-                .urls
-                .iter()
-                .filter_map(|u| chatlens_platforms::invite::parse_invite_url(u))
-                .any(|inv| inv.platform() == kind)
-        })
-    }
-
     /// Joined groups of one platform.
     pub fn joined_of(&self, kind: PlatformKind) -> impl Iterator<Item = &JoinedGroup> {
         self.joined.iter().filter(move |j| j.platform == kind)
@@ -196,40 +181,67 @@ impl Dataset {
 
     /// The Table 2 roll-up for one platform.
     pub fn summary(&self, kind: PlatformKind) -> PlatformSummary {
-        let mut tweets = 0u64;
-        let mut authors = std::collections::HashSet::new();
-        for t in self.tweets_of(kind) {
-            tweets += 1;
-            authors.insert(t.tweet.author);
+        self.campaign_summary().platforms[kind.index()]
+    }
+
+    /// Totals across platforms plus the distinct-author union (Table 2's
+    /// bottom row counts each tweet/author once).
+    pub fn totals(&self) -> PlatformSummary {
+        self.campaign_summary().totals
+    }
+
+    /// The campaign summary, counted over the resident tweet log.
+    pub(crate) fn campaign_summary(&self) -> CampaignSummary {
+        let mut counts = TweetCounts::default();
+        self.tweets.iter().for_each(|ct| counts.add(ct));
+        self.summary_with(&counts)
+    }
+
+    /// The campaign summary: the tweet columns from `counts`, everything
+    /// else from the stores.
+    fn summary_with(&self, counts: &TweetCounts) -> CampaignSummary {
+        let mut platforms = [PlatformSummary::default(); 3];
+        for kind in PlatformKind::ALL {
+            let s = &mut platforms[kind.index()];
+            s.tweets = counts.kind_tweets[kind.index()];
+            s.twitter_users = counts.kind_authors[kind.index()].len() as u64;
+            s.group_urls = self.groups.iter().filter(|g| g.platform == kind).count() as u64;
+            for jg in self.joined_of(kind) {
+                s.joined_groups += 1;
+                s.messages += jg.messages.len() as u64;
+                s.platform_users += match kind {
+                    // WhatsApp: the member list itself.
+                    PlatformKind::WhatsApp => jg.members.len() as u64,
+                    // API platforms: the group size reported by the monitor
+                    // at the last alive observation (the paper reads totals
+                    // off group metadata, not member lists).
+                    _ => self
+                        .slot_of_key(&jg.key)
+                        .and_then(|slot| self.timelines.get(slot))
+                        .and_then(|t| t.size_span())
+                        .map(|(_, last)| u64::from(last))
+                        .unwrap_or(0),
+                };
+            }
         }
-        let group_urls = self.groups.iter().filter(|g| g.platform == kind).count() as u64;
-        let mut joined_groups = 0u64;
-        let mut messages = 0u64;
-        let mut platform_users = 0u64;
-        for jg in self.joined_of(kind) {
-            joined_groups += 1;
-            messages += jg.messages.len() as u64;
-            platform_users += match kind {
-                // WhatsApp: the member list itself.
-                PlatformKind::WhatsApp => jg.members.len() as u64,
-                // API platforms: the group size reported by the monitor at
-                // the last alive observation (the paper reads totals off
-                // group metadata, not member lists).
-                _ => self
-                    .slot_of_key(&jg.key)
-                    .and_then(|slot| self.timelines.get(slot))
-                    .and_then(|t| t.size_span())
-                    .map(|(_, last)| u64::from(last))
-                    .unwrap_or(0),
-            };
-        }
-        PlatformSummary {
-            tweets,
-            twitter_users: authors.len() as u64,
-            group_urls,
-            joined_groups,
-            messages,
-            platform_users,
+        let totals = PlatformSummary {
+            tweets: counts.tweets,
+            twitter_users: counts.authors.len() as u64,
+            group_urls: self.groups.len() as u64,
+            joined_groups: platforms.iter().map(|p| p.joined_groups).sum(),
+            messages: platforms.iter().map(|p| p.messages).sum(),
+            platform_users: platforms.iter().map(|p| p.platform_users).sum(),
+        };
+        CampaignSummary {
+            platforms,
+            totals,
+            extraction: self.extraction,
+            failed_requests: self.failed_requests,
+            accounts_used: self.accounts_used,
+            bot_join_rejected: self.bot_join_rejected,
+            gap_groups: self.gaps.group_count() as u64,
+            gap_days: self.gaps.total_days(),
+            quarantined: self.quarantine.len() as u64,
         }
     }
 
@@ -245,97 +257,132 @@ impl Dataset {
     /// were recorded before the interned/columnar storage rewrite and the
     /// optimised pipeline must keep reproducing them exactly.
     pub fn campaign_report(&self) -> String {
+        self.report_pass(None)
+            .expect("a resident log reads nothing from disk")
+            .0
+    }
+
+    /// The campaign report and summary from one pass over the logs: the
+    /// day partitions `spill` holds (a budgeted run's, whose `tweets` and
+    /// `control` are then only the resident tails), then this dataset's
+    /// vectors.
+    pub(crate) fn report_pass(
+        &self,
+        mut spill: Option<&mut MemoryBudget>,
+    ) -> Result<(String, CampaignSummary), BudgetError> {
         let mut rb = TweetRollupBuilder::new();
-        for ct in &self.tweets {
-            rb.add_tweet(ct);
-        }
-        for tw in &self.control {
-            rb.add_control(tw);
-        }
-        render_campaign_report(&rb.finish(), &self.report_inputs())
+        log_pass(
+            spill.as_deref_mut(),
+            |p| p.tweets.as_slice(),
+            &self.tweets,
+            |chunk| chunk.iter().for_each(|ct| rb.add_tweet(ct)),
+        )?;
+        log_pass(
+            spill,
+            |p| p.control.as_slice(),
+            &self.control,
+            |chunk| chunk.iter().for_each(|tw| rb.add_control(tw)),
+        )?;
+        let rollup = rb.finish();
+        let summary = self.summary_with(&rollup.counts);
+        Ok((render_campaign_report(&rollup, &summary, self), summary))
     }
+}
 
-    /// The non-tweet report inputs, borrowed from this dataset.
-    pub(crate) fn report_inputs(&self) -> ReportInputs<'_> {
-        ReportInputs {
-            window: self.window,
-            groups: &self.groups,
-            interner: &self.interner,
-            timelines: &self.timelines,
-            gaps: &self.gaps,
-            quarantine: &self.quarantine,
-            joined: &self.joined,
-            pii: &self.pii,
-            extraction: self.extraction,
-            failed_requests: self.failed_requests,
-            accounts_used: self.accounts_used,
-            bot_join_rejected: self.bot_join_rejected,
-            metrics: &self.metrics,
+/// The one ordered pass over a finished campaign's log: `f` sees the
+/// `part` of each day partition `spill` holds, oldest day first and one
+/// partition in memory at a time, then `tail`, the resident rest — the
+/// whole log when nothing was spilled.
+pub(crate) fn log_pass<T>(
+    spill: Option<&mut MemoryBudget>,
+    part: fn(&SpillPartitionData) -> &[T],
+    tail: &[T],
+    mut f: impl FnMut(&[T]),
+) -> Result<(), BudgetError> {
+    if let Some(spill) = spill {
+        for i in 0..spill.manifest().len() {
+            let day = spill.manifest()[i].day;
+            f(part(&spill.read_partition(day)?));
         }
     }
+    f(tail);
+    Ok(())
+}
 
-    /// Totals across platforms plus the distinct-author union (Table 2's
-    /// bottom row counts each tweet/author once).
-    pub fn totals(&self) -> PlatformSummary {
-        let mut authors = std::collections::HashSet::new();
-        for t in &self.tweets {
-            authors.insert(t.tweet.author);
-        }
-        let per: Vec<PlatformSummary> = PlatformKind::ALL
-            .into_iter()
-            .map(|k| self.summary(k))
-            .collect();
-        PlatformSummary {
-            tweets: self.tweets.len() as u64,
-            twitter_users: authors.len() as u64,
-            group_urls: self.groups.len() as u64,
-            joined_groups: per.iter().map(|p| p.joined_groups).sum(),
-            messages: per.iter().map(|p| p.messages).sum(),
-            platform_users: per.iter().map(|p| p.platform_users).sum(),
+/// Everything Table 2, `extras` and `repro run` print about a finished
+/// campaign: the per-platform rows and totals plus the campaign-level
+/// counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CampaignSummary {
+    /// Table 2's rows, indexed by [`PlatformKind::index`].
+    pub platforms: [PlatformSummary; 3],
+    /// Table 2's bottom row.
+    pub totals: PlatformSummary,
+    /// URL-extraction totals.
+    pub extraction: ExtractionStats,
+    /// Transport requests that failed after retries.
+    pub failed_requests: u64,
+    /// Accounts opened per platform.
+    pub accounts_used: [u16; 3],
+    /// Whether the Discord bot-join probe was refused.
+    pub bot_join_rejected: bool,
+    /// Groups with at least one censored day in the gap ledger.
+    pub gap_groups: u64,
+    /// Censored group-days in the gap ledger.
+    pub gap_days: u64,
+    /// Wire bodies in the quarantine ledger.
+    pub quarantined: u64,
+}
+
+/// Table 2's tweet columns, counted one collected tweet at a time.
+#[derive(Default)]
+struct TweetCounts {
+    tweets: u64,
+    authors: HashSet<u32>,
+    kind_tweets: [u64; 3],
+    kind_authors: [HashSet<u32>; 3],
+}
+
+impl TweetCounts {
+    /// Count one tweet: toward the totals, and toward every platform it
+    /// carries a URL of.
+    fn add(&mut self, ct: &CollectedTweet) {
+        self.tweets += 1;
+        self.authors.insert(ct.tweet.author.0);
+        for (i, hit) in ct.platforms().into_iter().enumerate() {
+            if hit {
+                self.kind_tweets[i] += 1;
+                self.kind_authors[i].insert(ct.tweet.author.0);
+            }
         }
     }
 }
 
-/// Per-tweet roll-up accumulated in one streaming pass: counts, author
-/// sets, per-platform tweet/user columns, and the tweets digest. Built
-/// either from the assembled dataset (batch) or by streaming spilled
-/// day-partitions in order (budgeted runs) — byte-identical either way.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct TweetRollup {
-    /// Collected tweets (global count).
-    pub tweets_total: u64,
-    /// Distinct tweet authors.
-    pub twitter_users: u64,
-    /// `(tweets, users)` per platform, indexed by `PlatformKind::index`.
-    pub per_kind: [(u64, u64); 3],
-    /// Control tweets (global count).
-    pub control_total: u64,
+/// The per-tweet half of the report, accumulated in one streaming pass:
+/// the Table 2 tweet columns, the control count and the tweets digest.
+struct TweetRollup {
+    counts: TweetCounts,
+    control_total: u64,
     /// The frozen tweets digest (tweet lines then control lines).
-    pub tweets_sha: String,
+    tweets_sha: String,
 }
 
 /// Streaming builder for [`TweetRollup`]: one partition's worth of
 /// tweets in memory at a time, constant-size accumulator state.
-pub(crate) struct TweetRollupBuilder {
+struct TweetRollupBuilder {
     hasher: Sha256,
     line: String,
-    authors: HashSet<u32>,
-    kind_authors: [HashSet<u32>; 3],
-    kind_tweets: [u64; 3],
-    tweets_total: u64,
+    counts: TweetCounts,
     control_total: u64,
     control_phase: bool,
 }
 
 impl TweetRollupBuilder {
-    pub(crate) fn new() -> TweetRollupBuilder {
+    fn new() -> TweetRollupBuilder {
         TweetRollupBuilder {
             hasher: Sha256::new(),
             line: String::new(),
-            authors: HashSet::new(),
-            kind_authors: [HashSet::new(), HashSet::new(), HashSet::new()],
-            kind_tweets: [0; 3],
-            tweets_total: 0,
+            counts: TweetCounts::default(),
             control_total: 0,
             control_phase: false,
         }
@@ -344,22 +391,9 @@ impl TweetRollupBuilder {
     /// Add one collected tweet. All collected tweets arrive in global
     /// append order, before the first control tweet — the frozen digest
     /// layout.
-    pub(crate) fn add_tweet(&mut self, ct: &CollectedTweet) {
+    fn add_tweet(&mut self, ct: &CollectedTweet) {
         assert!(!self.control_phase, "tweets must precede control tweets");
-        self.tweets_total += 1;
-        self.authors.insert(ct.tweet.author.0);
-        let mut kinds = [false; 3];
-        for url in &ct.tweet.urls {
-            if let Some(inv) = chatlens_platforms::invite::parse_invite_url(url) {
-                kinds[inv.platform().index()] = true;
-            }
-        }
-        for (i, hit) in kinds.into_iter().enumerate() {
-            if hit {
-                self.kind_tweets[i] += 1;
-                self.kind_authors[i].insert(ct.tweet.author.0);
-            }
-        }
+        self.counts.add(ct);
         self.line.clear();
         writeln!(
             self.line,
@@ -376,7 +410,7 @@ impl TweetRollupBuilder {
 
     /// Add one control tweet (global append order, after every
     /// collected tweet).
-    pub(crate) fn add_control(&mut self, tw: &Tweet) {
+    fn add_control(&mut self, tw: &Tweet) {
         self.control_phase = true;
         self.control_total += 1;
         self.line.clear();
@@ -384,99 +418,18 @@ impl TweetRollupBuilder {
         self.hasher.update(self.line.as_bytes());
     }
 
-    pub(crate) fn finish(self) -> TweetRollup {
-        let mut per_kind = [(0u64, 0u64); 3];
-        for (i, slot) in per_kind.iter_mut().enumerate() {
-            *slot = (self.kind_tweets[i], self.kind_authors[i].len() as u64);
-        }
+    fn finish(self) -> TweetRollup {
         TweetRollup {
-            tweets_total: self.tweets_total,
-            twitter_users: self.authors.len() as u64,
-            per_kind,
+            counts: self.counts,
             control_total: self.control_total,
             tweets_sha: to_hex(&self.hasher.finalize()),
         }
     }
 }
 
-/// The non-tweet inputs of the campaign report: every store that stays
-/// resident under a memory budget, borrowed from wherever it lives
-/// (the assembled dataset, or the live runner on a budgeted run).
-pub(crate) struct ReportInputs<'a> {
-    pub window: StudyWindow,
-    pub groups: &'a [DiscoveryRecord],
-    pub interner: &'a Interner,
-    pub timelines: &'a TimelineStore,
-    pub gaps: &'a GapLedger,
-    pub quarantine: &'a [QuarantineEntry],
-    pub joined: &'a [JoinedGroup],
-    pub pii: &'a PiiStore,
-    pub extraction: ExtractionStats,
-    pub failed_requests: u64,
-    pub accounts_used: [u16; 3],
-    pub bot_join_rejected: bool,
-    pub metrics: &'a Metrics,
-}
-
-impl ReportInputs<'_> {
-    /// Group/join/message roll-up for one platform; the tweet columns
-    /// come from the [`TweetRollup`].
-    fn store_summary(&self, kind: PlatformKind) -> PlatformSummary {
-        let group_urls = self.groups.iter().filter(|g| g.platform == kind).count() as u64;
-        let mut joined_groups = 0u64;
-        let mut messages = 0u64;
-        let mut platform_users = 0u64;
-        for jg in self.joined.iter().filter(|j| j.platform == kind) {
-            joined_groups += 1;
-            messages += jg.messages.len() as u64;
-            platform_users += match kind {
-                // WhatsApp: the member list itself.
-                PlatformKind::WhatsApp => jg.members.len() as u64,
-                // API platforms: the group size reported by the monitor
-                // at the last alive observation.
-                _ => self
-                    .interner
-                    .get(&jg.key)
-                    .map(|s| s.index())
-                    .and_then(|slot| self.timelines.get(slot))
-                    .and_then(|t| t.size_span())
-                    .map(|(_, last)| u64::from(last))
-                    .unwrap_or(0),
-            };
-        }
-        PlatformSummary {
-            tweets: 0,
-            twitter_users: 0,
-            group_urls,
-            joined_groups,
-            messages,
-            platform_users,
-        }
-    }
-
-    /// The Table 2 bottom row, combining the streamed tweet roll-up
-    /// with the resident stores.
-    pub(crate) fn totals_with(&self, rollup: &TweetRollup) -> PlatformSummary {
-        let per: Vec<PlatformSummary> = PlatformKind::ALL
-            .into_iter()
-            .map(|k| self.store_summary(k))
-            .collect();
-        PlatformSummary {
-            tweets: rollup.tweets_total,
-            twitter_users: rollup.twitter_users,
-            group_urls: self.groups.len() as u64,
-            joined_groups: per.iter().map(|p| p.joined_groups).sum(),
-            messages: per.iter().map(|p| p.messages).sum(),
-            platform_users: per.iter().map(|p| p.platform_users).sum(),
-        }
-    }
-}
-
-/// Render the canonical campaign report from a streamed tweet roll-up
-/// plus the resident stores. [`Dataset::campaign_report`] (batch) and
-/// the budgeted streaming path both funnel through here, so the two
-/// are byte-identical by construction.
-pub(crate) fn render_campaign_report(rollup: &TweetRollup, inp: &ReportInputs<'_>) -> String {
+/// Render the canonical campaign report from a streamed tweet roll-up,
+/// its summary and the resident stores of `ds`.
+fn render_campaign_report(rollup: &TweetRollup, sum: &CampaignSummary, ds: &Dataset) -> String {
     // Hash a canonical multi-line serialization written by `f`.
     fn digest(f: impl FnOnce(&mut DigestWriter)) -> String {
         let mut w = DigestWriter::new();
@@ -486,8 +439,8 @@ pub(crate) fn render_campaign_report(rollup: &TweetRollup, inp: &ReportInputs<'_
 
     let mut out = String::new();
     writeln!(out, "chatlens campaign report v1").unwrap();
-    writeln!(out, "window_days: {}", inp.window.num_days()).unwrap();
-    let t = inp.totals_with(rollup);
+    writeln!(out, "window_days: {}", ds.window.num_days()).unwrap();
+    let t = sum.totals;
     writeln!(
         out,
         "totals: tweets={} users={} group_urls={} joined={} messages={} members={}",
@@ -495,14 +448,13 @@ pub(crate) fn render_campaign_report(rollup: &TweetRollup, inp: &ReportInputs<'_
     )
     .unwrap();
     for kind in PlatformKind::ALL {
-        let s = inp.store_summary(kind);
-        let (tweets, users) = rollup.per_kind[kind.index()];
+        let s = sum.platforms[kind.index()];
         writeln!(
             out,
             "platform {}: tweets={} users={} group_urls={} joined={} messages={} members={}",
             kind.name(),
-            tweets,
-            users,
+            s.tweets,
+            s.twitter_users,
             s.group_urls,
             s.joined_groups,
             s.messages,
@@ -513,23 +465,23 @@ pub(crate) fn render_campaign_report(rollup: &TweetRollup, inp: &ReportInputs<'_
     writeln!(
         out,
         "extraction: urls_seen={} invites={} rejected={}",
-        inp.extraction.urls_seen, inp.extraction.invites, inp.extraction.rejected
+        sum.extraction.urls_seen, sum.extraction.invites, sum.extraction.rejected
     )
     .unwrap();
-    writeln!(out, "failed_requests: {}", inp.failed_requests).unwrap();
+    writeln!(out, "failed_requests: {}", sum.failed_requests).unwrap();
     writeln!(
         out,
         "accounts: wa={} tg={} dc={}",
-        inp.accounts_used[0], inp.accounts_used[1], inp.accounts_used[2]
+        sum.accounts_used[0], sum.accounts_used[1], sum.accounts_used[2]
     )
     .unwrap();
-    writeln!(out, "bot_join_rejected: {}", inp.bot_join_rejected).unwrap();
+    writeln!(out, "bot_join_rejected: {}", sum.bot_join_rejected).unwrap();
     writeln!(out, "control_tweets: {}", rollup.control_total).unwrap();
     writeln!(out, "tweets_sha256: {}", rollup.tweets_sha).unwrap();
 
     // Discovered groups, in discovery order.
     let groups_sha = digest(|buf| {
-        for rec in inp.groups {
+        for rec in &ds.groups {
             writeln!(
                 buf,
                 "{}|url={}|at={}|tweet_at={}",
@@ -549,8 +501,8 @@ pub(crate) fn render_campaign_report(rollup: &TweetRollup, inp: &ReportInputs<'_
     let mut revoked = 0u64;
     let mut failed = 0u64;
     let timelines_sha = digest(|buf| {
-        for (slot, rec) in inp.groups.iter().enumerate() {
-            let Some(tl) = inp.timelines.get(slot) else {
+        for (slot, rec) in ds.groups.iter().enumerate() {
+            let Some(tl) = ds.timelines.get(slot) else {
                 continue;
             };
             write!(buf, "{}", rec.invite.dedup_key()).unwrap();
@@ -594,7 +546,7 @@ pub(crate) fn render_campaign_report(rollup: &TweetRollup, inp: &ReportInputs<'_
     writeln!(
         out,
         "timelines: groups={} observations={obs} revoked={revoked} failed={failed}",
-        inp.timelines.len()
+        ds.timelines.len()
     )
     .unwrap();
     writeln!(out, "timelines_sha256: {timelines_sha}").unwrap();
@@ -603,8 +555,8 @@ pub(crate) fn render_campaign_report(rollup: &TweetRollup, inp: &ReportInputs<'_
     let mut gap_groups = 0u64;
     let mut gap_days = 0u64;
     let gaps_sha = digest(|buf| {
-        for (slot, rec) in inp.groups.iter().enumerate() {
-            let Some(days) = inp.gaps.get(slot) else {
+        for (slot, rec) in ds.groups.iter().enumerate() {
+            let Some(days) = ds.gaps.get(slot) else {
                 continue;
             };
             let key = rec.invite.dedup_key();
@@ -622,7 +574,7 @@ pub(crate) fn render_campaign_report(rollup: &TweetRollup, inp: &ReportInputs<'_
 
     // Joined groups: membership and full message logs, in join order.
     let joined_sha = digest(|buf| {
-        for jg in inp.joined {
+        for jg in &ds.joined {
             writeln!(
                 buf,
                 "{}|{}|gid={}|at={}|created={:?}|list={}",
@@ -661,7 +613,7 @@ pub(crate) fn render_campaign_report(rollup: &TweetRollup, inp: &ReportInputs<'_
     // counts in label order.
     let mut by_code: BTreeMap<&'static str, u64> = BTreeMap::new();
     let quarantine_sha = digest(|buf| {
-        for e in inp.quarantine {
+        for e in &ds.quarantine {
             *by_code.entry(e.code.label()).or_insert(0) += 1;
             writeln!(
                 buf,
@@ -677,7 +629,7 @@ pub(crate) fn render_campaign_report(rollup: &TweetRollup, inp: &ReportInputs<'_
             .unwrap();
         }
     });
-    writeln!(out, "quarantine: entries={}", inp.quarantine.len()).unwrap();
+    writeln!(out, "quarantine: entries={}", ds.quarantine.len()).unwrap();
     for (label, n) in &by_code {
         writeln!(out, "quarantine[{label}]: {n}").unwrap();
     }
@@ -685,32 +637,32 @@ pub(crate) fn render_campaign_report(rollup: &TweetRollup, inp: &ReportInputs<'_
 
     // PII store: unordered sets rendered sorted (canonical form).
     let pii_sha = digest(|buf| {
-        let mut wa_creators: Vec<&String> = inp.pii.wa_creator_hashes.iter().collect();
+        let mut wa_creators: Vec<&String> = ds.pii.wa_creator_hashes.iter().collect();
         wa_creators.sort();
-        let mut wa_members: Vec<&String> = inp.pii.wa_member_hashes.iter().collect();
+        let mut wa_members: Vec<&String> = ds.pii.wa_member_hashes.iter().collect();
         wa_members.sort();
-        let mut tg_users: Vec<&u32> = inp.pii.tg_users_observed.iter().collect();
+        let mut tg_users: Vec<&u32> = ds.pii.tg_users_observed.iter().collect();
         tg_users.sort();
-        let mut tg_phones: Vec<&String> = inp.pii.tg_phone_hashes.iter().collect();
+        let mut tg_phones: Vec<&String> = ds.pii.tg_phone_hashes.iter().collect();
         tg_phones.sort();
-        let mut dc_users: Vec<&u32> = inp.pii.dc_users_observed.iter().collect();
+        let mut dc_users: Vec<&u32> = ds.pii.dc_users_observed.iter().collect();
         dc_users.sort();
-        let mut dc_linked: Vec<&u32> = inp.pii.dc_users_with_link.iter().collect();
+        let mut dc_linked: Vec<&u32> = ds.pii.dc_users_with_link.iter().collect();
         dc_linked.sort();
         writeln!(buf, "wa_creators {wa_creators:?}").unwrap();
-        writeln!(buf, "wa_countries {:?}", inp.pii.wa_creator_countries).unwrap();
+        writeln!(buf, "wa_countries {:?}", ds.pii.wa_creator_countries).unwrap();
         writeln!(buf, "wa_members {wa_members:?}").unwrap();
         writeln!(buf, "tg_users {tg_users:?}").unwrap();
         writeln!(buf, "tg_phones {tg_phones:?}").unwrap();
         writeln!(buf, "dc_users {dc_users:?}").unwrap();
         writeln!(buf, "dc_linked {dc_linked:?}").unwrap();
-        writeln!(buf, "dc_counts {:?}", inp.pii.dc_linked_counts).unwrap();
+        writeln!(buf, "dc_counts {:?}", ds.pii.dc_linked_counts).unwrap();
     });
     writeln!(out, "pii_sha256: {pii_sha}").unwrap();
 
     // Deterministic counters (wall-clock timings excluded by name).
     let counters_sha = digest(|buf| {
-        for (name, v) in inp.metrics.counters() {
+        for (name, v) in ds.metrics.counters() {
             if name.ends_with(".micros") {
                 continue;
             }

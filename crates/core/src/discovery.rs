@@ -15,7 +15,7 @@ use crate::net::Net;
 use crate::patterns::{extract_invites, ExtractionStats};
 use crate::quarantine::{day_of, verify_echoes, QuarantineEntry};
 use chatlens_platforms::id::PlatformKind;
-use chatlens_platforms::invite::InviteCode;
+use chatlens_platforms::invite::{parse_invite_url, InviteCode};
 use chatlens_platforms::wire::WireDoc;
 use chatlens_simnet::time::SimTime;
 use chatlens_simnet::transport::Request;
@@ -48,6 +48,21 @@ pub struct CollectedTweet {
     pub via_search: bool,
     /// Delivered by the Streaming API.
     pub via_stream: bool,
+}
+
+impl CollectedTweet {
+    /// Which platforms the tweet carries a URL of, indexed by
+    /// [`PlatformKind::index`] (a tweet sharing two platforms counts
+    /// toward both, like Table 2's per-platform rows).
+    pub fn platforms(&self) -> [bool; 3] {
+        let mut on = [false; 3];
+        for url in &self.tweet.urls {
+            if let Some(inv) = parse_invite_url(url) {
+                on[inv.platform().index()] = true;
+            }
+        }
+        on
+    }
 }
 
 /// The discovery component's accumulated state.

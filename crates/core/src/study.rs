@@ -34,17 +34,16 @@
 //!   the assembled dataset;
 //! * a [`BudgetPolicy`] — the memory accountant meters the resident
 //!   stores (and the fold state) at every boundary and spills cold day
-//!   partitions; the session then finishes into a [`BudgetedRun`] whose
-//!   report is streamed from disk.
+//!   partitions; the session then finishes into a [`BudgetedRun`] that
+//!   reads them back, one partition at a time, for every pass over the
+//!   tweet log.
 //!
 //! The `run_study*`/`resume_study*` functions are one-expression
 //! wrappers over the session for the common modes.
 
 use crate::budget::{BudgetError, BudgetPolicy, BudgetStats, MemoryBudget};
-use crate::dataset::{
-    render_campaign_report, Dataset, PlatformSummary, ReportInputs, TweetRollupBuilder,
-};
-use crate::discovery::Discovery;
+use crate::dataset::{log_pass, CampaignSummary, Dataset};
+use crate::discovery::{CollectedTweet, Discovery};
 use crate::fold::{DayMark, DayParts, FoldDriver};
 use crate::joiner::Joiner;
 use crate::monitor::Monitor;
@@ -444,24 +443,28 @@ impl From<BudgetError> for StudyError {
     }
 }
 
-/// The output of a budgeted campaign. There is no [`Dataset`]: a
-/// budgeted run streams its report from spilled partitions plus the
-/// resident tail instead of materializing the full tweet log, so the
-/// report (byte-identical to the unbudgeted run's) and the Table 2
-/// totals are the deliverables, with the accountant's final statistics
-/// alongside.
+/// The output of a budgeted campaign. It never materializes the full
+/// tweet log: its report (byte-identical to the unbudgeted run's) and
+/// summary are streamed at finish from the spilled day partitions plus
+/// the resident tails, and [`Outcome::tweet_pass`] streams them again.
 #[derive(Debug)]
 pub struct BudgetedRun {
     /// The canonical campaign report — byte-identical to
     /// [`Dataset::campaign_report`] of an unbudgeted run.
     pub report: String,
-    /// Table 2 bottom row.
-    pub totals: PlatformSummary,
-    /// Final accountant statistics (resident peak, spill volume, …).
+    /// Table 2 and the campaign counters.
+    pub summary: CampaignSummary,
+    /// Accountant statistics at finish (resident peak, spill volume, …),
+    /// taken before any later pass faults a partition back.
     pub stats: BudgetStats,
     /// The `budget.*` metric registry (kept out of the report's frozen
     /// counter digest).
     pub metrics: Metrics,
+    /// The finished stores; `tweets` and `control` hold only the tails
+    /// that follow the spilled days.
+    resident: Dataset,
+    /// The accountant, which reads the spilled days back.
+    spill: MemoryBudget,
 }
 
 /// What a [`Campaign`] session carries besides the campaign itself. Each
@@ -482,13 +485,14 @@ pub struct Attachments<'a> {
 }
 
 /// What a finished [`Campaign`] hands back: the assembled dataset, or
-/// the streamed report of a budgeted session.
+/// a budgeted session's run. Every artifact renders from either through
+/// [`Outcome::summary`], [`Outcome::tweet_pass`] and [`Outcome::report`].
 #[derive(Debug)]
 pub enum Outcome {
     /// An unbudgeted session's dataset.
     Dataset(Box<Dataset>),
-    /// A budgeted session's report, totals and accountant statistics.
-    Budgeted(BudgetedRun),
+    /// A budgeted session's report, summary and accountant statistics.
+    Budgeted(Box<BudgetedRun>),
 }
 
 impl Outcome {
@@ -509,9 +513,45 @@ impl Outcome {
     /// Panics on an unbudgeted session's outcome.
     pub fn into_budgeted(self) -> BudgetedRun {
         match self {
-            Outcome::Budgeted(run) => run,
+            Outcome::Budgeted(run) => *run,
             Outcome::Dataset(_) => panic!("an unbudgeted session yields a Dataset"),
         }
+    }
+
+    /// Table 2 and the campaign counters.
+    pub fn summary(&self) -> CampaignSummary {
+        match self {
+            Outcome::Dataset(ds) => ds.campaign_summary(),
+            Outcome::Budgeted(run) => run.summary,
+        }
+    }
+
+    /// The canonical campaign report.
+    pub fn report(&self) -> String {
+        match self {
+            Outcome::Dataset(ds) => ds.campaign_report(),
+            Outcome::Budgeted(run) => run.report.clone(),
+        }
+    }
+
+    /// The campaign's own metrics: counters and stage timings.
+    pub fn metrics(&self) -> &Metrics {
+        match self {
+            Outcome::Dataset(ds) => &ds.metrics,
+            Outcome::Budgeted(run) => &run.resident.metrics,
+        }
+    }
+
+    /// One ordered pass over the collected tweet log: `f` sees it in
+    /// append order, one chunk at a time — each spilled day partition
+    /// (read back one at a time), then the resident tail; an unbudgeted
+    /// dataset is one chunk.
+    pub fn tweet_pass(&mut self, f: impl FnMut(&[CollectedTweet])) -> Result<(), BudgetError> {
+        let (ds, spill) = match self {
+            Outcome::Dataset(ds) => (&**ds, None),
+            Outcome::Budgeted(run) => (&run.resident, Some(&mut run.spill)),
+        };
+        log_pass(spill, |p| p.tweets.as_slice(), &ds.tweets, f)
     }
 }
 
@@ -713,7 +753,8 @@ impl<'a> Campaign<'a> {
 
     /// Run the remaining days, record the end-of-run metrics, and
     /// deliver the result: the assembled [`Dataset`], or — with a budget
-    /// attached — the [`BudgetedRun`] streamed from spilled partitions.
+    /// attached — the [`BudgetedRun`], whose report and summary stream
+    /// from the spilled partitions.
     pub fn finish(mut self) -> Result<Outcome, StudyError> {
         self.run_until(self.runner.days())?;
         self.ready()?;
@@ -722,10 +763,20 @@ impl<'a> Campaign<'a> {
         self.snapshots = None;
         self.runner.drain_tail(self.eco);
         self.runner.record_final_metrics();
-        Ok(match self.runner.budget.take() {
-            Some(budget) => Outcome::Budgeted(self.runner.budgeted_report(budget)?),
-            None => Outcome::Dataset(Box::new(self.runner.assemble())),
-        })
+        let budget = self.runner.budget.take();
+        let ds = self.runner.assemble();
+        let Some(mut spill) = budget else {
+            return Ok(Outcome::Dataset(Box::new(ds)));
+        };
+        let (report, summary) = ds.report_pass(Some(&mut spill))?;
+        Ok(Outcome::Budgeted(Box::new(BudgetedRun {
+            report,
+            summary,
+            stats: spill.stats(),
+            metrics: spill.metrics(),
+            resident: ds,
+            spill,
+        })))
     }
 
     fn ready(&self) -> Result<(), StudyError> {
@@ -1065,65 +1116,6 @@ impl Runner {
         );
         self.budget = Some(budget);
         result
-    }
-
-    /// Stream the campaign report without ever assembling the full
-    /// dataset in memory: spilled day-partitions are faulted back one at
-    /// a time (tweets pass, then control pass — the frozen digest
-    /// layout), the resident tails follow, and the resident stores
-    /// render as usual. Byte-identical to the assembled dataset's
-    /// [`Dataset::campaign_report`] by construction — both funnel
-    /// through `render_campaign_report`.
-    fn budgeted_report(&mut self, mut budget: MemoryBudget) -> Result<BudgetedRun, BudgetError> {
-        let mut quarantine = std::mem::take(&mut self.discovery.quarantine);
-        quarantine.extend(std::mem::take(&mut self.monitor.quarantine));
-        quarantine.extend(std::mem::take(&mut self.joiner.quarantine));
-
-        let days: Vec<u32> = budget.manifest().iter().map(|p| p.day).collect();
-        let mut rb = TweetRollupBuilder::new();
-        for &day in &days {
-            let part = budget.read_partition(day)?;
-            for ct in &part.tweets {
-                rb.add_tweet(ct);
-            }
-        }
-        for ct in self.discovery.tweets.resident() {
-            rb.add_tweet(ct);
-        }
-        for &day in &days {
-            let part = budget.read_partition(day)?;
-            for tw in &part.control {
-                rb.add_control(tw);
-            }
-        }
-        for tw in self.discovery.control.resident() {
-            rb.add_control(tw);
-        }
-        let rollup = rb.finish();
-
-        let inputs = ReportInputs {
-            window: self.window,
-            groups: &self.discovery.groups,
-            interner: &self.discovery.interner,
-            timelines: &self.monitor.timelines,
-            gaps: &self.monitor.gaps,
-            quarantine: &quarantine,
-            joined: &self.joiner.joined,
-            pii: &self.pii,
-            extraction: self.discovery.stats,
-            failed_requests: self.discovery.failed_requests,
-            accounts_used: self.joiner.accounts_used,
-            bot_join_rejected: self.joiner.bot_join_rejected,
-            metrics: &self.metrics,
-        };
-        let report = render_campaign_report(&rollup, &inputs);
-        let totals = inputs.totals_with(&rollup);
-        Ok(BudgetedRun {
-            report,
-            totals,
-            stats: budget.stats(),
-            metrics: budget.metrics(),
-        })
     }
 
     /// Capture the full campaign state (valid at a day boundary).

@@ -3,7 +3,7 @@
 
 use crate::lexicon::ToxicityLexicon;
 use crate::service::PerspectiveService;
-use chatlens_core::Dataset;
+use chatlens_core::discovery::CollectedTweet;
 use chatlens_platforms::id::PlatformKind;
 use chatlens_platforms::wire::WireDoc;
 use chatlens_simnet::time::{SimDuration, SimTime};
@@ -26,15 +26,37 @@ pub struct ToxicityReport {
     pub p90: f64,
 }
 
+/// Each platform's English sharing tweets, as token lists in log order,
+/// indexed by [`PlatformKind::index`]: what [`score_tweets`] scores.
+pub type EnglishTweets = [Vec<Vec<u16>>; 3];
+
+/// Append the token lists of the English tweets in `tweets` to every
+/// platform they share a group of. Feeding a log chunk by chunk, in
+/// order, builds the same lists as feeding it whole.
+pub fn collect_english(tweets: &[CollectedTweet], english: &mut EnglishTweets) {
+    for ct in tweets.iter().filter(|ct| ct.tweet.lang == Lang::En) {
+        for (list, hit) in english.iter_mut().zip(ct.platforms()) {
+            if hit {
+                list.push(ct.tweet.tokens.clone());
+            }
+        }
+    }
+}
+
 /// Score every English sharing tweet of every platform through the
 /// Perspective-style API (paced at the service's QPS so the quota never
-/// rejects), returning one report per platform.
+/// rejects, on a virtual clock that starts at `start`), returning one
+/// report per platform in [`PlatformKind::ALL`] order.
 ///
 /// Scoring goes over the wire on purpose: the future-work experiment is
 /// about driving an external rate-limited API from the collection
 /// pipeline, not about calling a local function.
-pub fn score_dataset(ds: &Dataset, vocab: &Vocabulary, qps: f64) -> Vec<ToxicityReport> {
-    let start = ds.window.start_time();
+pub fn score_tweets(
+    english: &EnglishTweets,
+    start: SimTime,
+    vocab: &Vocabulary,
+    qps: f64,
+) -> Vec<ToxicityReport> {
     let mut service = PerspectiveService::new(ToxicityLexicon::build(vocab), qps, start);
     let mut client = Client::plain(0x70C5, start);
     let mut reports = Vec::new();
@@ -43,12 +65,9 @@ pub fn score_dataset(ds: &Dataset, vocab: &Vocabulary, qps: f64) -> Vec<Toxicity
     let mut cursor = start;
     for kind in PlatformKind::ALL {
         let mut scores: Vec<f64> = Vec::new();
-        for ct in ds.tweets_of(kind) {
-            if ct.tweet.lang != Lang::En {
-                continue;
-            }
+        for doc in &english[kind.index()] {
             cursor += step;
-            let tokens: Vec<String> = ct.tweet.tokens.iter().map(u16::to_string).collect();
+            let tokens: Vec<String> = doc.iter().map(u16::to_string).collect();
             let req = Request::new("perspective/analyze").with("tokens", tokens.join(" "));
             let mut router = Router::new();
             router.mount("perspective", &mut service);
@@ -84,16 +103,10 @@ pub fn score_dataset(ds: &Dataset, vocab: &Vocabulary, qps: f64) -> Vec<Toxicity
     reports
 }
 
-/// The toxicity of each *virtual time instant* is irrelevant; re-export
-/// the pacing start for callers that want to continue the clock.
-pub fn pacing_start(ds: &Dataset) -> SimTime {
-    ds.window.start_time()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chatlens_core::run_study;
+    use chatlens_core::{run_study, Dataset};
     use chatlens_workload::ScenarioConfig;
     use std::sync::OnceLock;
 
@@ -102,13 +115,20 @@ mod tests {
         DS.get_or_init(|| run_study(ScenarioConfig::tiny()))
     }
 
+    fn reports(vocab: &Vocabulary) -> Vec<ToxicityReport> {
+        let ds = dataset();
+        let mut english = EnglishTweets::default();
+        collect_english(&ds.tweets, &mut english);
+        score_tweets(&english, ds.window.start_time(), vocab, 50.0)
+    }
+
     #[test]
     fn telegram_is_the_most_toxic_platform() {
         // §4: Telegram's sex topics are 23% of its English tweets; Discord
         // has hentai servers (9%); WhatsApp is money-and-crypto spam. The
         // future-work experiment should find exactly that ordering.
         let vocab = Vocabulary::build();
-        let reports = score_dataset(dataset(), &vocab, 50.0);
+        let reports = reports(&vocab);
         assert_eq!(reports.len(), 3);
         let by = |k: PlatformKind| {
             reports
@@ -146,7 +166,7 @@ mod tests {
     #[test]
     fn reports_are_well_formed() {
         let vocab = Vocabulary::build();
-        for r in score_dataset(dataset(), &vocab, 50.0) {
+        for r in reports(&vocab) {
             assert!((0.0..=1.0).contains(&r.mean));
             assert!((0.0..=1.0).contains(&r.toxic_share));
             assert!((0.0..=1.0).contains(&r.p90));

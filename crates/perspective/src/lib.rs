@@ -12,7 +12,7 @@
 //! * [`service`] — the scoring API as a transport [`Service`]: one
 //!   request per document, QPS-limited exactly like the real API's free
 //!   tier, so a client that doesn't pace itself gets 429s.
-//! * [`client`] — a paced scoring client plus [`client::score_dataset`],
+//! * [`client`] — a paced scoring client plus [`client::score_tweets`],
 //!   which pushes every collected English tweet through the API and
 //!   aggregates per-platform toxicity reports.
 //!
@@ -29,6 +29,6 @@ pub mod client;
 pub mod lexicon;
 pub mod service;
 
-pub use client::{score_dataset, ToxicityReport};
+pub use client::{collect_english, score_tweets, EnglishTweets, ToxicityReport};
 pub use lexicon::ToxicityLexicon;
 pub use service::PerspectiveService;

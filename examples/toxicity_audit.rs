@@ -6,7 +6,7 @@
 //! cargo run --release --example toxicity_audit
 //! ```
 
-use chatlens::perspective::score_dataset;
+use chatlens::perspective::{collect_english, score_tweets, EnglishTweets};
 use chatlens::report::table::{fmt_count, fmt_pct, Table};
 use chatlens::workload::Vocabulary;
 use chatlens::{run_study, ScenarioConfig};
@@ -18,7 +18,9 @@ fn main() {
 
     println!("scoring every English sharing tweet through the analyzer API");
     println!("(rate-limited service; the client paces itself)...\n");
-    let reports = score_dataset(&dataset, &vocab, 50.0);
+    let mut english = EnglishTweets::default();
+    collect_english(&dataset.tweets, &mut english);
+    let reports = score_tweets(&english, dataset.window.start_time(), &vocab, 50.0);
 
     let mut t = Table::new("Toxicity by platform (threshold 0.5)").header([
         "Platform",

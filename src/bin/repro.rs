@@ -25,13 +25,13 @@ use chatlens::analysis::{topics, LdaConfig, StandardFolds};
 use chatlens::checkpoint::{chain, load_from_file, CheckpointError, RealVfs, Vfs};
 use chatlens::core::audit_dataset;
 use chatlens::core::budget::{BudgetLimit, BudgetPolicy};
-use chatlens::core::dataset::PlatformSummary;
+use chatlens::core::dataset::CampaignSummary;
 use chatlens::core::net::SERVICE_NAMES;
 use chatlens::core::{
-    recover_latest_state, Attachments, BudgetedRun, Campaign, CampaignConfig, CampaignState,
+    recover_latest_state, Attachments, BudgetError, Campaign, CampaignConfig, CampaignState,
     CheckpointPolicy, FoldDriver, Outcome, StudyError,
 };
-use chatlens::perspective::score_dataset;
+use chatlens::perspective::{collect_english, score_tweets, EnglishTweets};
 use chatlens::platforms::id::PlatformKind;
 use chatlens::platforms::spec::PlatformSpec;
 use chatlens::report::compare::{holding, markdown_table, Comparison};
@@ -41,9 +41,10 @@ use chatlens::report::table::{fmt_bytes, fmt_count, fmt_pct, Table};
 use chatlens::simnet::fault::{CorruptionProfile, DiskFaultProfile, FaultProfile, OutageSpec};
 use chatlens::simnet::hash::sha256_hex;
 use chatlens::simnet::metrics::{keys, Metrics};
+use chatlens::simnet::time::SimTime;
 use chatlens::twitter::Lang;
 use chatlens::workload::Vocabulary;
-use chatlens::{Dataset, Ecosystem, ScenarioConfig};
+use chatlens::{Ecosystem, ScenarioConfig};
 
 const PLATFORMS: [PlatformKind; 3] = PlatformKind::ALL;
 
@@ -172,14 +173,14 @@ OPTIONS:
                      day boundary used by the crash-storm CI smoke);
                      needs --checkpoint-dir
     --mem-budget <bytes|min>
-                     run the campaign under a hard memory budget (the
-                     `run` artifact only): the accountant tracks the
-                     encoded-size resident bytes of the big stores and
-                     spills cold day-partitions — coldest day first,
-                     deterministically — through the (possibly
-                     fault-injected, see --disk-fault) spill filesystem
-                     whenever the ceiling is exceeded, then streams the
-                     campaign report from disk. The report is
+                     run the campaign under a hard memory budget: the
+                     accountant tracks the encoded-size resident bytes
+                     of the big stores and spills cold day-partitions —
+                     coldest day first, deterministically — through the
+                     (possibly fault-injected, see --disk-fault) spill
+                     filesystem whenever the ceiling is exceeded, then
+                     reads them back one at a time for the report and
+                     the artifacts. Every artifact and the report are
                      byte-identical to the unbudgeted run's; a ceiling
                      the spiller cannot satisfy is refused with a typed
                      error, never an abort. `min` evicts everything
@@ -421,16 +422,7 @@ fn main() {
         on_drop: true,
         disk_fault,
     });
-    // `--mem-budget`: run under a hard memory budget. Only the `run`
-    // artifact is supported — the analyses need the fully assembled
-    // dataset, while a budgeted campaign streams its report from spilled
-    // partitions.
     let budget = mem_budget.map(|limit| {
-        if artifact != "run" {
-            exit_with(CliError::usage(
-                "--mem-budget only supports the `run` artifact (analyses need the full dataset)",
-            ));
-        }
         let dir = spill_dir
             .clone()
             .or_else(|| ckpt_dir.as_ref().map(|d| d.join("spill")))
@@ -523,7 +515,7 @@ fn main() {
         );
         return;
     }
-    let outcome = session
+    let mut outcome = session
         .finish()
         .unwrap_or_else(|e| exit_with(study_failure(e)));
     eprintln!("# campaign done in {:.1?}\n", t0.elapsed());
@@ -534,6 +526,7 @@ fn main() {
     if timings {
         print_stage_timings("fold stage timings", driver.metrics());
     }
+    let summary = outcome.summary();
     if artifact == "run" {
         let rows: Vec<FoldSummaryRow> = fragments
             .iter()
@@ -548,31 +541,7 @@ fn main() {
             "{}",
             fold_summary(&rows, driver.peak_state_bytes(), driver.days_folded()).render()
         );
-    }
-    let ds = match outcome {
-        Outcome::Dataset(ds) => *ds,
-        Outcome::Budgeted(run) => {
-            print_budgeted_run(run, report_out.as_deref());
-            return;
-        }
-    };
-    if artifact == "run" {
-        print_run_summary(|| ds.campaign_report(), ds.totals(), report_out.as_deref());
-        if !ds.gaps.is_empty() {
-            println!(
-                "gap ledger: {} group(s) with {} censored observation day(s)",
-                fmt_count(ds.gaps.group_count() as u64),
-                fmt_count(ds.gaps.total_days())
-            );
-        }
-        if !ds.quarantine.is_empty() {
-            println!(
-                "quarantine ledger: {} rejected bodies ({} corrupted in flight)",
-                fmt_count(ds.quarantine.len() as u64),
-                fmt_count(ds.metrics.get("transport.corrupted"))
-            );
-        }
-        return;
+        print_run_summary(&outcome, &summary, report_out.as_deref());
     }
 
     let mut cmp: Vec<Comparison> = Vec::new();
@@ -585,7 +554,7 @@ fn main() {
         table1();
     }
     if all || artifact == "table2" {
-        stages.time_stage(keys::STAGE_TABLE2, || table2(&ds, scale, &mut cmp));
+        stages.time_stage(keys::STAGE_TABLE2, || table2(&summary, scale, &mut cmp));
     }
     if all || artifact == "fig1" {
         stages.time_stage(keys::STAGE_FIG1, || {
@@ -640,12 +609,16 @@ fn main() {
         stages.time_stage(keys::STAGE_TABLE5, || table5(&folds.pii.output(), &mut cmp));
     }
     if all || artifact == "extras" {
-        stages.time_stage(keys::STAGE_EXTRAS, || extras(&ds, folds, &mut cmp));
+        stages.time_stage(keys::STAGE_EXTRAS, || extras(&summary, folds, &mut cmp));
     }
     if all || artifact == "extensions" {
-        stages.time_stage(keys::STAGE_EXTENSIONS, || {
-            extensions(&ds, &folds.discovery.output(), threads, &mut cmp)
-        });
+        let start = eco.window.start_time();
+        let discovery = folds.discovery.output();
+        stages
+            .time_stage(keys::STAGE_EXTENSIONS, || {
+                extensions(&mut outcome, start, &discovery, threads, &mut cmp)
+            })
+            .unwrap_or_else(|e| exit_with(study_failure(e.into())));
     }
     if let Some(dir) = &csv_dir {
         if let Err(e) = export_csv(folds, dir) {
@@ -656,7 +629,7 @@ fn main() {
     if timings {
         print_stage_timings(
             "campaign stage timings (wall-clock, nondeterministic)",
-            &ds.metrics,
+            outcome.metrics(),
         );
         print_stage_timings("analysis stage timings", &stages);
     }
@@ -718,20 +691,18 @@ fn parse_outage(arg: &str, ban: bool) -> (usize, OutageSpec) {
 }
 
 /// The `run` artifact's summary: the canonical campaign report bytes to
-/// a file if asked (budgeted or not — the CI budget smoke byte-compares
-/// the two), then the Table 2 totals.
-fn print_run_summary(
-    report: impl FnOnce() -> String,
-    tot: PlatformSummary,
-    report_out: Option<&std::path::Path>,
-) {
+/// a file if asked (the CI budget smoke byte-compares budgeted and
+/// unbudgeted runs), the Table 2 totals and ledger lines, then — under a
+/// budget — the accountant's statistics at finish.
+fn print_run_summary(outcome: &Outcome, s: &CampaignSummary, report_out: Option<&std::path::Path>) {
     if let Some(path) = report_out {
         // lint:allow(D13) operator-requested report export, outside the durability domain
-        if let Err(e) = std::fs::write(path, report().as_bytes()) {
+        if let Err(e) = std::fs::write(path, outcome.report().as_bytes()) {
             exit_with(CliError::failed(format!("{}: {e}", path.display())));
         }
         eprintln!("# report written to {}", path.display());
     }
+    let tot = s.totals;
     println!(
         "campaign complete: {} tweets, {} group URLs, {} joined groups, {} messages",
         fmt_count(tot.tweets),
@@ -739,18 +710,24 @@ fn print_run_summary(
         fmt_count(tot.joined_groups),
         fmt_count(tot.messages)
     );
-}
-
-/// Print the budgeted `run` summary: the run summary plus the
-/// accountant's final statistics.
-fn print_budgeted_run(run: BudgetedRun, report_out: Option<&std::path::Path>) {
-    let BudgetedRun {
-        report,
-        totals,
-        stats: s,
-        ..
-    } = run;
-    print_run_summary(|| report, totals, report_out);
+    if s.gap_days > 0 {
+        println!(
+            "gap ledger: {} group(s) with {} censored observation day(s)",
+            fmt_count(s.gap_groups),
+            fmt_count(s.gap_days)
+        );
+    }
+    if s.quarantined > 0 {
+        println!(
+            "quarantine ledger: {} rejected bodies ({} corrupted in flight)",
+            fmt_count(s.quarantined),
+            fmt_count(outcome.metrics().get("transport.corrupted"))
+        );
+    }
+    let Outcome::Budgeted(run) = outcome else {
+        return;
+    };
+    let s = run.stats;
     let limit = match s.limit {
         Some(b) => fmt_bytes(b),
         None => "min".to_string(),
@@ -1194,11 +1171,12 @@ fn export_csv(folds: &StandardFolds, dir: &std::path::Path) -> Result<(), Checkp
 // ---- Extensions: §4 multilingual topics, §8 toxicity, Table 2 overlap ----
 
 fn extensions(
-    ds: &Dataset,
+    outcome: &mut Outcome,
+    start: SimTime,
     discovery: &DiscoveryOutput,
     threads: usize,
     cmp: &mut Vec<Comparison>,
-) {
+) -> Result<(), BudgetError> {
     println!("Extensions (paper's omitted-for-space / future-work analyses)");
     // Cross-platform co-shares: the Table 2 rows-vs-total gap.
     let cross = discovery.cross_platform_tweets;
@@ -1216,18 +1194,29 @@ fn extensions(
         tolerance: 0.0,
     });
 
-    // Multilingual LDA (§4's closing remark): COVID-19 in Spanish,
-    // politics in Spanish/Portuguese.
+    // One pass over the tweet log builds every corpus below.
     let vocab = Vocabulary::build();
-    for (kind, lang, want) in [
+    let langs = [
         (PlatformKind::WhatsApp, Lang::Es, "COVID-19"),
         (PlatformKind::Telegram, Lang::Es, "Politics (es)"),
         (PlatformKind::WhatsApp, Lang::Pt, "Politics (pt)"),
-    ] {
+    ];
+    let mut corpora: [Vec<Vec<u16>>; 3] = Default::default();
+    let mut english = EnglishTweets::default();
+    outcome.tweet_pass(|tweets| {
+        for (docs, &(kind, lang, _)) in corpora.iter_mut().zip(&langs) {
+            docs.extend(topics::corpus_for_lang(tweets, kind, lang, &vocab));
+        }
+        collect_english(tweets, &mut english);
+    })?;
+
+    // Multilingual LDA (§4's closing remark): COVID-19 in Spanish,
+    // politics in Spanish/Portuguese.
+    for ((kind, lang, want), docs) in langs.into_iter().zip(&corpora) {
         let Some(analysis) = topics::analyze_topics_lang(
-            ds,
             kind,
             lang,
+            docs,
             &vocab,
             // K above the reference-set size gives LDA room to split a
             // viral group's flood off from the thematic topics.
@@ -1265,7 +1254,7 @@ fn extensions(
     }
 
     // §8 future work: toxicity via the Perspective-style analyzer.
-    let reports = score_dataset(ds, &vocab, 50.0);
+    let reports = score_tweets(&english, start, &vocab, 50.0);
     for r in &reports {
         println!(
             "  toxicity {:<8} scored {:<7} mean {:.3}  likely-toxic {}",
@@ -1291,6 +1280,7 @@ fn extensions(
         tolerance: 0.0,
     });
     println!();
+    Ok(())
 }
 
 // ---- Table 1 -------------------------------------------------------------
@@ -1330,7 +1320,7 @@ fn table1() {
 
 // ---- Table 2 -------------------------------------------------------------
 
-fn table2(ds: &Dataset, scale: f64, cmp: &mut Vec<Comparison>) {
+fn table2(summary: &CampaignSummary, scale: f64, cmp: &mut Vec<Comparison>) {
     let paper_rows: [(PlatformKind, [f64; 6]); 3] = [
         (
             PlatformKind::WhatsApp,
@@ -1369,7 +1359,7 @@ fn table2(ds: &Dataset, scale: f64, cmp: &mut Vec<Comparison>) {
         "#Users",
     ]);
     for (kind, paper) in paper_rows {
-        let s = ds.summary(kind);
+        let s = summary.platforms[kind.index()];
         t.row([
             pname(kind).to_string(),
             fmt_count(s.tweets),
@@ -1422,7 +1412,7 @@ fn table2(ds: &Dataset, scale: f64, cmp: &mut Vec<Comparison>) {
             0.85,
         ));
     }
-    let tot = ds.totals();
+    let tot = summary.totals;
     t.row([
         "Total".to_string(),
         fmt_count(tot.tweets),
@@ -2102,7 +2092,7 @@ fn table5(pii: &PiiOutput, cmp: &mut Vec<Comparison>) {
 
 // ---- §5 extras -----------------------------------------------------------
 
-fn extras(ds: &Dataset, folds: &StandardFolds, cmp: &mut Vec<Comparison>) {
+fn extras(summary: &CampaignSummary, folds: &StandardFolds, cmp: &mut Vec<Comparison>) {
     println!("§5 extras: creators, countries, active members");
     let membership = folds.membership.output();
     for kind in PLATFORMS {
@@ -2173,16 +2163,18 @@ fn extras(ds: &Dataset, folds: &StandardFolds, cmp: &mut Vec<Comparison>) {
         direction: chatlens::report::Direction::AtMost,
         tolerance: 0.0,
     });
+    let accounts = summary.accounts_used;
     println!(
         "  accounts used: WA {}, TG {}, DC {}; Discord bot-join rejected: {}",
-        ds.accounts_used[0], ds.accounts_used[1], ds.accounts_used[2], ds.bot_join_rejected
+        accounts[0], accounts[1], accounts[2], summary.bot_join_rejected
     );
+    let x = summary.extraction;
     println!(
         "  extraction: {} URLs seen, {} invites, {} rejected; {} failed requests",
-        fmt_count(ds.extraction.urls_seen),
-        fmt_count(ds.extraction.invites),
-        fmt_count(ds.extraction.rejected),
-        ds.failed_requests
+        fmt_count(x.urls_seen),
+        fmt_count(x.invites),
+        fmt_count(x.rejected),
+        summary.failed_requests
     );
     println!();
 }

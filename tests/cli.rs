@@ -110,30 +110,89 @@ fn csv_bundle(dir: &Path) -> String {
         .collect()
 }
 
+/// A fresh scratch path under the system temp dir (not created).
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("chatlens-cli-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Run `repro --scale 0.002` with `args`; returns stdout and stderr,
+/// asserting a zero exit.
+fn repro(args: &[&str]) -> (String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "0.002"])
+        .args(args)
+        .output()
+        .expect("run repro");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    (String::from_utf8(out.stdout).expect("utf-8 stdout"), stderr)
+}
+
 /// `repro --scale 0.002 all`: every table, figure and comparison on
 /// stdout, and every `--csv` series file, equal the committed fixtures
-/// at 1 and 2 threads.
+/// at 1 and 2 threads — unbudgeted, under `--mem-budget min`, and
+/// budgeted, halted at day 20 and resumed from the snapshot chain.
 #[test]
 fn repro_all_stdout_and_csv_are_pinned() {
+    let check_all = |context: &str, args: &[&str]| {
+        let dir = scratch("csv");
+        let csv = dir.to_str().expect("utf-8 temp path");
+        let (stdout, _) = repro(&[args, &["--csv", csv, "all"]].concat());
+        check_fixture("repro_all.stdout.txt", context, &stdout);
+        check_fixture("repro_all.csv.txt", context, &csv_bundle(&dir));
+        let _ = std::fs::remove_dir_all(&dir);
+    };
+    let spill = scratch("spill");
+    let spill = spill.to_str().expect("utf-8 temp path");
     for threads in ["1", "2"] {
-        let dir =
-            std::env::temp_dir().join(format!("chatlens-cli-csv-{threads}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["--scale", "0.002", "--threads", threads, "--csv"])
-            .arg(&dir)
-            .arg("all")
-            .output()
-            .expect("run repro");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(0), "threads {threads}: {stderr}");
-        let context = format!("threads {threads}");
-        check_fixture(
-            "repro_all.stdout.txt",
-            &context,
-            &String::from_utf8(out.stdout).expect("utf-8 stdout"),
+        check_all(&format!("threads {threads}"), &["--threads", threads]);
+        let budget = ["--mem-budget", "min", "--spill-dir", spill];
+        check_all(
+            &format!("budgeted, threads {threads}"),
+            &[&["--threads", threads][..], &budget].concat(),
         );
-        check_fixture("repro_all.csv.txt", &context, &csv_bundle(&dir));
-        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(spill);
+    }
+    let chain = scratch("chain");
+    let chain = chain.to_str().expect("utf-8 temp path");
+    let budget = ["--mem-budget", "min", "--checkpoint-dir", chain];
+    repro(&[&budget[..], &["--halt-after-day", "20", "run"]].concat());
+    check_all(
+        "budgeted, halted at day 20 and resumed",
+        &[&budget[..], &["--resume", chain]].concat(),
+    );
+    let _ = std::fs::remove_dir_all(chain);
+}
+
+/// `repro run` prints the same summary, ledger lines and `--timings`
+/// blocks with or without a memory budget; the budget adds one line,
+/// last.
+#[test]
+fn budgeted_run_prints_every_unbudgeted_line_and_the_campaign_timings() {
+    let run = [
+        "--fault-profile",
+        "bursty",
+        "--corruption",
+        "hostile",
+        "--timings",
+        "run",
+    ];
+    let (plain, plain_err) = repro(&run);
+    let spill = scratch("run-spill");
+    let spill = spill.to_str().expect("utf-8 temp path");
+    let (budgeted, budgeted_err) =
+        repro(&[&["--mem-budget", "min", "--spill-dir", spill][..], &run].concat());
+    let _ = std::fs::remove_dir_all(spill);
+    assert!(plain.contains("\ngap ledger: ") && plain.contains("\nquarantine ledger: "));
+    let lines: Vec<&str> = budgeted.lines().collect();
+    for line in plain.lines() {
+        assert!(lines.contains(&line), "the budgeted run lacks {line:?}");
+    }
+    assert_eq!(lines.len(), plain.lines().count() + 1, "{budgeted}");
+    assert!(lines.last().is_some_and(|l| l.starts_with("budget: ")));
+    for stderr in [plain_err, budgeted_err] {
+        assert!(stderr.contains("# campaign stage timings"), "{stderr}");
     }
 }
