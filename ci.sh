@@ -90,6 +90,8 @@ diff <(fold_digests "$INC_DIR/first.out") <(fold_digests "$INC_DIR/resumed.out")
 # Budget x fold smoke: a budgeted, checkpointed campaign halted at the
 # day-20 boundary and resumed with the same flags must land on the fold
 # digests of an uninterrupted unbudgeted run and on its report bytes,
+# every one of its 38 snapshots (nonzero spilled bases included) must
+# verify and decode,
 # and every artifact rendered from the resumed chain (`all`) must print
 # the unbudgeted stdout byte for byte (the full matrix lives in
 # tests/budget.rs).
@@ -103,6 +105,7 @@ cargo run -q --bin repro -- --scale 0.005 --mem-budget min \
 cargo run -q --bin repro -- --scale 0.005 --mem-budget min \
     --checkpoint-dir "$COMBO_DIR/chain" --resume "$COMBO_DIR/chain" run \
     --report-out "$COMBO_DIR/budgeted.report" > "$COMBO_DIR/resumed.out"
+cargo run -q --bin repro -- checkpoint verify --all "$COMBO_DIR/chain"
 diff <(fold_digests "$COMBO_DIR/uninterrupted.out") <(fold_digests "$COMBO_DIR/resumed.out") \
     || { echo "FAIL: budgeted resumed fold digests diverge" >&2; exit 1; }
 cmp "$COMBO_DIR/unbudgeted.report" "$COMBO_DIR/budgeted.report" \

@@ -1,10 +1,13 @@
 //! The `repro` command line: bad flag values are usage errors (exit 2
-//! and one diagnostic line), never a panic and backtrace; and the full
+//! and one diagnostic line), never a panic and backtrace; the full
 //! artifact run is pinned byte-for-byte, stdout and CSV series alike,
-//! at any thread count.
+//! at any thread count; and so are `checkpoint inspect` and
+//! `dump-config`.
 //!
-//! The pinned outputs live in `tests/golden/repro_all.*`; refresh them
-//! after an intentional output change with
+//! The pinned outputs live in `tests/golden/repro_all.*`,
+//! `tests/golden/inspect_*.json.txt` and
+//! `tests/golden/dump_config.json.txt`; refresh them after an
+//! intentional output change with
 //! `UPDATE_GOLDEN=1 cargo test --test cli`.
 
 use std::path::{Path, PathBuf};
@@ -195,4 +198,31 @@ fn budgeted_run_prints_every_unbudgeted_line_and_the_campaign_timings() {
     for stderr in [plain_err, budgeted_err] {
         assert!(stderr.contains("# campaign stage timings"), "{stderr}");
     }
+}
+
+/// `repro checkpoint inspect` of the final-day snapshot and of a
+/// `--mem-budget min` snapshot halted at day 20 (nonzero spill fields,
+/// tweet counts that include the spilled prefix), and `repro
+/// dump-config`, equal the committed fixtures.
+#[test]
+fn inspect_and_dump_config_are_pinned() {
+    let chain = scratch("inspect");
+    let dir = chain.to_str().expect("utf-8 temp path");
+    let inspect = |snapshot: &str| {
+        let path = chain.join(snapshot);
+        let path = path.to_str().expect("utf-8 temp path");
+        repro(&["checkpoint", "inspect", path]).0
+    };
+    let pinned = ["--threads", "1", "--checkpoint-dir", dir];
+    repro(&[&pinned[..], &["run"]].concat());
+    let final_day = inspect("day038.ckpt");
+    check_fixture("inspect_final.json.txt", "final day", &final_day);
+    let _ = std::fs::remove_dir_all(&chain);
+    let halted = ["--mem-budget", "min", "--halt-after-day", "20", "run"];
+    repro(&[&pinned[..], &halted].concat());
+    let day20 = inspect("day020.ckpt");
+    check_fixture("inspect_budgeted_day020.json.txt", "budgeted", &day20);
+    let _ = std::fs::remove_dir_all(&chain);
+    let (config, _) = repro(&["dump-config"]);
+    check_fixture("dump_config.json.txt", "dump-config", &config);
 }
