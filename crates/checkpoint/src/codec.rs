@@ -60,11 +60,6 @@ impl Writer {
         self.buf.push(v);
     }
 
-    /// Append a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -122,12 +117,6 @@ impl<'a> Reader<'a> {
     /// Consume one byte.
     pub fn get_u8(&mut self) -> Result<u8, CheckpointError> {
         Ok(self.take(1)?[0])
-    }
-
-    /// Consume a little-endian `u32`.
-    pub fn get_u32(&mut self) -> Result<u32, CheckpointError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
     }
 
     /// Consume a little-endian `u64`.

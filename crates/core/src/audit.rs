@@ -323,7 +323,9 @@ mod tests {
     }
 
     fn store(slot: u32, tl: GroupTimeline) -> TimelineStore {
-        TimelineStore::from_entries(vec![(slot, tl)])
+        let mut store = TimelineStore::new();
+        *store.ensure(slot as usize) = tl;
+        store
     }
 
     const ALIVE: ObservedStatus = ObservedStatus::Alive {

@@ -61,6 +61,7 @@ use chatlens_checkpoint::{
 use chatlens_simnet::fault::DiskFaultProfile;
 use chatlens_simnet::hash::sha256;
 use chatlens_simnet::metrics::{keys, Metrics};
+use chatlens_simnet::time::SimTime;
 use chatlens_twitter::Tweet;
 use std::fmt;
 use std::ops::Range;
@@ -827,11 +828,14 @@ impl MemoryBudget {
     ///    [`BudgetLimit::Bytes`];
     /// 3. if the ceiling still does not hold, refuse with a typed
     ///    [`BudgetError`] (never abort).
+    ///
+    /// `window_start` dates the pending backfill windows.
     pub fn enforce(
         &mut self,
         completed_days: u32,
         marks: &[DayMark],
         discovery: &mut Discovery,
+        window_start: SimTime,
         timeline_bytes: u64,
         fold_bytes: u64,
     ) -> Result<(), BudgetError> {
@@ -862,7 +866,7 @@ impl MemoryBudget {
         // mark cursors and pending-window days — never wall-clock,
         // never allocator behavior.
         let age_limit = completed_days.saturating_sub(RESIDENCY_DAYS);
-        let eligible_end = match discovery.min_pending_window_day() {
+        let eligible_end = match discovery.min_pending_window_day(window_start) {
             Some(d) => age_limit.min(d),
             None => age_limit,
         };

@@ -65,13 +65,15 @@ impl CollectedTweet {
     }
 }
 
-/// The discovery component's accumulated state.
+/// The discovery component's accumulated state. A snapshot persists it
+/// directly (see [`crate::state`]); `tweet_index`, `control_ids` and
+/// `interner` are derived and rebuilt on load.
+#[derive(Debug, Clone)]
 pub struct Discovery {
-    /// Window start, anchoring study-day provenance for quarantine
-    /// entries (pure config — rebuilt from the window on resume).
-    start: SimTime,
-    since_id: [Option<u64>; 6],
-    tweet_index: HashMap<u64, usize>,
+    /// Per-host Search API `since_id` watermarks.
+    pub(crate) since_id: [Option<u64>; 6],
+    /// Tweet id → global append index (derived; rebuilt on resume).
+    pub(crate) tweet_index: HashMap<u64, usize>,
     /// Collected pattern-matched tweets, in arrival order, deduplicated.
     /// Under `--mem-budget` the cold day-prefix may be spilled to disk;
     /// indices in `tweet_index` and day-mark cursors are *global* and
@@ -83,7 +85,7 @@ pub struct Discovery {
     /// re-fetches sample windows whose early pages already landed, so
     /// control ingestion dedups by id — against this persistent set, not
     /// a per-window rebuild over the whole control corpus.
-    control_ids: HashSet<u64>,
+    pub(crate) control_ids: HashSet<u64>,
     /// Group dedup keys interned in discovery order: a group's [`Sym`]
     /// index equals its slot in `groups`, so every slot-indexed table in
     /// the pipeline (timelines, terminal set, gap ledger) shares this one
@@ -95,8 +97,10 @@ pub struct Discovery {
     pub groups: Vec<DiscoveryRecord>,
     /// URL extraction totals.
     pub stats: ExtractionStats,
-    last_stream_drain: SimTime,
-    last_sample_drain: SimTime,
+    /// Last Streaming API drain instant.
+    pub(crate) last_stream_drain: SimTime,
+    /// Last 1%-sample drain instant.
+    pub(crate) last_sample_drain: SimTime,
     /// Transport-level failures that cost data (after retries).
     pub failed_requests: u64,
     /// Stream windows `(from, to)` whose drain failed mid-flight; retried
@@ -117,7 +121,6 @@ impl Discovery {
     /// A fresh component; `start` anchors the stream drains.
     pub fn new(start: SimTime) -> Discovery {
         Discovery {
-            start,
             since_id: [None; 6],
             tweet_index: HashMap::new(),
             tweets: SpillableLog::new(),
@@ -132,72 +135,6 @@ impl Discovery {
             pending_stream: Vec::new(),
             pending_sample: Vec::new(),
             quarantine: Vec::new(),
-        }
-    }
-
-    /// Export the private feed cursors for a checkpoint: per-host
-    /// `since_id` watermarks and the last stream/sample drain instants.
-    pub fn cursors(&self) -> ([Option<u64>; 6], SimTime, SimTime) {
-        (
-            self.since_id,
-            self.last_stream_drain,
-            self.last_sample_drain,
-        )
-    }
-
-    /// Rebuild a `Discovery` from checkpointed parts. The tweet-id index
-    /// is derived data and is reconstructed here; the group symbol table
-    /// is re-interned from the group records in discovery order, which
-    /// reproduces the saved table id-for-id (the snapshot also carries
-    /// the table explicitly and the loader verifies the two agree).
-    ///
-    /// `tweets` and `control` carry only the resident tail of a budgeted
-    /// snapshot; the ids of spilled items are re-registered afterwards by
-    /// [`index_spilled`](Self::index_spilled) (the budget accountant
-    /// faults each manifest partition once to enumerate them).
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        start: SimTime,
-        since_id: [Option<u64>; 6],
-        tweets: SpillableLog<CollectedTweet>,
-        control: SpillableLog<Tweet>,
-        groups: Vec<DiscoveryRecord>,
-        stats: ExtractionStats,
-        last_stream_drain: SimTime,
-        last_sample_drain: SimTime,
-        failed_requests: u64,
-        pending_stream: Vec<(SimTime, SimTime)>,
-        pending_sample: Vec<(SimTime, SimTime)>,
-        quarantine: Vec<QuarantineEntry>,
-    ) -> Discovery {
-        let base = tweets.base();
-        let tweet_index = tweets
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.tweet.id.0, base + i))
-            .collect();
-        let control_ids = control.iter().map(|t| t.id.0).collect();
-        let mut interner = Interner::new();
-        for (i, g) in groups.iter().enumerate() {
-            let sym = interner.intern(&g.invite.dedup_key());
-            debug_assert_eq!(sym.index(), i, "group keys must be distinct");
-        }
-        Discovery {
-            start,
-            since_id,
-            tweet_index,
-            tweets,
-            control,
-            control_ids,
-            interner,
-            groups,
-            stats,
-            last_stream_drain,
-            last_sample_drain,
-            failed_requests,
-            pending_stream,
-            pending_sample,
-            quarantine,
         }
     }
 
@@ -310,7 +247,7 @@ impl Discovery {
             let decoded = match decode_page(&resp.body, doc_kind, &req) {
                 Ok(p) => p,
                 Err(err) => {
-                    let day = day_of(self.start, now);
+                    let day = day_of(eco.window.start_time(), now);
                     self.quarantine.push(QuarantineEntry::new(
                         "twitter", &req, "", day, &err, &resp.body,
                     ));
@@ -474,12 +411,12 @@ impl Discovery {
     /// partition from that day on resident: a backfill re-delivers
     /// tweets posted in `[from, to]`, whose original collection day is
     /// at least `day_of(from)` and which therefore merge into
-    /// partitions no colder than that.
-    pub fn min_pending_window_day(&self) -> Option<u32> {
+    /// partitions no colder than that. `start` is the window start.
+    pub fn min_pending_window_day(&self, start: SimTime) -> Option<u32> {
         self.pending_stream
             .iter()
             .chain(self.pending_sample.iter())
-            .map(|&(from, _)| day_of(self.start, from))
+            .map(|&(from, _)| day_of(start, from))
             .min()
     }
 

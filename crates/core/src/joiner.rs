@@ -98,7 +98,7 @@ impl PhoneSeen {
 }
 
 /// The joining/collection component.
-#[derive(Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Joiner {
     /// Successfully joined groups with their collected contents.
     pub joined: Vec<JoinedGroup>,

@@ -258,12 +258,6 @@ impl TimelineStore {
             .filter_map(|(i, s)| s.as_ref().map(|tl| (i, tl)))
     }
 
-    /// Export `(slot, timeline)` pairs, slot ascending, for a checkpoint.
-    pub fn entries(&self) -> Vec<(u32, GroupTimeline)> {
-        // lint:allow(D10) checkpoint export runs once per snapshot, not per request; the copy is the snapshot
-        self.iter().map(|(i, tl)| (i as u32, tl.clone())).collect()
-    }
-
     /// Encoded (checkpoint codec) size of every observed timeline, in
     /// bytes. This is the memory-budget accounting charge for the
     /// columnar store — a pure function of observation history, never of
@@ -276,15 +270,6 @@ impl TimelineStore {
             tl.save(&mut w);
         }
         w.len() as u64
-    }
-
-    /// Rebuild from checkpointed `(slot, timeline)` pairs.
-    pub fn from_entries(entries: Vec<(u32, GroupTimeline)>) -> TimelineStore {
-        let mut store = TimelineStore::new();
-        for (slot, tl) in entries {
-            *store.ensure(slot as usize) = tl;
-        }
-        store
     }
 }
 
@@ -353,22 +338,6 @@ impl GapLedger {
             .filter(|(_, d)| !d.is_empty())
             .map(|(i, d)| (i, d.as_slice()))
     }
-
-    /// Export `(slot, days)` pairs, slot ascending, for a checkpoint.
-    pub fn entries(&self) -> Vec<(u32, Vec<u32>)> {
-        self.iter().map(|(i, d)| (i as u32, d.to_vec())).collect()
-    }
-
-    /// Rebuild from checkpointed `(slot, days)` pairs.
-    pub fn from_entries(entries: Vec<(u32, Vec<u32>)>) -> GapLedger {
-        let mut ledger = GapLedger::new();
-        for (slot, days) in entries {
-            for day in days {
-                ledger.push(slot as usize, day);
-            }
-        }
-        ledger
-    }
 }
 
 impl PartialEq for GapLedger {
@@ -379,6 +348,7 @@ impl PartialEq for GapLedger {
 
 /// One group's fetch outcome for the day, carried from the serial
 /// transport phase into the parse/apply phases.
+#[derive(Debug, Clone)]
 enum Fetch {
     /// Transport failed after retries, or the server answered with a
     /// non-terminal error status.
@@ -395,18 +365,19 @@ enum Fetch {
 /// phases of [`Monitor::run_day`]. Cleared and refilled each day, so the
 /// steady state re-uses one allocation per campaign instead of one per
 /// day.
-#[derive(Default)]
-struct DayScratch {
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DayScratch {
     fetched: Vec<(usize, Fetch)>,
 }
 
-/// The monitoring component.
-#[derive(Default)]
+/// The monitoring component. A snapshot persists it directly (see
+/// [`crate::state`]); the day scratch is not state.
+#[derive(Debug, Clone, Default)]
 pub struct Monitor {
     /// Per-group timelines, indexed by discovery slot.
     pub timelines: TimelineStore,
     /// Per-slot terminal flags (observed revoked — no longer polled).
-    terminal: Vec<bool>,
+    pub(crate) terminal: Vec<bool>,
     /// The gap ledger: study days on which a group could not be observed
     /// even after the same-day backfill retry, indexed by discovery slot,
     /// days ascending. Lifetime analyses treat these days as *censored* —
@@ -418,36 +389,14 @@ pub struct Monitor {
     /// transport failure: one immediate re-fetch, then the day-end
     /// backfill retry, then the gap ledger.
     pub quarantine: Vec<QuarantineEntry>,
-    /// Pool used to decode landing pages in parallel.
-    pool: Pool,
     /// Per-day scratch buffers (see [`DayScratch`]).
-    scratch: DayScratch,
+    pub(crate) scratch: DayScratch,
 }
 
 impl Monitor {
-    /// A fresh monitor (single-threaded parsing).
+    /// A fresh monitor.
     pub fn new() -> Monitor {
         Monitor::default()
-    }
-
-    /// A monitor that decodes landing pages on `pool`. The thread count
-    /// never changes what the monitor records — see [`Monitor::run_day`].
-    pub fn with_pool(pool: Pool) -> Monitor {
-        Monitor {
-            pool,
-            ..Monitor::default()
-        }
-    }
-
-    /// Export the terminal (no-longer-polled) slots, ascending, for a
-    /// checkpoint.
-    pub fn terminal_slots(&self) -> Vec<u32> {
-        self.terminal
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t)
-            .map(|(i, _)| i as u32)
-            .collect()
     }
 
     /// Whether the group at `slot` reached a terminal state.
@@ -455,35 +404,11 @@ impl Monitor {
         self.terminal.get(slot).copied().unwrap_or(false)
     }
 
-    fn mark_terminal(&mut self, slot: usize) {
+    pub(crate) fn mark_terminal(&mut self, slot: usize) {
         if slot >= self.terminal.len() {
             self.terminal.resize(slot + 1, false);
         }
         self.terminal[slot] = true;
-    }
-
-    /// Rebuild a monitor from checkpointed parts: the timelines, the
-    /// terminal slots (as exported by [`Monitor::terminal_slots`]), and
-    /// the parse pool to resume with.
-    pub fn from_parts(
-        timelines: TimelineStore,
-        terminal: Vec<u32>,
-        gaps: GapLedger,
-        quarantine: Vec<QuarantineEntry>,
-        pool: Pool,
-    ) -> Monitor {
-        let mut monitor = Monitor {
-            timelines,
-            terminal: Vec::new(),
-            gaps,
-            quarantine,
-            pool,
-            scratch: DayScratch::default(),
-        };
-        for slot in terminal {
-            monitor.mark_terminal(slot as usize);
-        }
-        monitor
     }
 
     /// Total censored group-days in the gap ledger.
@@ -503,7 +428,9 @@ impl Monitor {
     /// rate-limiter state, so its order is fixed), a **parallel parse**
     /// of the fetched bodies (pure, and merged back in input order by the
     /// pool's contract), and a **serial apply** of the parsed documents to
-    /// the timelines, again in discovery order.
+    /// the timelines, again in discovery order. Bodies decode on `pool`;
+    /// its thread count never changes what the monitor records.
+    #[allow(clippy::too_many_arguments)]
     pub fn run_day(
         &mut self,
         net: &mut Net,
@@ -512,6 +439,7 @@ impl Monitor {
         now: SimTime,
         day: u32,
         mut pii: Option<&mut PiiStore>,
+        pool: &Pool,
     ) -> Result<(), CoreError> {
         // Phase 1 — serial fetch. Iterate over a snapshot of slots:
         // discovery keeps growing, but today's round covers what is known
@@ -543,7 +471,7 @@ impl Monitor {
         // *before* applying means a body that goes bad halfway through
         // mutates nothing.
         let parsed: Vec<Option<Result<Landing, CoreError>>> =
-            self.pool.par_map(&fetched, |(i, outcome)| match outcome {
+            pool.par_map(&fetched, |(i, outcome)| match outcome {
                 Fetch::Body(req, body, doc_kind) => {
                     let rec = &discovery.groups[*i];
                     Some(decode_landing(body, doc_kind, rec.platform, req))
@@ -897,7 +825,7 @@ mod tests {
                 + SimDuration::days(u64::from(day))
                 + SimDuration::hours(23);
             monitor
-                .run_day(&mut net, &mut eco, &disco, t, day, None)
+                .run_day(&mut net, &mut eco, &disco, t, day, None, &Pool::new(1))
                 .unwrap();
         }
         assert_eq!(monitor.timelines.len(), n_groups);
@@ -924,7 +852,7 @@ mod tests {
                 + SimDuration::days(u64::from(day))
                 + SimDuration::hours(23);
             monitor
-                .run_day(&mut net, &mut eco, &disco, t, day, None)
+                .run_day(&mut net, &mut eco, &disco, t, day, None, &Pool::new(1))
                 .unwrap();
         }
         for (_, tl) in monitor.timelines.iter() {
@@ -951,6 +879,7 @@ mod tests {
                 t0 + SimDuration::hours(22),
                 0,
                 None,
+                &Pool::new(1),
             )
             .unwrap();
         let mut dc_alive = 0;
@@ -985,6 +914,7 @@ mod tests {
                 t0 + SimDuration::hours(22),
                 0,
                 Some(&mut pii),
+                &Pool::new(1),
             )
             .unwrap();
         let wa_alive = disco
@@ -1010,8 +940,8 @@ mod tests {
     #[test]
     fn parse_pool_never_changes_observations() {
         let run = |threads: usize| {
-            let (mut eco, mut net, mut disco, _) = setup();
-            let mut monitor = Monitor::with_pool(Pool::new(threads));
+            let (mut eco, mut net, mut disco, mut monitor) = setup();
+            let pool = Pool::new(threads);
             let t0 = eco.window.start_time() + SimDuration::hours(1);
             disco.run_search(&mut net, &mut eco, t0).unwrap();
             for day in 0..3u32 {
@@ -1019,7 +949,7 @@ mod tests {
                     + SimDuration::days(u64::from(day))
                     + SimDuration::hours(23);
                 monitor
-                    .run_day(&mut net, &mut eco, &disco, t, day, None)
+                    .run_day(&mut net, &mut eco, &disco, t, day, None, &pool)
                     .unwrap();
             }
             monitor.timelines
@@ -1094,22 +1024,18 @@ mod tests {
 
     #[test]
     fn dense_stores_ignore_padding_in_equality() {
-        // `from_entries` with a sparse slot leaves earlier slots as
-        // never-observed padding; a store that reached the same state
-        // through `ensure` growth compares equal and round-trips.
+        // A store padded past its last observed slot compares equal to
+        // one that grew exactly to it.
         let mut tl = GroupTimeline::default();
         tl.push(0, ObservedStatus::Failed);
-        let sparse = TimelineStore::from_entries(vec![(5, tl.clone())]);
+        let mut padded = TimelineStore::new();
+        *padded.ensure(5) = tl.clone();
+        padded.slots.push(None);
         let mut grown = TimelineStore::new();
         *grown.ensure(5) = tl;
-        assert_eq!(sparse, grown);
-        assert_eq!(sparse.len(), 1);
-        assert!(sparse.get(0).is_none());
-        assert_eq!(
-            TimelineStore::from_entries(sparse.entries()),
-            sparse,
-            "entries round-trip"
-        );
+        assert_eq!(padded, grown);
+        assert_eq!(padded.len(), 1);
+        assert!(padded.get(0).is_none());
 
         let mut g = GapLedger::new();
         let mut h = GapLedger::new();
@@ -1117,8 +1043,8 @@ mod tests {
         h.push(3, 7);
         h.push(9, 1);
         assert_ne!(g, h);
-        let h2 = GapLedger::from_entries(g.entries());
-        assert_eq!(g, h2);
+        h.slots[9].clear();
+        assert_eq!(g, h, "an emptied slot is padding");
         assert_eq!(g.group_count(), 1);
         assert_eq!(g.total_days(), 1);
         assert_eq!(g.get(3), Some(&[7u32][..]));

@@ -14,8 +14,9 @@ pub fn hash_phone(e164: &str) -> String {
     sha256_hex(e164.as_bytes())
 }
 
-/// Accumulated PII observations.
-#[derive(Debug, Default, PartialEq, Eq)]
+/// Accumulated PII observations. A snapshot writes every set in sorted
+/// order (see [`crate::state`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PiiStore {
     /// WhatsApp group-creator phone hashes, harvested from landing pages
     /// *without joining* — §6's headline finding.

@@ -1,5 +1,5 @@
 //! Checkpointable campaign state: the [`CampaignState`] snapshot payload
-//! and its conversions to/from the live pipeline components.
+//! and the [`Persist`] impls of the live pipeline components it holds.
 //!
 //! A snapshot captures exactly what the campaign *mutates*; everything
 //! derivable from `(seed, config)` — the world population, the tweet
@@ -10,28 +10,36 @@
 //! |-----------|--------|---------|
 //! | engine    | clock, event count, pending events | — |
 //! | transport | 4 × bucket fill / RNG position / trace | client configs |
-//! | discovery | tweets, groups, symbol table, cursors, stats | tweet index, key→sym map |
-//! | monitor   | timelines, terminal slots, gap ledger | parse pool |
-//! | joiner    | joined groups, account counters | — |
-//! | pii       | hashes and counts (sorted) | `HashSet` form |
+//! | discovery | resident tweets and control, spilled-prefix lengths, groups, symbol table, cursors, stats, backfill queues, quarantine | tweet index, control ids, interner |
+//! | monitor   | populated timeline slots, terminal slots, gap ledger, quarantine | day scratch |
+//! | joiner    | joined groups, account counters, quarantine | — |
+//! | pii       | hash and id sets (sorted), counts | — |
 //! | ecosystem | [`EcosystemDelta`] | the whole world |
 //!
-//! Unordered sets are exported in sorted order, so the same logical state
-//! always encodes to the same bytes — snapshot files of equal states are
-//! byte-equal, which the determinism suite exploits directly.
+//! The decode parse pool is not state: the campaign builds it from
+//! [`CampaignConfig::threads`]. Unordered sets are written in sorted
+//! order, so the same logical state always encodes to the same bytes —
+//! snapshot files of equal states are byte-equal, which the determinism
+//! suite exploits directly. Each hand-written `save` destructures its
+//! component exhaustively and names the derived fields `field: _` (the
+//! joiner has none and uses `persist_struct!`, whose `load` is just as
+//! exhaustive), so a new field does not compile until it is either saved
+//! or declared derived.
 
 use crate::budget::{BudgetState, SpillableLog};
 use crate::discovery::{CollectedTweet, Discovery, DiscoveryRecord};
 use crate::fold::{DayMark, FoldLedger};
+use crate::intern::Interner;
 use crate::joiner::{JoinStrategy, JoinedGroup, Joiner, MemberRecord};
-use crate::monitor::{GapLedger, GroupTimeline, Monitor, ObservedStatus, TimelineStore};
+use crate::monitor::{
+    DayScratch, GapLedger, GroupTimeline, Monitor, ObservedStatus, TimelineStore,
+};
 use crate::patterns::ExtractionStats;
 use crate::pii::PiiStore;
 use crate::quarantine::{QuarantineCode, QuarantineEntry};
 use crate::study::{CampaignConfig, CampaignEvent};
 use chatlens_checkpoint::{persist_struct, CheckpointError, Persist, Reader, Writer};
 use chatlens_simnet::metrics::Metrics;
-use chatlens_simnet::par::Pool;
 use chatlens_simnet::time::SimTime;
 use chatlens_simnet::transport::ClientState;
 use chatlens_simnet::Engine;
@@ -39,7 +47,8 @@ use chatlens_twitter::Tweet;
 use chatlens_workload::ecosystem::EcosystemDelta;
 use chatlens_workload::{Ecosystem, ScenarioConfig};
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::hash::Hash;
 
 /// The virtual clock and pending event queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,64 +111,66 @@ impl Persist for EngineState {
     }
 }
 
-/// The discovery component's accumulated data and feed cursors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DiscoveryState {
-    /// Per-host Search API `since_id` watermarks.
-    pub since_id: [Option<u64>; 6],
-    /// Resident tail of the collected tweet log (v6: a budgeted run may
-    /// have spilled the cold prefix to disk; `tweets_base` counts it).
-    pub tweets: Vec<CollectedTweet>,
-    /// Resident tail of the control-sample log (see `control_base`).
-    pub control: Vec<Tweet>,
-    /// Spilled tweet-prefix length: the global index of `tweets[0]`.
-    /// Zero on unbudgeted runs.
-    pub tweets_base: u64,
-    /// Spilled control-prefix length, like `tweets_base`.
-    pub control_base: u64,
-    /// Discovered groups in discovery order.
-    pub groups: Vec<DiscoveryRecord>,
-    /// URL extraction totals.
-    pub stats: ExtractionStats,
-    /// Last Streaming API drain instant.
-    pub last_stream_drain: SimTime,
-    /// Last 1%-sample drain instant.
-    pub last_sample_drain: SimTime,
-    /// Transport failures that cost data.
-    pub failed_requests: u64,
-    /// Stream windows queued for backfill.
-    pub pending_stream: Vec<(SimTime, SimTime)>,
-    /// Sample windows queued for backfill.
-    pub pending_sample: Vec<(SimTime, SimTime)>,
-    /// Rejected feed bodies with provenance.
-    pub quarantine: Vec<QuarantineEntry>,
-    /// The group-key symbol table in interning order. Symbol `i` is the
-    /// dedup key of `groups[i]` — the snapshot carries it explicitly so a
-    /// loader can verify the dense-id invariant instead of assuming it.
-    pub symbols: Vec<String>,
+/// Encode `items` exactly as a `Vec` of them encodes: a varint count,
+/// then each item.
+fn save_seq<'a, T: Persist + 'a>(items: impl ExactSizeIterator<Item = &'a T>, w: &mut Writer) {
+    w.put_varint(items.len() as u64);
+    for item in items {
+        item.save(w);
+    }
 }
 
-// A custom impl rather than `persist_struct!`: group slots double as
-// interned symbol ids everywhere downstream (timelines, gap ledger), so
-// a snapshot whose symbol table disagrees with its group list would
-// silently attach observations to the wrong groups. Validate the
-// correspondence at load, before any component is rebuilt on top of it.
-impl Persist for DiscoveryState {
+/// Encode a hash set as its sorted `Vec` (via `BTreeSet`, lint D2), so
+/// equal sets always encode to equal bytes.
+fn save_sorted<T: Persist + Ord>(set: &HashSet<T>, w: &mut Writer) {
+    save_seq(set.iter().collect::<BTreeSet<&T>>().into_iter(), w);
+}
+
+/// Decode a set written by [`save_sorted`].
+fn load_set<T: Persist + Eq + Hash>(r: &mut Reader<'_>) -> Result<HashSet<T>, CheckpointError> {
+    Ok(Vec::<T>::load(r)?.into_iter().collect())
+}
+
+// A custom impl: only the resident tails of the spillable logs are
+// written (their spilled-prefix lengths go last), the lookup indexes are
+// rebuilt on load, and group slots double as interned symbol ids
+// everywhere downstream (timelines, gap ledger). A snapshot whose symbol
+// table disagrees with its group list would silently attach observations
+// to the wrong groups, so load validates the correspondence before any
+// component is rebuilt on top of it. The ids of spilled items are
+// re-registered afterwards by [`Discovery::index_spilled`].
+impl Persist for Discovery {
     fn save(&self, w: &mut Writer) {
-        self.since_id.save(w);
-        self.tweets.save(w);
-        self.control.save(w);
-        self.groups.save(w);
-        self.stats.save(w);
-        self.last_stream_drain.save(w);
-        self.last_sample_drain.save(w);
-        self.failed_requests.save(w);
-        self.pending_stream.save(w);
-        self.pending_sample.save(w);
-        self.quarantine.save(w);
-        self.symbols.save(w);
-        self.tweets_base.save(w);
-        self.control_base.save(w);
+        let Discovery {
+            since_id,
+            tweet_index: _,
+            tweets,
+            control,
+            control_ids: _,
+            interner,
+            groups,
+            stats,
+            last_stream_drain,
+            last_sample_drain,
+            failed_requests,
+            pending_stream,
+            pending_sample,
+            quarantine,
+        } = self;
+        since_id.save(w);
+        save_seq(tweets.resident().iter(), w);
+        save_seq(control.resident().iter(), w);
+        groups.save(w);
+        stats.save(w);
+        last_stream_drain.save(w);
+        last_sample_drain.save(w);
+        failed_requests.save(w);
+        pending_stream.save(w);
+        pending_sample.save(w);
+        quarantine.save(w);
+        save_seq(interner.symbols().iter(), w);
+        tweets.base().save(w);
+        control.base().save(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         let since_id = <[Option<u64>; 6]>::load(r)?;
@@ -174,8 +185,8 @@ impl Persist for DiscoveryState {
         let pending_sample = Vec::<(SimTime, SimTime)>::load(r)?;
         let quarantine = Vec::<QuarantineEntry>::load(r)?;
         let symbols = Vec::<String>::load(r)?;
-        let tweets_base = u64::load(r)?;
-        let control_base = u64::load(r)?;
+        let tweets = SpillableLog::from_parts(usize::load(r)?, tweets);
+        let control = SpillableLog::from_parts(usize::load(r)?, control);
         if symbols.len() != groups.len() {
             return Err(CheckpointError::Malformed(format!(
                 "symbol table has {} entries for {} groups",
@@ -183,20 +194,34 @@ impl Persist for DiscoveryState {
                 groups.len()
             )));
         }
+        let mut interner = Interner::new();
         for (i, (sym, g)) in symbols.iter().zip(&groups).enumerate() {
-            if *sym != g.invite.dedup_key() {
+            let key = g.invite.dedup_key();
+            if *sym != key {
                 return Err(CheckpointError::Malformed(format!(
-                    "symbol {i} is {sym:?} but group {i} has key {:?}",
-                    g.invite.dedup_key()
+                    "symbol {i} is {sym:?} but group {i} has key {key:?}"
+                )));
+            }
+            if interner.intern(&key).index() != i {
+                return Err(CheckpointError::Malformed(format!(
+                    "group {i} repeats key {key:?}"
                 )));
             }
         }
-        Ok(DiscoveryState {
+        let base = tweets.base();
+        let tweet_index = tweets
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (t.tweet.id.0, base + i))
+            .collect();
+        let control_ids = control.iter().map(|t| t.id.0).collect();
+        Ok(Discovery {
             since_id,
+            tweet_index,
             tweets,
             control,
-            tweets_base,
-            control_base,
+            control_ids,
+            interner,
             groups,
             stats,
             last_stream_drain,
@@ -205,123 +230,70 @@ impl Persist for DiscoveryState {
             pending_stream,
             pending_sample,
             quarantine,
-            symbols,
         })
     }
 }
 
-impl DiscoveryState {
-    /// Capture a discovery component.
-    pub fn capture(d: &Discovery) -> DiscoveryState {
-        let (since_id, last_stream_drain, last_sample_drain) = d.cursors();
-        DiscoveryState {
-            since_id,
-            tweets: d.tweets.resident().to_vec(),
-            control: d.control.resident().to_vec(),
-            tweets_base: d.tweets.base() as u64,
-            control_base: d.control.base() as u64,
-            groups: d.groups.clone(),
-            stats: d.stats,
-            last_stream_drain,
-            last_sample_drain,
-            failed_requests: d.failed_requests,
-            pending_stream: d.pending_stream.clone(),
-            pending_sample: d.pending_sample.clone(),
-            quarantine: d.quarantine.clone(),
-            symbols: d.interner().symbols().to_vec(),
+// A custom impl: keys are group slots (discovery-order indexes, equal to
+// the interned symbol ids of the discovery snapshot), not dedup-key
+// strings, and only populated slots are written, ascending, so padding
+// slots never affect the encoding.
+impl Persist for Monitor {
+    fn save(&self, w: &mut Writer) {
+        let Monitor {
+            timelines,
+            terminal,
+            gaps,
+            quarantine,
+            scratch: _,
+        } = self;
+        w.put_varint(timelines.len() as u64);
+        for (slot, tl) in timelines.iter() {
+            (slot as u32).save(w);
+            tl.save(w);
         }
-    }
-
-    /// Rebuild the component (lookup indexes are derived on the way in;
-    /// `start` is the window start, pure config the quarantine ledger
-    /// stamps day provenance against).
-    pub fn restore(&self, start: SimTime) -> Discovery {
-        Discovery::from_parts(
-            start,
-            self.since_id,
-            SpillableLog::from_parts(self.tweets_base as usize, self.tweets.clone()),
-            SpillableLog::from_parts(self.control_base as usize, self.control.clone()),
-            self.groups.clone(),
-            self.stats,
-            self.last_stream_drain,
-            self.last_sample_drain,
-            self.failed_requests,
-            self.pending_stream.clone(),
-            self.pending_sample.clone(),
-            self.quarantine.clone(),
-        )
-    }
-}
-
-/// The monitor's per-group timelines and terminal set.
-///
-/// Keys are *group slots* (discovery-order indexes, equal to the interned
-/// symbol ids carried by [`DiscoveryState::symbols`]), not dedup-key
-/// strings. Only populated slots are written, in ascending slot order, so
-/// padding `None` slots never affect the encoding.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitorState {
-    /// `(slot, timeline)` pairs for groups with at least one observation,
-    /// ascending by slot.
-    pub timelines: Vec<(u32, GroupTimeline)>,
-    /// Slots no longer polled (observed revoked), ascending.
-    pub terminal: Vec<u32>,
-    /// `(slot, censored days)` pairs for groups with at least one gap,
-    /// ascending by slot.
-    pub gaps: Vec<(u32, Vec<u32>)>,
-    /// Rejected landing/invite bodies with provenance.
-    pub quarantine: Vec<QuarantineEntry>,
-}
-
-persist_struct!(MonitorState {
-    timelines,
-    terminal,
-    gaps,
-    quarantine
-});
-
-impl MonitorState {
-    /// Capture a monitor.
-    pub fn capture(m: &Monitor) -> MonitorState {
-        MonitorState {
-            timelines: m.timelines.entries(),
-            terminal: m.terminal_slots(),
-            gaps: m.gaps.entries(),
-            quarantine: m.quarantine.clone(),
+        let terminal: Vec<u32> = terminal
+            .iter()
+            .enumerate()
+            .filter(|&(_, &done)| done)
+            .map(|(slot, _)| slot as u32)
+            .collect();
+        terminal.save(w);
+        w.put_varint(gaps.group_count() as u64);
+        for (slot, days) in gaps.iter() {
+            (slot as u32).save(w);
+            save_seq(days.iter(), w);
         }
+        quarantine.save(w);
     }
-
-    /// Rebuild the monitor around `pool` (thread count is a run-time
-    /// choice, not state — any value yields the same observations).
-    pub fn restore(&self, pool: Pool) -> Monitor {
-        Monitor::from_parts(
-            TimelineStore::from_entries(self.timelines.clone()),
-            self.terminal.clone(),
-            GapLedger::from_entries(self.gaps.clone()),
-            self.quarantine.clone(),
-            pool,
-        )
+    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        let timelines = Vec::<(u32, GroupTimeline)>::load(r)?;
+        let terminal = Vec::<u32>::load(r)?;
+        let gaps = Vec::<(u32, Vec<u32>)>::load(r)?;
+        let quarantine = Vec::<QuarantineEntry>::load(r)?;
+        let mut monitor = Monitor {
+            timelines: TimelineStore::new(),
+            terminal: Vec::new(),
+            gaps: GapLedger::new(),
+            quarantine,
+            scratch: DayScratch::default(),
+        };
+        for (slot, tl) in timelines {
+            *monitor.timelines.ensure(slot as usize) = tl;
+        }
+        for slot in terminal {
+            monitor.mark_terminal(slot as usize);
+        }
+        for (slot, days) in gaps {
+            for day in days {
+                monitor.gaps.push(slot as usize, day);
+            }
+        }
+        Ok(monitor)
     }
 }
 
-/// The joiner's ledger of joined groups and account bookkeeping.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JoinerState {
-    /// Joined groups with their collected contents.
-    pub joined: Vec<JoinedGroup>,
-    /// Accounts opened per platform.
-    pub accounts_used: [u16; 3],
-    /// Join attempts refused because the URL was dead.
-    pub dead_at_join: u64,
-    /// Whether the Discord bot-join probe was rejected.
-    pub bot_join_rejected: bool,
-    /// Collection fetches lost to transport failures.
-    pub failed_fetches: u64,
-    /// Rejected join/collection bodies with provenance.
-    pub quarantine: Vec<QuarantineEntry>,
-}
-
-persist_struct!(JoinerState {
+persist_struct!(Joiner {
     joined,
     accounts_used,
     dead_at_join,
@@ -330,109 +302,44 @@ persist_struct!(JoinerState {
     quarantine
 });
 
-impl JoinerState {
-    /// Capture a joiner.
-    pub fn capture(j: &Joiner) -> JoinerState {
-        JoinerState {
-            joined: j.joined.clone(),
-            accounts_used: j.accounts_used,
-            dead_at_join: j.dead_at_join,
-            bot_join_rejected: j.bot_join_rejected,
-            failed_fetches: j.failed_fetches,
-            quarantine: j.quarantine.clone(),
-        }
+// A custom impl: every unordered set is written sorted, so equal stores
+// encode to equal bytes.
+impl Persist for PiiStore {
+    fn save(&self, w: &mut Writer) {
+        let PiiStore {
+            wa_creator_hashes,
+            wa_creator_countries,
+            wa_member_hashes,
+            tg_users_observed,
+            tg_phone_hashes,
+            dc_users_observed,
+            dc_users_with_link,
+            dc_linked_counts,
+        } = self;
+        save_sorted(wa_creator_hashes, w);
+        wa_creator_countries.save(w);
+        save_sorted(wa_member_hashes, w);
+        save_sorted(tg_users_observed, w);
+        save_sorted(tg_phone_hashes, w);
+        save_sorted(dc_users_observed, w);
+        save_sorted(dc_users_with_link, w);
+        dc_linked_counts.save(w);
     }
-
-    /// Rebuild the joiner.
-    pub fn restore(&self) -> Joiner {
-        Joiner {
-            joined: self.joined.clone(),
-            accounts_used: self.accounts_used,
-            dead_at_join: self.dead_at_join,
-            bot_join_rejected: self.bot_join_rejected,
-            failed_fetches: self.failed_fetches,
-            quarantine: self.quarantine.clone(),
-        }
-    }
-}
-
-/// The PII store with every unordered set flattened to a sorted `Vec`, so
-/// the encoding is canonical (equal stores → equal bytes).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PiiState {
-    /// WhatsApp creator phone hashes, sorted.
-    pub wa_creator_hashes: Vec<String>,
-    /// WhatsApp creator country-code counts.
-    pub wa_creator_countries: BTreeMap<String, u64>,
-    /// WhatsApp member phone hashes, sorted.
-    pub wa_member_hashes: Vec<String>,
-    /// Telegram user ids observed, sorted.
-    pub tg_users_observed: Vec<u32>,
-    /// Telegram phone hashes, sorted.
-    pub tg_phone_hashes: Vec<String>,
-    /// Discord user ids observed, sorted.
-    pub dc_users_observed: Vec<u32>,
-    /// Discord users with a connected account, sorted.
-    pub dc_users_with_link: Vec<u32>,
-    /// Connected-account counts per external platform.
-    pub dc_linked_counts: BTreeMap<String, u64>,
-}
-
-persist_struct!(PiiState {
-    wa_creator_hashes,
-    wa_creator_countries,
-    wa_member_hashes,
-    tg_users_observed,
-    tg_phone_hashes,
-    dc_users_observed,
-    dc_users_with_link,
-    dc_linked_counts
-});
-
-impl PiiState {
-    /// Capture a PII store, sorting every set.
-    pub fn capture(p: &PiiStore) -> PiiState {
-        PiiState {
-            wa_creator_hashes: sorted_strings(p.wa_creator_hashes.iter()),
-            wa_creator_countries: p.wa_creator_countries.clone(),
-            wa_member_hashes: sorted_strings(p.wa_member_hashes.iter()),
-            tg_users_observed: sorted_ids(p.tg_users_observed.iter()),
-            tg_phone_hashes: sorted_strings(p.tg_phone_hashes.iter()),
-            dc_users_observed: sorted_ids(p.dc_users_observed.iter()),
-            dc_users_with_link: sorted_ids(p.dc_users_with_link.iter()),
-            dc_linked_counts: p.dc_linked_counts.clone(),
-        }
-    }
-
-    /// Rebuild the store (`Vec`s fold back into hash sets).
-    pub fn restore(&self) -> PiiStore {
-        PiiStore {
-            wa_creator_hashes: self.wa_creator_hashes.iter().cloned().collect(),
-            wa_creator_countries: self.wa_creator_countries.clone(),
-            wa_member_hashes: self.wa_member_hashes.iter().cloned().collect(),
-            tg_users_observed: self.tg_users_observed.iter().copied().collect(),
-            tg_phone_hashes: self.tg_phone_hashes.iter().cloned().collect(),
-            dc_users_observed: self.dc_users_observed.iter().copied().collect(),
-            dc_users_with_link: self.dc_users_with_link.iter().copied().collect(),
-            dc_linked_counts: self.dc_linked_counts.clone(),
-        }
+    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        Ok(PiiStore {
+            wa_creator_hashes: load_set(r)?,
+            wa_creator_countries: BTreeMap::load(r)?,
+            wa_member_hashes: load_set(r)?,
+            tg_users_observed: load_set(r)?,
+            tg_phone_hashes: load_set(r)?,
+            dc_users_observed: load_set(r)?,
+            dc_users_with_link: load_set(r)?,
+            dc_linked_counts: BTreeMap::load(r)?,
+        })
     }
 }
 
-/// Sort a set of strings into a canonical `Vec` (via `BTreeSet`, lint D2).
-fn sorted_strings<'a>(it: impl Iterator<Item = &'a String>) -> Vec<String> {
-    it.cloned()
-        .collect::<BTreeSet<String>>()
-        .into_iter()
-        .collect()
-}
-
-/// Sort a set of ids into a canonical `Vec` (via `BTreeSet`, lint D2).
-fn sorted_ids<'a>(it: impl Iterator<Item = &'a u32>) -> Vec<u32> {
-    it.copied().collect::<BTreeSet<u32>>().into_iter().collect()
-}
-
-// Core enums and records referenced by the states above.
+// Core enums and records referenced by the components above.
 
 impl Persist for CampaignEvent {
     fn save(&self, w: &mut Writer) {
@@ -644,7 +551,10 @@ persist_struct!(CampaignConfig {
 /// Everything needed to resume a campaign mid-flight: the scenario (to
 /// rebuild the world), the campaign knobs, and the mutated state of every
 /// pipeline component at a day boundary.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Two states are equal when they encode to the same snapshot bytes (the
+/// components' derived indexes are not state).
+#[derive(Debug, Clone)]
 pub struct CampaignState {
     /// World scenario — resume rebuilds the ecosystem from this.
     pub scenario: ScenarioConfig,
@@ -660,13 +570,13 @@ pub struct CampaignState {
     /// Transport clients: Twitter, WhatsApp, Telegram, Discord.
     pub clients: [ClientState; 4],
     /// Discovery ledger and cursors.
-    pub discovery: DiscoveryState,
-    /// Monitor timelines and terminal set.
-    pub monitor: MonitorState,
+    pub discovery: Discovery,
+    /// Monitor timelines, terminal set and gap ledger.
+    pub monitor: Monitor,
     /// Join ledger.
-    pub joiner: JoinerState,
-    /// PII accounting (sorted canonical form).
-    pub pii: PiiState,
+    pub joiner: Joiner,
+    /// PII accounting.
+    pub pii: PiiStore,
     /// Metrics registry. Counters ending `.micros` are wall-clock and
     /// differ across runs; [`Metrics::strip_wall_clock`] normalizes.
     pub metrics: Metrics,
@@ -706,6 +616,17 @@ persist_struct!(CampaignState {
     delta,
     budget
 });
+
+impl PartialEq for CampaignState {
+    fn eq(&self, other: &CampaignState) -> bool {
+        let bytes = |state: &CampaignState| {
+            let mut w = Writer::new();
+            state.save(&mut w);
+            w.into_bytes()
+        };
+        bytes(self) == bytes(other)
+    }
+}
 
 /// Human-readable digest of a snapshot for `repro checkpoint inspect`,
 /// rendered as JSON via the workspace serializer (the `counters` map is
@@ -784,8 +705,8 @@ impl CampaignState {
             sim_now_secs: self.engine.now.0,
             events_processed: self.engine.processed,
             events_pending: self.engine.pending.len(),
-            tweets_collected: self.discovery.tweets.len() + self.discovery.tweets_base as usize,
-            control_tweets: self.discovery.control.len() + self.discovery.control_base as usize,
+            tweets_collected: self.discovery.tweets.len(),
+            control_tweets: self.discovery.control.len(),
             groups_discovered: self.discovery.groups.len(),
             groups_monitored: self.monitor.timelines.len(),
             groups_joined: self.joiner.joined.len(),
@@ -836,23 +757,64 @@ mod tests {
     use super::*;
     use chatlens_checkpoint::{decode_snapshot, encode_snapshot};
 
+    /// The component's snapshot bytes (no snapshot header).
+    fn bytes<T: Persist>(value: &T) -> Vec<u8> {
+        let mut w = Writer::new();
+        value.save(&mut w);
+        w.into_bytes()
+    }
+
+    /// Decode `bytes` as one `T`, requiring every byte consumed.
+    fn decode<T: Persist>(bytes: &[u8]) -> Result<T, CheckpointError> {
+        let mut r = Reader::new(bytes);
+        let value = T::load(&mut r)?;
+        assert!(r.is_empty(), "trailing bytes");
+        Ok(value)
+    }
+
     #[test]
-    fn pii_state_round_trips_and_is_sorted() {
-        let mut store = PiiStore::new();
-        store.record_wa_creator("+5511999990000", "BR");
-        store.record_wa_creator("+4915112345678", "DE");
-        store.record_wa_member(&crate::pii::hash_phone("+5511999990001"));
-        store.record_tg_user(9, Some(&crate::pii::hash_phone("+34600000000")));
-        store.record_tg_user(3, None);
-        store.record_dc_user(7, &["steam".to_string(), "twitch".to_string()]);
-        store.record_dc_user(2, &[]);
-        let state = PiiState::capture(&store);
-        assert!(state.tg_users_observed.windows(2).all(|w| w[0] < w[1]));
-        assert!(state.wa_creator_hashes.windows(2).all(|w| w[0] < w[1]));
-        let back: PiiState = decode_snapshot(&encode_snapshot(&state)).unwrap();
-        assert_eq!(back, state);
-        let restored = state.restore();
-        assert_eq!(PiiState::capture(&restored), state);
+    fn pii_store_round_trips_and_encodes_sorted() {
+        let record = |reverse: bool| {
+            let mut store = PiiStore::new();
+            let mut users = vec![9, 3, 41, 17];
+            if reverse {
+                users.reverse();
+            }
+            for id in users {
+                let phone = format!("+55119999900{id:02}");
+                store.record_wa_creator(&phone, "BR");
+                store.record_wa_member(&crate::pii::hash_phone(&phone));
+                store.record_tg_user(id, Some(&crate::pii::hash_phone(&phone)));
+                let linked = if id > 10 {
+                    vec!["steam".to_string()]
+                } else {
+                    vec![]
+                };
+                store.record_dc_user(id, &linked);
+            }
+            store
+        };
+        let (store, reversed) = (record(false), record(true));
+        let encoded = bytes(&store);
+        assert_eq!(
+            encoded,
+            bytes(&reversed),
+            "insertion order leaks into the bytes"
+        );
+        let back: PiiStore = decode(&encoded).unwrap();
+        assert_eq!(back, store);
+        assert_eq!(bytes(&back), encoded);
+        // Every set is written as a sorted `Vec`.
+        let mut r = Reader::new(&encoded);
+        let wa_creators = Vec::<String>::load(&mut r).unwrap();
+        BTreeMap::<String, u64>::load(&mut r).unwrap();
+        let wa_members = Vec::<String>::load(&mut r).unwrap();
+        let tg_users = Vec::<u32>::load(&mut r).unwrap();
+        assert_eq!(tg_users, [3, 9, 17, 41]);
+        for hashes in [wa_creators, wa_members] {
+            assert_eq!(hashes.len(), 4);
+            assert!(hashes.windows(2).all(|w| w[0] < w[1]));
+        }
     }
 
     #[test]
@@ -908,7 +870,7 @@ mod tests {
     }
 
     #[test]
-    fn monitor_state_round_trips_sparse_slots() {
+    fn monitor_writes_only_populated_slots_ascending() {
         let mut tl = GroupTimeline::default();
         tl.push(
             3,
@@ -918,18 +880,28 @@ mod tests {
             },
         );
         tl.push(5, ObservedStatus::Revoked);
-        let state = MonitorState {
-            timelines: vec![(4, tl)],
-            terminal: vec![4],
-            gaps: vec![(4, vec![1, 2])],
-            quarantine: Vec::new(),
-        };
-        let back: MonitorState = decode_snapshot(&encode_snapshot(&state)).unwrap();
-        assert_eq!(back, state);
-        // restore → capture drops nothing and re-sorts nothing: slots 0-3
-        // are padding in the store, absent from the re-captured entries.
-        let restored = state.restore(Pool::new(1));
-        assert_eq!(MonitorState::capture(&restored), state);
+        let mut monitor = Monitor::new();
+        *monitor.timelines.ensure(4) = tl.clone();
+        *monitor.timelines.ensure(1) = tl.clone();
+        monitor.mark_terminal(4);
+        monitor.gaps.push(4, 1);
+        monitor.gaps.push(4, 2);
+        // Slots 0, 2 and 3 are padding: absent from the bytes.
+        let expected = (
+            vec![(1u32, tl.clone()), (4, tl)],
+            vec![4u32],
+            vec![(4u32, vec![1u32, 2])],
+        );
+        let mut w = Writer::new();
+        expected.save(&mut w);
+        Vec::<QuarantineEntry>::new().save(&mut w);
+        let encoded = bytes(&monitor);
+        assert_eq!(encoded, w.into_bytes());
+        let back: Monitor = decode(&encoded).unwrap();
+        assert_eq!(back.timelines, monitor.timelines);
+        assert_eq!(back.gaps, monitor.gaps);
+        assert!(back.is_terminal(4) && !back.is_terminal(1));
+        assert_eq!(bytes(&back), encoded);
     }
 
     #[test]
@@ -965,43 +937,72 @@ mod tests {
         let invite =
             chatlens_platforms::invite::parse_invite_url("https://discord.com/invite/abc123XY")
                 .unwrap();
-        let rec = DiscoveryRecord {
+        let good_key = invite.dedup_key();
+        let mut d = Discovery::new(SimTime(0));
+        d.interner.intern(&good_key);
+        d.groups.push(DiscoveryRecord {
             platform: invite.platform(),
             invite,
             discovered_at: SimTime(0),
             first_tweet_at: SimTime(0),
-        };
-        let good_key = rec.invite.dedup_key();
-        let mut state = DiscoveryState {
-            since_id: [None; 6],
-            tweets: Vec::new(),
-            control: Vec::new(),
-            groups: vec![rec],
-            stats: ExtractionStats::default(),
-            last_stream_drain: SimTime(0),
-            last_sample_drain: SimTime(0),
-            failed_requests: 0,
-            pending_stream: Vec::new(),
-            pending_sample: Vec::new(),
-            quarantine: Vec::new(),
-            symbols: vec![good_key.clone()],
-            tweets_base: 0,
-            control_base: 0,
-        };
-        let back: DiscoveryState = decode_snapshot(&encode_snapshot(&state)).unwrap();
-        assert_eq!(back, state);
+        });
+        let encoded = bytes(&d);
+        assert_eq!(bytes(&decode::<Discovery>(&encoded).unwrap()), encoded);
         // A symbol that disagrees with its group's dedup key.
-        state.symbols = vec!["0:WRONG".to_string()];
+        d.interner = Interner::from_symbols(vec!["0:WRONG".to_string()]);
         assert!(matches!(
-            decode_snapshot::<DiscoveryState>(&encode_snapshot(&state)),
+            decode::<Discovery>(&bytes(&d)),
             Err(CheckpointError::Malformed(_))
         ));
         // A symbol table of the wrong length.
-        state.symbols = vec![good_key, "1:EXTRA".to_string()];
+        d.interner = Interner::from_symbols(vec![good_key.clone(), "1:EXTRA".to_string()]);
         assert!(matches!(
-            decode_snapshot::<DiscoveryState>(&encode_snapshot(&state)),
+            decode::<Discovery>(&bytes(&d)),
             Err(CheckpointError::Malformed(_))
         ));
+        // Two groups with one key: each symbol matches its group, but the
+        // slots would no longer be dense symbol ids.
+        let rec = d.groups[0].clone();
+        let mut w = Writer::new();
+        d.since_id.save(&mut w);
+        Vec::<CollectedTweet>::new().save(&mut w);
+        Vec::<Tweet>::new().save(&mut w);
+        vec![rec.clone(), rec].save(&mut w);
+        d.stats.save(&mut w);
+        (SimTime(0), SimTime(0), 0u64).save(&mut w);
+        Vec::<(SimTime, SimTime)>::new().save(&mut w);
+        Vec::<(SimTime, SimTime)>::new().save(&mut w);
+        Vec::<QuarantineEntry>::new().save(&mut w);
+        vec![good_key.clone(), good_key].save(&mut w);
+        (0usize, 0usize).save(&mut w);
+        assert!(matches!(
+            decode::<Discovery>(&w.into_bytes()),
+            Err(CheckpointError::Malformed(why)) if why.contains("repeats")
+        ));
+    }
+
+    #[test]
+    fn discovery_with_a_spilled_prefix_round_trips_byte_identical() {
+        let mut eco = Ecosystem::build(ScenarioConfig::tiny());
+        let start = eco.window.start_time();
+        let mut net = crate::net::Net::reliable(7, start);
+        let mut d = Discovery::new(start);
+        let day = start + chatlens_simnet::time::SimDuration::days(1);
+        d.run_search(&mut net, &mut eco, day).unwrap();
+        d.drain_sample(&mut net, &mut eco, day).unwrap();
+        assert!(d.tweets.len() > 4 && d.control.len() > 4);
+        d.tweets.spill_to(d.tweets.len() / 2);
+        d.control.spill_to(3);
+        let encoded = bytes(&d);
+        let back: Discovery = decode(&encoded).unwrap();
+        assert_eq!(back.tweets.base(), d.tweets.base());
+        assert_eq!(back.control.base(), 3);
+        assert_eq!(back.tweets.len(), d.tweets.len());
+        // The rebuilt indexes cover the resident tails only; the budget
+        // re-registers the spilled ids on resume.
+        assert_eq!(back.tweet_index.len(), back.tweets.resident().len());
+        assert_eq!(back.control_ids.len(), back.control.resident().len());
+        assert_eq!(bytes(&back), encoded);
     }
 
     mod properties {

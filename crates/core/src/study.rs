@@ -49,9 +49,7 @@ use crate::joiner::Joiner;
 use crate::monitor::Monitor;
 use crate::net::Net;
 use crate::pii::PiiStore;
-use crate::state::{
-    CampaignState, DiscoveryState, EngineState, JoinerState, MonitorState, PiiState,
-};
+use crate::state::{CampaignState, EngineState};
 use chatlens_checkpoint::{
     chain, save_to_file_with, CheckpointError, FaultVfs, RealVfs, Recovered, Vfs,
 };
@@ -874,6 +872,9 @@ struct Runner {
     engine: Engine<CampaignEvent>,
     net: Net,
     rng: Rng,
+    /// Decodes monitor landing pages; sized by `campaign.threads`, which
+    /// only changes wall-clock time.
+    pool: Pool,
     discovery: Discovery,
     monitor: Monitor,
     joiner: Joiner,
@@ -950,8 +951,9 @@ impl Runner {
                 campaign.corruption.schedule(),
             ),
             rng: Rng::new(campaign.seed ^ 0x9E37_79B9),
+            pool: Pool::new(campaign.threads),
             discovery: Discovery::new(start),
-            monitor: Monitor::with_pool(Pool::new(campaign.threads)),
+            monitor: Monitor::new(),
             joiner: Joiner::new(),
             pii: PiiStore::new(),
             metrics: Metrics::new(),
@@ -1014,6 +1016,7 @@ impl Runner {
             campaign,
             net,
             rng,
+            pool,
             discovery,
             monitor,
             joiner,
@@ -1029,6 +1032,7 @@ impl Runner {
                 campaign,
                 net,
                 rng,
+                pool,
                 discovery,
                 monitor,
                 joiner,
@@ -1111,6 +1115,7 @@ impl Runner {
             self.day,
             &self.marks,
             &mut self.discovery,
+            self.window.start_time(),
             timeline_bytes,
             fold_bytes,
         );
@@ -1127,10 +1132,10 @@ impl Runner {
             engine: EngineState::capture(&self.engine),
             rng: self.rng.state(),
             clients: self.net.export_state(),
-            discovery: DiscoveryState::capture(&self.discovery),
-            monitor: MonitorState::capture(&self.monitor),
-            joiner: JoinerState::capture(&self.joiner),
-            pii: PiiState::capture(&self.pii),
+            discovery: self.discovery.clone(),
+            monitor: self.monitor.clone(),
+            joiner: self.joiner.clone(),
+            pii: self.pii.clone(),
             metrics: self.metrics.clone(),
             marks: self.marks.clone(),
             folds: None,
@@ -1174,10 +1179,11 @@ impl Runner {
             engine: state.engine.restore(),
             net,
             rng: Rng::from_state(state.rng),
-            discovery: state.discovery.restore(start),
-            monitor: state.monitor.restore(Pool::new(campaign.threads)),
-            joiner: state.joiner.restore(),
-            pii: state.pii.restore(),
+            pool: Pool::new(campaign.threads),
+            discovery: state.discovery.clone(),
+            monitor: state.monitor.clone(),
+            joiner: state.joiner.clone(),
+            pii: state.pii.clone(),
             metrics: state.metrics.clone(),
             marks: state.marks.clone(),
             budget: None,
@@ -1196,6 +1202,7 @@ fn handle_event(
     campaign: &CampaignConfig,
     net: &mut Net,
     rng: &mut Rng,
+    pool: &Pool,
     discovery: &mut Discovery,
     monitor: &mut Monitor,
     joiner: &mut Joiner,
@@ -1230,7 +1237,7 @@ fn handle_event(
             metrics.incr(keys::CAMPAIGN_MONITOR_ROUNDS);
             metrics.time_stage(keys::STAGE_MONITOR, || {
                 monitor
-                    .run_day(net, eco, discovery, now, day, Some(pii))
+                    .run_day(net, eco, discovery, now, day, Some(pii), pool)
                     .expect("monitor round")
             });
         }

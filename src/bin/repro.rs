@@ -6,8 +6,11 @@
 //! ```
 //!
 //! `artifact` is one of `table1 table2 table3 table4 table5 fig1 fig2 fig3
-//! fig4 fig5 fig6 fig7 fig8 fig9 extras all` (default `all`). At the end a
-//! markdown comparison table (the EXPERIMENTS.md body) is printed.
+//! fig4 fig5 fig6 fig7 fig8 fig9 extras extensions dump-config run all`
+//! (default `all`). `run` executes the campaign and prints its totals and
+//! fold summary without rendering artifacts; `dump-config` prints the
+//! scenario as JSON. Every other artifact ends with a markdown comparison
+//! table (the EXPERIMENTS.md body).
 //!
 //! `--threads N` sizes the deterministic parallel runtime
 //! ([`chatlens::simnet::par::Pool`]): every table and figure — and the
