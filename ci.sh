@@ -50,9 +50,10 @@ cargo run -q --bin repro -- --scale 0.005 --fault-profile bursty run
 
 # Byzantine smoke: a campaign under hostile wire corruption (20% of
 # bodies mutated in flight) must complete with every rejected body in
-# the quarantine ledger, its checkpoints must carry snapshot format v6
-# (canonical varints + fold ledger + budget accountant state), and the
-# dataset invariant auditor must find nothing to report.
+# the quarantine ledger, its checkpoints must carry snapshot format v7
+# (canonical varints + fold ledger + budget accountant state + exact
+# transport counters), and the dataset invariant auditor must find
+# nothing to report.
 echo "==> hostile corruption smoke (repro run + audit)"
 CKPT_DIR="$(mktemp -d)"
 trap 'rm -rf "$CKPT_DIR"' EXIT
@@ -60,7 +61,7 @@ cargo run -q --bin repro -- --scale 0.005 --corruption hostile \
     --checkpoint-dir "$CKPT_DIR" run
 LAST_CKPT="$(ls "$CKPT_DIR"/day*.ckpt | sort | tail -1)"
 cargo run -q --bin repro -- checkpoint inspect "$LAST_CKPT" \
-    | grep -q '"format_version":6'
+    | grep -q '"format_version":7'
 cargo run -q --bin repro -- audit "$LAST_CKPT"
 
 # Fold-ledger smoke: every repro run folds its analyses day by day, so
@@ -158,8 +159,10 @@ CHATLENS_THREADS=8 cargo test -q --workspace
 
 # The benchmark (BENCHMARK.json) is a package of its own outside the
 # workspace, so the workspace runs above never build its unit tests
-# (metric-name grammar, record round-trip, seed tables, spans).
+# (metric-name grammar, record round-trip, seed tables, spans). `--locked`
+# fails the run if a workspace change would rewrite the benchmark's own
+# Cargo.lock instead of letting cargo edit it silently.
 echo "==> benchmark unit tests"
-cargo test --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "CI green."

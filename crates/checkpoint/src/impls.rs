@@ -20,8 +20,8 @@ use chatlens_simnet::fault::{
 };
 use chatlens_simnet::metrics::{Histogram, Metrics};
 use chatlens_simnet::time::{SimDuration, SimTime};
-use chatlens_simnet::trace::{BreakerPhase, BreakerTransition, TraceEntry, TraceState};
-use chatlens_simnet::transport::{BreakerState, ClientState, Status};
+use chatlens_simnet::trace::TraceCounters;
+use chatlens_simnet::transport::{BreakerState, ClientState};
 use chatlens_twitter::Tweet;
 use chatlens_workload::config::{
     ActivityParams, ControlParams, PlatformParams, RevocationParams, ScenarioConfig,
@@ -108,31 +108,6 @@ persist_struct!(OutageSpec {
     ban
 });
 
-impl Persist for BreakerPhase {
-    fn save(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            BreakerPhase::Closed => 0,
-            BreakerPhase::Open => 1,
-            BreakerPhase::HalfOpen => 2,
-        });
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match r.get_u8()? {
-            0 => Ok(BreakerPhase::Closed),
-            1 => Ok(BreakerPhase::Open),
-            2 => Ok(BreakerPhase::HalfOpen),
-            n => Err(CheckpointError::Malformed(format!("BreakerPhase tag {n}"))),
-        }
-    }
-}
-
-persist_struct!(BreakerTransition {
-    at,
-    prefix,
-    from,
-    to
-});
-
 impl Persist for BreakerState {
     fn save(&self, w: &mut Writer) {
         match self {
@@ -163,49 +138,12 @@ impl Persist for BreakerState {
     }
 }
 
-impl Persist for Status {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            Status::Ok => w.put_u8(0),
-            Status::NotFound => w.put_u8(1),
-            Status::Gone => w.put_u8(2),
-            Status::RateLimited(secs) => {
-                w.put_u8(3);
-                secs.save(w);
-            }
-            Status::Forbidden => w.put_u8(4),
-            Status::ServerError => w.put_u8(5),
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match r.get_u8()? {
-            0 => Ok(Status::Ok),
-            1 => Ok(Status::NotFound),
-            2 => Ok(Status::Gone),
-            3 => Ok(Status::RateLimited(u32::load(r)?)),
-            4 => Ok(Status::Forbidden),
-            5 => Ok(Status::ServerError),
-            n => Err(CheckpointError::Malformed(format!("Status tag {n}"))),
-        }
-    }
-}
-
-persist_struct!(TraceEntry {
-    at,
-    endpoint,
-    status,
-    latency,
-    attempt
-});
-
-persist_struct!(TraceState {
-    capacity,
+persist_struct!(TraceCounters {
     total,
     dropped_attempts,
     by_status,
     by_endpoint,
-    entries,
-    transitions,
+    breaker_opened,
     breaker_fast_fails
 });
 
@@ -491,22 +429,12 @@ mod tests {
             last: SimTime(99),
         });
         round_trip(FaultInjector::new(0.01, 0.005));
-        for s in [
-            Status::Ok,
-            Status::NotFound,
-            Status::Gone,
-            Status::RateLimited(30),
-            Status::Forbidden,
-            Status::ServerError,
-        ] {
-            round_trip(Some(s));
-        }
     }
 
     #[test]
     fn client_state_round_trips() {
         let mut by_status = BTreeMap::new();
-        by_status.insert("ok".to_string(), 10u64);
+        by_status.insert("200 OK".to_string(), 10u64);
         let state = ClientState {
             bucket: TokenBucketState {
                 capacity: 200.0,
@@ -516,25 +444,14 @@ mod tests {
             },
             rng: [1, 2, 3, 4],
             waited: SimDuration(60),
-            trace: TraceState {
-                capacity: 8,
+            trace: TraceCounters {
                 total: 11,
                 dropped_attempts: 1,
                 by_status,
-                by_endpoint: BTreeMap::new(),
-                entries: vec![TraceEntry {
-                    at: SimTime(5),
-                    endpoint: "twitter/search".into(),
-                    status: Some(Status::RateLimited(15)),
-                    latency: SimDuration(2),
-                    attempt: 3,
-                }],
-                transitions: vec![BreakerTransition {
-                    at: SimTime(6),
-                    prefix: "twitter".into(),
-                    from: BreakerPhase::Closed,
-                    to: BreakerPhase::Open,
-                }],
+                by_endpoint: [("twitter/search".to_string(), 11u64)]
+                    .into_iter()
+                    .collect(),
+                breaker_opened: 1,
                 breaker_fast_fails: 2,
             },
             rate_clock: SimTime(9),
@@ -583,13 +500,6 @@ mod tests {
             ban: true,
         }));
         round_trip(BreakerState::HalfOpen);
-        for phase in [
-            BreakerPhase::Closed,
-            BreakerPhase::Open,
-            BreakerPhase::HalfOpen,
-        ] {
-            round_trip(phase);
-        }
         assert!(matches!(
             BreakerState::load(&mut Reader::new(&[7])),
             Err(CheckpointError::Malformed(_))
@@ -666,10 +576,6 @@ mod tests {
         ));
         assert!(matches!(
             MessageKind::load(&mut Reader::new(&[9])),
-            Err(CheckpointError::Malformed(_))
-        ));
-        assert!(matches!(
-            Status::load(&mut Reader::new(&[6])),
             Err(CheckpointError::Malformed(_))
         ));
     }

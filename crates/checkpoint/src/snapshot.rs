@@ -46,7 +46,11 @@ pub const MAGIC: [u8; 8] = *b"CLCKPT\x1a\x01";
 ///   the budget counters) so a kill/resume under `--mem-budget` replays
 ///   to byte-identical reports. Spill partitions themselves reuse this
 ///   envelope (one snapshot file per evicted day).
-pub const FORMAT_VERSION: u32 = 6;
+/// * v7 — exact transport counters: each client's trace is its counters
+///   alone (attempts, in-transit drops, attempts by status and by
+///   endpoint, breaker openings, breaker fast fails); the ring of the last
+///   4,096 request records and the breaker-transition list are gone.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Envelope overhead before the payload: magic + version + payload length.
 const HEADER_LEN: usize = 8 + 4 + 8;

@@ -3,8 +3,9 @@
 //!
 //! The paper's tooling held one credential per platform (§3.3); here each
 //! gets its own transport client with its own rate budget, fault stream
-//! and trace. Client rates are set to what a small scraper fleet sustains
-//! (the paper scraped hundreds of thousands of landing pages per day).
+//! and traffic counters. Client rates are set to what a small scraper
+//! fleet sustains (the paper scraped hundreds of thousands of landing
+//! pages per day).
 
 use crate::error::CoreError;
 use chatlens_platforms::id::PlatformKind;
@@ -156,24 +157,19 @@ impl Net {
 
     /// Total transport attempts across all clients (campaign health).
     pub fn total_attempts(&self) -> u64 {
-        self.twitter.trace().len() + self.platforms.iter().map(|c| c.trace().len()).sum::<u64>()
+        self.twitter.trace().total + self.platforms.iter().map(|c| c.trace().total).sum::<u64>()
     }
 
     /// Total circuit-breaker openings and fast-failed calls across all
     /// clients, for the campaign metrics.
     pub fn breaker_totals(&self) -> (u64, u64) {
-        let mut opened = self.twitter.trace().breaker_opened();
-        let mut fast = self.twitter.trace().breaker_fast_fails();
+        let mut opened = self.twitter.trace().breaker_opened;
+        let mut fast = self.twitter.trace().breaker_fast_fails;
         for c in &self.platforms {
-            opened += c.trace().breaker_opened();
-            fast += c.trace().breaker_fast_fails();
+            opened += c.trace().breaker_opened;
+            fast += c.trace().breaker_fast_fails;
         }
         (opened, fast)
-    }
-
-    /// Borrow a platform client's trace (diagnostics).
-    pub fn platform_trace(&self, kind: PlatformKind) -> &chatlens_simnet::trace::TraceRecorder {
-        self.platforms[kind.index()].trace()
     }
 }
 
@@ -209,7 +205,7 @@ mod tests {
     }
 
     #[test]
-    fn platform_traces_are_separate() {
+    fn platform_counters_are_separate() {
         let mut eco = Ecosystem::build(ScenarioConfig::tiny());
         let start = eco.window.start_time();
         let mut net = Net::reliable(2, start);
@@ -220,7 +216,8 @@ mod tests {
             &Request::new("whatsapp/landing").with("code", "x"),
         )
         .unwrap();
-        assert_eq!(net.platform_trace(PlatformKind::WhatsApp).len(), 1);
-        assert_eq!(net.platform_trace(PlatformKind::Telegram).len(), 0);
+        let [_, wa, tg, _] = net.export_state();
+        assert_eq!(wa.trace.total, 1);
+        assert_eq!(tg.trace.total, 0);
     }
 }

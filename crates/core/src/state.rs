@@ -1,5 +1,5 @@
 //! Checkpointable campaign state: the [`CampaignState`] snapshot payload
-//! and the [`Persist`] impls of the live pipeline components it holds.
+//! and the snapshot codecs of the live pipeline components it holds.
 //!
 //! A snapshot captures exactly what the campaign *mutates*; everything
 //! derivable from `(seed, config)` — the world population, the tweet
@@ -9,7 +9,7 @@
 //! | component | stored | rebuilt |
 //! |-----------|--------|---------|
 //! | engine    | clock, event count, pending events | — |
-//! | transport | 4 × bucket fill / RNG position / trace | client configs |
+//! | transport | 4 × bucket fill / RNG positions / breakers / traffic counters | client configs |
 //! | discovery | resident tweets and control, spilled-prefix lengths, groups, symbol table, cursors, stats, backfill queues, quarantine | tweet index, control ids, interner |
 //! | monitor   | populated timeline slots, terminal slots, gap ledger, quarantine | day scratch |
 //! | joiner    | joined groups, account counters, quarantine | — |
@@ -234,11 +234,13 @@ impl Persist for Discovery {
     }
 }
 
-// A custom impl: keys are group slots (discovery-order indexes, equal to
-// the interned symbol ids of the discovery snapshot), not dedup-key
-// strings, and only populated slots are written, ascending, so padding
-// slots never affect the encoding.
-impl Persist for Monitor {
+// Not a `Persist` impl: keys are group slots (discovery-order indexes,
+// equal to the interned symbol ids of the discovery snapshot), not
+// dedup-key strings, so a monitor only decodes against the group count of
+// the discovery decoded before it (see `CampaignState`'s impl). Only
+// populated slots are written, ascending, so padding slots never affect
+// the encoding.
+impl Monitor {
     fn save(&self, w: &mut Writer) {
         let Monitor {
             timelines,
@@ -266,11 +268,26 @@ impl Persist for Monitor {
         }
         quarantine.save(w);
     }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+
+    /// Decode a monitor whose slots index `groups` discovered groups. Every
+    /// slot list must ascend strictly below `groups`, and every group's gap
+    /// days must ascend strictly, before any table is sized from them.
+    fn load(r: &mut Reader<'_>, groups: usize) -> Result<Monitor, CheckpointError> {
         let timelines = Vec::<(u32, GroupTimeline)>::load(r)?;
         let terminal = Vec::<u32>::load(r)?;
         let gaps = Vec::<(u32, Vec<u32>)>::load(r)?;
         let quarantine = Vec::<QuarantineEntry>::load(r)?;
+        check_slots("timeline", timelines.iter().map(|&(slot, _)| slot), groups)?;
+        check_slots("terminal", terminal.iter().copied(), groups)?;
+        check_slots("gap", gaps.iter().map(|&(slot, _)| slot), groups)?;
+        if let Some((slot, _)) = gaps
+            .iter()
+            .find(|(_, days)| days.windows(2).any(|w| w[0] >= w[1]))
+        {
+            return Err(CheckpointError::Malformed(format!(
+                "gap days of slot {slot} not strictly ascending"
+            )));
+        }
         let mut monitor = Monitor {
             timelines: TimelineStore::new(),
             terminal: Vec::new(),
@@ -291,6 +308,31 @@ impl Persist for Monitor {
         }
         Ok(monitor)
     }
+}
+
+/// Require a `what` slot list to ascend strictly and to index one of
+/// `groups` groups.
+fn check_slots(
+    what: &str,
+    mut slots: impl Iterator<Item = u32>,
+    groups: usize,
+) -> Result<(), CheckpointError> {
+    let mut next = 0usize;
+    slots.try_for_each(|slot| {
+        let slot = slot as usize;
+        if slot >= groups {
+            return Err(CheckpointError::Malformed(format!(
+                "{what} slot {slot} with only {groups} groups discovered"
+            )));
+        }
+        if slot < next {
+            return Err(CheckpointError::Malformed(format!(
+                "{what} slots not strictly ascending at slot {slot}"
+            )));
+        }
+        next = slot + 1;
+        Ok(())
+    })
 }
 
 persist_struct!(Joiner {
@@ -599,23 +641,71 @@ pub struct CampaignState {
     pub budget: Option<BudgetState>,
 }
 
-persist_struct!(CampaignState {
-    scenario,
-    campaign,
-    day,
-    engine,
-    rng,
-    clients,
-    discovery,
-    monitor,
-    joiner,
-    pii,
-    metrics,
-    marks,
-    folds,
-    delta,
-    budget
-});
+// A custom impl rather than `persist_struct!`: the monitor decodes
+// against the group count of the discovery decoded just before it.
+impl Persist for CampaignState {
+    fn save(&self, w: &mut Writer) {
+        let CampaignState {
+            scenario,
+            campaign,
+            day,
+            engine,
+            rng,
+            clients,
+            discovery,
+            monitor,
+            joiner,
+            pii,
+            metrics,
+            marks,
+            folds,
+            delta,
+            budget,
+        } = self;
+        scenario.save(w);
+        campaign.save(w);
+        day.save(w);
+        engine.save(w);
+        rng.save(w);
+        clients.save(w);
+        discovery.save(w);
+        monitor.save(w);
+        joiner.save(w);
+        pii.save(w);
+        metrics.save(w);
+        marks.save(w);
+        folds.save(w);
+        delta.save(w);
+        budget.save(w);
+    }
+    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        let scenario = ScenarioConfig::load(r)?;
+        let campaign = CampaignConfig::load(r)?;
+        let day = u32::load(r)?;
+        let engine = EngineState::load(r)?;
+        let rng = <[u64; 4]>::load(r)?;
+        let clients = <[ClientState; 4]>::load(r)?;
+        let discovery = Discovery::load(r)?;
+        let monitor = Monitor::load(r, discovery.groups.len())?;
+        Ok(CampaignState {
+            scenario,
+            campaign,
+            day,
+            engine,
+            rng,
+            clients,
+            discovery,
+            monitor,
+            joiner: Persist::load(r)?,
+            pii: Persist::load(r)?,
+            metrics: Persist::load(r)?,
+            marks: Persist::load(r)?,
+            folds: Persist::load(r)?,
+            delta: Persist::load(r)?,
+            budget: Persist::load(r)?,
+        })
+    }
+}
 
 impl PartialEq for CampaignState {
     fn eq(&self, other: &CampaignState) -> bool {
@@ -895,13 +985,74 @@ mod tests {
         let mut w = Writer::new();
         expected.save(&mut w);
         Vec::<QuarantineEntry>::new().save(&mut w);
-        let encoded = bytes(&monitor);
+        let encoded = monitor_bytes(&monitor);
         assert_eq!(encoded, w.into_bytes());
-        let back: Monitor = decode(&encoded).unwrap();
+        let back = decode_monitor(&encoded, 5).unwrap();
         assert_eq!(back.timelines, monitor.timelines);
         assert_eq!(back.gaps, monitor.gaps);
         assert!(back.is_terminal(4) && !back.is_terminal(1));
-        assert_eq!(bytes(&back), encoded);
+        assert_eq!(monitor_bytes(&back), encoded);
+        // Slot 4 needs at least 5 discovered groups.
+        assert!(matches!(
+            decode_monitor(&encoded, 4),
+            Err(CheckpointError::Malformed(_))
+        ));
+    }
+
+    fn monitor_bytes(monitor: &Monitor) -> Vec<u8> {
+        let mut w = Writer::new();
+        monitor.save(&mut w);
+        w.into_bytes()
+    }
+
+    fn decode_monitor(bytes: &[u8], groups: usize) -> Result<Monitor, CheckpointError> {
+        let mut r = Reader::new(bytes);
+        let monitor = Monitor::load(&mut r, groups)?;
+        assert!(r.is_empty(), "trailing bytes");
+        Ok(monitor)
+    }
+
+    #[test]
+    fn monitor_snapshots_reject_bad_slots_before_sizing_tables() {
+        let tl = || GroupTimeline::default();
+        let encode = |timelines: Vec<(u32, GroupTimeline)>,
+                      terminal: Vec<u32>,
+                      gaps: Vec<(u32, Vec<u32>)>| {
+            let mut w = Writer::new();
+            (timelines, terminal, gaps).save(&mut w);
+            Vec::<QuarantineEntry>::new().save(&mut w);
+            w.into_bytes()
+        };
+        let rejected = |bytes: Vec<u8>, want: &str| match decode_monitor(&bytes, 10) {
+            Err(CheckpointError::Malformed(msg)) => assert!(msg.contains(want), "{msg}"),
+            other => panic!("expected a Malformed error naming {want:?}, got {other:?}"),
+        };
+        // A slot far past the group count fails without sizing a table to it.
+        rejected(
+            encode(vec![(1_000_000, tl())], vec![], vec![]),
+            "timeline slot",
+        );
+        rejected(encode(vec![], vec![10], vec![]), "terminal slot 10");
+        rejected(
+            encode(vec![], vec![], vec![(1_000_000, vec![1])]),
+            "gap slot",
+        );
+        // A repeated or descending slot would silently overwrite or reorder.
+        rejected(
+            encode(vec![(3, tl()), (3, tl())], vec![], vec![]),
+            "not strictly",
+        );
+        rejected(encode(vec![], vec![5, 2], vec![]), "not strictly");
+        rejected(
+            encode(vec![], vec![], vec![(2, vec![1]), (1, vec![1])]),
+            "not strictly",
+        );
+        // Out-of-order gap days are a typed error, not a debug assertion.
+        rejected(encode(vec![], vec![], vec![(2, vec![7, 7])]), "gap days");
+        rejected(encode(vec![], vec![], vec![(2, vec![9, 3])]), "gap days");
+        assert!(
+            decode_monitor(&encode(vec![(9, tl())], vec![9], vec![(9, vec![1, 4])]), 10).is_ok()
+        );
     }
 
     #[test]

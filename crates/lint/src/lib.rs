@@ -14,7 +14,7 @@
 //! | D1 | banned wall-clock / scheduler APIs: `SystemTime::now`, `thread::current` anywhere; `Instant::now` outside `simnet::metrics`; `std::time` in analysis/report crates |
 //! | D2 | `HashMap`/`HashSet` iteration on result paths (analysis, report, core, workload, perspective) unless the site collects into a sorted/`BTreeMap` form or only takes a cardinality |
 //! | D3 | ambient entropy: `thread_rng`, `from_entropy`, `OsRng`, `getrandom`, `RandomState` — every RNG must derive from the seeded root via `Rng::fork` |
-//! | D4 | `par_map`/`par_fold`/`par_chunks_mut`/`run_tasks` closures must not touch locks or shared atomics (ordered merge is the only legal reduction; the `Fn` bound already forbids `&mut` capture at compile time) |
+//! | D4 | `par_map`/`par_map_chunked`/`par_chunks_mut`/`run_tasks` closures must not touch locks or shared atomics (ordered merge is the only legal reduction; the `Fn` bound already forbids `&mut` capture at compile time) |
 //! | D5 | no `unwrap()`/`expect()` on lock acquisition in library crates (the `parking_lot` shim never poisons; a `Result`-shaped lock call is a sign std locks leaked in) |
 //! | D7 | discarded transport results: a `.twitter(...)` / `.platform(...)` call in the core crate or the binary whose `Result` is dropped (`let _ = ...;` or a bare expression statement) — transport failures must be handled (retried, queued for backfill, or counted), never silently swallowed |
 //! | D8 | `unwrap()`/`expect()` on a `WireDoc` accessor result (`parse`, `parse_as`, `req`, `req_u64`, `req_i64`, `opt_u64`) outside `#[cfg(test)]` and the quarantine module — wire bodies are hostile input; a failed decode must route into the quarantine ledger, never panic a collector |
@@ -291,13 +291,7 @@ const ENTROPY_APIS: [&str; 5] = [
 ];
 
 /// Deterministic-parallel entry points whose closures D4 inspects.
-const PAR_CALLS: [&str; 5] = [
-    "par_map",
-    "par_map_chunked",
-    "par_chunks_mut",
-    "par_fold",
-    "run_tasks",
-];
+const PAR_CALLS: [&str; 4] = ["par_map", "par_map_chunked", "par_chunks_mut", "run_tasks"];
 
 /// Shared-mutability methods banned inside par closures (D4).
 const PAR_BANNED_METHODS: [&str; 10] = [

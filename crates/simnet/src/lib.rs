@@ -20,8 +20,8 @@
 //!   simulated platforms through it exactly as an HTTP client would.
 //! * [`fault`] — fault injection (drop/error probability), token-bucket rate
 //!   limiting and exponential backoff with full jitter.
-//! * [`trace`] — a bounded request/response trace recorder (the pcap
-//!   analogue for the simulated transport).
+//! * [`trace`] — exact per-client transport counters (attempts by status
+//!   and endpoint, in-transit drops, breaker openings and fast fails).
 //! * [`hash`] — a from-scratch FIPS 180-4 SHA-256 used to one-way-hash phone
 //!   numbers, mirroring the paper's ethics protocol (§3.4), and to digest
 //!   reports and snapshots; it runs on the x86 SHA extensions when the CPU
@@ -29,8 +29,8 @@
 //!   otherwise.
 //! * [`metrics`] — lightweight counters, fixed-bucket histograms and
 //!   per-stage wall-clock timings.
-//! * [`par`] — a deterministic scoped worker pool (`par_map` /
-//!   `par_fold`) whose outputs are bit-identical at any thread count.
+//! * [`par`] — a deterministic scoped worker pool (`par_map` and
+//!   friends) whose outputs are bit-identical at any thread count.
 //!
 //! Nothing in this crate knows about Twitter or messaging platforms; it is a
 //! general deterministic-simulation kit.

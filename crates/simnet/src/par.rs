@@ -169,31 +169,6 @@ impl Pool {
         ordered.sort_by_key(|(task, _)| *task);
         ordered.into_iter().map(|(_, r)| r).collect()
     }
-
-    /// Sharded fold: each chunk folds `fold` over its items (with global
-    /// item index) starting from `init()`, then the per-chunk accumulators
-    /// are combined with `merge` in ascending chunk order — so even
-    /// non-associative merges (floating point) are reproducible.
-    pub fn par_fold<T, A, I, F, M>(&self, items: &[T], init: I, fold: F, merge: M) -> A
-    where
-        T: Sync,
-        A: Send,
-        I: Fn() -> A + Sync,
-        F: Fn(A, usize, &T) -> A + Sync,
-        M: Fn(A, A) -> A,
-    {
-        let chunk_size = default_chunk_size(items.len());
-        let n_chunks = items.len().div_ceil(chunk_size);
-        let accs: Vec<A> = self.run_tasks(n_chunks, |c| {
-            let lo = c * chunk_size;
-            let hi = (lo + chunk_size).min(items.len());
-            items[lo..hi]
-                .iter()
-                .enumerate()
-                .fold(init(), |acc, (j, item)| fold(acc, lo + j, item))
-        });
-        accs.into_iter().reduce(merge).unwrap_or_else(init)
-    }
 }
 
 #[cfg(test)]
@@ -227,25 +202,10 @@ mod tests {
     }
 
     #[test]
-    fn par_fold_is_bit_identical_across_thread_counts() {
-        // Floating-point sums are order-sensitive; the ordered merge must
-        // make every thread count produce the same bits.
-        let items: Vec<f64> = (0..5000).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let fold = |acc: f64, _i: usize, x: &f64| acc + x;
-        let reference = Pool::new(1).par_fold(&items, || 0.0, fold, |a, b| a + b);
-        for threads in [2, 4, 8] {
-            let sum = Pool::new(threads).par_fold(&items, || 0.0, fold, |a, b| a + b);
-            assert_eq!(sum.to_bits(), reference.to_bits(), "{threads} threads");
-        }
-    }
-
-    #[test]
-    fn empty_input_yields_init() {
+    fn empty_input_yields_empty_output() {
         let pool = Pool::new(4);
         let out: Vec<u32> = pool.par_map(&[] as &[u32], |x| *x);
         assert!(out.is_empty());
-        let acc = pool.par_fold(&[] as &[u32], || 42u64, |a, _, _| a + 1, |a, b| a + b);
-        assert_eq!(acc, 42);
     }
 
     #[test]

@@ -10,12 +10,12 @@
 //! * [`Service`] — the handler trait a simulated platform implements.
 //! * [`Router`] — dispatches requests to services by endpoint prefix.
 //! * [`Client`] — the caller side: token-bucket rate limiting, fault
-//!   injection, retry with exponential backoff, and trace recording.
+//!   injection, retry with exponential backoff, and exact traffic counters.
 //!
-//! Latency is *sampled and accounted* (reported on each response and in the
-//! trace) rather than woven into the event queue: the campaign operates at
-//! hour/day granularity, so per-request latencies only need to be realistic
-//! in aggregate, not to reorder events.
+//! Latency is *sampled and accounted* (reported on each response) rather
+//! than woven into the event queue: the campaign operates at hour/day
+//! granularity, so per-request latencies only need to be realistic in
+//! aggregate, not to reorder events.
 
 use crate::fault::{
     Backoff, CorruptionSchedule, FaultInjector, FaultSchedule, OutageMode, TokenBucket,
@@ -23,7 +23,7 @@ use crate::fault::{
 };
 use crate::rng::Rng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{BreakerPhase, BreakerTransition, TraceEntry, TraceRecorder, TraceState};
+use crate::trace::TraceCounters;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -307,20 +307,10 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-impl BreakerState {
-    /// The coarse phase of this state, for trace transitions.
-    pub fn phase(&self) -> BreakerPhase {
-        match self {
-            BreakerState::Closed { .. } => BreakerPhase::Closed,
-            BreakerState::Open { .. } => BreakerPhase::Open,
-            BreakerState::HalfOpen => BreakerPhase::HalfOpen,
-        }
-    }
-}
-
 /// The mutable state of a [`Client`], exported by [`Client::state`] and
 /// restored with [`Client::restore_state`]. Everything a resumed campaign
-/// needs to continue the client's RNG/rate/trace streams bit-identically.
+/// needs to continue the client's RNG/rate streams bit-identically and its
+/// counters exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClientState {
     /// Token-bucket fill level and refill cursor.
@@ -329,8 +319,8 @@ pub struct ClientState {
     pub rng: [u64; 4],
     /// Accumulated virtual wait time.
     pub waited: SimDuration,
-    /// Trace ring and exact aggregate counters.
-    pub trace: TraceState,
+    /// Exact traffic counters.
+    pub trace: TraceCounters,
     /// Monotone clock fed to the token bucket (never regresses even when a
     /// retried call's virtual time overtakes the next call's start).
     pub rate_clock: SimTime,
@@ -350,9 +340,9 @@ pub struct ClientState {
 }
 
 /// The caller side of the transport: rate limiting, fault injection,
-/// retries with backoff, and tracing. One `Client` per logical account or
-/// API credential, mirroring how the paper's collectors held one credential
-/// per platform.
+/// retries with backoff, and traffic counters. One `Client` per logical
+/// account or API credential, mirroring how the paper's collectors held one
+/// credential per platform.
 pub struct Client {
     config: ClientConfig,
     bucket: TokenBucket,
@@ -375,7 +365,7 @@ pub struct Client {
     /// only while corruption is active.
     last_ok_body: Option<String>,
     corrupted: u64,
-    trace: TraceRecorder,
+    trace: TraceCounters,
     /// Virtual time spent waiting (backoff + rate limiting), accumulated so
     /// the campaign can account for collection slowness.
     pub waited: SimDuration,
@@ -416,7 +406,7 @@ impl Client {
             corrupt_rng: Rng::new(0),
             last_ok_body: None,
             corrupted: 0,
-            trace: TraceRecorder::new(4096),
+            trace: TraceCounters::default(),
             waited: SimDuration::ZERO,
         }
     }
@@ -448,13 +438,13 @@ impl Client {
         )
     }
 
-    /// Access the recorded trace.
-    pub fn trace(&self) -> &TraceRecorder {
+    /// The client's traffic counters.
+    pub fn trace(&self) -> &TraceCounters {
         &self.trace
     }
 
     /// Export the client's mutable state for a checkpoint: token-bucket
-    /// fill, RNG position, accumulated wait, and trace aggregates. The
+    /// fill, RNG position, accumulated wait, and traffic counters. The
     /// configuration and fault model are *not* included — they are
     /// re-derived deterministically by the caller on restore.
     pub fn state(&self) -> ClientState {
@@ -462,7 +452,7 @@ impl Client {
             bucket: self.bucket.state(),
             rng: self.rng.state(),
             waited: self.waited,
-            trace: self.trace.state(),
+            trace: self.trace.clone(),
             rate_clock: self.rate_clock,
             burst_rng: self.burst_rng.state(),
             burst_bad: self.burst_bad,
@@ -481,7 +471,7 @@ impl Client {
         self.bucket = TokenBucket::from_state(s.bucket);
         self.rng = Rng::from_state(s.rng);
         self.waited = s.waited;
-        self.trace = TraceRecorder::from_state(s.trace);
+        self.trace = s.trace;
         self.rate_clock = s.rate_clock;
         self.burst_rng = Rng::from_state(s.burst_rng);
         self.burst_bad = s.burst_bad;
@@ -520,13 +510,14 @@ impl Client {
             match self.breakers.get(prefix) {
                 Some(BreakerState::Open { until }) if now < *until => {
                     let until = *until;
-                    self.trace.record_fast_fail();
+                    self.trace.breaker_fast_fails += 1;
                     return Err(TransportError::BreakerOpen { until });
                 }
                 Some(BreakerState::Open { .. }) => {
                     // Cooldown elapsed: admit this call as the half-open
                     // probe.
-                    self.transition(prefix, now, BreakerState::HalfOpen);
+                    self.breakers
+                        .insert(prefix.to_string(), BreakerState::HalfOpen);
                     probing = true;
                 }
                 _ => {}
@@ -549,13 +540,7 @@ impl Client {
         // A suspended credential (ban window) answers instantly with 403;
         // retrying cannot help, so fail fast after a single attempt.
         if self.plan.active_outage(now) == Some(OutageMode::Ban) {
-            self.trace.record(TraceEntry {
-                at: now,
-                endpoint: req.endpoint.clone(),
-                status: Some(Status::Forbidden),
-                latency: SimDuration::ZERO,
-                attempt: 1,
-            });
+            self.trace.record(&req.endpoint, Some(Status::Forbidden));
             return Err(TransportError::Failed {
                 status: Status::Forbidden,
                 attempts: 1,
@@ -607,13 +592,7 @@ impl Client {
             };
             // Fault injection: dropped on the wire?
             if blackout || injector.drop_now(&mut self.rng) {
-                self.trace.record(TraceEntry {
-                    at: virtual_now,
-                    endpoint: req.endpoint.clone(),
-                    status: None,
-                    latency,
-                    attempt: attempts,
-                });
+                self.trace.record(&req.endpoint, None);
                 if attempts < self.config.max_attempts {
                     let wait = backoff.next_delay(&mut self.rng);
                     if virtual_now + wait > deadline {
@@ -631,13 +610,7 @@ impl Client {
                 router.dispatch(virtual_now, req)
             };
             resp.latency = latency;
-            self.trace.record(TraceEntry {
-                at: virtual_now,
-                endpoint: req.endpoint.clone(),
-                status: Some(resp.status),
-                latency,
-                attempt: attempts,
-            });
+            self.trace.record(&req.endpoint, Some(resp.status));
             match resp.status {
                 Status::Ok => {
                     self.maybe_corrupt(&mut resp);
@@ -679,27 +652,21 @@ impl Client {
         }
     }
 
-    /// Record a breaker transition in the trace and store the new state.
-    fn transition(&mut self, prefix: &str, at: SimTime, to: BreakerState) {
-        let from = self
-            .breakers
-            .get(prefix)
-            .copied()
-            .unwrap_or(BreakerState::Closed {
-                consecutive_failures: 0,
-            });
-        self.trace.record_transition(BreakerTransition {
-            at,
-            prefix: prefix.to_string(),
-            from: from.phase(),
-            to: to.phase(),
-        });
-        self.breakers.insert(prefix.to_string(), to);
+    /// Open the breaker on `prefix` for one cooldown from `now`, and count
+    /// the opening.
+    fn open_breaker(&mut self, prefix: &str, now: SimTime) {
+        self.trace.breaker_opened += 1;
+        let until = now + self.config.breaker_cooldown;
+        self.breakers
+            .insert(prefix.to_string(), BreakerState::Open { until });
     }
 
     /// Update the breaker after a call resolved. Only service failures
     /// (exhausted retries, fail-fast bans) count toward opening; a local
-    /// rate-budget error says nothing about the far end.
+    /// rate-budget error says nothing about the far end, but a half-open
+    /// probe it stopped re-arms the cooldown instead of leaving the breaker
+    /// half-open. A failed probe re-opens for another cooldown; a
+    /// successful one re-closes.
     fn settle_breaker(
         &mut self,
         prefix: &str,
@@ -707,68 +674,33 @@ impl Client {
         probing: bool,
         result: &Result<Response, TransportError>,
     ) {
-        let failed = matches!(
-            result,
-            Err(TransportError::Dropped { .. }) | Err(TransportError::Failed { .. })
-        );
-        if failed {
-            let reopen = BreakerState::Open {
-                until: now + self.config.breaker_cooldown,
-            };
-            if probing {
-                // The half-open probe failed: back to open for another
-                // cooldown.
-                self.transition(prefix, now, reopen);
-                return;
+        let closed = |consecutive_failures| BreakerState::Closed {
+            consecutive_failures,
+        };
+        match result {
+            Err(TransportError::Dropped { .. }) | Err(TransportError::Failed { .. }) => {
+                let count = match self.breakers.get(prefix) {
+                    Some(BreakerState::Closed {
+                        consecutive_failures,
+                    }) => consecutive_failures + 1,
+                    _ => 1,
+                };
+                if probing || count >= self.config.breaker_threshold {
+                    self.open_breaker(prefix, now);
+                } else {
+                    self.breakers.insert(prefix.to_string(), closed(count));
+                }
             }
-            let count = match self.breakers.get(prefix) {
-                Some(BreakerState::Closed {
-                    consecutive_failures,
-                }) => consecutive_failures + 1,
-                _ => 1,
-            };
-            if count >= self.config.breaker_threshold {
-                self.transition(prefix, now, reopen);
-            } else {
-                self.breakers.insert(
-                    prefix.to_string(),
-                    BreakerState::Closed {
-                        consecutive_failures: count,
-                    },
-                );
+            // Any success resets the failure count (and re-closes a
+            // probing breaker) without allocating a key when nothing
+            // changes.
+            Ok(_) => {
+                if self.breakers.get(prefix).is_some_and(|&b| b != closed(0)) {
+                    self.breakers.insert(prefix.to_string(), closed(0));
+                }
             }
-        } else if result.is_ok() {
-            if probing {
-                self.transition(
-                    prefix,
-                    now,
-                    BreakerState::Closed {
-                        consecutive_failures: 0,
-                    },
-                );
-            } else if !matches!(
-                self.breakers.get(prefix),
-                None | Some(BreakerState::Closed {
-                    consecutive_failures: 0
-                })
-            ) {
-                self.breakers.insert(
-                    prefix.to_string(),
-                    BreakerState::Closed {
-                        consecutive_failures: 0,
-                    },
-                );
-            }
-        } else if probing {
-            // The probe never reached the wire (local rate budget): re-arm
-            // the cooldown instead of leaving the breaker half-open.
-            self.transition(
-                prefix,
-                now,
-                BreakerState::Open {
-                    until: now + self.config.breaker_cooldown,
-                },
-            );
+            Err(_) if probing => self.open_breaker(prefix, now),
+            Err(_) => {}
         }
     }
 
@@ -846,7 +778,7 @@ mod tests {
             .unwrap();
         assert_eq!(resp.status, Status::Ok);
         assert_eq!(resp.body, "echo:svc/op");
-        assert_eq!(client.trace().len(), 1);
+        assert_eq!(client.trace().total, 1);
     }
 
     #[test]
@@ -867,7 +799,7 @@ mod tests {
             .call(&mut router, SimTime(0), &Request::new("svc"))
             .unwrap();
         assert_eq!(resp.body, "fine");
-        assert_eq!(client.trace().len(), 3, "two failures + one success");
+        assert_eq!(client.trace().total, 3, "two failures + one success");
         assert!(client.waited > SimDuration::ZERO, "backoff accumulated");
     }
 
@@ -925,7 +857,7 @@ mod tests {
                 .call(&mut router, SimTime(0), &Request::new("svc"))
                 .unwrap();
             assert_eq!(resp.status, status);
-            assert_eq!(client.trace().len(), 1, "no retries for {status}");
+            assert_eq!(client.trace().total, 1, "no retries for {status}");
         }
     }
 
@@ -980,6 +912,35 @@ mod tests {
         );
     }
 
+    /// One call at `at` that logs the breaker phases it moves through,
+    /// polled with [`Client::breaker`] around the call. Between calls a
+    /// breaker is only ever closed or open; a call that reaches the wire
+    /// while it was open is the half-open probe.
+    fn call_logging_phases(
+        client: &mut Client,
+        router: &mut Router<'_>,
+        hits: &std::cell::Cell<u32>,
+        phases: &mut Vec<&'static str>,
+        at: u64,
+    ) -> Result<Response, TransportError> {
+        let phase = |b: Option<BreakerState>| match b {
+            None | Some(BreakerState::Closed { .. }) => "closed",
+            Some(BreakerState::Open { .. }) => "open",
+            Some(BreakerState::HalfOpen) => "half-open",
+        };
+        let before = client.breaker("svc");
+        let hits_before = hits.get();
+        let result = client.call(router, SimTime(at), &Request::new("svc/op"));
+        if phase(before) == "open" && hits.get() > hits_before {
+            phases.push("half-open");
+        }
+        let after = phase(client.breaker("svc"));
+        if phases.last() != Some(&after) {
+            phases.push(after);
+        }
+        result
+    }
+
     #[test]
     fn breaker_opens_fails_fast_and_recovers_via_probe() {
         use std::cell::Cell;
@@ -1002,11 +963,14 @@ mod tests {
             ..ClientConfig::default()
         };
         let mut client = Client::new(config, FaultInjector::none(), Rng::new(9), SimTime(0));
-        let req = Request::new("svc/op");
+        let mut phases = vec!["closed"];
+        let mut call = |client: &mut Client, at| {
+            call_logging_phases(client, &mut router, &hits, &mut phases, at)
+        };
 
         // Two exhausted calls open the breaker.
         for _ in 0..2 {
-            let err = client.call(&mut router, SimTime(0), &req).unwrap_err();
+            let err = call(&mut client, 0).unwrap_err();
             assert!(matches!(err, TransportError::Failed { .. }));
         }
         assert!(matches!(
@@ -1016,7 +980,7 @@ mod tests {
         let wire_hits = hits.get();
 
         // While open, calls fail fast without touching the wire.
-        let err = client.call(&mut router, SimTime(10), &req).unwrap_err();
+        let err = call(&mut client, 10).unwrap_err();
         assert_eq!(
             err,
             TransportError::BreakerOpen {
@@ -1024,10 +988,10 @@ mod tests {
             }
         );
         assert_eq!(hits.get(), wire_hits, "open breaker must not hit the wire");
-        assert_eq!(client.trace().breaker_fast_fails(), 1);
+        assert_eq!(client.trace().breaker_fast_fails, 1);
 
         // A failed half-open probe re-opens for another cooldown.
-        let err = client.call(&mut router, SimTime(120), &req).unwrap_err();
+        let err = call(&mut client, 120).unwrap_err();
         assert!(matches!(err, TransportError::Failed { .. }));
         assert_eq!(
             client.breaker("svc"),
@@ -1039,7 +1003,7 @@ mod tests {
         // After the service heals, the next probe re-closes the breaker and
         // traffic flows again: no stuck-open state.
         healthy.set(true);
-        let resp = client.call(&mut router, SimTime(250), &req).unwrap();
+        let resp = call(&mut client, 250).unwrap();
         assert_eq!(resp.status, Status::Ok);
         assert_eq!(
             client.breaker("svc"),
@@ -1047,22 +1011,11 @@ mod tests {
                 consecutive_failures: 0
             })
         );
-        let phases: Vec<(BreakerPhase, BreakerPhase)> = client
-            .trace()
-            .transitions()
-            .iter()
-            .map(|t| (t.from, t.to))
-            .collect();
         assert_eq!(
             phases,
-            vec![
-                (BreakerPhase::Closed, BreakerPhase::Open),
-                (BreakerPhase::Open, BreakerPhase::HalfOpen),
-                (BreakerPhase::HalfOpen, BreakerPhase::Open),
-                (BreakerPhase::Open, BreakerPhase::HalfOpen),
-                (BreakerPhase::HalfOpen, BreakerPhase::Closed),
-            ]
+            ["closed", "open", "half-open", "open", "half-open", "closed"]
         );
+        assert_eq!(client.trace().breaker_opened, 2);
     }
 
     #[test]
@@ -1088,7 +1041,7 @@ mod tests {
                 attempts: 1
             }
         );
-        assert_eq!(client.trace().len(), 1, "a ban must not retry");
+        assert_eq!(client.trace().total, 1, "a ban must not retry");
         // Outside the window the credential works again.
         let resp = client
             .call(&mut router, SimTime(100), &Request::new("svc"))
@@ -1107,12 +1060,20 @@ mod tests {
             until: SimTime(1_000),
             mode: OutageMode::Blackout,
         });
-        let mut client =
-            Client::with_schedule(ClientConfig::default(), plan, Rng::new(11), SimTime(0));
+        let cfg = ClientConfig::default();
+        let mut client = Client::with_schedule(cfg.clone(), plan, Rng::new(11), SimTime(0));
         let err = client
             .call(&mut router, SimTime(0), &Request::new("svc"))
             .unwrap_err();
         assert_eq!(err, TransportError::Dropped { attempts: 4 });
+        // A blackout draws nothing but backoff delays: one before each of
+        // the three retries, none after the final dropped attempt.
+        let mut backoff = Backoff::new(cfg.backoff_base, 2.0, cfg.backoff_max);
+        let mut replay = Rng::new(11);
+        let expected = (1..4).fold(SimDuration::ZERO, |sum, _| {
+            sum + backoff.next_delay(&mut replay)
+        });
+        assert_eq!(client.waited, expected);
         let resp = client
             .call(&mut router, SimTime(2_000), &Request::new("svc"))
             .unwrap();
@@ -1163,7 +1124,7 @@ mod tests {
             for k in 0..30u64 {
                 let _ok = client.call(&mut router, SimTime(k * 60), &Request::new("svc/x"));
             }
-            assert!(client.trace().len() >= 30, "client {i}");
+            assert!(client.trace().total >= 30, "client {i}");
         }
         assert_eq!(a.state(), b.state(), "calm schedule must not perturb");
     }

@@ -165,6 +165,27 @@ fn damaged_snapshots_are_rejected_never_panic() {
         assert!(!err.to_string().is_empty());
     }
 
+    // A snapshot of the previous format generation is refused by its
+    // header, before its payload is read.
+    let mut old = good.clone();
+    old[8..12].copy_from_slice(&(FORMAT_VERSION - 1).to_le_bytes());
+    assert!(matches!(
+        load_after_writing(&dir, &old),
+        CheckpointError::VersionMismatch { found, expected: FORMAT_VERSION }
+            if found == FORMAT_VERSION - 1
+    ));
+
+    // A well-formed snapshot whose monitor names a group slot far past the
+    // discovered groups is refused before any table is sized to that slot.
+    let mut state: CampaignState =
+        load_from_file(&dir.join("day038.ckpt")).expect("final snapshot loads");
+    state.monitor.gaps.push(1_000_000, 3);
+    let err = load_after_writing(&dir, &encode_snapshot(&state));
+    assert!(
+        matches!(&err, CheckpointError::Malformed(msg) if msg.contains("gap slot 1000000")),
+        "crafted gap slot gave {err}"
+    );
+
     // Truncation at every byte length is an error, never a panic. (The
     // encoder/decoder pair gets the same treatment with random payloads
     // in the checkpoint crate's proptest suite; this covers a real

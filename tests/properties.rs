@@ -267,7 +267,9 @@ proptest! {
 use chatlens::platforms::group::SizeTimeline;
 use chatlens::platforms::message::MessageKind;
 use chatlens::platforms::service::{encode_message, parse_message};
-use chatlens::simnet::fault::{Backoff, FaultInjector, TokenBucket};
+use chatlens::simnet::fault::{
+    Backoff, FaultInjector, FaultSchedule, OutageMode, OutageWindow, TokenBucket,
+};
 use chatlens::simnet::metrics::Histogram;
 use chatlens::simnet::time::SimDuration;
 use chatlens::simnet::transport::{
@@ -281,19 +283,22 @@ use chatlens::workload::groups::{
 /// A service that walks a scripted response list, one entry per dispatch.
 struct ScriptedService {
     script: Vec<u8>,
-    cursor: usize,
+    /// When each request reached the service and what it answered, in
+    /// arrival order.
+    seen: Vec<(SimTime, Status)>,
 }
 
 impl Service for ScriptedService {
-    fn handle(&mut self, _now: SimTime, _req: &Request) -> Response {
-        let k = self.script[self.cursor % self.script.len()];
-        self.cursor += 1;
-        match k % 5 {
+    fn handle(&mut self, now: SimTime, _req: &Request) -> Response {
+        let k = self.script[self.seen.len() % self.script.len()];
+        let resp = match k % 5 {
             0 | 1 => Response::ok("ok"),
             2 => Response::status(Status::RateLimited(u32::from(k % 7) + 1), "slow down"),
             3 => Response::status(Status::ServerError, "injected"),
             _ => Response::status(Status::NotFound, "no such thing"),
-        }
+        };
+        self.seen.push((now, resp.status));
+        resp
     }
 }
 
@@ -487,20 +492,6 @@ proptest! {
         prop_assert_eq!(pool.par_map(&items, f), serial);
     }
 
-    #[test]
-    fn par_fold_equals_serial_fold_bitwise(
-        items in proptest::collection::vec(0u32..1_000_000, 0..300),
-        threads in 1usize..9,
-    ) {
-        use chatlens::simnet::par::Pool;
-        // Floating-point accumulation: only an ordered merge makes the
-        // result bit-identical at every thread count.
-        let items: Vec<f64> = items.iter().map(|&x| 1.0 / f64::from(x + 1)).collect();
-        let serial = Pool::new(1).par_fold(&items, || 0.0f64, |a, _, x| a + x, |a, b| a + b);
-        let par = Pool::new(threads).par_fold(&items, || 0.0f64, |a, _, x| a + x, |a, b| a + b);
-        prop_assert_eq!(par.to_bits(), serial.to_bits());
-    }
-
     // ---- platforms::invite: URL render/parse round-trips ----
 
     #[test]
@@ -513,12 +504,13 @@ proptest! {
         script in proptest::collection::vec(any::<u8>(), 1..40),
         calls in 1usize..25,
     ) {
-        let mut svc = ScriptedService { script, cursor: 0 };
+        let mut svc = ScriptedService { script, seen: Vec::new() };
         let config = ClientConfig {
             max_attempts,
             breaker_threshold,
             ..ClientConfig::default()
         };
+        let cap = config.backoff_max.as_secs();
         let mut client = Client::new(
             config,
             FaultInjector::new(drop_p, error_p),
@@ -526,42 +518,113 @@ proptest! {
             SimTime::EPOCH,
         );
         for i in 0..calls {
-            let mut router = Router::new();
-            router.mount("svc", &mut svc);
             let now = SimTime::EPOCH + SimDuration::secs(i as u64 * 900);
-            let entries_before = client.trace().len();
+            let attempts_before = client.trace().total;
+            let seen_before = svc.seen.len();
             let waited_before = client.waited.as_secs();
-            let result = client.call(&mut router, now, &Request::new("svc/op"));
-            let new_entries = client.trace().len() - entries_before;
+            let result = {
+                let mut router = Router::new();
+                router.mount("svc", &mut svc);
+                client.call(&mut router, now, &Request::new("svc/op"))
+            };
+            let new_attempts = client.trace().total - attempts_before;
+            let answered = &svc.seen[seen_before..];
             let waited_delta = client.waited.as_secs() - waited_before;
-            // A call never records more than `max_attempts` trace entries,
-            // and the error-side attempt counts agree with the trace.
-            prop_assert!(new_entries <= u64::from(max_attempts));
+            // A call never counts more than `max_attempts` attempts, and
+            // the error-side attempt counts agree with the counters.
+            prop_assert!(new_attempts <= u64::from(max_attempts));
             match &result {
                 Err(TransportError::Failed { attempts, .. })
                 | Err(TransportError::Dropped { attempts }) => {
                     prop_assert!(*attempts <= max_attempts);
-                    prop_assert_eq!(u64::from(*attempts), new_entries);
+                    prop_assert_eq!(u64::from(*attempts), new_attempts);
                 }
-                Ok(_) => prop_assert!(new_entries >= 1),
+                Ok(_) => prop_assert!(new_attempts >= 1),
                 Err(TransportError::BreakerOpen { .. }) => {
-                    prop_assert_eq!(new_entries, 0);
+                    prop_assert_eq!(new_attempts, 0);
                 }
                 Err(TransportError::RateBudgetExhausted) => {}
             }
             // `waited` accounts exactly the imposed waits: every charged
-            // wait precedes a recorded attempt, so the delta equals the
-            // gap between the call's start and its last attempt. (The old
-            // over-counting bug charged the final retryable attempt's
-            // retry-after even though no retry followed.)
+            // wait precedes an attempt, so the delta equals the gap between
+            // the call's start and its last attempt. (The old over-counting
+            // bug charged the final retryable attempt's retry-after even
+            // though no retry followed.) The service sees when each attempt
+            // reached it, so the delta is exact when the last attempt was
+            // answered: on success, or when no attempt was dropped or failed
+            // by injection. Otherwise at most `unseen` attempts follow the
+            // last answer, each after one wait of at most the backoff cap
+            // (plus the answer's retry-after for the first); the token
+            // bucket never binds at 900 s between calls. A call whose every
+            // attempt went unanswered waits only before its retries, so a
+            // single dropped attempt is charged nothing.
+            let unseen = new_attempts - answered.len() as u64;
             match &result {
                 Err(TransportError::RateBudgetExhausted) => {}
                 Err(TransportError::BreakerOpen { .. }) => prop_assert_eq!(waited_delta, 0),
-                _ => {
-                    let last_at = client.trace().entries().last().expect("attempted").at;
-                    prop_assert_eq!(waited_delta, (last_at - now).as_secs());
-                }
+                _ => match answered.last() {
+                    Some(&(last_seen, status)) => {
+                        let gap = (last_seen - now).as_secs();
+                        if result.is_ok() || unseen == 0 {
+                            prop_assert_eq!(waited_delta, gap);
+                        } else {
+                            let retry_after = match status {
+                                Status::RateLimited(secs) => u64::from(secs),
+                                _ => 0,
+                            };
+                            prop_assert!(waited_delta >= gap);
+                            prop_assert!(waited_delta <= gap + retry_after + unseen * cap);
+                        }
+                    }
+                    None => {
+                        prop_assert!(waited_delta <= (new_attempts - 1) * cap);
+                        if new_attempts == 1 {
+                            prop_assert_eq!(waited_delta, 0);
+                        }
+                    }
+                },
             }
+        }
+    }
+
+    #[test]
+    fn blacked_out_calls_wait_one_backoff_per_retry_and_none_after_the_last(
+        seed in any::<u64>(),
+        max_attempts in 1u32..7,
+        base_secs in 1u64..8,
+        calls in 1usize..12,
+    ) {
+        // During a blackout every attempt is dropped on the wire and the
+        // client's RNG draws only backoff delays, so the waits it charges
+        // can be replayed exactly: one delay before each retry, none after
+        // the final attempt.
+        let config = ClientConfig {
+            max_attempts,
+            backoff_base: SimDuration::secs(base_secs),
+            ..ClientConfig::default()
+        };
+        let mut plan = FaultSchedule::calm(FaultInjector::none());
+        plan.outages.push(OutageWindow {
+            from: SimTime::EPOCH,
+            until: SimTime::EPOCH + SimDuration::days(1),
+            mode: OutageMode::Blackout,
+        });
+        let (base, cap) = (config.backoff_base, config.backoff_max);
+        let mut client = Client::with_schedule(config, plan, Rng::new(seed), SimTime::EPOCH);
+        let mut replay = Rng::new(seed);
+        let mut svc = |_: SimTime, _: &Request| Response::ok("unreachable");
+        let mut router = Router::new();
+        router.mount("svc", &mut svc);
+        for i in 0..calls {
+            let now = SimTime::EPOCH + SimDuration::secs(i as u64 * 900);
+            let waited_before = client.waited.as_secs();
+            let result = client.call(&mut router, now, &Request::new("svc/op"));
+            prop_assert_eq!(result.unwrap_err(), TransportError::Dropped { attempts: max_attempts });
+            let mut backoff = Backoff::new(base, 2.0, cap);
+            let expected: u64 =
+                (1..max_attempts).map(|_| backoff.next_delay(&mut replay).as_secs()).sum();
+            prop_assert_eq!(client.waited.as_secs() - waited_before, expected);
+            prop_assert_eq!(client.trace().dropped_attempts, (i as u64 + 1) * u64::from(max_attempts));
         }
     }
 
@@ -586,7 +649,7 @@ proptest! {
             Err(TransportError::Failed { status: Status::RateLimited(_), attempts })
                 if attempts == max_attempts
         ));
-        prop_assert_eq!(client.trace().len(), u64::from(max_attempts));
+        prop_assert_eq!(client.trace().total, u64::from(max_attempts));
         let n = u64::from(max_attempts);
         let ra = u64::from(retry_after);
         prop_assert!(client.waited.as_secs() >= (n - 1) * ra);

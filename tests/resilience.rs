@@ -343,38 +343,66 @@ fn bursty_checkpoint_resume_is_bit_identical() {
         resume_study, run_study_days_checkpointed, CampaignState, CheckpointPolicy,
     };
     let small = ScenarioConfig::at_scale(0.002);
-    let campaign = CampaignConfig {
+    let bursty = CampaignConfig {
         profile: FaultProfile::Bursty,
         ..CampaignConfig::default()
     };
-    let mut uninterrupted = run_study_with(small.clone(), campaign);
-    uninterrupted.metrics.strip_wall_clock();
+    // Kill mid-storm, and inside the WhatsApp blackout (days 12..15) with
+    // that client's breaker opened, then resume at every thread count: the
+    // finished dataset — burst phases, breaker states and counters,
+    // backfill queues, gap ledger and all — must be byte-identical to the
+    // uninterrupted run.
+    for (name, campaign, kill_day) in [
+        ("bursty", bursty, 19),
+        ("blackout", wa_blackout_campaign(), 13),
+    ] {
+        let mut uninterrupted = run_study_with(small.clone(), campaign);
+        uninterrupted.metrics.strip_wall_clock();
 
-    let dir = std::env::temp_dir().join(format!("chatlens-bursty-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    run_study_days_checkpointed(small, campaign, &CheckpointPolicy::daily(dir.clone()), 38)
+        let dir = std::env::temp_dir().join(format!("chatlens-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        run_study_days_checkpointed(
+            small.clone(),
+            campaign,
+            &CheckpointPolicy::daily(dir.clone()),
+            38,
+        )
         .expect("snapshots save");
-    // Kill mid-storm and resume at every thread count: the finished
-    // dataset — burst phases, breaker states, backfill queues, gap ledger
-    // and all — must be byte-identical to the uninterrupted run.
-    let path = dir.join("day019.ckpt");
-    for threads in [1usize, 2, 8] {
-        let mut state: CampaignState = load_from_file(&path).expect("snapshot loads");
-        state.campaign.threads = threads;
-        let mut resumed = resume_study(&state);
-        resumed.metrics.strip_wall_clock();
-        assert_eq!(
-            dataset_fingerprint(&resumed),
-            dataset_fingerprint(&uninterrupted),
-            "bursty resume at {threads} thread(s) diverged"
-        );
-        assert_eq!(
-            resumed, uninterrupted,
-            "bursty resume at {threads} thread(s)"
-        );
+        let path = dir.join(format!("day{kill_day:03}.ckpt"));
+        if name == "blackout" {
+            let state: CampaignState = load_from_file(&path).expect("snapshot loads");
+            let whatsapp = &state.clients[PlatformKind::WhatsApp.index() + 1].trace;
+            assert!(
+                whatsapp.breaker_opened > 0,
+                "the snapshot must carry an opened WhatsApp breaker"
+            );
+            assert!(uninterrupted.metrics.get("transport.breaker_opened") > 0);
+        }
+        for threads in [1usize, 2, 8] {
+            let mut state: CampaignState = load_from_file(&path).expect("snapshot loads");
+            state.campaign.threads = threads;
+            let mut resumed = resume_study(&state);
+            resumed.metrics.strip_wall_clock();
+            assert_eq!(
+                dataset_fingerprint(&resumed),
+                dataset_fingerprint(&uninterrupted),
+                "{name} resume at {threads} thread(s) diverged"
+            );
+            for key in ["transport.breaker_opened", "transport.breaker_fast_fails"] {
+                assert_eq!(
+                    resumed.metrics.get(key),
+                    uninterrupted.metrics.get(key),
+                    "{name} resume at {threads} thread(s): {key}"
+                );
+            }
+            assert_eq!(
+                resumed, uninterrupted,
+                "{name} resume at {threads} thread(s)"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
