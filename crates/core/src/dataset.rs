@@ -10,7 +10,7 @@ use crate::patterns::ExtractionStats;
 use crate::pii::PiiStore;
 use crate::quarantine::QuarantineEntry;
 use chatlens_platforms::id::PlatformKind;
-use chatlens_platforms::wire::push_u64;
+use chatlens_platforms::service::push_message;
 use chatlens_simnet::hash::{to_hex, DigestWriter, Sha256};
 use chatlens_simnet::time::StudyWindow;
 use chatlens_twitter::Tweet;
@@ -598,11 +598,7 @@ fn render_campaign_report(rollup: &TweetRollup, sum: &CampaignSummary, ds: &Data
                 // `  g <secs> <sender> <kind>\n` is at most 38 bytes.
                 let line = buf.room(38);
                 line.push_str("  g ");
-                push_u64(line, msg.at.as_secs());
-                line.push(' ');
-                push_u64(line, u64::from(msg.sender.0));
-                line.push(' ');
-                push_u64(line, msg.kind.index() as u64);
+                push_message(line, msg);
                 line.push('\n');
             }
         }

@@ -23,7 +23,7 @@ use crate::pii::{country_of, hash_phone, PiiStore};
 use crate::quarantine::{day_within, service_name, verify_echoes, QuarantineEntry};
 use chatlens_platforms::id::{GroupId, PlatformKind};
 use chatlens_platforms::message::Message;
-use chatlens_platforms::service::parse_message;
+use chatlens_platforms::service::{message_page_kind, parse_message, scan_message_page};
 use chatlens_platforms::wire::WireDoc;
 use chatlens_simnet::rng::Rng;
 use chatlens_simnet::time::SimTime;
@@ -426,17 +426,51 @@ fn tick(cursor: &mut SimTime) -> SimTime {
     *cursor
 }
 
-fn parse_messages(doc: &chatlens_platforms::wire::WireView<'_>) -> Result<Vec<Message>, CoreError> {
+/// Decode `platform`'s message page fetched by `req`: the group's
+/// creation day (Telegram and Discord pages carry it) and its messages.
+/// A page exactly as the platform renders it goes through the one-pass
+/// scanner; any other body through [`decode_message_page_general`], so a
+/// damaged page is rejected with the error, and quarantined with the
+/// entry, that decode has always given. The scanner's echo check covers
+/// `group` only: message requests carry `account` and `group`, and a page
+/// it accepts has no `account` field.
+fn decode_message_page(
+    body: &str,
+    platform: PlatformKind,
+    req: &Request,
+) -> Result<(Option<i64>, Vec<Message>), CoreError> {
+    if let Some(page) = req
+        .param("group")
+        .and_then(|group| scan_message_page(body, platform, group))
+    {
+        return Ok(page);
+    }
+    decode_message_page_general(body, platform, req)
+}
+
+/// The general decode of a message page: parse the document, check its
+/// echoes, read `created_day` (not on WhatsApp) and every `msg` field.
+fn decode_message_page_general(
+    body: &str,
+    platform: PlatformKind,
+    req: &Request,
+) -> Result<(Option<i64>, Vec<Message>), CoreError> {
+    let doc = WireDoc::parse_as(body, message_page_kind(platform))?;
+    verify_echoes(&doc, req)?;
+    let created_day = match platform {
+        PlatformKind::WhatsApp => None,
+        PlatformKind::Telegram | PlatformKind::Discord => Some(doc.req_i64("created_day")?),
+    };
     // Message pages are all `msg` fields bar a header or two.
-    let mut out = Vec::with_capacity(doc.len());
+    let mut messages = Vec::with_capacity(doc.len());
     for raw in doc.get_all("msg") {
         let Some(m) = parse_message(raw) else {
             // lint:allow(D10) error-path only: a bad message rejects the whole page
             return Err(CoreError::Protocol(format!("bad message: {raw:?}")));
         };
-        out.push(m);
+        messages.push(m);
     }
-    Ok(out)
+    Ok((created_day, messages))
 }
 
 /// Decode a join acknowledgment: envelope, identity echo (the response
@@ -573,12 +607,8 @@ fn collect_whatsapp(
     }
     // Messages since the join date.
     let req = base("whatsapp/messages");
-    let decode = |body: &str| -> Result<Vec<Message>, CoreError> {
-        let doc = WireDoc::parse_as(body, "wa-messages")?;
-        verify_echoes(&doc, &req)?;
-        parse_messages(&doc)
-    };
-    if let Fetched::Decoded(messages) = fetch_decoded(
+    let decode = |body: &str| decode_message_page(body, PlatformKind::WhatsApp, &req);
+    if let Fetched::Decoded((_, messages)) = fetch_decoded(
         net,
         eco,
         PlatformKind::WhatsApp,
@@ -608,13 +638,7 @@ fn collect_telegram(
     let base = |ep: &'static str| request(ep, &[("account", &account), ("group", &jg.group_id.0)]);
     // Full history since creation.
     let req = base("telegram/api/history");
-    let decode = |body: &str| -> Result<(i64, Vec<Message>), CoreError> {
-        let doc = WireDoc::parse_as(body, "tg-history")?;
-        verify_echoes(&doc, &req)?;
-        let created_day = doc.req_i64("created_day")?;
-        let messages = parse_messages(&doc)?;
-        Ok((created_day, messages))
-    };
+    let decode = |body: &str| decode_message_page(body, PlatformKind::Telegram, &req);
     match fetch_decoded(
         net,
         eco,
@@ -627,7 +651,7 @@ fn collect_telegram(
         &decode,
     ) {
         Fetched::Decoded((created_day, messages)) => {
-            jg.created_day = Some(created_day);
+            jg.created_day = created_day;
             jg.messages = messages;
         }
         Fetched::Denied => {}
@@ -724,13 +748,7 @@ fn collect_discord(
 ) -> Result<(), CoreError> {
     let base = |ep: &'static str| request(ep, &[("account", &account), ("group", &jg.group_id.0)]);
     let req = base("discord/api/messages");
-    let decode = |body: &str| -> Result<(i64, Vec<Message>), CoreError> {
-        let doc = WireDoc::parse_as(body, "dc-messages")?;
-        verify_echoes(&doc, &req)?;
-        let created_day = doc.req_i64("created_day")?;
-        let messages = parse_messages(&doc)?;
-        Ok((created_day, messages))
-    };
+    let decode = |body: &str| decode_message_page(body, PlatformKind::Discord, &req);
     match fetch_decoded(
         net,
         eco,
@@ -743,7 +761,7 @@ fn collect_discord(
         &decode,
     ) {
         Fetched::Decoded((created_day, messages)) => {
-            jg.created_day = Some(created_day);
+            jg.created_day = created_day;
             jg.messages = messages;
         }
         Fetched::Denied => {}
@@ -999,5 +1017,243 @@ mod tests {
         if joiner.joined.len() > 100 {
             assert!(joiner.accounts_used[PlatformKind::Discord.index()] > 1);
         }
+    }
+
+    // ---- the message-page scanner against the general decode -----------
+
+    use chatlens_platforms::message::MessageKind;
+    use chatlens_platforms::service::encode_message;
+    use chatlens_platforms::wire::{WireError, MAX_LINES};
+    use chatlens_simnet::fault::{CorruptionKind, CorruptionSchedule};
+
+    type Page = (Option<i64>, Vec<Message>);
+
+    /// A message page as the generic document builder renders it: the
+    /// bytes the platforms serve (`message_pages_render_the_wire_doc_bytes`
+    /// pins the direct renderer to them).
+    fn page(platform: PlatformKind, group: u32, created_day: i64, messages: &[Message]) -> String {
+        let mut doc = WireDoc::new(message_page_kind(platform)).field("group", group);
+        if platform != PlatformKind::WhatsApp {
+            doc = doc.field("created_day", created_day);
+        }
+        for m in messages {
+            doc = doc.field_string("msg", encode_message(m));
+        }
+        doc.render()
+    }
+
+    fn messages_request(group: impl std::fmt::Display) -> Request {
+        request("svc/messages", &[("account", &0), ("group", &group)])
+    }
+
+    /// Scan `body`; when the scanner accepts it, the general decode must
+    /// return `Ok` with the same value. Returns what the scanner read.
+    fn scan_checked(body: &str, platform: PlatformKind, req: &Request) -> Option<Page> {
+        let scanned = scan_message_page(body, platform, req.param("group").unwrap());
+        if let Some(page) = &scanned {
+            assert_eq!(
+                decode_message_page_general(body, platform, req).as_ref(),
+                Ok(page),
+                "the scanner accepted a page the general decode reads differently: {body:?}"
+            );
+        }
+        scanned
+    }
+
+    fn message(at: u64, sender: u32, kind: usize) -> Message {
+        Message {
+            at: SimTime::from_secs(at),
+            sender: chatlens_platforms::id::UserId(sender),
+            kind: MessageKind::from_index(kind),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn scanned_pages_are_what_the_general_decode_returns(
+            shape in (0usize..3, proptest::any::<u32>(), proptest::any::<i64>()),
+            raw in proptest::collection::vec(
+                (proptest::any::<u64>(), proptest::any::<u32>(), 0usize..MessageKind::ALL.len()),
+                0..24
+            ),
+            seed in proptest::any::<u64>(),
+            edits in proptest::collection::vec((proptest::any::<usize>(), 0u8..4, 0u8..16), 1..4)
+        ) {
+            let (platform, group, created_day) = shape;
+            let platform = PlatformKind::ALL[platform];
+            // Small values too, where fields are one or two digits long.
+            let messages: Vec<Message> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(at, sender, kind))| match i % 3 {
+                    0 => message(at % 1_000, sender % 100, kind),
+                    _ => message(at, sender, kind),
+                })
+                .collect();
+            let created_day = if seed % 2 == 0 { created_day % 20_000 } else { created_day };
+            let body = page(platform, group, created_day, &messages);
+            let req = messages_request(group);
+            let want = (
+                (platform != PlatformKind::WhatsApp).then_some(created_day),
+                messages.clone(),
+            );
+            // The rendered page: the scanner reads it, as the general
+            // decode does.
+            proptest::prop_assert_eq!(scan_checked(&body, platform, &req), Some(want.clone()));
+            proptest::prop_assert_eq!(decode_message_page(&body, platform, &req), Ok(want));
+            // Another group's request: the echo check declines it.
+            let other = messages_request(u64::from(group) + 1);
+            proptest::prop_assert_eq!(scan_checked(&body, platform, &other), None);
+
+            // Every corruption kind the transport applies.
+            let prev = page(platform, group ^ 1, created_day, &messages[..messages.len() / 2]);
+            let schedule = CorruptionSchedule::new(1.0);
+            let mut rng = Rng::new(seed);
+            for _ in 0..8 {
+                let (mangled, _) = schedule.corrupt_body(&body, Some(&prev), &mut rng);
+                scan_checked(&mangled, platform, &req);
+            }
+
+            // Random byte edits: digits changed, inserted or removed, and
+            // the separators and signs the scanner must not take for
+            // canonical bytes.
+            let mut bytes = body.clone().into_bytes();
+            for (pos, what, pick) in edits {
+                let at = pos % (bytes.len() + 1);
+                let byte = b"0123456789\n\r+- :"[usize::from(pick) % 16];
+                match what {
+                    0 if at < bytes.len() => bytes[at] = b'0' + pick % 10,
+                    1 => bytes.insert(at, byte),
+                    2 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    _ => bytes.insert(at, b'0' + pick % 10),
+                }
+                let edited = String::from_utf8(bytes.clone()).expect("pages are ASCII");
+                scan_checked(&edited, platform, &req);
+            }
+        }
+    }
+
+    #[test]
+    fn every_corruption_kind_is_met_and_declined() {
+        let messages: Vec<Message> = (0..12)
+            .map(|i| message(1_000 + i, 7 * i as u32, i as usize % 9))
+            .collect();
+        let schedule = CorruptionSchedule::new(1.0);
+        let mut seen = Vec::new();
+        for platform in PlatformKind::ALL {
+            let body = page(platform, 41, 18_353, &messages);
+            let prev = page(platform, 40, 18_353, &messages[..5]);
+            let req = messages_request(41);
+            let mut rng = Rng::new(platform.index() as u64);
+            for _ in 0..200 {
+                let (mangled, kind) = schedule.corrupt_body(&body, Some(&prev), &mut rng);
+                // Each mutation breaks a canonical page, so the scanner
+                // declines it and the general decode decides.
+                assert_eq!(
+                    scan_checked(&mangled, platform, &req),
+                    None,
+                    "{kind:?}: {mangled:?}"
+                );
+                if !seen.contains(&kind) {
+                    seen.push(kind);
+                }
+            }
+        }
+        assert_eq!(seen.len(), CorruptionKind::ALL.len(), "{seen:?}");
+    }
+
+    /// A page the scanner declines: it must fall back to the general
+    /// decode, whose outcome is returned unchanged.
+    fn declined(body: &str, platform: PlatformKind, req: &Request) -> Result<Page, CoreError> {
+        assert_eq!(scan_checked(body, platform, req), None, "{body:?}");
+        let general = decode_message_page_general(body, platform, req);
+        assert_eq!(decode_message_page(body, platform, req), general);
+        general
+    }
+
+    #[test]
+    fn non_canonical_pages_fall_back_to_the_general_decode() {
+        use PlatformKind::{Discord, Telegram, WhatsApp};
+        let req = messages_request(5);
+        let one = vec![message(1, 2, 3)];
+        let tg = |body: &str| declined(body, Telegram, &req);
+        // `\r\n` line endings, a `+`-signed field, a duplicated `group`
+        // line and a trailing newline all decode on the general path.
+        let crlf = "tg-history\r\nn: 3\r\ngroup: 5\r\ncreated_day: 9\r\nmsg: 1 2 3";
+        assert_eq!(tg(crlf), Ok((Some(9), one.clone())));
+        for body in [
+            "tg-history\nn: 3\ngroup: 5\ncreated_day: 9\nmsg: +1 2 3",
+            "tg-history\nn: +3\ngroup: 5\ncreated_day: 9\nmsg: 1 2 3",
+            "tg-history\nn: 3\ngroup: 5\ncreated_day: +9\nmsg: 1 2 3",
+            "tg-history\nn: 3\ngroup: 5\ncreated_day: 9\nmsg: 01 2 3",
+            "tg-history\nn: 4\ngroup: 5\ngroup: 5\ncreated_day: 9\nmsg: 1 2 3",
+            "tg-history\nn: 3\ngroup: 5\ncreated_day: 9\nmsg: 1 2 3\n",
+            "tg-history\nn: 3\ngroup: 5\ncreated_day: 9\n\nmsg: 1 2 3",
+            "tg-history\nn: 3\ncreated_day: 9\ngroup: 5\nmsg: 1 2 3",
+        ] {
+            assert_eq!(tg(body), Ok((Some(9), one.clone())), "{body:?}");
+        }
+        // `-0` is zero to the parser, but not what the renderer writes.
+        assert_eq!(
+            tg("tg-history\nn: 2\ngroup: 5\ncreated_day: -0"),
+            Ok((Some(0), Vec::new()))
+        );
+        // A mismatched `group` echo is a splice, on either path.
+        let spliced = declined(
+            "dc-messages\nn: 3\ngroup: 6\ncreated_day: 9\nmsg: 1 2 3",
+            Discord,
+            &req,
+        );
+        assert!(
+            matches!(&spliced, Err(CoreError::Protocol(e)) if e.contains("cross-document splice")),
+            "{spliced:?}"
+        );
+        // WhatsApp pages carry no creation day; one that does is not the
+        // canonical page, though the general decode ignores the field.
+        assert_eq!(
+            declined(
+                "wa-messages\nn: 3\ngroup: 5\ncreated_day: 9\nmsg: 1 2 3",
+                WhatsApp,
+                &req
+            ),
+            Ok((None, one))
+        );
+    }
+
+    #[test]
+    fn the_line_guard_is_left_to_the_general_decode() {
+        // The `n` line counts toward `MAX_LINES`, so a page declaring
+        // `MAX_LINES - 1` fields is the largest the parser accepts and one
+        // declaring `MAX_LINES` is too large. The scanner declines both.
+        let req = messages_request(5);
+        for fields in [MAX_LINES - 1, MAX_LINES] {
+            let mut body = format!("wa-messages\nn: {fields}\ngroup: 5");
+            for _ in 1..fields {
+                body.push_str("\nmsg: 0 0 0");
+            }
+            let general = declined(&body, PlatformKind::WhatsApp, &req);
+            if fields < MAX_LINES {
+                let (day, messages) = general.expect("within the guard");
+                assert_eq!((day, messages.len()), (None, fields - 1));
+            } else {
+                assert_eq!(
+                    general,
+                    Err(CoreError::Wire(WireError::TooLarge {
+                        what: "lines",
+                        limit: MAX_LINES
+                    }))
+                );
+            }
+        }
+        // One line fewer is the scanner's.
+        let fields = MAX_LINES - 2;
+        let mut body = format!("wa-messages\nn: {fields}\ngroup: 5");
+        for _ in 1..fields {
+            body.push_str("\nmsg: 0 0 0");
+        }
+        let scanned = scan_checked(&body, PlatformKind::WhatsApp, &req).expect("below the guard");
+        assert_eq!(scanned.1.len(), fields - 1);
     }
 }

@@ -102,8 +102,7 @@ impl Net {
         now: SimTime,
         req: &Request,
     ) -> Result<Response, CoreError> {
-        let mut router = Router::new();
-        router.mount("twitter", &mut eco.twitter);
+        let mut router = Router::new("twitter", &mut eco.twitter);
         Ok(self.twitter.call(&mut router, now, req)?)
     }
 
@@ -116,13 +115,12 @@ impl Net {
         req: &Request,
     ) -> Result<Response, CoreError> {
         let i = kind.index();
-        let mut router = Router::new();
         let mount = match kind {
             PlatformKind::WhatsApp => "whatsapp",
             PlatformKind::Telegram => "telegram",
             PlatformKind::Discord => "discord",
         };
-        router.mount(mount, &mut eco.platforms[i]);
+        let mut router = Router::new(mount, &mut eco.platforms[i]);
         Ok(self.platforms[i].call(&mut router, now, req)?)
     }
 

@@ -69,8 +69,7 @@ pub fn score_tweets(
             cursor += step;
             let tokens: Vec<String> = doc.iter().map(u16::to_string).collect();
             let req = Request::new("perspective/analyze").with("tokens", tokens.join(" "));
-            let mut router = Router::new();
-            router.mount("perspective", &mut service);
+            let mut router = Router::new("perspective", &mut service);
             let Ok(resp) = client.call(&mut router, cursor, &req) else {
                 continue;
             };

@@ -21,13 +21,16 @@
 //! | `discord/api/user?id=` | profile + connected accounts | account |
 //!
 //! Responses are [`crate::wire`] documents; messages are encoded one per `msg`
-//! field via [`encode_message`] / [`parse_message`].
+//! field via [`encode_message`] / [`parse_message`]. Message pages are
+//! rendered, and read back by [`scan_message_page`], in one byte pass.
 
 use crate::group::Group;
 use crate::id::{AccountId, GroupId, PlatformKind, UserId};
 use crate::message::{Message, MessageKind};
 use crate::platform::{JoinError, Platform};
-use crate::wire::{decimal_len, push_i64, push_u64, sanitize, WireDoc};
+use crate::wire::{
+    decimal_len, push_i64, push_u64, sanitize, write_digits, WireDoc, MAX_LINES, MAX_VALUE_LEN,
+};
 use chatlens_simnet::time::SimTime;
 use chatlens_simnet::transport::{Request, Response, Service, Status};
 
@@ -38,13 +41,20 @@ pub fn encode_message(m: &Message) -> String {
     out
 }
 
-/// Append [`encode_message`]'s bytes for `m` to `out`.
-fn push_message(out: &mut String, m: &Message) {
-    push_u64(out, m.at.as_secs());
-    out.push(' ');
-    push_u64(out, u64::from(m.sender.0));
-    out.push(' ');
-    push_u64(out, m.kind.index() as u64);
+/// Longest [`encode_message`] value: a 20-digit time, a 10-digit sender,
+/// a one-digit kind and two spaces.
+const MESSAGE_MAX: usize = 20 + 1 + 10 + 1 + 1;
+const _: () = assert!(MessageKind::ALL.len() <= 10, "message kinds are one digit");
+
+/// Append [`encode_message`]'s bytes for `m` to `out`. The three fields
+/// are written right to left into one stack buffer and appended at once;
+/// the message pages and the report's message digest both go through it.
+pub fn push_message(out: &mut String, m: &Message) {
+    let mut line = [b' '; MESSAGE_MAX];
+    let at = write_digits(&mut line, MESSAGE_MAX, m.kind.index() as u64);
+    let at = write_digits(&mut line, at - 1, u64::from(m.sender.0));
+    let at = write_digits(&mut line, at - 1, m.at.as_secs());
+    out.push_str(std::str::from_utf8(&line[at..]).expect("ASCII digits"));
 }
 
 /// Length in bytes of [`encode_message`]'s output for `m`.
@@ -90,20 +100,30 @@ fn parse_decimal(field: &[u8], max: u64) -> Option<u64> {
     (v <= max).then_some(v)
 }
 
-/// Render a message page (`wa-messages`, `tg-history`, `dc-messages`)
-/// straight into one pre-sized body: the bytes [`WireDoc::render`]
-/// produces for a `group` field, an optional `created_day` field and one
-/// `msg` field per message, without the intermediate document or a
-/// `String` per message. `messages` is walked twice — once to size the
-/// body and its `n` header, once to write it — so it must yield the same
-/// sequence both times.
+/// The document type of `platform`'s message page. Telegram's and
+/// Discord's pages also carry the group's `created_day`; WhatsApp's,
+/// which shows a member only the history after their join, does not.
+pub fn message_page_kind(platform: PlatformKind) -> &'static str {
+    match platform {
+        PlatformKind::WhatsApp => "wa-messages",
+        PlatformKind::Telegram => "tg-history",
+        PlatformKind::Discord => "dc-messages",
+    }
+}
+
 /// Longest possible header of a message page after its kind line:
 /// `\nn: `, `\ngroup: ` and `\ncreated_day: ` with 20-, 10- and 20-byte
 /// values.
 const PAGE_HEADER_MAX: usize = 4 + 20 + 8 + 10 + 14 + 20;
 
+/// Render `platform`'s message page straight into one pre-sized body: the
+/// bytes [`WireDoc::render`] produces for a `group` field, an optional
+/// `created_day` field and one `msg` field per message, without the
+/// intermediate document or a `String` per message. `messages` is walked
+/// twice — once to size the body and its `n` header, once to write it —
+/// so it must yield the same sequence both times.
 fn render_message_page<'m, I>(
-    kind: &str,
+    platform: PlatformKind,
     gid: GroupId,
     created_day: Option<i64>,
     messages: impl Fn() -> I,
@@ -112,6 +132,7 @@ where
     I: Iterator<Item = &'m Message>,
 {
     const MSG: &str = "\nmsg: ";
+    let kind = message_page_kind(platform);
     let (count, msg_bytes) = messages().fold((0usize, 0usize), |(n, bytes), m| {
         (n + 1, bytes + MSG.len() + encoded_message_len(m))
     });
@@ -131,6 +152,107 @@ where
         push_message(&mut out, m);
     }
     out
+}
+
+/// Shortest `msg` line of a message page: `\nmsg: 0 0 0`.
+const MSG_LINE_MIN: usize = 11;
+
+/// Decode a message page that is byte for byte what the platform renders
+/// for `platform`, in one pass and with no field vector: the kind line;
+/// an `n` header of plain digits that counts the fields; a `group` line
+/// equal to `group`, the request's `group` parameter (the echo check);
+/// a `created_day` line on Telegram and Discord only; then `msg` lines
+/// of plain digits. No `\r`, no blank line, no trailing newline, no
+/// leading zero and no `+` sign.
+///
+/// Returns the creation day (Telegram and Discord) and the messages in
+/// page order, or `None` for any other body. A `Some` is always exactly
+/// what the general decode — `WireDoc::parse_as`, the echo check,
+/// `created_day` as a unique `i64` and [`parse_message`] per `msg` field
+/// — returns as `Ok`, so a caller falls back to that decode on `None` and
+/// gets its errors unchanged. That includes the parser's guards: every
+/// value the scanner accepts is far below [`MAX_VALUE_LEN`], and it
+/// declines a declared count of `MAX_LINES - 1` or more, leaving the
+/// guard's edge (the `n` line counts toward [`MAX_LINES`]) to the parser.
+pub fn scan_message_page(
+    body: &str,
+    platform: PlatformKind,
+    group: &str,
+) -> Option<(Option<i64>, Vec<Message>)> {
+    // Collectors send the group id in plain digits. Anything else (a line
+    // break, say) could compare equal here and not in the parser.
+    if group.is_empty() || group.len() > MAX_VALUE_LEN || !group.bytes().all(|b| b.is_ascii_digit())
+    {
+        return None;
+    }
+    let mut page = Scanner(body.as_bytes());
+    page.tag(message_page_kind(platform).as_bytes())?;
+    page.tag(b"\nn: ")?;
+    // `fields + 1` lines, with one to spare below the parser's guard.
+    let fields = page.number(MAX_LINES as u64 - 2)? as usize;
+    page.tag(b"\ngroup: ")?;
+    page.tag(group.as_bytes())?;
+    let created_day = match platform {
+        PlatformKind::WhatsApp => None,
+        PlatformKind::Telegram | PlatformKind::Discord => {
+            page.tag(b"\ncreated_day: ")?;
+            Some(page.signed()?)
+        }
+    };
+    let count = fields.checked_sub(1 + usize::from(created_day.is_some()))?;
+    let mut messages = Vec::with_capacity(count.min(page.0.len() / MSG_LINE_MIN));
+    while !page.0.is_empty() {
+        if messages.len() == count {
+            return None;
+        }
+        page.tag(b"\nmsg: ")?;
+        let at = page.number(u64::MAX)?;
+        page.tag(b" ")?;
+        let sender = page.number(u64::from(u32::MAX))?;
+        page.tag(b" ")?;
+        let kind = page.number(MessageKind::ALL.len() as u64 - 1)?;
+        messages.push(Message {
+            at: SimTime::from_secs(at),
+            sender: UserId(sender as u32),
+            kind: MessageKind::from_index(kind as usize),
+        });
+    }
+    (messages.len() == count).then_some((created_day, messages))
+}
+
+/// The unread rest of a page under [`scan_message_page`].
+struct Scanner<'a>(&'a [u8]);
+
+impl Scanner<'_> {
+    /// Consume exactly `want`.
+    fn tag(&mut self, want: &[u8]) -> Option<()> {
+        self.0 = self.0.strip_prefix(want)?;
+        Some(())
+    }
+
+    /// Consume a decimal number as the digit writer prints it (one or
+    /// more digits, no leading zero), if it is at most `max`.
+    fn number(&mut self, max: u64) -> Option<u64> {
+        let len = self.0.iter().take_while(|b| b.is_ascii_digit()).count();
+        let (digits, rest) = self.0.split_at(len);
+        if digits.len() > 1 && digits[0] == b'0' {
+            return None;
+        }
+        let v = parse_decimal(digits, max)?;
+        self.0 = rest;
+        Some(v)
+    }
+
+    /// Consume a signed number as `push_i64` prints it (no `-0`).
+    fn signed(&mut self) -> Option<i64> {
+        if self.tag(b"-").is_none() {
+            return i64::try_from(self.number(i64::MAX as u64)?).ok();
+        }
+        match self.number(i64::MIN.unsigned_abs())? {
+            0 => None,
+            magnitude => 0i64.checked_sub_unsigned(magnitude),
+        }
+    }
 }
 
 fn gone() -> Response {
@@ -324,9 +446,12 @@ impl Platform {
             return not_found("history not materialized");
         };
         // WhatsApp only reveals messages sent *after* the join date (§3.3).
-        Response::ok(render_message_page("wa-messages", gid, None, || {
-            history.messages.iter().filter(|m| m.at >= joined_at)
-        }))
+        Response::ok(render_message_page(
+            PlatformKind::WhatsApp,
+            gid,
+            None,
+            || history.messages.iter().filter(|m| m.at >= joined_at),
+        ))
     }
 
     // ---- Telegram -------------------------------------------------------
@@ -392,7 +517,7 @@ impl Platform {
         };
         // Telegram's API returns the full history since creation (§3.3).
         Response::ok(render_message_page(
-            "tg-history",
+            PlatformKind::Telegram,
             gid,
             Some(group.created_at.date().day_number()),
             || history.messages.iter(),
@@ -510,7 +635,7 @@ impl Platform {
             return not_found("history not materialized");
         };
         Response::ok(render_message_page(
-            "dc-messages",
+            PlatformKind::Discord,
             gid,
             Some(group.created_at.date().day_number()),
             || history.messages.iter(),
@@ -804,9 +929,10 @@ mod tests {
         ];
         for created_day in [None, Some(0), Some(18_353), Some(-7), Some(i64::MIN)] {
             for n in 0..=extreme.len() {
-                let page = render_message_page("tg-history", GroupId(9), created_day, || {
-                    extreme[..n].iter()
-                });
+                let page =
+                    render_message_page(PlatformKind::Telegram, GroupId(9), created_day, || {
+                        extreme[..n].iter()
+                    });
                 let want =
                     page_via_wire_doc("tg-history", GroupId(9), created_day, extreme[..n].iter());
                 assert_eq!(page, want);

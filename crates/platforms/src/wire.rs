@@ -453,20 +453,45 @@ fn split_field(line: &str) -> Option<(&str, &str)> {
     None
 }
 
-/// Append the decimal digits of `v` to `out` — the digit writer behind
-/// the message pages and the report's message digest, which render
-/// millions of integers without `fmt` machinery or a temporary `String`.
-pub fn push_u64(out: &mut String, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+/// `00`, `01`, …, `99`: the digit writer emits two digits per lookup.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
     }
+    table
+};
+
+/// Write the decimal digits of `v` into `buf` so that they end just
+/// before `buf[end]`, and return the index of the first digit. `buf` must
+/// have room: up to 20 bytes before `end`.
+pub(crate) fn write_digits(buf: &mut [u8], mut end: usize, mut v: u64) -> usize {
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        end -= 2;
+        buf[end..end + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        end -= 2;
+        buf[end..end + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        end -= 1;
+        buf[end] = b'0' + v as u8;
+    }
+    end
+}
+
+/// Append the decimal digits of `v` to `out`: written two at a time into
+/// a stack buffer and appended once, without `fmt` machinery or a
+/// temporary `String` (the message pages carry millions of integers).
+pub fn push_u64(out: &mut String, v: u64) {
+    let mut digits = [0u8; 20];
+    let at = write_digits(&mut digits, 20, v);
     out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
@@ -681,7 +706,15 @@ mod tests {
     #[test]
     fn digit_writer_matches_display() {
         let mut out = String::new();
-        for v in [0, 1, 9, 10, 99, 100, 4_294_967_295, u64::MAX] {
+        // Every length and both sides of every power of ten, where the
+        // pair table hands over to the single-digit tail.
+        let powers = (0..20).map(|e| 10u64.pow(e));
+        let edges = powers.flat_map(|p| [p - 1, p, p + 1, p.saturating_mul(5)]);
+        let sweep = 0..=10_000u64;
+        for v in edges
+            .chain(sweep)
+            .chain([4_294_967_295, u64::MAX - 1, u64::MAX])
+        {
             out.clear();
             push_u64(&mut out, v);
             assert_eq!(out, v.to_string());

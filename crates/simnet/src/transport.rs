@@ -8,7 +8,7 @@
 //! * [`Request`] / [`Response`] — endpoint path, string parameters, status
 //!   code, textual body.
 //! * [`Service`] — the handler trait a simulated platform implements.
-//! * [`Router`] — dispatches requests to services by endpoint prefix.
+//! * [`Router`] — dispatches the requests under an endpoint prefix to a service.
 //! * [`Client`] — the caller side: token-bucket rate limiting, fault
 //!   injection, retry with exponential backoff, and exact traffic counters.
 //!
@@ -157,40 +157,30 @@ where
     }
 }
 
-/// Routes requests to registered services by longest matching endpoint
-/// prefix (segments separated by `/`).
-#[derive(Default)]
+/// Routes the endpoints under one prefix (a whole `/`-separated segment
+/// path) to a service; any other endpoint yields 404. Built per call on
+/// the campaign hot path, so it borrows both and allocates nothing.
 pub struct Router<'a> {
-    routes: Vec<(String, &'a mut dyn Service)>,
+    prefix: &'a str,
+    service: &'a mut dyn Service,
 }
 
 impl<'a> Router<'a> {
-    /// An empty router.
-    pub fn new() -> Self {
-        Router { routes: Vec::new() }
+    /// A router sending endpoints under `prefix` to `service`.
+    pub fn new(prefix: &'a str, service: &'a mut dyn Service) -> Self {
+        Router { prefix, service }
     }
 
-    /// Register `service` for endpoints under `prefix`.
-    pub fn mount(&mut self, prefix: impl Into<String>, service: &'a mut dyn Service) {
-        self.routes.push((prefix.into(), service));
-    }
-
-    /// Dispatch a request; unknown endpoints yield 404.
+    /// Dispatch a request; endpoints outside the prefix yield 404.
     pub fn dispatch(&mut self, now: SimTime, req: &Request) -> Response {
-        let mut best: Option<usize> = None;
-        let mut best_len = 0;
-        for (i, (prefix, _)) in self.routes.iter().enumerate() {
-            let matches = req.endpoint == *prefix
-                || (req.endpoint.starts_with(prefix.as_str())
-                    && req.endpoint.as_bytes().get(prefix.len()) == Some(&b'/'));
-            if matches && prefix.len() >= best_len {
-                best = Some(i);
-                best_len = prefix.len();
-            }
-        }
-        match best {
-            Some(i) => self.routes[i].1.handle(now, req),
-            None => Response::status(Status::NotFound, "no such endpoint"),
+        let under = req
+            .endpoint
+            .strip_prefix(self.prefix)
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'));
+        if under {
+            self.service.handle(now, req)
+        } else {
+            Response::status(Status::NotFound, "no such endpoint")
         }
     }
 }
@@ -744,25 +734,30 @@ mod tests {
     #[test]
     fn router_dispatches_by_prefix() {
         let mut a = ok_service();
-        let mut b = |_: SimTime, _: &Request| Response::ok("b");
-        let mut r = Router::new();
-        r.mount("alpha", &mut a);
-        r.mount("alpha/deep", &mut b);
+        let mut r = Router::new("alpha", &mut a);
         let resp = r.dispatch(SimTime(0), &Request::new("alpha/shallow"));
         assert_eq!(resp.body, "echo:alpha/shallow");
         let resp = r.dispatch(SimTime(0), &Request::new("alpha/deep/x"));
-        assert_eq!(resp.body, "b", "longest prefix wins");
-        let resp = r.dispatch(SimTime(0), &Request::new("alphabet"));
         assert_eq!(
-            resp.status,
-            Status::NotFound,
-            "prefix must end at a segment"
+            resp.body, "echo:alpha/deep/x",
+            "every depth under the prefix"
         );
+        let resp = r.dispatch(SimTime(0), &Request::new("alpha"));
+        assert_eq!(resp.body, "echo:alpha", "the prefix itself");
+        for outside in ["alphabet", "alph", "beta/alpha", ""] {
+            let resp = r.dispatch(SimTime(0), &Request::new(outside));
+            assert_eq!(
+                resp.status,
+                Status::NotFound,
+                "{outside:?}: the prefix must end at a segment"
+            );
+        }
     }
 
     #[test]
     fn router_unknown_endpoint_404() {
-        let mut r = Router::new();
+        let mut svc = ok_service();
+        let mut r = Router::new("svc", &mut svc);
         let resp = r.dispatch(SimTime(0), &Request::new("nowhere"));
         assert_eq!(resp.status, Status::NotFound);
     }
@@ -770,8 +765,7 @@ mod tests {
     #[test]
     fn client_success_roundtrip() {
         let mut svc = ok_service();
-        let mut router = Router::new();
-        router.mount("svc", &mut svc);
+        let mut router = Router::new("svc", &mut svc);
         let mut client = Client::plain(1, SimTime(0));
         let resp = client
             .call(&mut router, SimTime(0), &Request::new("svc/op"))
@@ -792,8 +786,7 @@ mod tests {
                 Response::ok("fine")
             }
         };
-        let mut router = Router::new();
-        router.mount("svc", &mut svc);
+        let mut router = Router::new("svc", &mut svc);
         let mut client = Client::plain(2, SimTime(0));
         let resp = client
             .call(&mut router, SimTime(0), &Request::new("svc"))
@@ -806,8 +799,7 @@ mod tests {
     #[test]
     fn client_gives_up_after_max_attempts() {
         let mut svc = |_: SimTime, _: &Request| Response::status(Status::ServerError, "");
-        let mut router = Router::new();
-        router.mount("svc", &mut svc);
+        let mut router = Router::new("svc", &mut svc);
         let mut client = Client::plain(3, SimTime(0));
         let err = client
             .call(&mut router, SimTime(0), &Request::new("svc"))
@@ -832,8 +824,7 @@ mod tests {
                 Response::ok("after wait")
             }
         };
-        let mut router = Router::new();
-        router.mount("svc", &mut svc);
+        let mut router = Router::new("svc", &mut svc);
         let mut client = Client::plain(4, SimTime(0));
         let resp = client
             .call(&mut router, SimTime(0), &Request::new("svc"))
@@ -850,8 +841,7 @@ mod tests {
     fn non_retryable_statuses_return_immediately() {
         for status in [Status::NotFound, Status::Gone, Status::Forbidden] {
             let mut svc = move |_: SimTime, _: &Request| Response::status(status, "nope");
-            let mut router = Router::new();
-            router.mount("svc", &mut svc);
+            let mut router = Router::new("svc", &mut svc);
             let mut client = Client::plain(5, SimTime(0));
             let resp = client
                 .call(&mut router, SimTime(0), &Request::new("svc"))
@@ -864,8 +854,7 @@ mod tests {
     #[test]
     fn full_drop_faults_exhaust_attempts() {
         let mut svc = ok_service();
-        let mut router = Router::new();
-        router.mount("svc", &mut svc);
+        let mut router = Router::new("svc", &mut svc);
         let mut client = Client::new(
             ClientConfig::default(),
             FaultInjector::new(1.0, 0.0),
@@ -893,8 +882,7 @@ mod tests {
         // attempts only 3 retry waits accrue (plus their jitter, capped by
         // the backoff ceilings 1 + 2 + 4).
         let mut svc = |_: SimTime, _: &Request| Response::status(Status::RateLimited(1000), "");
-        let mut router = Router::new();
-        router.mount("svc", &mut svc);
+        let mut router = Router::new("svc", &mut svc);
         let mut client = Client::plain(8, SimTime(0));
         let err = client
             .call(&mut router, SimTime(0), &Request::new("svc"))
@@ -954,8 +942,7 @@ mod tests {
                 Response::status(Status::ServerError, "down")
             }
         };
-        let mut router = Router::new();
-        router.mount("svc", &mut svc);
+        let mut router = Router::new("svc", &mut svc);
         let config = ClientConfig {
             max_attempts: 2,
             breaker_threshold: 2,
@@ -1021,8 +1008,7 @@ mod tests {
     #[test]
     fn ban_window_fails_fast_with_forbidden() {
         let mut svc = ok_service();
-        let mut router = Router::new();
-        router.mount("svc", &mut svc);
+        let mut router = Router::new("svc", &mut svc);
         let mut plan = FaultSchedule::calm(FaultInjector::none());
         plan.outages.push(crate::fault::OutageWindow {
             from: SimTime(0),
@@ -1052,8 +1038,7 @@ mod tests {
     #[test]
     fn blackout_window_drops_every_attempt() {
         let mut svc = ok_service();
-        let mut router = Router::new();
-        router.mount("svc", &mut svc);
+        let mut router = Router::new("svc", &mut svc);
         let mut plan = FaultSchedule::calm(FaultInjector::none());
         plan.outages.push(crate::fault::OutageWindow {
             from: SimTime(0),
@@ -1083,8 +1068,7 @@ mod tests {
     #[test]
     fn deadline_budget_stops_retrying_early() {
         let mut svc = |_: SimTime, _: &Request| Response::status(Status::RateLimited(100), "");
-        let mut router = Router::new();
-        router.mount("svc", &mut svc);
+        let mut router = Router::new("svc", &mut svc);
         let config = ClientConfig {
             deadline: SimDuration::secs(5),
             ..ClientConfig::default()
@@ -1119,8 +1103,7 @@ mod tests {
         );
         for (i, client) in [&mut a, &mut b].into_iter().enumerate() {
             let mut svc = ok_service();
-            let mut router = Router::new();
-            router.mount("svc", &mut svc);
+            let mut router = Router::new("svc", &mut svc);
             for k in 0..30u64 {
                 let _ok = client.call(&mut router, SimTime(k * 60), &Request::new("svc/x"));
             }
@@ -1136,8 +1119,7 @@ mod tests {
         let mut b = Client::plain(20, SimTime(0)).with_corruption(CorruptionSchedule::none());
         for client in [&mut a, &mut b] {
             let mut svc = ok_service();
-            let mut router = Router::new();
-            router.mount("svc", &mut svc);
+            let mut router = Router::new("svc", &mut svc);
             for k in 0..20u64 {
                 let _ = client.call(&mut router, SimTime(k * 60), &Request::new("svc/x"));
             }
@@ -1159,8 +1141,7 @@ mod tests {
                     Response::status(Status::Gone, "revoked\nn: 0")
                 }
             };
-            let mut router = Router::new();
-            router.mount("svc", &mut svc);
+            let mut router = Router::new("svc", &mut svc);
             let mut client =
                 Client::plain(21, SimTime(0)).with_corruption(CorruptionSchedule::new(1.0));
             let mut bodies = Vec::new();
@@ -1194,8 +1175,7 @@ mod tests {
         // With 30% drop and 4 attempts, most calls succeed; verify at least
         // some do and the trace captures the drops.
         let mut svc = ok_service();
-        let mut router = Router::new();
-        router.mount("svc", &mut svc);
+        let mut router = Router::new("svc", &mut svc);
         let mut client = Client::new(
             ClientConfig::default(),
             FaultInjector::new(0.3, 0.0),

@@ -523,8 +523,7 @@ proptest! {
             let seen_before = svc.seen.len();
             let waited_before = client.waited.as_secs();
             let result = {
-                let mut router = Router::new();
-                router.mount("svc", &mut svc);
+                let mut router = Router::new("svc", &mut svc);
                 client.call(&mut router, now, &Request::new("svc/op"))
             };
             let new_attempts = client.trace().total - attempts_before;
@@ -613,8 +612,7 @@ proptest! {
         let mut client = Client::with_schedule(config, plan, Rng::new(seed), SimTime::EPOCH);
         let mut replay = Rng::new(seed);
         let mut svc = |_: SimTime, _: &Request| Response::ok("unreachable");
-        let mut router = Router::new();
-        router.mount("svc", &mut svc);
+        let mut router = Router::new("svc", &mut svc);
         for i in 0..calls {
             let now = SimTime::EPOCH + SimDuration::secs(i as u64 * 900);
             let waited_before = client.waited.as_secs();
@@ -635,8 +633,7 @@ proptest! {
         retry_after in 100u32..500,
     ) {
         let mut svc = AlwaysLimited(retry_after);
-        let mut router = Router::new();
-        router.mount("svc", &mut svc);
+        let mut router = Router::new("svc", &mut svc);
         let mut client = Client::new(
             ClientConfig { max_attempts, ..ClientConfig::default() },
             FaultInjector::none(),
