@@ -157,6 +157,11 @@ CHATLENS_THREADS=1 cargo test -q --workspace
 echo "==> cargo test (threads=8)"
 CHATLENS_THREADS=8 cargo test -q --workspace
 
+# tests/allocs.rs pins its allocator counts for the test profile and for
+# `--release`; the two runs above build only the test profile.
+echo "==> allocation pins (--release)"
+cargo test -q --release --test allocs
+
 # The benchmark (BENCHMARK.json) is a package of its own outside the
 # workspace, so the workspace runs above never build its unit tests
 # (metric-name grammar, record round-trip, seed tables, spans). `--locked`

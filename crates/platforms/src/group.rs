@@ -11,7 +11,7 @@
 
 use crate::id::{GroupId, PlatformKind, UserId};
 use crate::invite::InviteCode;
-use crate::message::Message;
+use crate::message::MessageLog;
 use chatlens_simnet::time::{Date, SimTime};
 
 /// What flavour of chat room a group is (Table 1: WhatsApp has groups,
@@ -99,15 +99,18 @@ impl SizeTimeline {
     }
 }
 
-/// Materialized member list and message log for a group the collector
-/// joined. Only the 616 sampled groups ever carry one; the other 350 K
-/// groups stay as cheap metadata.
-#[derive(Debug, Clone, Default)]
+/// Materialized member list and message-log recipe for a group the
+/// collector joined. Only the 616 sampled groups ever carry one; the other
+/// 350 K groups stay as cheap metadata. The members are allocated at join;
+/// no message is generated until a message endpoint serves the log
+/// ([`MessageLog::generate`]), and the platform drops the generated
+/// messages at its next request.
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupHistory {
     /// Members at materialization time (platform-local user ids).
     pub members: Vec<UserId>,
-    /// Every message since group creation, in chronological order.
-    pub messages: Vec<Message>,
+    /// The recipe of every message in the group's generation window.
+    pub log: MessageLog,
 }
 
 /// One public group/channel/server.
@@ -143,8 +146,9 @@ pub struct Group {
     pub msgs_per_day: f64,
     /// Seed for deterministic history materialization.
     pub activity_seed: u64,
-    /// Message log + member list, present only after materialization.
-    pub history: Option<GroupHistory>,
+    /// Member list + message-log recipe, present only after
+    /// materialization (boxed: all but the joined few groups carry none).
+    pub history: Option<Box<GroupHistory>>,
 }
 
 impl Group {

@@ -46,7 +46,7 @@ pub mod wire;
 pub use group::{ChatKind, Group, GroupHistory, SizeTimeline};
 pub use id::{AccountId, GroupId, PlatformKind, UserId};
 pub use invite::{InviteCode, UrlPattern};
-pub use message::{Message, MessageKind};
+pub use message::{Message, MessageKind, MessageLog};
 pub use phone::{CountryCode, PhoneNumber};
 pub use platform::{JoinError, Platform};
 pub use spec::PlatformSpec;

@@ -3,6 +3,7 @@
 
 use crate::group::{Group, GroupHistory};
 use crate::id::{AccountId, GroupId, PlatformKind, UserId};
+use crate::message::Message;
 use crate::spec::PlatformSpec;
 use crate::user::User;
 use chatlens_simnet::fault::{TokenBucket, TokenBucketState};
@@ -86,6 +87,10 @@ pub struct Platform {
     /// counter, so a checkpoint restore must replay installs in this exact
     /// order to reproduce the same id assignment.
     materialized: Vec<GroupId>,
+    /// The last log a message endpoint generated, held only until the
+    /// platform's next request: the same-day re-fetch of a quarantined
+    /// page serves it again instead of generating the log a second time.
+    pub(crate) served_log: Option<(GroupId, Vec<Message>)>,
 }
 
 impl Platform {
@@ -105,6 +110,7 @@ impl Platform {
             accounts: Vec::new(),
             api_bucket,
             materialized: Vec::new(),
+            served_log: None,
         }
     }
 
@@ -224,13 +230,14 @@ impl Platform {
             .and_then(|a| a.joined_at(group))
     }
 
-    /// Install a materialized history (members + messages) for a joined
-    /// group; the service endpoints serve from it.
+    /// Install a materialized history (members + message-log recipe) for
+    /// a joined group; the service endpoints serve from it.
     pub fn install_history(&mut self, id: GroupId, history: GroupHistory) {
         if self.groups[id.0 as usize].history.is_none() {
             self.materialized.push(id);
         }
-        self.groups[id.0 as usize].history = Some(history);
+        self.served_log = None;
+        self.groups[id.0 as usize].history = Some(Box::new(history));
     }
 
     /// Export the collector-account states (checkpointing). The world
@@ -264,7 +271,9 @@ impl Platform {
     /// *installation order* (checkpointing: histories are re-materialized
     /// deterministically on restore rather than serialized, and because
     /// materialization allocates platform user ids, the replay must follow
-    /// the original order exactly for the id assignment to match).
+    /// the original order exactly for the id assignment to match). A
+    /// replay allocates the members and rebuilds each log's recipe; it
+    /// generates no message.
     pub fn materialized_groups(&self) -> Vec<GroupId> {
         self.materialized.clone()
     }
@@ -275,6 +284,7 @@ mod tests {
     use super::*;
     use crate::group::{ChatKind, SizeTimeline};
     use crate::invite::InviteCode;
+    use crate::message::MessageLog;
     use crate::phone::{country_by_iso, PhoneNumber};
     use chatlens_simnet::rng::Rng;
     use chatlens_simnet::time::{Date, SimDuration};
@@ -440,8 +450,25 @@ mod tests {
         let mut p = Platform::new(PlatformKind::Telegram);
         let mut rng = Rng::new(9);
         let gid = make_group(&mut p, &mut rng, None);
+        let other = make_group(&mut p, &mut rng, None);
         assert!(p.group(gid).history.is_none());
-        p.install_history(gid, GroupHistory::default());
-        assert!(p.group(gid).history.is_some());
+        let history = GroupHistory {
+            members: vec![UserId(0)],
+            log: MessageLog {
+                posters: vec![UserId(0)],
+                rng: rng.state(),
+                start: SimTime::EPOCH,
+                end: SimTime::EPOCH,
+                msgs_per_day: 1.0,
+                sender_zipf: 1.0,
+                kind_weights: [1.0; 9],
+                cap: 10,
+            },
+        };
+        p.install_history(gid, history.clone());
+        p.install_history(other, history.clone());
+        p.install_history(gid, history.clone());
+        assert_eq!(p.group(gid).history.as_deref(), Some(&history));
+        assert_eq!(p.materialized_groups(), [gid, other], "first installs only");
     }
 }

@@ -22,9 +22,13 @@
 //!
 //! Responses are [`crate::wire`] documents; messages are encoded one per `msg`
 //! field via [`encode_message`] / [`parse_message`]. Message pages are
-//! rendered, and read back by [`scan_message_page`], in one byte pass.
+//! rendered, and read back by [`scan_message_page`], in one byte pass. A
+//! message endpoint generates the group's log from its
+//! [`MessageLog`](crate::message::MessageLog) recipe and renders it; the
+//! platform holds the generated log only until its next request, so an
+//! immediate re-fetch of the same page does not generate it again.
 
-use crate::group::Group;
+use crate::group::{Group, GroupHistory};
 use crate::id::{AccountId, GroupId, PlatformKind, UserId};
 use crate::message::{Message, MessageKind};
 use crate::platform::{JoinError, Platform};
@@ -429,7 +433,7 @@ impl Platform {
         Response::ok(doc.render())
     }
 
-    fn wa_messages(&self, req: &Request) -> Response {
+    fn wa_messages(&mut self, req: &Request, served: ServedLog) -> Response {
         let (account, gid) = match self
             .parse_account(req)
             .and_then(|a| self.parse_group(req).map(|g| (a, g)))
@@ -441,17 +445,16 @@ impl Platform {
             Ok(t) => t,
             Err(r) => return r,
         };
-        let group = self.group(gid);
-        let Some(history) = group.history.as_ref() else {
+        let Some(history) = self.group(gid).history.as_ref() else {
             return not_found("history not materialized");
         };
+        let messages = log_messages(history, gid, served);
         // WhatsApp only reveals messages sent *after* the join date (§3.3).
-        Response::ok(render_message_page(
-            PlatformKind::WhatsApp,
-            gid,
-            None,
-            || history.messages.iter().filter(|m| m.at >= joined_at),
-        ))
+        let page = render_message_page(PlatformKind::WhatsApp, gid, None, || {
+            messages.iter().filter(|m| m.at >= joined_at)
+        });
+        self.served_log = Some((gid, messages));
+        Response::ok(page)
     }
 
     // ---- Telegram -------------------------------------------------------
@@ -497,7 +500,7 @@ impl Platform {
         }
     }
 
-    fn tg_history(&mut self, now: SimTime, req: &Request) -> Response {
+    fn tg_history(&mut self, now: SimTime, req: &Request, served: ServedLog) -> Response {
         if let Some(r) = self.flood_gate(now) {
             return r;
         }
@@ -515,13 +518,16 @@ impl Platform {
         let Some(history) = group.history.as_ref() else {
             return not_found("history not materialized");
         };
+        let messages = log_messages(history, gid, served);
         // Telegram's API returns the full history since creation (§3.3).
-        Response::ok(render_message_page(
+        let page = render_message_page(
             PlatformKind::Telegram,
             gid,
             Some(group.created_at.date().day_number()),
-            || history.messages.iter(),
-        ))
+            || messages.iter(),
+        );
+        self.served_log = Some((gid, messages));
+        Response::ok(page)
     }
 
     fn tg_members(&mut self, now: SimTime, req: &Request) -> Response {
@@ -619,7 +625,7 @@ impl Platform {
         }
     }
 
-    fn dc_messages(&self, req: &Request) -> Response {
+    fn dc_messages(&mut self, req: &Request, served: ServedLog) -> Response {
         let (account, gid) = match self
             .parse_account(req)
             .and_then(|a| self.parse_group(req).map(|g| (a, g)))
@@ -634,12 +640,15 @@ impl Platform {
         let Some(history) = group.history.as_ref() else {
             return not_found("history not materialized");
         };
-        Response::ok(render_message_page(
+        let messages = log_messages(history, gid, served);
+        let page = render_message_page(
             PlatformKind::Discord,
             gid,
             Some(group.created_at.date().day_number()),
-            || history.messages.iter(),
-        ))
+            || messages.iter(),
+        );
+        self.served_log = Some((gid, messages));
+        Response::ok(page)
     }
 
     fn dc_user(&self, req: &Request) -> Response {
@@ -662,6 +671,19 @@ impl Platform {
     }
 }
 
+/// The log a message endpoint generated for the platform's previous
+/// request, if that was one.
+type ServedLog = Option<(GroupId, Vec<Message>)>;
+
+/// The messages of `gid`'s log: the previous request's log if it was
+/// this group's, otherwise generated from the recipe.
+fn log_messages(history: &GroupHistory, gid: GroupId, served: ServedLog) -> Vec<Message> {
+    match served {
+        Some((g, messages)) if g == gid => messages,
+        _ => history.log.generate(),
+    }
+}
+
 impl Service for Platform {
     fn handle(&mut self, now: SimTime, req: &Request) -> Response {
         // Strip the mount prefix ("whatsapp/landing" → "landing").
@@ -670,19 +692,22 @@ impl Service for Platform {
             .split_once('/')
             .map(|(_, rest)| rest)
             .unwrap_or("");
+        // Any request releases the held log; a message endpoint serving
+        // the same group again takes it back.
+        let served = self.served_log.take();
         match (self.kind, op) {
             (PlatformKind::WhatsApp, "landing") => self.wa_landing(now, req),
             (PlatformKind::WhatsApp, "join") => self.wa_join(now, req),
             (PlatformKind::WhatsApp, "members") => self.wa_members(req),
-            (PlatformKind::WhatsApp, "messages") => self.wa_messages(req),
+            (PlatformKind::WhatsApp, "messages") => self.wa_messages(req, served),
             (PlatformKind::Telegram, "web") => self.tg_web(now, req),
             (PlatformKind::Telegram, "api/join") => self.tg_join(now, req),
-            (PlatformKind::Telegram, "api/history") => self.tg_history(now, req),
+            (PlatformKind::Telegram, "api/history") => self.tg_history(now, req, served),
             (PlatformKind::Telegram, "api/members") => self.tg_members(now, req),
             (PlatformKind::Telegram, "api/user") => self.tg_user(now, req),
             (PlatformKind::Discord, "api/invite") => self.dc_invite(now, req),
             (PlatformKind::Discord, "api/join") => self.dc_join(now, req),
-            (PlatformKind::Discord, "api/messages") => self.dc_messages(req),
+            (PlatformKind::Discord, "api/messages") => self.dc_messages(req, served),
             (PlatformKind::Discord, "api/user") => self.dc_user(req),
             _ => not_found("operation"),
         }
@@ -694,6 +719,7 @@ mod tests {
     use super::*;
     use crate::group::{ChatKind, GroupHistory, SizeTimeline};
     use crate::invite::InviteCode;
+    use crate::message::MessageLog;
     use crate::phone::{country_by_iso, PhoneNumber};
     use crate::user::{LinkedPlatform, User};
     use chatlens_simnet::rng::Rng;
@@ -751,23 +777,55 @@ mod tests {
             activity_seed: 1,
             history: None,
         });
+        // Twenty days from creation at 0.4 messages a day: the log has
+        // messages both before and after the join on `now()`
+        // (`fixture_log_straddles_the_join` checks it).
         let history = GroupHistory {
             members: ids.clone(),
-            messages: vec![
-                Message {
-                    sender: ids[1],
-                    at: created.midnight() + SimDuration::days(2),
-                    kind: MessageKind::Text,
-                },
-                Message {
-                    sender: ids[2],
-                    at: created.midnight() + SimDuration::days(12),
-                    kind: MessageKind::Image,
-                },
-            ],
+            log: MessageLog {
+                posters: ids[1..].to_vec(),
+                rng: Rng::new(1).state(),
+                start: created.midnight(),
+                end: created.midnight() + SimDuration::days(20),
+                msgs_per_day: 0.4,
+                sender_zipf: 1.0,
+                kind_weights: [4.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                cap: 100,
+            },
         };
         p.install_history(gid, history);
         (p, gid, code)
+    }
+
+    /// The fixture group's messages, generated from its recipe.
+    fn fixture_messages(p: &Platform, gid: GroupId) -> Vec<Message> {
+        p.group(gid).history.as_ref().unwrap().log.generate()
+    }
+
+    /// The message endpoint of `kind`, its join endpoint and its page's
+    /// document type.
+    fn message_endpoints(kind: PlatformKind) -> (&'static str, &'static str, &'static str) {
+        match kind {
+            PlatformKind::WhatsApp => ("whatsapp/messages", "whatsapp/join", "wa-messages"),
+            PlatformKind::Telegram => ("telegram/api/history", "telegram/api/join", "tg-history"),
+            PlatformKind::Discord => ("discord/api/messages", "discord/api/join", "dc-messages"),
+        }
+    }
+
+    #[test]
+    fn fixture_log_straddles_the_join() {
+        for kind in PlatformKind::ALL {
+            let (p, gid, _) = build_platform(kind);
+            let messages = fixture_messages(&p, gid);
+            assert!(
+                messages.iter().any(|m| m.at < now()),
+                "{kind}: {messages:?}"
+            );
+            assert!(
+                messages.iter().any(|m| m.at >= now()),
+                "{kind}: {messages:?}"
+            );
+        }
     }
 
     fn req(ep: &'static str) -> Request {
@@ -947,27 +1005,28 @@ mod tests {
     #[test]
     fn message_endpoints_render_the_wire_doc_bytes() {
         for kind in PlatformKind::ALL {
-            let (ep, join, doc_kind) = match kind {
-                PlatformKind::WhatsApp => ("whatsapp/messages", "whatsapp/join", "wa-messages"),
-                PlatformKind::Telegram => {
-                    ("telegram/api/history", "telegram/api/join", "tg-history")
-                }
-                PlatformKind::Discord => {
-                    ("discord/api/messages", "discord/api/join", "dc-messages")
-                }
-            };
+            let (ep, join, doc_kind) = message_endpoints(kind);
             let (mut p, gid, code) = build_platform(kind);
             p.create_account();
             let joined = p.handle(now(), &req(join).with("account", "0").with("code", code));
             assert_eq!(joined.status, Status::Ok);
-            let full = p.group(gid).history.clone().unwrap();
+            let full = *p.group(gid).history.clone().unwrap();
             let created_day = Some(p.group(gid).created_at.date().day_number());
-            // The fixture history (one message before the join, one
-            // after), then an empty one.
-            for messages in [full.messages.clone(), Vec::new()] {
-                let mut history = full.clone();
-                history.messages = messages;
-                p.install_history(gid, history.clone());
+            // The fixture log (messages before the join and after it),
+            // then an empty one.
+            let silent = MessageLog {
+                msgs_per_day: 0.0,
+                ..full.log.clone()
+            };
+            for log in [full.log.clone(), silent] {
+                let messages = log.generate();
+                p.install_history(
+                    gid,
+                    GroupHistory {
+                        log,
+                        ..full.clone()
+                    },
+                );
                 let resp = p.handle(
                     now(),
                     &req(ep)
@@ -982,12 +1041,52 @@ mod tests {
                         doc_kind,
                         gid,
                         None,
-                        history.messages.iter().filter(|m| m.at >= now()),
+                        messages.iter().filter(|m| m.at >= now()),
                     ),
-                    _ => page_via_wire_doc(doc_kind, gid, created_day, history.messages.iter()),
+                    _ => page_via_wire_doc(doc_kind, gid, created_day, messages.iter()),
                 };
                 assert_eq!(resp.body, want, "{doc_kind}");
             }
+        }
+    }
+
+    #[test]
+    fn message_endpoints_serve_identical_bodies_on_a_repeat_request() {
+        // A quarantined page is fetched again at once, and serves the held
+        // log; after any other request the log is generated again from
+        // its recipe. Both must serve the same bytes.
+        for kind in PlatformKind::ALL {
+            let (ep, join, doc_kind) = message_endpoints(kind);
+            let (mut p, gid, code) = build_platform(kind);
+            p.create_account();
+            let join = req(join).with("account", "0").with("code", code);
+            assert_eq!(p.handle(now(), &join).status, Status::Ok);
+            let fetch = |p: &mut Platform| {
+                p.handle(
+                    now(),
+                    &req(ep)
+                        .with("account", "0")
+                        .with("group", gid.0.to_string()),
+                )
+            };
+            let first = fetch(&mut p);
+            assert_eq!(first.status, Status::Ok);
+            assert!(first.body.contains("\nmsg: "), "{doc_kind}: {}", first.body);
+            let held = |p: &Platform| p.served_log.as_ref().map(|(g, m)| (*g, m.len()));
+            let log_len = fixture_messages(&p, gid).len();
+            assert_eq!(held(&p), Some((gid, log_len)), "{doc_kind}");
+            let refetch = fetch(&mut p);
+            assert_eq!(refetch.status, Status::Ok);
+            assert_eq!(refetch.body, first.body, "{doc_kind}");
+            assert_eq!(p.handle(now(), &join).status, Status::Ok);
+            assert_eq!(
+                held(&p),
+                None,
+                "{doc_kind}: another request releases the log"
+            );
+            let regenerated = fetch(&mut p);
+            assert_eq!(regenerated.status, Status::Ok);
+            assert_eq!(regenerated.body, first.body, "{doc_kind}");
         }
     }
 
@@ -1025,8 +1124,10 @@ mod tests {
             .get_all("msg")
             .map(|s| parse_message(s).unwrap())
             .collect();
-        assert_eq!(msgs.len(), 1, "pre-join history hidden on WhatsApp");
-        assert_eq!(msgs[0].kind, MessageKind::Image);
+        let log = fixture_messages(&p, gid);
+        let after_join: Vec<Message> = log.iter().copied().filter(|m| m.at >= now()).collect();
+        assert!(!after_join.is_empty() && after_join.len() < log.len());
+        assert_eq!(msgs, after_join, "pre-join history hidden on WhatsApp");
         let _ = acct;
     }
 
@@ -1091,7 +1192,16 @@ mod tests {
                 .with("group", gid.0.to_string()),
         );
         let doc = WireDoc::parse_as(&resp.body, "tg-history").unwrap();
-        assert_eq!(doc.get_all("msg").count(), 2, "full history via API");
+        let msgs: Vec<Message> = doc
+            .get_all("msg")
+            .map(|s| parse_message(s).unwrap())
+            .collect();
+        let log = fixture_messages(&p, gid);
+        assert!(
+            log.iter().any(|m| m.at < now()),
+            "the log predates the join"
+        );
+        assert_eq!(msgs, log, "full history via API");
     }
 
     #[test]

@@ -5,21 +5,26 @@
 //! metadata. Materialization is **deterministic per group**: it seeds its
 //! own generator from the group's `activity_seed`, so joining the same
 //! group in two runs (or twice in one run) yields the identical history.
+//!
+//! Materialization allocates the members (and past posters) as platform
+//! users and keeps the message log as a [`MessageLog`] recipe: the
+//! generator state after those draws plus the activity parameters. No
+//! message exists until a message endpoint serves the log, so a join, and
+//! a checkpoint resume that replays the joins, generate none.
 
 use crate::config::PlatformParams;
 use crate::population::{generic_countries, sample_discord_links};
 use chatlens_platforms::group::{ChatKind, GroupHistory};
 use chatlens_platforms::id::{GroupId, PlatformKind, UserId};
-use chatlens_platforms::message::{Message, MessageKind};
+use chatlens_platforms::message::MessageLog;
 use chatlens_platforms::phone::{CountryCode, PhoneNumber};
 use chatlens_platforms::platform::Platform;
 use chatlens_platforms::user::User;
-use chatlens_simnet::dist::{Categorical, Poisson, Zipf};
 use chatlens_simnet::rng::Rng;
-use chatlens_simnet::time::{SimTime, StudyWindow, SECS_PER_DAY};
+use chatlens_simnet::time::{SimTime, StudyWindow};
 
-/// Materialize the member list and message history of `gid`, installing it
-/// into the platform. `country` anchors member phone numbers (most members
+/// Materialize the member list and message-log recipe of `gid`, installing
+/// it into the platform. `country` anchors member phone numbers (most members
 /// share the group's region). Idempotent: a second call is a no-op.
 pub fn materialize(
     platform: &mut Platform,
@@ -72,7 +77,7 @@ pub fn materialize(
         members.push(platform.push_user(user));
     }
 
-    // ---- messages -------------------------------------------------------
+    // ---- posters --------------------------------------------------------
     // Channels are few-to-many: only the creator and a couple of admins
     // ever post (§2, §5 — the reason Telegram's active-member share is so
     // low). Groups/servers: every member may post, Zipf-concentrated.
@@ -125,46 +130,22 @@ pub fn materialize(
             pool_users
         }
     };
-    let posters: &[UserId] = &posters;
-    let sender_zipf = Zipf::new(posters.len(), params.activity.sender_zipf);
-    let kind_dist = Categorical::new(&params.activity.kind_weights);
+
+    // ---- message log ----------------------------------------------------
     // WhatsApp history is only ever visible from the join date (§3.3), so
     // generating it before the study horizon would be dead weight; the
     // API-based platforms return everything since creation.
-    let gen_start = match kind {
-        PlatformKind::WhatsApp => created_at.max(
-            window
-                .start
-                .plus_days(-crate::groups::PRE_WINDOW_DAYS)
-                .midnight(),
-        ),
-        _ => created_at,
+    let log = MessageLog {
+        posters,
+        rng: rng.state(),
+        start: history_start(kind, created_at, window),
+        end: window.end_time(),
+        msgs_per_day,
+        sender_zipf: params.activity.sender_zipf,
+        kind_weights: params.activity.kind_weights,
+        cap: params.activity.max_messages_per_group,
     };
-    let gen_end = window.end_time();
-    let daily = Poisson::new(msgs_per_day.max(0.0));
-    let mut messages: Vec<Message> = Vec::new();
-    let mut day_start = gen_start.floor_day();
-    'days: while day_start < gen_end {
-        let n = daily.sample(&mut rng);
-        let mut offsets: Vec<u64> = (0..n).map(|_| rng.below(SECS_PER_DAY)).collect();
-        offsets.sort_unstable();
-        for off in offsets {
-            let at = day_start + chatlens_simnet::time::SimDuration::secs(off);
-            if at < gen_start || at >= gen_end {
-                continue;
-            }
-            messages.push(Message {
-                sender: posters[sender_zipf.sample(&mut rng) - 1],
-                at,
-                kind: MessageKind::from_index(kind_dist.sample(&mut rng)),
-            });
-            if messages.len() as u64 >= params.activity.max_messages_per_group {
-                break 'days;
-            }
-        }
-        day_start += chatlens_simnet::time::SimDuration::days(1);
-    }
-    platform.install_history(gid, GroupHistory { members, messages });
+    platform.install_history(gid, GroupHistory { members, log });
 }
 
 /// The instant a group's history generation effectively begins (useful to
@@ -186,6 +167,7 @@ mod tests {
     use super::*;
     use crate::config::ScenarioConfig;
     use crate::groups::generate_groups;
+    use chatlens_platforms::message::MessageKind;
 
     fn materialized(kind: PlatformKind, seed: u64) -> (Platform, GroupId) {
         let cfg = ScenarioConfig::paper();
@@ -223,10 +205,10 @@ mod tests {
     fn messages_chronological_and_bounded() {
         let (p, gid) = materialized(PlatformKind::Telegram, 3);
         let g = p.group(gid);
-        let h = g.history.as_ref().unwrap();
+        let messages = g.history.as_ref().unwrap().log.generate();
         let end = StudyWindow::paper().end_time();
-        assert!(h.messages.windows(2).all(|w| w[0].at <= w[1].at));
-        for m in &h.messages {
+        assert!(messages.windows(2).all(|w| w[0].at <= w[1].at));
+        for m in &messages {
             assert!(m.at >= g.created_at);
             assert!(m.at < end);
         }
@@ -240,14 +222,14 @@ mod tests {
         // contribute messages too.
         let (p, gid) = materialized(PlatformKind::Discord, 4);
         let h = p.group(gid).history.as_ref().unwrap();
+        let messages = h.log.generate();
         let members: std::collections::HashSet<_> = h.members.iter().collect();
-        assert!(h
-            .messages
+        assert!(messages
             .iter()
             .all(|m| (m.sender.0 as usize) < p.users.len()));
-        if !h.messages.is_empty() {
+        if !messages.is_empty() {
             assert!(
-                h.messages.iter().any(|m| members.contains(&m.sender)),
+                messages.iter().any(|m| members.contains(&m.sender)),
                 "current members should appear among senders"
             );
         }
@@ -279,7 +261,8 @@ mod tests {
             channel.country,
         );
         let h = platform.group(channel.id).history.as_ref().unwrap();
-        let senders: std::collections::HashSet<_> = h.messages.iter().map(|m| m.sender).collect();
+        let senders: std::collections::HashSet<_> =
+            h.log.generate().iter().map(|m| m.sender).collect();
         assert!(senders.len() <= 3, "channel posters: {}", senders.len());
     }
 
@@ -301,8 +284,9 @@ mod tests {
         );
         let h2 = p2.group(gid2).history.as_ref().unwrap();
         assert_eq!(h2.members.len(), c);
-        assert_eq!(h1.messages.len(), h2.messages.len());
+        assert_eq!(h1.log.generate().len(), h2.log.generate().len());
         assert_eq!(h1.members.len(), h2.members.len());
+        assert_eq!(&h1, h2, "the same members and the same log recipe");
     }
 
     #[test]
@@ -330,7 +314,8 @@ mod tests {
                 &window,
                 m.country,
             );
-            for msg in &platform.group(m.id).history.as_ref().unwrap().messages {
+            let log = &platform.group(m.id).history.as_ref().unwrap().log;
+            for msg in &log.generate() {
                 total += 1;
                 match msg.kind {
                     MessageKind::Text => text += 1,
@@ -354,7 +339,7 @@ mod tests {
         let (p, gid) = materialized(PlatformKind::WhatsApp, 8);
         let g = p.group(gid);
         let horizon = StudyWindow::paper().start.plus_days(-7).midnight();
-        for m in &g.history.as_ref().unwrap().messages {
+        for m in &g.history.as_ref().unwrap().log.generate() {
             assert!(m.at >= horizon.max(g.created_at));
         }
     }

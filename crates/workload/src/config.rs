@@ -101,8 +101,8 @@ pub struct ActivityParams {
     pub msgs_per_day_median: f64,
     /// Log-normal sigma of messages/day.
     pub msgs_per_day_sigma: f64,
-    /// Hard cap on materialized messages per group (memory guard; the cap
-    /// is far above anything the paper reports per group).
+    /// Hard cap on the messages generated for a group (memory guard; the
+    /// cap is far above anything the paper reports per group).
     pub max_messages_per_group: u64,
     /// Zipf exponent of the per-member posting distribution (higher =
     /// more concentrated; drives the top-1% shares of Fig 9b).

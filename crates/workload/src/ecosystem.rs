@@ -223,7 +223,8 @@ impl Ecosystem {
         }
     }
 
-    /// Materialize a joined group's members and messages (idempotent).
+    /// Materialize a joined group's members and message-log recipe
+    /// (idempotent).
     pub fn materialize_group(&mut self, kind: PlatformKind, id: GroupId) {
         let i = kind.index();
         let country = self.metas[i][id.0 as usize].country;

@@ -21,6 +21,9 @@ use chatlens::core::{
     resume_study, run_study_with, Attachments, Campaign, CampaignState, CheckpointPolicy,
 };
 use chatlens::core::{resume_study_days, CampaignConfig};
+use chatlens::platforms::{AccountId, PlatformKind};
+use chatlens::simnet::time::SimDuration;
+use chatlens::simnet::transport::{Request, Service, Status};
 use chatlens::{Dataset, Ecosystem, ScenarioConfig};
 
 /// Small world: ~75 groups per platform, still exercising every stage
@@ -115,6 +118,54 @@ fn resume_is_bit_identical_at_any_thread_count() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn rebuilt_world_serves_the_live_message_pages() {
+    // A rebuild replays member allocation and log recipes only; every
+    // joined group's message page it serves must be the live world's.
+    let mut live = Ecosystem::build(scenario());
+    let state = {
+        let mut session =
+            Campaign::new(&mut live, CampaignConfig::default(), Attachments::default())
+                .expect("session starts");
+        assert_eq!(session.run_until(20).expect("twenty days run"), 20);
+        session.state()
+    };
+    let mut rebuilt = state.world();
+    // One request a minute after the window: Telegram's flood bucket
+    // refills between them in both worlds alike.
+    let mut now = live.window.end_time();
+    for kind in PlatformKind::ALL {
+        let i = kind.index();
+        let endpoint = match kind {
+            PlatformKind::WhatsApp => "whatsapp/messages",
+            PlatformKind::Telegram => "telegram/api/history",
+            PlatformKind::Discord => "discord/api/messages",
+        };
+        let mut pages = 0;
+        for account in 0..live.platforms[i].account_count() {
+            let account = AccountId(account as u16);
+            let joined = live.platforms[i]
+                .account(account)
+                .expect("account")
+                .joined
+                .clone();
+            for (gid, _) in joined {
+                let req = Request::new(endpoint)
+                    .with("account", account.0.to_string())
+                    .with("group", gid.0.to_string());
+                now += SimDuration::secs(60);
+                let want = live.platforms[i].handle(now, &req);
+                let got = rebuilt.platforms[i].handle(now, &req);
+                assert_eq!(want.status, Status::Ok, "{kind} group {}", gid.0);
+                assert_eq!(got.status, want.status, "{kind} group {}", gid.0);
+                assert_eq!(got.body, want.body, "{kind} group {}", gid.0);
+                pages += 1;
+            }
+        }
+        assert!(pages > 0, "{kind}: no group joined by day 20");
+    }
 }
 
 #[test]
