@@ -13,12 +13,12 @@ use crate::error::CoreError;
 use crate::intern::Interner;
 use crate::net::Net;
 use crate::patterns::{extract_invites, ExtractionStats};
-use crate::quarantine::{day_of, verify_echoes, QuarantineEntry};
+use crate::quarantine::{day_of, verify_echoes, Fate, Provenance, QuarantineEntry};
 use chatlens_platforms::id::PlatformKind;
 use chatlens_platforms::invite::{parse_invite_url, InviteCode};
 use chatlens_platforms::wire::WireDoc;
 use chatlens_simnet::time::SimTime;
-use chatlens_simnet::transport::Request;
+use chatlens_simnet::transport::{Request, Response, Status};
 use chatlens_twitter::store::TRACK_HOSTS;
 use chatlens_twitter::Tweet;
 use chatlens_workload::Ecosystem;
@@ -229,7 +229,7 @@ impl Discovery {
         doc_kind: &'static str,
         via_search: bool,
         into_control: bool,
-    ) -> Result<(Option<u64>, bool), CoreError> {
+    ) -> (Option<u64>, bool) {
         let mut page = 0u64;
         let mut max_id: Option<u64> = None;
         loop {
@@ -238,7 +238,7 @@ impl Discovery {
                 Ok(r) => r,
                 Err(_) => {
                     self.failed_requests += 1;
-                    return Ok((max_id, false)); // lose the page, keep the campaign going
+                    return (max_id, false); // lose the page, keep the campaign going
                 }
             };
             // Decode the page fully — envelope, echoes, every tweet —
@@ -247,28 +247,27 @@ impl Discovery {
             let decoded = match decode_page(&resp.body, doc_kind, &req) {
                 Ok(p) => p,
                 Err(err) => {
-                    let day = day_of(eco.window.start_time(), now);
-                    self.quarantine.push(QuarantineEntry::new(
-                        "twitter", &req, "", day, &err, &resp.body,
-                    ));
-                    // Bounded same-day re-fetch of the damaged page.
-                    let retried = match net.twitter(eco, now, &req) {
-                        Ok(r2) => match decode_page(&r2.body, doc_kind, &req) {
-                            Ok(p) => Some(p),
-                            Err(err2) => {
-                                self.quarantine.push(QuarantineEntry::new(
-                                    "twitter", &req, "", day, &err2, &r2.body,
-                                ));
-                                None
-                            }
-                        },
-                        Err(_) => None,
+                    let at = Provenance {
+                        service: "twitter",
+                        req: &req,
+                        group: "",
+                        day: day_of(eco.window.start_time(), now),
                     };
-                    match retried {
-                        Some(p) => p,
-                        None => {
+                    // Feed pages are decoded whatever status the Twitter
+                    // client answers with: a body that is no page fails
+                    // its decode.
+                    let refetch = || {
+                        net.twitter(eco, now, &req).map(|r| Response {
+                            status: Status::Ok,
+                            ..r
+                        })
+                    };
+                    let decode = |body: &str| decode_page(body, doc_kind, &req);
+                    match at.refetch_once(&mut self.quarantine, &resp.body, &err, refetch, decode) {
+                        Fate::Decoded(p) => p,
+                        Fate::Refused(_) | Fate::Lost => {
                             self.failed_requests += 1;
-                            return Ok((max_id, false)); // page lost, like a transport failure
+                            return (max_id, false); // page lost, like a transport failure
                         }
                     }
                 }
@@ -290,25 +289,20 @@ impl Discovery {
             }
             match decoded.next {
                 Some(next) => page = next,
-                None => return Ok((max_id, true)),
+                None => return (max_id, true),
             }
         }
     }
 
     /// One hourly Search API round: one paginated, `since_id`-incremental
     /// query per tracked host.
-    pub fn run_search(
-        &mut self,
-        net: &mut Net,
-        eco: &mut Ecosystem,
-        now: SimTime,
-    ) -> Result<(), CoreError> {
+    pub fn run_search(&mut self, net: &mut Net, eco: &mut Ecosystem, now: SimTime) {
         for (hi, host) in TRACK_HOSTS.into_iter().enumerate() {
             let mut req = Request::new("twitter/search").with("host", host);
             if let Some(since) = self.since_id[hi] {
                 req = req.with("since_id", since.to_string());
             }
-            let (max_id, _) = self.drain_pages(net, eco, now, req, "tw-search", true, false)?;
+            let (max_id, _) = self.drain_pages(net, eco, now, req, "tw-search", true, false);
             // Advance the host's high-water mark only past tweets *this
             // host's search* actually delivered — anything older is
             // invisible to search forever, anything newer must still be
@@ -317,31 +311,20 @@ impl Discovery {
                 self.since_id[hi] = max_id;
             }
         }
-        Ok(())
     }
 
     /// Drain the Streaming API for the period since the previous drain.
-    pub fn drain_stream(
-        &mut self,
-        net: &mut Net,
-        eco: &mut Ecosystem,
-        now: SimTime,
-    ) -> Result<(), CoreError> {
+    pub fn drain_stream(&mut self, net: &mut Net, eco: &mut Ecosystem, now: SimTime) {
         let from = self.last_stream_drain;
         self.last_stream_drain = now;
-        self.fetch_stream_window(net, eco, now, (from, now))
+        self.fetch_stream_window(net, eco, now, (from, now));
     }
 
     /// Drain the 1% sample stream into the control dataset.
-    pub fn drain_sample(
-        &mut self,
-        net: &mut Net,
-        eco: &mut Ecosystem,
-        now: SimTime,
-    ) -> Result<(), CoreError> {
+    pub fn drain_sample(&mut self, net: &mut Net, eco: &mut Ecosystem, now: SimTime) {
         let from = self.last_sample_drain;
         self.last_sample_drain = now;
-        self.fetch_sample_window(net, eco, now, (from, now))
+        self.fetch_sample_window(net, eco, now, (from, now));
     }
 
     /// Fetch one stream window, queueing it for backfill if incomplete.
@@ -351,15 +334,14 @@ impl Discovery {
         eco: &mut Ecosystem,
         now: SimTime,
         window: (SimTime, SimTime),
-    ) -> Result<(), CoreError> {
+    ) {
         let req = Request::new("twitter/stream")
             .with("from", window.0.as_secs().to_string())
             .with("to", window.1.as_secs().to_string());
-        let (_, complete) = self.drain_pages(net, eco, now, req, "tw-stream", false, false)?;
+        let (_, complete) = self.drain_pages(net, eco, now, req, "tw-stream", false, false);
         if !complete {
             self.pending_stream.push(window);
         }
-        Ok(())
     }
 
     /// Fetch one sample window, queueing it for backfill if incomplete.
@@ -369,15 +351,14 @@ impl Discovery {
         eco: &mut Ecosystem,
         now: SimTime,
         window: (SimTime, SimTime),
-    ) -> Result<(), CoreError> {
+    ) {
         let req = Request::new("twitter/sample")
             .with("from", window.0.as_secs().to_string())
             .with("to", window.1.as_secs().to_string());
-        let (_, complete) = self.drain_pages(net, eco, now, req, "tw-sample", false, true)?;
+        let (_, complete) = self.drain_pages(net, eco, now, req, "tw-sample", false, true);
         if !complete {
             self.pending_sample.push(window);
         }
-        Ok(())
     }
 
     /// Retry every queued stream/sample window. Called once per day
@@ -386,19 +367,13 @@ impl Discovery {
     /// first healthy boundary. Re-fetching is safe: both feeds dedup by
     /// tweet id, and collection timestamps honestly record the backfill
     /// instant rather than pretending the window was seen on time.
-    pub fn backfill(
-        &mut self,
-        net: &mut Net,
-        eco: &mut Ecosystem,
-        now: SimTime,
-    ) -> Result<(), CoreError> {
+    pub fn backfill(&mut self, net: &mut Net, eco: &mut Ecosystem, now: SimTime) {
         for window in std::mem::take(&mut self.pending_stream) {
-            self.fetch_stream_window(net, eco, now, window)?;
+            self.fetch_stream_window(net, eco, now, window);
         }
         for window in std::mem::take(&mut self.pending_sample) {
-            self.fetch_sample_window(net, eco, now, window)?;
+            self.fetch_sample_window(net, eco, now, window);
         }
-        Ok(())
     }
 
     /// Windows still awaiting backfill (campaign health metric).
@@ -491,7 +466,7 @@ mod tests {
     fn first_search_pulls_backlog() {
         let (mut eco, mut net, mut disco) = setup();
         let t0 = eco.window.start_time() + SimDuration::hours(1);
-        disco.run_search(&mut net, &mut eco, t0).unwrap();
+        disco.run_search(&mut net, &mut eco, t0);
         assert!(disco.group_count() > 0, "backlog should yield groups");
         assert!(disco.tweets.iter().all(|t| t.via_search));
         // Everything seen so far was posted within the search window.
@@ -504,14 +479,14 @@ mod tests {
     fn since_id_makes_hourly_searches_incremental() {
         let (mut eco, mut net, mut disco) = setup();
         let t0 = eco.window.start_time() + SimDuration::hours(1);
-        disco.run_search(&mut net, &mut eco, t0).unwrap();
+        disco.run_search(&mut net, &mut eco, t0);
         let after_first = disco.tweets.len();
         // Immediately repeating the search must add nothing.
-        disco.run_search(&mut net, &mut eco, t0).unwrap();
+        disco.run_search(&mut net, &mut eco, t0);
         assert_eq!(disco.tweets.len(), after_first);
         // An hour later only the new hour's tweets arrive.
         let t1 = t0 + SimDuration::hours(1);
-        disco.run_search(&mut net, &mut eco, t1).unwrap();
+        disco.run_search(&mut net, &mut eco, t1);
         let delta = disco.tweets.len() - after_first;
         assert!(delta < after_first / 4, "hourly delta {delta} too large");
     }
@@ -522,8 +497,8 @@ mod tests {
         let end = eco.window.start_time() + SimDuration::days(2);
         let mut t = eco.window.start_time() + SimDuration::hours(1);
         while t < end {
-            disco.run_search(&mut net, &mut eco, t).unwrap();
-            disco.drain_stream(&mut net, &mut eco, t).unwrap();
+            disco.run_search(&mut net, &mut eco, t);
+            disco.drain_stream(&mut net, &mut eco, t);
             t += SimDuration::hours(1);
         }
         let both = disco
@@ -550,12 +525,12 @@ mod tests {
     fn control_drain_collects_sample() {
         let (mut eco, mut net, mut disco) = setup();
         let t = eco.window.start_time() + SimDuration::days(1);
-        disco.drain_sample(&mut net, &mut eco, t).unwrap();
+        disco.drain_sample(&mut net, &mut eco, t);
         assert!(!disco.control.is_empty());
         assert!(disco.control.iter().all(|t| t.is_control));
         // A second drain for the same period adds nothing.
         let n = disco.control.len();
-        disco.drain_sample(&mut net, &mut eco, t).unwrap();
+        disco.drain_sample(&mut net, &mut eco, t);
         assert_eq!(disco.control.len(), n);
     }
 
@@ -565,7 +540,7 @@ mod tests {
         let end = eco.window.start_time() + SimDuration::days(3);
         let mut t = eco.window.start_time() + SimDuration::hours(1);
         while t < end {
-            disco.run_search(&mut net, &mut eco, t).unwrap();
+            disco.run_search(&mut net, &mut eco, t);
             t += SimDuration::hours(6);
         }
         assert!(disco.tweets.len() > disco.group_count(), "URLs repeat");

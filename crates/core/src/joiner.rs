@@ -20,7 +20,9 @@ use crate::discovery::Discovery;
 use crate::error::CoreError;
 use crate::net::Net;
 use crate::pii::{country_of, hash_phone, PiiStore};
-use crate::quarantine::{day_within, service_name, verify_echoes, QuarantineEntry};
+use crate::quarantine::{
+    day_within, service_name, verify_echoes, Fate, Provenance, QuarantineEntry,
+};
 use chatlens_platforms::id::{GroupId, PlatformKind};
 use chatlens_platforms::message::Message;
 use chatlens_platforms::service::{message_page_kind, parse_message, scan_message_page};
@@ -140,7 +142,7 @@ impl Joiner {
         rng: &mut Rng,
         strategy: JoinStrategy,
         observed_size: &dyn Fn(&str) -> Option<u32>,
-    ) -> Result<(), CoreError> {
+    ) {
         let pidx = platform.index();
         let (join_ep, join_doc) = match platform {
             PlatformKind::WhatsApp => ("whatsapp/join", "wa-join"),
@@ -196,69 +198,44 @@ impl Joiner {
                 Ok(r) => r,
                 Err(_) => continue,
             };
-            match resp.status {
+            let day = day_within(&eco.window, cursor);
+            let (gid, key) = match resp.status {
+                // A corrupted join acknowledgment is quarantined and the
+                // join retried once — acting on a hostile group id would
+                // collect some *other* group's contents.
                 Status::Ok => {
                     let key = rec.invite.dedup_key();
-                    let day = day_within(&eco.window, cursor);
-                    // A corrupted join acknowledgment is quarantined and
-                    // the join retried once — acting on a hostile group
-                    // id would collect some *other* group's contents.
                     let gid = match decode_join(&resp.body, join_doc, &req) {
-                        Ok(gid) => Some(gid),
+                        Ok(gid) => gid,
                         Err(err) => {
-                            self.quarantine.push(QuarantineEntry::new(
-                                service_name(platform),
-                                &req,
-                                &key,
+                            let at = Provenance {
+                                service: service_name(platform),
+                                req: &req,
+                                group: &key,
                                 day,
-                                &err,
+                            };
+                            match at.refetch_once(
+                                &mut self.quarantine,
                                 &resp.body,
-                            ));
-                            match net.platform(eco, platform, cursor, &req) {
-                                Ok(r2) if r2.status == Status::Ok => {
-                                    match decode_join(&r2.body, join_doc, &req) {
-                                        Ok(gid) => Some(gid),
-                                        Err(err2) => {
-                                            self.quarantine.push(QuarantineEntry::new(
-                                                service_name(platform),
-                                                &req,
-                                                &key,
-                                                day,
-                                                &err2,
-                                                &r2.body,
-                                            ));
-                                            None
-                                        }
-                                    }
+                                &err,
+                                || net.platform(eco, platform, cursor, &req),
+                                |body| decode_join(body, join_doc, &req),
+                            ) {
+                                Fate::Decoded(gid) => gid,
+                                // Candidate lost to corruption; move on like a
+                                // dead URL — the budget goes to the next one.
+                                Fate::Refused(_) | Fate::Lost => {
+                                    self.failed_fetches += 1;
+                                    continue;
                                 }
-                                _ => None,
                             }
                         }
                     };
-                    let Some(gid) = gid else {
-                        // Candidate lost to corruption; move on like a
-                        // dead URL — the budget goes to the next one.
-                        self.failed_fetches += 1;
-                        continue;
-                    };
-                    // The platform granted membership; materialize the
-                    // group's world-side history so later collection has
-                    // something to return.
-                    eco.materialize_group(platform, gid);
-                    self.joined.push(JoinedGroup {
-                        platform,
-                        key,
-                        group_id: gid,
-                        joined_at: cursor,
-                        created_day: None,
-                        members: Vec::new(),
-                        member_list_available: false,
-                        messages: Vec::new(),
-                    });
-                    joined_here += 1;
+                    (gid, key)
                 }
                 Status::Gone | Status::NotFound => {
                     self.dead_at_join += 1;
+                    continue;
                 }
                 Status::Forbidden => {
                     // Join limit reached: rotate to a fresh account (the
@@ -270,46 +247,49 @@ impl Joiner {
                         join_ep,
                         &[("account", &account.0), ("code", &rec.invite.code)],
                     );
-                    if let Ok(r2) = net.platform(eco, platform, cursor, &retry) {
-                        if r2.status == Status::Ok {
+                    let Ok(r2) = net.platform(eco, platform, cursor, &retry) else {
+                        continue;
+                    };
+                    if r2.status != Status::Ok {
+                        continue;
+                    }
+                    let key = rec.invite.dedup_key();
+                    match decode_join(&r2.body, join_doc, &retry) {
+                        Ok(gid) => (gid, key),
+                        Err(err) => {
                             // Already the retry of a rotated account:
                             // quarantine a corrupt acknowledgment and move
                             // on without a further fetch.
-                            match decode_join(&r2.body, join_doc, &retry) {
-                                Ok(gid) => {
-                                    eco.materialize_group(platform, gid);
-                                    self.joined.push(JoinedGroup {
-                                        platform,
-                                        key: rec.invite.dedup_key(),
-                                        group_id: gid,
-                                        joined_at: cursor,
-                                        created_day: None,
-                                        members: Vec::new(),
-                                        member_list_available: false,
-                                        messages: Vec::new(),
-                                    });
-                                    joined_here += 1;
-                                }
-                                Err(err) => {
-                                    let day = day_within(&eco.window, cursor);
-                                    self.quarantine.push(QuarantineEntry::new(
-                                        service_name(platform),
-                                        &retry,
-                                        &rec.invite.dedup_key(),
-                                        day,
-                                        &err,
-                                        &r2.body,
-                                    ));
-                                    self.failed_fetches += 1;
-                                }
-                            }
+                            let at = Provenance {
+                                service: service_name(platform),
+                                req: &retry,
+                                group: &key,
+                                day,
+                            };
+                            at.file(&mut self.quarantine, &err, &r2.body);
+                            self.failed_fetches += 1;
+                            continue;
                         }
                     }
                 }
-                _ => {}
-            }
+                _ => continue,
+            };
+            // The platform granted membership; materialize the group's
+            // world-side history so later collection has something to
+            // return.
+            eco.materialize_group(platform, gid);
+            self.joined.push(JoinedGroup {
+                platform,
+                key,
+                group_id: gid,
+                joined_at: cursor,
+                created_day: None,
+                members: Vec::new(),
+                member_list_available: false,
+                messages: Vec::new(),
+            });
+            joined_here += 1;
         }
-        Ok(())
     }
 
     /// Join uniformly at random (the paper's strategy, §3.3).
@@ -323,7 +303,7 @@ impl Joiner {
         budget: u64,
         now: SimTime,
         rng: &mut Rng,
-    ) -> Result<(), CoreError> {
+    ) {
         self.join_phase_with(
             net,
             eco,
@@ -334,7 +314,7 @@ impl Joiner {
             rng,
             JoinStrategy::Uniform,
             &|_| None,
-        )
+        );
     }
 
     /// Collect member lists, profiles and message histories for every
@@ -345,7 +325,7 @@ impl Joiner {
         eco: &mut Ecosystem,
         now: SimTime,
         pii: &mut PiiStore,
-    ) -> Result<(), CoreError> {
+    ) {
         // Collection is a long sequential crawl: each request advances a
         // shared virtual cursor so server-side flood control (Telegram's
         // FLOOD_WAIT) experiences a sustainable rate, exactly as a real
@@ -371,7 +351,7 @@ impl Joiner {
                         pii,
                         &mut self.failed_fetches,
                         &mut self.quarantine,
-                    )?;
+                    );
                 }
                 PlatformKind::Telegram => {
                     collect_telegram(
@@ -383,7 +363,7 @@ impl Joiner {
                         pii,
                         &mut self.failed_fetches,
                         &mut self.quarantine,
-                    )?;
+                    );
                 }
                 PlatformKind::Discord => {
                     collect_discord(
@@ -395,11 +375,10 @@ impl Joiner {
                         pii,
                         &mut self.failed_fetches,
                         &mut self.quarantine,
-                    )?;
+                    );
                 }
             }
         }
-        Ok(())
     }
 }
 
@@ -482,22 +461,11 @@ fn decode_join(body: &str, join_doc: &'static str, req: &Request) -> Result<Grou
     Ok(GroupId(doc.req_u64("group")? as u32))
 }
 
-/// Outcome of one quarantine-aware collection fetch.
-enum Fetched<T> {
-    /// Body decoded and validated.
-    Decoded(T),
-    /// The server answered with a non-OK status (hidden list, gone…).
-    Denied,
-    /// Transport failure, or both the fetch and its bounded re-fetch came
-    /// back corrupted. Already counted in `failed`.
-    Lost,
-}
-
-/// Fetch `req` and decode its body with `decode`, quarantining a hostile
-/// body (with provenance) and re-fetching once before giving it up as
-/// [`Fetched::Lost`]. Every attempt ticks the pacing cursor like any
-/// other collection request. `decode` must be pure — nothing is applied
-/// until the whole body has validated.
+/// Fetch `req` and decode its body with `decode`, sending a body that
+/// fails decode through [`Provenance::refetch_once`]. Every attempt
+/// ticks the pacing cursor like any other collection request, and a
+/// lost fetch is counted in `failed`. `decode` must be pure — nothing is
+/// applied until the whole body has validated.
 #[allow(clippy::too_many_arguments)]
 fn fetch_decoded<T>(
     net: &mut Net,
@@ -508,51 +476,34 @@ fn fetch_decoded<T>(
     group: &str,
     quarantine: &mut Vec<QuarantineEntry>,
     failed: &mut u64,
-    decode: &dyn Fn(&str) -> Result<T, CoreError>,
-) -> Fetched<T> {
-    let Ok(resp) = net.platform(eco, platform, tick(cursor), req) else {
-        *failed += 1;
-        return Fetched::Lost;
+    decode: impl Fn(&str) -> Result<T, CoreError>,
+) -> Fate<T> {
+    let fetched = match net.platform(eco, platform, tick(cursor), req) {
+        Err(_) => Fate::Lost,
+        Ok(resp) if resp.status != Status::Ok => Fate::Refused(resp.status),
+        Ok(resp) => match decode(&resp.body) {
+            Ok(v) => Fate::Decoded(v),
+            Err(err) => {
+                let at = Provenance {
+                    service: service_name(platform),
+                    req,
+                    group,
+                    day: day_within(&eco.window, *cursor),
+                };
+                at.refetch_once(
+                    quarantine,
+                    &resp.body,
+                    &err,
+                    || net.platform(eco, platform, tick(cursor), req),
+                    decode,
+                )
+            }
+        },
     };
-    if resp.status != Status::Ok {
-        return Fetched::Denied;
+    if matches!(fetched, Fate::Lost) {
+        *failed += 1;
     }
-    let day = day_within(&eco.window, *cursor);
-    match decode(&resp.body) {
-        Ok(v) => Fetched::Decoded(v),
-        Err(err) => {
-            quarantine.push(QuarantineEntry::new(
-                service_name(platform),
-                req,
-                group,
-                day,
-                &err,
-                &resp.body,
-            ));
-            let Ok(r2) = net.platform(eco, platform, tick(cursor), req) else {
-                *failed += 1;
-                return Fetched::Lost;
-            };
-            if r2.status != Status::Ok {
-                return Fetched::Denied;
-            }
-            match decode(&r2.body) {
-                Ok(v) => Fetched::Decoded(v),
-                Err(err2) => {
-                    quarantine.push(QuarantineEntry::new(
-                        service_name(platform),
-                        req,
-                        group,
-                        day,
-                        &err2,
-                        &r2.body,
-                    ));
-                    *failed += 1;
-                    Fetched::Lost
-                }
-            }
-        }
-    }
+    fetched
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -565,7 +516,7 @@ fn collect_whatsapp(
     pii: &mut PiiStore,
     failed: &mut u64,
     quarantine: &mut Vec<QuarantineEntry>,
-) -> Result<(), CoreError> {
+) {
     let base = |ep: &'static str| request(ep, &[("account", &account), ("group", &jg.group_id.0)]);
     // Member phone numbers + creation date (visible only after joining).
     // Transport failures and doubly-corrupted bodies (after retries) cost
@@ -587,9 +538,9 @@ fn collect_whatsapp(
         &jg.key,
         quarantine,
         failed,
-        &decode,
+        decode,
     ) {
-        Fetched::Decoded((created_day, phones)) => {
+        Fate::Decoded((created_day, phones)) => {
             jg.created_day = Some(created_day);
             jg.member_list_available = true;
             for phone in phones {
@@ -602,13 +553,13 @@ fn collect_whatsapp(
                 });
             }
         }
-        Fetched::Denied => {}
-        Fetched::Lost => return Ok(()),
+        Fate::Refused(_) => {}
+        Fate::Lost => return,
     }
     // Messages since the join date.
     let req = base("whatsapp/messages");
     let decode = |body: &str| decode_message_page(body, PlatformKind::WhatsApp, &req);
-    if let Fetched::Decoded((_, messages)) = fetch_decoded(
+    if let Fate::Decoded((_, messages)) = fetch_decoded(
         net,
         eco,
         PlatformKind::WhatsApp,
@@ -617,11 +568,10 @@ fn collect_whatsapp(
         &jg.key,
         quarantine,
         failed,
-        &decode,
+        decode,
     ) {
         jg.messages = messages;
     }
-    Ok(())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -634,7 +584,7 @@ fn collect_telegram(
     pii: &mut PiiStore,
     failed: &mut u64,
     quarantine: &mut Vec<QuarantineEntry>,
-) -> Result<(), CoreError> {
+) {
     let base = |ep: &'static str| request(ep, &[("account", &account), ("group", &jg.group_id.0)]);
     // Full history since creation.
     let req = base("telegram/api/history");
@@ -648,14 +598,14 @@ fn collect_telegram(
         &jg.key,
         quarantine,
         failed,
-        &decode,
+        decode,
     ) {
-        Fetched::Decoded((created_day, messages)) => {
+        Fate::Decoded((created_day, messages)) => {
             jg.created_day = created_day;
             jg.messages = messages;
         }
-        Fetched::Denied => {}
-        Fetched::Lost => return Ok(()),
+        Fate::Refused(_) => {}
+        Fate::Lost => return,
     }
     // Member list, if the admins left it visible.
     let req = base("telegram/api/members");
@@ -684,13 +634,13 @@ fn collect_telegram(
         &jg.key,
         quarantine,
         failed,
-        &decode,
+        decode,
     ) {
-        Fetched::Decoded(ids) => {
+        Fate::Decoded(ids) => {
             jg.member_list_available = true;
             ids
         }
-        Fetched::Denied => {
+        Fate::Refused(_) => {
             // Hidden list (§3.3): fall back to the users who posted at
             // least one message, exactly as the paper did (§6).
             let mut senders: Vec<u32> = jg.messages.iter().map(|m| m.sender.0).collect();
@@ -698,7 +648,7 @@ fn collect_telegram(
             senders.dedup();
             senders
         }
-        Fetched::Lost => return Ok(()),
+        Fate::Lost => return,
     };
     // Profile lookups: phones only for the opt-in sliver.
     for id in user_ids {
@@ -708,7 +658,7 @@ fn collect_telegram(
             verify_echoes(&doc, &req)?;
             Ok(doc.get("phone").map(PhoneSeen::of))
         };
-        let Fetched::Decoded(phone) = fetch_decoded(
+        let Fate::Decoded(phone) = fetch_decoded(
             net,
             eco,
             PlatformKind::Telegram,
@@ -717,7 +667,7 @@ fn collect_telegram(
             &jg.key,
             quarantine,
             failed,
-            &decode,
+            decode,
         ) else {
             continue;
         };
@@ -732,7 +682,6 @@ fn collect_telegram(
             linked: Vec::new(),
         });
     }
-    Ok(())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -745,7 +694,7 @@ fn collect_discord(
     pii: &mut PiiStore,
     failed: &mut u64,
     quarantine: &mut Vec<QuarantineEntry>,
-) -> Result<(), CoreError> {
+) {
     let base = |ep: &'static str| request(ep, &[("account", &account), ("group", &jg.group_id.0)]);
     let req = base("discord/api/messages");
     let decode = |body: &str| decode_message_page(body, PlatformKind::Discord, &req);
@@ -758,14 +707,14 @@ fn collect_discord(
         &jg.key,
         quarantine,
         failed,
-        &decode,
+        decode,
     ) {
-        Fetched::Decoded((created_day, messages)) => {
+        Fate::Decoded((created_day, messages)) => {
             jg.created_day = created_day;
             jg.messages = messages;
         }
-        Fetched::Denied => {}
-        Fetched::Lost => return Ok(()),
+        Fate::Refused(_) => {}
+        Fate::Lost => return,
     }
     // No member list for user-level collectors (§3.3): profiles are
     // fetched for users who posted at least one message.
@@ -779,7 +728,7 @@ fn collect_discord(
             verify_echoes(&doc, &req)?;
             Ok(doc.get_all("linked").map(str::to_string).collect())
         };
-        let Fetched::Decoded(linked) = fetch_decoded(
+        let Fate::Decoded(linked) = fetch_decoded(
             net,
             eco,
             PlatformKind::Discord,
@@ -788,7 +737,7 @@ fn collect_discord(
             &jg.key,
             quarantine,
             failed,
-            &decode,
+            decode,
         ) else {
             continue;
         };
@@ -800,7 +749,6 @@ fn collect_discord(
             linked,
         });
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -816,7 +764,7 @@ mod tests {
         let mut disco = Discovery::new(start);
         let mut eco = eco;
         let t0 = start + SimDuration::hours(1);
-        disco.run_search(&mut net, &mut eco, t0).unwrap();
+        disco.run_search(&mut net, &mut eco, t0);
         (eco, net, disco)
     }
 
@@ -826,17 +774,15 @@ mod tests {
         let mut joiner = Joiner::new();
         let mut rng = Rng::new(1);
         let now = eco.window.start_time() + SimDuration::days(2);
-        joiner
-            .join_phase(
-                &mut net,
-                &mut eco,
-                &disco,
-                PlatformKind::Telegram,
-                5,
-                now,
-                &mut rng,
-            )
-            .unwrap();
+        joiner.join_phase(
+            &mut net,
+            &mut eco,
+            &disco,
+            PlatformKind::Telegram,
+            5,
+            now,
+            &mut rng,
+        );
         assert_eq!(joiner.joined.len(), 5);
         for jg in &joiner.joined {
             assert_eq!(jg.platform, PlatformKind::Telegram);
@@ -856,17 +802,15 @@ mod tests {
         let mut joiner = Joiner::new();
         let mut rng = Rng::new(2);
         let now = eco.window.start_time() + SimDuration::days(1);
-        joiner
-            .join_phase(
-                &mut net,
-                &mut eco,
-                &disco,
-                PlatformKind::Discord,
-                3,
-                now,
-                &mut rng,
-            )
-            .unwrap();
+        joiner.join_phase(
+            &mut net,
+            &mut eco,
+            &disco,
+            PlatformKind::Discord,
+            3,
+            now,
+            &mut rng,
+        );
         assert!(joiner.bot_join_rejected, "bots cannot self-join (§3.3)");
         assert!(joiner.dead_at_join > 0, "many Discord invites are dead");
     }
@@ -878,25 +822,21 @@ mod tests {
         let mut pii = PiiStore::new();
         let mut rng = Rng::new(3);
         let now = eco.window.start_time() + SimDuration::days(2);
-        joiner
-            .join_phase(
-                &mut net,
-                &mut eco,
-                &disco,
-                PlatformKind::WhatsApp,
-                4,
-                now,
-                &mut rng,
-            )
-            .unwrap();
+        joiner.join_phase(
+            &mut net,
+            &mut eco,
+            &disco,
+            PlatformKind::WhatsApp,
+            4,
+            now,
+            &mut rng,
+        );
         let end = eco
             .window
             .end_time()
             .checked_sub(SimDuration::hours(1))
             .unwrap();
-        joiner
-            .collect_phase(&mut net, &mut eco, end, &mut pii)
-            .unwrap();
+        joiner.collect_phase(&mut net, &mut eco, end, &mut pii);
         assert!(!joiner.joined.is_empty());
         let mut saw_member = false;
         for jg in &joiner.joined {
@@ -920,25 +860,21 @@ mod tests {
         let mut pii = PiiStore::new();
         let mut rng = Rng::new(4);
         let now = eco.window.start_time() + SimDuration::days(2);
-        joiner
-            .join_phase(
-                &mut net,
-                &mut eco,
-                &disco,
-                PlatformKind::Telegram,
-                12,
-                now,
-                &mut rng,
-            )
-            .unwrap();
+        joiner.join_phase(
+            &mut net,
+            &mut eco,
+            &disco,
+            PlatformKind::Telegram,
+            12,
+            now,
+            &mut rng,
+        );
         let end = eco
             .window
             .end_time()
             .checked_sub(SimDuration::hours(1))
             .unwrap();
-        joiner
-            .collect_phase(&mut net, &mut eco, end, &mut pii)
-            .unwrap();
+        joiner.collect_phase(&mut net, &mut eco, end, &mut pii);
         let hidden = joiner
             .joined
             .iter()
@@ -961,25 +897,21 @@ mod tests {
         let mut pii = PiiStore::new();
         let mut rng = Rng::new(5);
         let now = eco.window.start_time() + SimDuration::days(1);
-        joiner
-            .join_phase(
-                &mut net,
-                &mut eco,
-                &disco,
-                PlatformKind::Discord,
-                8,
-                now,
-                &mut rng,
-            )
-            .unwrap();
+        joiner.join_phase(
+            &mut net,
+            &mut eco,
+            &disco,
+            PlatformKind::Discord,
+            8,
+            now,
+            &mut rng,
+        );
         let end = eco
             .window
             .end_time()
             .checked_sub(SimDuration::hours(1))
             .unwrap();
-        joiner
-            .collect_phase(&mut net, &mut eco, end, &mut pii)
-            .unwrap();
+        joiner.collect_phase(&mut net, &mut eco, end, &mut pii);
         assert!(!joiner.joined.is_empty());
         assert!(!pii.dc_users_observed.is_empty());
         let rate = pii.dc_link_rate();
@@ -1003,17 +935,15 @@ mod tests {
         let mut joiner = Joiner::new();
         let mut rng = Rng::new(6);
         let now = eco.window.start_time() + SimDuration::days(1);
-        joiner
-            .join_phase(
-                &mut net,
-                &mut eco,
-                &disco,
-                PlatformKind::Discord,
-                150,
-                now,
-                &mut rng,
-            )
-            .unwrap();
+        joiner.join_phase(
+            &mut net,
+            &mut eco,
+            &disco,
+            PlatformKind::Discord,
+            150,
+            now,
+            &mut rng,
+        );
         if joiner.joined.len() > 100 {
             assert!(joiner.accounts_used[PlatformKind::Discord.index()] > 1);
         }

@@ -23,10 +23,9 @@ use crate::discovery::{Discovery, DiscoveryRecord};
 use crate::error::CoreError;
 use crate::net::Net;
 use crate::pii::PiiStore;
-use crate::quarantine::{service_name, verify_echoes, QuarantineEntry};
+use crate::quarantine::{service_name, verify_echoes, Fate, Provenance, QuarantineEntry};
 use chatlens_platforms::id::PlatformKind;
 use chatlens_platforms::wire::WireDoc;
-use chatlens_simnet::par::Pool;
 use chatlens_simnet::time::SimTime;
 use chatlens_simnet::transport::{Request, Status};
 use chatlens_workload::Ecosystem;
@@ -346,32 +345,8 @@ impl PartialEq for GapLedger {
     }
 }
 
-/// One group's fetch outcome for the day, carried from the serial
-/// transport phase into the parse/apply phases.
-#[derive(Debug, Clone)]
-enum Fetch {
-    /// Transport failed after retries, or the server answered with a
-    /// non-terminal error status.
-    Failed,
-    /// The URL is revoked/expired (410).
-    Gone,
-    /// Landing page served: the probe request (kept for the echo check
-    /// and a possible re-fetch, so it is built once per group-day), the
-    /// raw body, and which wire document kind it must decode as.
-    Body(Request, String, &'static str),
-}
-
-/// Reusable per-day scratch: the fetch-outcome buffer backing the three
-/// phases of [`Monitor::run_day`]. Cleared and refilled each day, so the
-/// steady state re-uses one allocation per campaign instead of one per
-/// day.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct DayScratch {
-    fetched: Vec<(usize, Fetch)>,
-}
-
 /// The monitoring component. A snapshot persists it directly (see
-/// [`crate::state`]); the day scratch is not state.
+/// [`crate::state`]).
 #[derive(Debug, Clone, Default)]
 pub struct Monitor {
     /// Per-group timelines, indexed by discovery slot.
@@ -389,8 +364,6 @@ pub struct Monitor {
     /// transport failure: one immediate re-fetch, then the day-end
     /// backfill retry, then the gap ledger.
     pub quarantine: Vec<QuarantineEntry>,
-    /// Per-day scratch buffers (see [`DayScratch`]).
-    pub(crate) scratch: DayScratch,
 }
 
 impl Monitor {
@@ -422,15 +395,12 @@ impl Monitor {
     /// hashed into it (the landing page is the only pre-join source of
     /// creator phones, §6).
     ///
-    /// The round runs in three phases so the pool can help without
-    /// touching determinism: a **serial fetch** in discovery order (every
-    /// transport call advances the shared network/ecosystem RNG and
-    /// rate-limiter state, so its order is fixed), a **parallel parse**
-    /// of the fetched bodies (pure, and merged back in input order by the
-    /// pool's contract), and a **serial apply** of the parsed documents to
-    /// the timelines, again in discovery order. Bodies decode on `pool`;
-    /// its thread count never changes what the monitor records.
-    #[allow(clippy::too_many_arguments)]
+    /// One pass in discovery order fetches, decodes and applies each
+    /// group (every transport call advances the shared network/ecosystem
+    /// RNG and rate-limiter state, so its order is fixed). A body that
+    /// fails decode is parked, and the parked groups go through the
+    /// quarantine lifecycle after the pass, again in discovery order, so
+    /// every first fetch of the day precedes every re-fetch.
     pub fn run_day(
         &mut self,
         net: &mut Net,
@@ -439,149 +409,66 @@ impl Monitor {
         now: SimTime,
         day: u32,
         mut pii: Option<&mut PiiStore>,
-        pool: &Pool,
-    ) -> Result<(), CoreError> {
-        // Phase 1 — serial fetch. Iterate over a snapshot of slots:
-        // discovery keeps growing, but today's round covers what is known
-        // right now. Slots are unique within `discovery.groups`, so
-        // deferring the terminal-set update to the apply phase cannot
-        // change which groups get fetched today.
-        let mut fetched = std::mem::take(&mut self.scratch.fetched);
-        fetched.clear();
+    ) {
+        // Slot, request, body and decode error of each group whose body
+        // failed decode, in slot order.
+        let mut parked = Vec::new();
         for (i, rec) in discovery.groups.iter().enumerate() {
             if self.is_terminal(i) {
                 continue;
             }
-            let (doc_kind, req) = probe(rec);
-            let outcome = match net.platform(eco, rec.platform, now, &req) {
-                Err(_) => Fetch::Failed,
-                Ok(resp) => match resp.status {
-                    Status::Ok => Fetch::Body(req, resp.body, doc_kind),
-                    Status::Gone => Fetch::Gone,
-                    _ => Fetch::Failed,
-                },
-            };
-            fetched.push((i, outcome));
-        }
-
-        // Phase 2 — parallel decode: decoding a landing page (envelope,
-        // identity echo, field extraction) depends only on the body and
-        // the group's identity, so bodies decode concurrently on the
-        // pool into ready-to-apply `Landing` values. Decoding fully
-        // *before* applying means a body that goes bad halfway through
-        // mutates nothing.
-        let parsed: Vec<Option<Result<Landing, CoreError>>> =
-            pool.par_map(&fetched, |(i, outcome)| match outcome {
-                Fetch::Body(req, body, doc_kind) => {
-                    let rec = &discovery.groups[*i];
-                    Some(decode_landing(body, doc_kind, rec.platform, req))
-                }
-                Fetch::Failed | Fetch::Gone => None,
-            });
-
-        // The outcome of the bounded same-day re-fetch of a quarantined
-        // body (phase 3 below).
-        enum Refetch<'b> {
-            Alive(Landing<'b>),
-            Revoked,
-            Failed,
-        }
-
-        // Phase 3 — serial apply, in the same discovery order as phase 1.
-        // The group's slot is its identity: no key is materialized except
-        // on the cold quarantine path below.
-        for ((i, outcome), decoded) in fetched.iter().zip(parsed) {
-            let i = *i;
-            match outcome {
-                Fetch::Failed => {
-                    self.timelines.ensure(i).push(day, ObservedStatus::Failed);
-                }
-                Fetch::Gone => {
-                    self.timelines.ensure(i).push(day, ObservedStatus::Revoked);
-                    self.mark_terminal(i);
-                }
-                Fetch::Body(req, body, doc_kind) => {
-                    let rec = &discovery.groups[i];
-                    match decoded.expect("body outcomes were decoded in phase 2") {
-                        Ok(landing) => {
-                            let timeline = self.timelines.ensure(i);
-                            let status = apply_landing(timeline, rec.platform, &landing, &mut pii);
-                            timeline.push(day, status);
-                        }
+            let req = probe(rec);
+            let status = match net.platform(eco, rec.platform, now, &req) {
+                Ok(resp) if resp.status == Status::Ok => {
+                    let timeline = self.timelines.ensure(i);
+                    match observe(timeline, rec.platform, &resp.body, &req, &mut pii) {
+                        Ok(status) => status,
                         Err(err) => {
-                            // Hostile body: quarantine it with provenance,
-                            // then re-fetch once immediately — corruption
-                            // is usually transient damage, not a dead URL.
-                            let key = rec.invite.dedup_key();
-                            self.quarantine.push(QuarantineEntry::new(
-                                service_name(rec.platform),
-                                req,
-                                &key,
-                                day,
-                                &err,
-                                body,
-                            ));
-                            // The re-fetched body lives in this outer slot
-                            // so a `Refetch::Alive` landing (which borrows
-                            // it) survives to the apply below.
-                            let retry_body;
-                            let retried = match net.platform(eco, rec.platform, now, req) {
-                                Err(_) => Refetch::Failed,
-                                Ok(resp) => match resp.status {
-                                    Status::Gone => Refetch::Revoked,
-                                    Status::Ok => {
-                                        retry_body = resp.body;
-                                        match decode_landing(
-                                            &retry_body,
-                                            doc_kind,
-                                            rec.platform,
-                                            req,
-                                        ) {
-                                            Ok(l) => Refetch::Alive(l),
-                                            Err(err2) => {
-                                                self.quarantine.push(QuarantineEntry::new(
-                                                    service_name(rec.platform),
-                                                    req,
-                                                    &key,
-                                                    day,
-                                                    &err2,
-                                                    &retry_body,
-                                                ));
-                                                Refetch::Failed
-                                            }
-                                        }
-                                    }
-                                    _ => Refetch::Failed,
-                                },
-                            };
-                            match retried {
-                                Refetch::Alive(landing) => {
-                                    let timeline = self.timelines.ensure(i);
-                                    let status =
-                                        apply_landing(timeline, rec.platform, &landing, &mut pii);
-                                    timeline.push(day, status);
-                                }
-                                Refetch::Revoked => {
-                                    self.timelines.ensure(i).push(day, ObservedStatus::Revoked);
-                                    self.mark_terminal(i);
-                                }
-                                // Both fetches damaged or lost: record a
-                                // Failed day; the day-end backfill retries
-                                // once more, and a repeated failure lands
-                                // the day in the gap ledger — censored,
-                                // never fabricated.
-                                Refetch::Failed => {
-                                    self.timelines.ensure(i).push(day, ObservedStatus::Failed);
-                                }
-                            }
+                            parked.push((i, req, resp.body, err));
+                            continue;
                         }
                     }
                 }
-            }
+                Ok(resp) if resp.status == Status::Gone => self.revoke(i),
+                _ => ObservedStatus::Failed,
+            };
+            self.timelines.ensure(i).push(day, status);
         }
-        self.scratch.fetched = fetched;
-        self.scratch.fetched.clear();
-        Ok(())
+
+        // Corruption is usually transient damage, not a dead URL: each
+        // parked body is quarantined and its page re-fetched once. When
+        // both fetches are damaged or lost the day is `Failed`; the
+        // day-end backfill retries once more, and a repeated failure
+        // lands the day in the gap ledger — censored, never fabricated.
+        for (i, req, body, err) in parked {
+            let rec = &discovery.groups[i];
+            let key = rec.invite.dedup_key();
+            let at = Provenance {
+                service: service_name(rec.platform),
+                req: &req,
+                group: &key,
+                day,
+            };
+            let timeline = self.timelines.ensure(i);
+            let status = match at.refetch_once(
+                &mut self.quarantine,
+                &body,
+                &err,
+                || net.platform(eco, rec.platform, now, &req),
+                |body| observe(timeline, rec.platform, body, &req, &mut pii),
+            ) {
+                Fate::Decoded(status) => status,
+                Fate::Refused(Status::Gone) => self.revoke(i),
+                Fate::Refused(_) | Fate::Lost => ObservedStatus::Failed,
+            };
+            self.timelines.ensure(i).push(day, status);
+        }
+    }
+
+    /// Mark the group at `slot` terminal and return the status to record.
+    fn revoke(&mut self, slot: usize) -> ObservedStatus {
+        self.mark_terminal(slot);
+        ObservedStatus::Revoked
     }
 
     /// Same-day retry of every group whose monitor fetch failed today.
@@ -597,67 +484,50 @@ impl Monitor {
         now: SimTime,
         day: u32,
         mut pii: Option<&mut PiiStore>,
-    ) -> Result<(), CoreError> {
+    ) {
         // Discovery order, like `run_day`, so the transport call sequence
         // is a deterministic function of the campaign state.
         for (i, rec) in discovery.groups.iter().enumerate() {
             if self.is_terminal(i) {
                 continue;
             }
-            let needs_retry = self.timelines.get(i).is_some_and(|tl| {
-                tl.last()
-                    .is_some_and(|o| o.day == day && o.status == ObservedStatus::Failed)
-            });
-            if !needs_retry {
+            let Some(timeline) = self.timelines.get_mut(i) else {
+                continue;
+            };
+            if timeline
+                .last()
+                .is_none_or(|o| o.day != day || o.status != ObservedStatus::Failed)
+            {
                 continue;
             }
-            let (doc_kind, req) = probe(rec);
-            let outcome = match net.platform(eco, rec.platform, now, &req) {
-                Err(_) => Fetch::Failed,
-                Ok(resp) => match resp.status {
-                    Status::Ok => Fetch::Body(req, resp.body, doc_kind),
-                    Status::Gone => Fetch::Gone,
-                    _ => Fetch::Failed,
-                },
-            };
-            match outcome {
-                Fetch::Failed => {
-                    self.gaps.push(i, day);
-                }
-                Fetch::Gone => {
-                    self.timelines
-                        .get_mut(i)
-                        .expect("checked above")
-                        .set_last_status(ObservedStatus::Revoked);
-                    self.mark_terminal(i);
-                }
-                Fetch::Body(req, body, doc_kind) => {
-                    match decode_landing(&body, doc_kind, rec.platform, &req) {
-                        Ok(landing) => {
-                            let timeline = self.timelines.get_mut(i).expect("checked above");
-                            let status = apply_landing(timeline, rec.platform, &landing, &mut pii);
-                            timeline.set_last_status(status);
-                        }
+            let req = probe(rec);
+            match net.platform(eco, rec.platform, now, &req) {
+                Ok(resp) if resp.status == Status::Ok => {
+                    match observe(timeline, rec.platform, &resp.body, &req, &mut pii) {
+                        Ok(status) => timeline.set_last_status(status),
                         Err(err) => {
                             // The backfill fetch came back hostile too:
-                            // quarantine it and censor the day — this was
-                            // the last retry, and the Failed observation
-                            // stays in place.
-                            self.quarantine.push(QuarantineEntry::new(
-                                service_name(rec.platform),
-                                &req,
-                                &rec.invite.dedup_key(),
+                            // this was the last retry, so quarantine it
+                            // and censor the day.
+                            let key = rec.invite.dedup_key();
+                            let at = Provenance {
+                                service: service_name(rec.platform),
+                                req: &req,
+                                group: &key,
                                 day,
-                                &err,
-                                &body,
-                            ));
+                            };
+                            at.file(&mut self.quarantine, &err, &resp.body);
                             self.gaps.push(i, day);
                         }
                     }
                 }
+                Ok(resp) if resp.status == Status::Gone => {
+                    timeline.set_last_status(ObservedStatus::Revoked);
+                    self.mark_terminal(i);
+                }
+                _ => self.gaps.push(i, day),
             }
         }
-        Ok(())
     }
 
     /// Borrow the timeline of the group at `slot` (its discovery index /
@@ -667,28 +537,25 @@ impl Monitor {
     }
 }
 
-/// Monitor probe for one group: endpoint, expected wire-document kind,
-/// and the request (invite code included — the landing page echoes it, so
-/// a spliced body is detectable). Shared by the daily round, the
-/// same-day re-fetch, and the backfill retry; built **once** per
-/// group-day and threaded through all three uses.
-fn probe(rec: &DiscoveryRecord) -> (&'static str, Request) {
-    let (endpoint, doc_kind) = match rec.platform {
-        PlatformKind::WhatsApp => ("whatsapp/landing", "wa-landing"),
-        PlatformKind::Telegram => ("telegram/web", "tg-web"),
-        PlatformKind::Discord => ("discord/api/invite", "dc-invite"),
+/// Monitor probe for one group: the landing request, invite code
+/// included (the landing page echoes it, so a spliced body is
+/// detectable). Built once per group-day and shared by the daily round,
+/// the same-day re-fetch, and the backfill retry.
+fn probe(rec: &DiscoveryRecord) -> Request {
+    let endpoint = match rec.platform {
+        PlatformKind::WhatsApp => "whatsapp/landing",
+        PlatformKind::Telegram => "telegram/web",
+        PlatformKind::Discord => "discord/api/invite",
     };
     // lint:allow(D10) Request::with takes ownership of the wire value; one short invite code per probe
-    let req = Request::new(endpoint).with("code", rec.invite.code.clone());
-    (doc_kind, req)
+    Request::new(endpoint).with("code", rec.invite.code.clone())
 }
 
 /// A fully decoded, validated landing page — everything `run_day` may
 /// write to a timeline, extracted *before* any mutation so a body that
 /// fails validation halfway through cannot leave a partial write (e.g. a
 /// title from a document whose size field was garbage).
-/// String fields borrow the fetched body (alive for the whole round), so
-/// the steady-state daily probe of an already-known group allocates
+/// String fields borrow the fetched body, so the steady-state daily probe of an already-known group allocates
 /// nothing for them; timelines copy only on first observation.
 struct Landing<'a> {
     size: u32,
@@ -708,7 +575,6 @@ struct Landing<'a> {
 /// the quarantine ledger.
 fn decode_landing<'a>(
     body: &'a str,
-    doc_kind: &str,
     platform: PlatformKind,
     req: &Request,
 ) -> Result<Landing<'a>, CoreError> {
@@ -720,7 +586,6 @@ fn decode_landing<'a>(
             PlatformKind::Discord => "dc-invite",
         },
     )?;
-    debug_assert_eq!(doc.kind, doc_kind);
     verify_echoes(&doc, req)?;
     let size = doc.req_u64("size")? as u32;
     let online = doc.opt_u64("online")?.unwrap_or(0) as u32;
@@ -751,17 +616,19 @@ fn decode_landing<'a>(
     Ok(landing)
 }
 
-/// Apply one validated landing page to a timeline: first-seen metadata,
-/// platform specifics, PII accounting. Infallible by construction —
-/// validation already happened in [`decode_landing`]. Returns the day's
-/// observed status. Shared by the daily round and the backfill retry so
-/// both record exactly the same facts.
-fn apply_landing(
+/// Decode one landing-page body with [`decode_landing`] and, only if it
+/// validates, apply it to a timeline: first-seen metadata, platform
+/// specifics, PII accounting. Returns the day's observed status. Shared
+/// by the daily round, the re-fetch and the backfill retry so all three
+/// record exactly the same facts.
+fn observe(
     timeline: &mut GroupTimeline,
     platform: PlatformKind,
-    landing: &Landing<'_>,
+    body: &str,
+    req: &Request,
     pii: &mut Option<&mut PiiStore>,
-) -> ObservedStatus {
+) -> Result<ObservedStatus, CoreError> {
+    let landing = decode_landing(body, platform, req)?;
     if timeline.title.is_none() {
         timeline.title = landing.title.map(str::to_string);
     }
@@ -793,10 +660,10 @@ fn apply_landing(
             }
         }
     }
-    ObservedStatus::Alive {
+    Ok(ObservedStatus::Alive {
         size: landing.size,
         online: landing.online,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -817,16 +684,14 @@ mod tests {
     fn daily_rounds_build_timelines() {
         let (mut eco, mut net, mut disco, mut monitor) = setup();
         let t0 = eco.window.start_time() + SimDuration::hours(1);
-        disco.run_search(&mut net, &mut eco, t0).unwrap();
+        disco.run_search(&mut net, &mut eco, t0);
         let n_groups = disco.group_count();
         assert!(n_groups > 0);
         for day in 0..3u32 {
             let t = eco.window.start_time()
                 + SimDuration::days(u64::from(day))
                 + SimDuration::hours(23);
-            monitor
-                .run_day(&mut net, &mut eco, &disco, t, day, None, &Pool::new(1))
-                .unwrap();
+            monitor.run_day(&mut net, &mut eco, &disco, t, day, None);
         }
         assert_eq!(monitor.timelines.len(), n_groups);
         // Groups observed alive on day 0 have three observations; revoked
@@ -846,14 +711,12 @@ mod tests {
     fn revoked_groups_stop_being_polled() {
         let (mut eco, mut net, mut disco, mut monitor) = setup();
         let t0 = eco.window.start_time() + SimDuration::hours(1);
-        disco.run_search(&mut net, &mut eco, t0).unwrap();
+        disco.run_search(&mut net, &mut eco, t0);
         for day in 0..2u32 {
             let t = eco.window.start_time()
                 + SimDuration::days(u64::from(day))
                 + SimDuration::hours(23);
-            monitor
-                .run_day(&mut net, &mut eco, &disco, t, day, None, &Pool::new(1))
-                .unwrap();
+            monitor.run_day(&mut net, &mut eco, &disco, t, day, None);
         }
         for (_, tl) in monitor.timelines.iter() {
             if let Some(rd) = tl.revoked_day() {
@@ -870,18 +733,15 @@ mod tests {
     fn discord_metadata_includes_creation_date() {
         let (mut eco, mut net, mut disco, mut monitor) = setup();
         let t0 = eco.window.start_time() + SimDuration::hours(1);
-        disco.run_search(&mut net, &mut eco, t0).unwrap();
-        monitor
-            .run_day(
-                &mut net,
-                &mut eco,
-                &disco,
-                t0 + SimDuration::hours(22),
-                0,
-                None,
-                &Pool::new(1),
-            )
-            .unwrap();
+        disco.run_search(&mut net, &mut eco, t0);
+        monitor.run_day(
+            &mut net,
+            &mut eco,
+            &disco,
+            t0 + SimDuration::hours(22),
+            0,
+            None,
+        );
         let mut dc_alive = 0;
         for (slot, rec) in disco.groups.iter().enumerate() {
             if rec.platform != PlatformKind::Discord {
@@ -905,18 +765,15 @@ mod tests {
         let (mut eco, mut net, mut disco, mut monitor) = setup();
         let mut pii = PiiStore::new();
         let t0 = eco.window.start_time() + SimDuration::hours(1);
-        disco.run_search(&mut net, &mut eco, t0).unwrap();
-        monitor
-            .run_day(
-                &mut net,
-                &mut eco,
-                &disco,
-                t0 + SimDuration::hours(22),
-                0,
-                Some(&mut pii),
-                &Pool::new(1),
-            )
-            .unwrap();
+        disco.run_search(&mut net, &mut eco, t0);
+        monitor.run_day(
+            &mut net,
+            &mut eco,
+            &disco,
+            t0 + SimDuration::hours(22),
+            0,
+            Some(&mut pii),
+        );
         let wa_alive = disco
             .groups
             .iter()
@@ -935,30 +792,6 @@ mod tests {
             "at most one hash per alive group (creators may repeat)"
         );
         assert!(!pii.wa_creator_countries.is_empty());
-    }
-
-    #[test]
-    fn parse_pool_never_changes_observations() {
-        let run = |threads: usize| {
-            let (mut eco, mut net, mut disco, mut monitor) = setup();
-            let pool = Pool::new(threads);
-            let t0 = eco.window.start_time() + SimDuration::hours(1);
-            disco.run_search(&mut net, &mut eco, t0).unwrap();
-            for day in 0..3u32 {
-                let t = eco.window.start_time()
-                    + SimDuration::days(u64::from(day))
-                    + SimDuration::hours(23);
-                monitor
-                    .run_day(&mut net, &mut eco, &disco, t, day, None, &pool)
-                    .unwrap();
-            }
-            monitor.timelines
-        };
-        let serial = run(1);
-        assert!(!serial.is_empty());
-        for threads in [2, 8] {
-            assert_eq!(run(threads), serial, "{threads} threads");
-        }
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! handled by the component's existing loss machinery (monitor gap
 //! ledger, stream/sample backfill queues, skipped collection fetches) —
 //! quarantine records *why* data is missing, the loss ledgers record
-//! *that* it is missing.
+//! *that* it is missing. [`Provenance::refetch_once`] is that lifecycle,
+//! for every collector; a fetch that is already the last attempt files
+//! its one entry with [`Provenance::file`].
 //!
 //! The ledger persists through checkpoints (since snapshot format v3) and is
 //! merged into [`Dataset::quarantine`](crate::dataset::Dataset) in
@@ -23,7 +25,7 @@
 use crate::error::CoreError;
 use chatlens_platforms::wire::WireError;
 use chatlens_simnet::time::SimTime;
-use chatlens_simnet::transport::Request;
+use chatlens_simnet::transport::{Request, Response, Status};
 
 /// Bound on the stored body excerpt: enough to diagnose the corruption
 /// by eye, small enough that a hostile run cannot balloon the snapshot.
@@ -136,6 +138,79 @@ impl QuarantineEntry {
     }
 }
 
+/// Where a fetch came from: the provenance every quarantine entry for
+/// it carries.
+#[derive(Debug)]
+pub struct Provenance<'a> {
+    /// Service name, as in [`QuarantineEntry::service`].
+    pub service: &'static str,
+    /// The request the bodies answer.
+    pub req: &'a Request,
+    /// Dedup key of the group concerned; empty for feed requests.
+    pub group: &'a str,
+    /// Zero-based study day of the first fetch (a re-fetch files under
+    /// the same day).
+    pub day: u32,
+}
+
+/// The outcome of a fetch that went through the quarantine lifecycle.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Fate<T> {
+    /// A body decoded.
+    Decoded(T),
+    /// The server answered with a non-OK status.
+    Refused(Status),
+    /// The fetch was lost in transport, or its body failed decode on the
+    /// re-fetch too (both bodies are then in the ledger).
+    Lost,
+}
+
+impl Provenance<'_> {
+    /// File `body`, rejected by its decode with `err`, in `ledger`.
+    pub fn file(&self, ledger: &mut Vec<QuarantineEntry>, err: &CoreError, body: &str) {
+        ledger.push(QuarantineEntry::new(
+            self.service,
+            self.req,
+            self.group,
+            self.day,
+            err,
+            body,
+        ));
+    }
+
+    /// The quarantine lifecycle of a served `body` whose decode failed
+    /// with `err`: file it, `refetch` once, and decode the re-fetched
+    /// body with `decode`; a second decode failure is filed too before
+    /// the fetch counts as [`Fate::Lost`]. A re-fetch answered with a
+    /// non-OK status is [`Fate::Refused`] and files nothing. The
+    /// caller owns transport order, pacing and loss accounting: `refetch`
+    /// makes the call, and the caller maps the outcome onto its own
+    /// ledgers. `decode` must write nothing unless it succeeds.
+    pub fn refetch_once<T>(
+        &self,
+        ledger: &mut Vec<QuarantineEntry>,
+        body: &str,
+        err: &CoreError,
+        refetch: impl FnOnce() -> Result<Response, CoreError>,
+        decode: impl FnOnce(&str) -> Result<T, CoreError>,
+    ) -> Fate<T> {
+        self.file(ledger, err, body);
+        let Ok(resp) = refetch() else {
+            return Fate::Lost;
+        };
+        if resp.status != Status::Ok {
+            return Fate::Refused(resp.status);
+        }
+        match decode(&resp.body) {
+            Ok(v) => Fate::Decoded(v),
+            Err(err) => {
+                self.file(ledger, &err, &resp.body);
+                Fate::Lost
+            }
+        }
+    }
+}
+
 /// Render a request as `endpoint?k=v&k=v` (params are sorted by key, so
 /// the rendering is canonical).
 fn render_request(req: &Request) -> String {
@@ -213,6 +288,7 @@ pub fn verify_echoes(
 mod tests {
     use super::*;
     use chatlens_platforms::wire::WireDoc;
+    use chatlens_simnet::transport::TransportError;
 
     #[test]
     fn entries_render_requests_canonically() {
@@ -264,6 +340,82 @@ mod tests {
             .with("group", "7")
             .with("account", "3"); // credentials are never echoed
         assert!(verify_echoes(&parsed, &req).is_ok());
+    }
+
+    /// Decode a body as a number; anything else is a bad payload.
+    fn number(body: &str) -> Result<u32, CoreError> {
+        body.parse()
+            .map_err(|_| CoreError::Protocol(format!("not a number: {body:?}")))
+    }
+
+    /// Run the lifecycle on a first body `"x1"` whose re-fetch answers
+    /// `served`, returning the outcome, the ledger, and how many
+    /// re-fetches were made.
+    fn lifecycle(served: Result<Response, CoreError>) -> (Fate<u32>, Vec<QuarantineEntry>, u32) {
+        let req = Request::new("whatsapp/landing").with("code", "AAA");
+        let at = Provenance {
+            service: "whatsapp",
+            req: &req,
+            group: "wa:AAA",
+            day: 7,
+        };
+        let mut ledger = Vec::new();
+        let mut calls = 0;
+        let err = number("x1").unwrap_err();
+        let out = at.refetch_once(
+            &mut ledger,
+            "x1",
+            &err,
+            || {
+                calls += 1;
+                served
+            },
+            number,
+        );
+        (out, ledger, calls)
+    }
+
+    #[test]
+    fn clean_refetch_files_one_entry() {
+        let (out, ledger, calls) = lifecycle(Ok(Response::ok("42")));
+        assert_eq!(out, Fate::Decoded(42));
+        assert_eq!(calls, 1);
+        assert_eq!(ledger.len(), 1);
+        assert_eq!(ledger[0].body, "x1");
+        assert_eq!(ledger[0].endpoint, "whatsapp/landing?code=AAA");
+        assert_eq!(ledger[0].code, QuarantineCode::BadPayload);
+    }
+
+    #[test]
+    fn corrupt_refetch_files_two_entries_in_order() {
+        let (out, ledger, calls) = lifecycle(Ok(Response::ok("x2")));
+        assert_eq!(out, Fate::Lost);
+        assert_eq!(calls, 1);
+        let bodies: Vec<&str> = ledger.iter().map(|e| e.body.as_str()).collect();
+        assert_eq!(bodies, ["x1", "x2"]);
+        for e in &ledger {
+            assert_eq!((e.group.as_str(), e.day), ("wa:AAA", 7));
+            assert_eq!(e.service, "whatsapp");
+        }
+    }
+
+    #[test]
+    fn lost_refetch_files_one_entry() {
+        let dropped = CoreError::Transport(TransportError::Dropped { attempts: 4 });
+        let (out, ledger, calls) = lifecycle(Err(dropped));
+        assert_eq!(out, Fate::Lost);
+        assert_eq!(calls, 1);
+        assert_eq!(ledger.len(), 1);
+        assert_eq!(ledger[0].body, "x1");
+    }
+
+    #[test]
+    fn refused_refetch_files_one_entry_and_keeps_its_status() {
+        let (out, ledger, calls) = lifecycle(Ok(Response::status(Status::Gone, "42")));
+        assert_eq!(out, Fate::Refused(Status::Gone));
+        assert_eq!(calls, 1);
+        assert_eq!(ledger.len(), 1);
+        assert_eq!(ledger[0].body, "x1");
     }
 
     #[test]

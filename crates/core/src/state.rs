@@ -11,16 +11,14 @@
 //! | engine    | clock, event count, pending events | — |
 //! | transport | 4 × bucket fill / RNG positions / breakers / traffic counters | client configs |
 //! | discovery | resident tweets and control, spilled-prefix lengths, groups, symbol table, cursors, stats, backfill queues, quarantine | tweet index, control ids, interner |
-//! | monitor   | populated timeline slots, terminal slots, gap ledger, quarantine | day scratch |
+//! | monitor   | populated timeline slots, terminal slots, gap ledger, quarantine | — |
 //! | joiner    | joined groups, account counters, quarantine | — |
 //! | pii       | hash and id sets (sorted), counts | — |
 //! | ecosystem | [`EcosystemDelta`] | the whole world |
 //!
-//! The decode parse pool is not state: the campaign builds it from
-//! [`CampaignConfig::threads`]. Unordered sets are written in sorted
-//! order, so the same logical state always encodes to the same bytes —
-//! snapshot files of equal states are byte-equal, which the determinism
-//! suite exploits directly. Each hand-written `save` destructures its
+//! Unordered sets are written in sorted order, so the same logical state
+//! always encodes to the same bytes — snapshot files of equal states are
+//! byte-equal, which the determinism suite exploits directly. Each hand-written `save` destructures its
 //! component exhaustively and names the derived fields `field: _` (the
 //! joiner has none and uses `persist_struct!`, whose `load` is just as
 //! exhaustive), so a new field does not compile until it is either saved
@@ -31,9 +29,7 @@ use crate::discovery::{CollectedTweet, Discovery, DiscoveryRecord};
 use crate::fold::{DayMark, FoldLedger};
 use crate::intern::Interner;
 use crate::joiner::{JoinStrategy, JoinedGroup, Joiner, MemberRecord};
-use crate::monitor::{
-    DayScratch, GapLedger, GroupTimeline, Monitor, ObservedStatus, TimelineStore,
-};
+use crate::monitor::{GapLedger, GroupTimeline, Monitor, ObservedStatus, TimelineStore};
 use crate::patterns::ExtractionStats;
 use crate::pii::PiiStore;
 use crate::quarantine::{QuarantineCode, QuarantineEntry};
@@ -247,7 +243,6 @@ impl Monitor {
             terminal,
             gaps,
             quarantine,
-            scratch: _,
         } = self;
         w.put_varint(timelines.len() as u64);
         for (slot, tl) in timelines.iter() {
@@ -293,7 +288,6 @@ impl Monitor {
             terminal: Vec::new(),
             gaps: GapLedger::new(),
             quarantine,
-            scratch: DayScratch::default(),
         };
         for (slot, tl) in timelines {
             *monitor.timelines.ensure(slot as usize) = tl;
@@ -1139,8 +1133,8 @@ mod tests {
         let mut net = crate::net::Net::reliable(7, start);
         let mut d = Discovery::new(start);
         let day = start + chatlens_simnet::time::SimDuration::days(1);
-        d.run_search(&mut net, &mut eco, day).unwrap();
-        d.drain_sample(&mut net, &mut eco, day).unwrap();
+        d.run_search(&mut net, &mut eco, day);
+        d.drain_sample(&mut net, &mut eco, day);
         assert!(d.tweets.len() > 4 && d.control.len() > 4);
         d.tweets.spill_to(d.tweets.len() / 2);
         d.control.spill_to(3);

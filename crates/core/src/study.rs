@@ -58,7 +58,6 @@ use chatlens_simnet::fault::{
     CorruptionProfile, DiskFaultProfile, FaultInjector, FaultProfile, FaultSchedule, OutageSpec,
 };
 use chatlens_simnet::metrics::{keys, Metrics};
-use chatlens_simnet::par::Pool;
 use chatlens_simnet::rng::Rng;
 use chatlens_simnet::time::{SimDuration, SimTime, StudyWindow};
 use chatlens_simnet::Engine;
@@ -106,9 +105,11 @@ pub struct CampaignConfig {
     /// separate from the world seed so the same world can be re-collected
     /// differently.
     pub seed: u64,
-    /// Worker threads for the deterministic parallel runtime
-    /// ([`chatlens_simnet::par::Pool`]). Only wall-clock time depends on
-    /// this; the dataset is bit-identical at any value.
+    /// Worker threads of the run. Nothing inside the campaign is sized
+    /// by it: every stage runs on the calling thread. It stays in the
+    /// configuration because snapshots and `repro checkpoint inspect`
+    /// carry it, and callers size their own [`chatlens_simnet::par::Pool`]s
+    /// from it. The dataset is bit-identical at any value.
     pub threads: usize,
 }
 
@@ -872,9 +873,6 @@ struct Runner {
     engine: Engine<CampaignEvent>,
     net: Net,
     rng: Rng,
-    /// Decodes monitor landing pages; sized by `campaign.threads`, which
-    /// only changes wall-clock time.
-    pool: Pool,
     discovery: Discovery,
     monitor: Monitor,
     joiner: Joiner,
@@ -951,7 +949,6 @@ impl Runner {
                 campaign.corruption.schedule(),
             ),
             rng: Rng::new(campaign.seed ^ 0x9E37_79B9),
-            pool: Pool::new(campaign.threads),
             discovery: Discovery::new(start),
             monitor: Monitor::new(),
             joiner: Joiner::new(),
@@ -1016,7 +1013,6 @@ impl Runner {
             campaign,
             net,
             rng,
-            pool,
             discovery,
             monitor,
             joiner,
@@ -1032,7 +1028,6 @@ impl Runner {
                 campaign,
                 net,
                 rng,
-                pool,
                 discovery,
                 monitor,
                 joiner,
@@ -1179,7 +1174,6 @@ impl Runner {
             engine: state.engine.restore(),
             net,
             rng: Rng::from_state(state.rng),
-            pool: Pool::new(campaign.threads),
             discovery: state.discovery.clone(),
             monitor: state.monitor.clone(),
             joiner: state.joiner.clone(),
@@ -1202,7 +1196,6 @@ fn handle_event(
     campaign: &CampaignConfig,
     net: &mut Net,
     rng: &mut Rng,
-    pool: &Pool,
     discovery: &mut Discovery,
     monitor: &mut Monitor,
     joiner: &mut Joiner,
@@ -1213,7 +1206,7 @@ fn handle_event(
         CampaignEvent::Search => {
             metrics.incr(keys::CAMPAIGN_SEARCH_ROUNDS);
             metrics.time_stage(keys::STAGE_SEARCH, || {
-                discovery.run_search(net, eco, now).expect("search round")
+                discovery.run_search(net, eco, now);
             });
             metrics.observe(
                 keys::DISCOVERY_GROUPS_KNOWN,
@@ -1224,21 +1217,19 @@ fn handle_event(
         CampaignEvent::StreamDrain => {
             metrics.incr(keys::CAMPAIGN_STREAM_DRAINS);
             metrics.time_stage(keys::STAGE_STREAM, || {
-                discovery.drain_stream(net, eco, now).expect("stream drain")
+                discovery.drain_stream(net, eco, now);
             });
         }
         CampaignEvent::SampleDrain => {
             metrics.incr(keys::CAMPAIGN_SAMPLE_DRAINS);
             metrics.time_stage(keys::STAGE_SAMPLE, || {
-                discovery.drain_sample(net, eco, now).expect("sample drain")
+                discovery.drain_sample(net, eco, now);
             });
         }
         CampaignEvent::Monitor { day } => {
             metrics.incr(keys::CAMPAIGN_MONITOR_ROUNDS);
             metrics.time_stage(keys::STAGE_MONITOR, || {
-                monitor
-                    .run_day(net, eco, discovery, now, day, Some(pii), pool)
-                    .expect("monitor round")
+                monitor.run_day(net, eco, discovery, now, day, Some(pii));
             });
         }
         CampaignEvent::Join => {
@@ -1247,42 +1238,36 @@ fn handle_event(
                     let budget = eco.config.join_budget_scaled(kind);
                     let disco: &Discovery = discovery;
                     let timelines = &monitor.timelines;
-                    joiner
-                        .join_phase_with(
-                            net,
-                            eco,
-                            disco,
-                            kind,
-                            budget,
-                            now,
-                            rng,
-                            campaign.join_strategy,
-                            &|key| {
-                                disco
-                                    .slot_of_key(key)
-                                    .and_then(|slot| timelines.get(slot))
-                                    .and_then(|t| t.size_span())
-                                    .map(|(_, last)| last)
-                            },
-                        )
-                        .expect("join phase");
+                    joiner.join_phase_with(
+                        net,
+                        eco,
+                        disco,
+                        kind,
+                        budget,
+                        now,
+                        rng,
+                        campaign.join_strategy,
+                        &|key| {
+                            disco
+                                .slot_of_key(key)
+                                .and_then(|slot| timelines.get(slot))
+                                .and_then(|t| t.size_span())
+                                .map(|(_, last)| last)
+                        },
+                    );
                 }
             });
         }
         CampaignEvent::Collect => {
             metrics.time_stage(keys::STAGE_COLLECT, || {
-                joiner
-                    .collect_phase(net, eco, now, pii)
-                    .expect("collect phase")
+                joiner.collect_phase(net, eco, now, pii);
             });
         }
         CampaignEvent::Backfill { day } => {
             metrics.incr(keys::CAMPAIGN_BACKFILL_ROUNDS);
             metrics.time_stage(keys::STAGE_BACKFILL, || {
-                discovery.backfill(net, eco, now).expect("stream backfill");
-                monitor
-                    .backfill_day(net, eco, discovery, now, day, Some(pii))
-                    .expect("monitor backfill");
+                discovery.backfill(net, eco, now);
+                monitor.backfill_day(net, eco, discovery, now, day, Some(pii));
             });
         }
     }

@@ -22,8 +22,8 @@ fn main() {
     for day in 0..3u64 {
         for hour in 0..24u64 {
             let now = start + SimDuration::days(day) + SimDuration::hours(hour);
-            disco.run_search(&mut net, &mut eco, now).expect("search");
-            disco.drain_stream(&mut net, &mut eco, now).expect("stream");
+            disco.run_search(&mut net, &mut eco, now);
+            disco.drain_stream(&mut net, &mut eco, now);
         }
         let (mut both, mut search_only, mut stream_only) = (0u64, 0u64, 0u64);
         for t in &disco.tweets {

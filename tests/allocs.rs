@@ -94,9 +94,9 @@ fn campaign_and_report_allocations_are_pinned() {
 /// assertions (the test profile) also audit the campaign's invariants
 /// after every day, which allocates.
 const CAMPAIGN_ALLOCS: u64 = if cfg!(debug_assertions) {
-    396_203
+    395_437
 } else {
-    380_903
+    380_137
 };
 /// Allocator calls of `Dataset::campaign_report` on that dataset.
 const REPORT_ALLOCS: u64 = 13_306;
