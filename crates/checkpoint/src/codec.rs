@@ -65,6 +65,25 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Append a length-prefixed field whose `len` bytes `write` appends
+    /// in place, encoded exactly as the same bytes saved as a `String` or
+    /// `Vec<u8>` would be, without building that value first.
+    ///
+    /// # Panics
+    /// If `write` appends other than `len` bytes: the prefix is already
+    /// written, and a wrong one would make the snapshot undecodable.
+    pub fn put_prefixed(&mut self, len: usize, write: impl FnOnce(&mut Vec<u8>)) {
+        self.put_varint(len as u64);
+        self.buf.reserve(len);
+        let start = self.buf.len();
+        write(&mut self.buf);
+        assert_eq!(
+            self.buf.len() - start,
+            len,
+            "a length-prefixed field wrote other than its declared length"
+        );
+    }
+
     /// Append a LEB128 varint: seven value bits per byte, low bits first,
     /// high bit set on every byte except the last. The encoding is
     /// minimal-length by construction, so it is canonical.

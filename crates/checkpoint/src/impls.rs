@@ -293,11 +293,12 @@ persist_struct!(Message { sender, at, kind });
 /// Tweets reuse the wire codec the simulated APIs already speak
 /// ([`Tweet::encode`]/[`Tweet::decode`]) rather than a second field-level
 /// layout; only `is_control` rides alongside, since the wire form does not
-/// carry it.
+/// carry it. The wire text is written straight into the snapshot buffer
+/// ([`Tweet::encode_into`]), as the `String` it would encode to.
 // lint:allow(D9) Tweet rides the wire codec (encode/decode), whose field coverage the codec round-trip tests pin
 impl Persist for Tweet {
     fn save(&self, w: &mut Writer) {
-        self.encode().save(w);
+        w.put_prefixed(self.encoded_len(), |out| self.encode_into(out));
         self.is_control.save(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {

@@ -83,7 +83,7 @@ pub use chain::{
 pub use codec::{Persist, Reader, Writer};
 pub use error::CheckpointError;
 pub use snapshot::{
-    decode_snapshot, encode_snapshot, load_from_file, load_from_file_with, save_to_file,
-    save_to_file_with, snapshot_version, FORMAT_VERSION, MAGIC,
+    decode_snapshot, encode_snapshot, encode_snapshot_with, load_from_file, load_from_file_with,
+    save_to_file, save_to_file_with, snapshot_version, FORMAT_VERSION, MAGIC,
 };
 pub use vfs::{FaultVfs, RealVfs, Vfs};

@@ -59,15 +59,23 @@ const CHECKSUM_LEN: usize = 32;
 
 /// Encode `value` into a complete snapshot: header, payload, checksum.
 pub fn encode_snapshot<T: Persist>(value: &T) -> Vec<u8> {
-    let mut payload = Writer::new();
-    value.save(&mut payload);
-    let payload = payload.into_bytes();
+    encode_snapshot_with(|w| value.save(w))
+}
 
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
+/// Encode the payload `save` writes into a complete snapshot, all in one
+/// buffer: the header goes first with a placeholder length, `save`
+/// appends the payload after it, the length is patched in place, and the
+/// checksum is appended. The bytes equal [`encode_snapshot`] of any value
+/// whose [`Persist::save`] writes the same payload.
+pub fn encode_snapshot_with(save: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_bytes(&MAGIC);
+    w.put_bytes(&FORMAT_VERSION.to_le_bytes());
+    w.put_u64(0);
+    save(&mut w);
+    let mut out = w.into_bytes();
+    let payload_len = (out.len() - HEADER_LEN) as u64;
+    out[12..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
     let digest = sha256(&out);
     out.extend_from_slice(&digest);
     out
@@ -185,6 +193,21 @@ mod tests {
         let back: (u64, String, Vec<u32>) = decode_snapshot(&bytes).unwrap();
         assert_eq!(back, value);
         assert_eq!(snapshot_version(&bytes).unwrap(), FORMAT_VERSION);
+    }
+
+    #[test]
+    fn one_buffer_encoding_equals_a_separate_payload() {
+        let value = (42u64, String::from("state"), vec![1u32, 2, 3]);
+        let mut payload = Writer::new();
+        value.save(&mut payload);
+        let payload = payload.into_bytes();
+        let mut expected = MAGIC.to_vec();
+        expected.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        expected.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        expected.extend_from_slice(&payload);
+        let digest = sha256(&expected);
+        expected.extend_from_slice(&digest);
+        assert_eq!(encode_snapshot(&value), expected);
     }
 
     #[test]

@@ -16,6 +16,7 @@ use chatlens_simnet::time::StudyWindow;
 use chatlens_twitter::Tweet;
 use std::collections::{BTreeMap, HashSet};
 use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// Per-platform roll-up of Table 2.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -371,7 +372,7 @@ struct TweetRollup {
 /// tweets in memory at a time, constant-size accumulator state.
 struct TweetRollupBuilder {
     hasher: Sha256,
-    line: String,
+    line: Vec<u8>,
     counts: TweetCounts,
     control_total: u64,
     control_phase: bool,
@@ -381,7 +382,7 @@ impl TweetRollupBuilder {
     fn new() -> TweetRollupBuilder {
         TweetRollupBuilder {
             hasher: Sha256::new(),
-            line: String::new(),
+            line: Vec::new(),
             counts: TweetCounts::default(),
             control_total: 0,
             control_phase: false,
@@ -395,17 +396,17 @@ impl TweetRollupBuilder {
         assert!(!self.control_phase, "tweets must precede control tweets");
         self.counts.add(ct);
         self.line.clear();
+        ct.tweet.encode_into(&mut self.line);
         writeln!(
             self.line,
-            "{}|seen={}|search={}|stream={}|control={}",
-            ct.tweet.encode(),
+            "|seen={}|search={}|stream={}|control={}",
             ct.seen_at.as_secs(),
             ct.via_search,
             ct.via_stream,
             ct.tweet.is_control
         )
         .unwrap();
-        self.hasher.update(self.line.as_bytes());
+        self.hasher.update(&self.line);
     }
 
     /// Add one control tweet (global append order, after every
@@ -414,8 +415,10 @@ impl TweetRollupBuilder {
         self.control_phase = true;
         self.control_total += 1;
         self.line.clear();
-        writeln!(self.line, "ctl {}|control={}", tw.encode(), tw.is_control).unwrap();
-        self.hasher.update(self.line.as_bytes());
+        self.line.extend_from_slice(b"ctl ");
+        tw.encode_into(&mut self.line);
+        writeln!(self.line, "|control={}", tw.is_control).unwrap();
+        self.hasher.update(&self.line);
     }
 
     fn finish(self) -> TweetRollup {

@@ -635,7 +635,106 @@ pub struct CampaignState {
     pub budget: Option<BudgetState>,
 }
 
-// A custom impl rather than `persist_struct!`: the monitor decodes
+/// A [`CampaignState`] borrowed from wherever its fields live: an owned
+/// state, or the live components of a running campaign, whose daily save
+/// encodes through a view instead of cloning them. [`StateView::save`] is
+/// the one encoder of the snapshot payload.
+pub(crate) struct StateView<'a> {
+    pub(crate) scenario: &'a ScenarioConfig,
+    pub(crate) campaign: &'a CampaignConfig,
+    pub(crate) day: &'a u32,
+    pub(crate) engine: &'a EngineState,
+    pub(crate) rng: &'a [u64; 4],
+    pub(crate) clients: &'a [ClientState; 4],
+    pub(crate) discovery: &'a Discovery,
+    pub(crate) monitor: &'a Monitor,
+    pub(crate) joiner: &'a Joiner,
+    pub(crate) pii: &'a PiiStore,
+    pub(crate) metrics: &'a Metrics,
+    pub(crate) marks: &'a Vec<DayMark>,
+    pub(crate) folds: &'a Option<FoldLedger>,
+    pub(crate) delta: &'a EcosystemDelta,
+    pub(crate) budget: &'a Option<BudgetState>,
+}
+
+impl StateView<'_> {
+    /// Encode the snapshot payload, field by field in format order.
+    pub(crate) fn save(&self, w: &mut Writer) {
+        let StateView {
+            scenario,
+            campaign,
+            day,
+            engine,
+            rng,
+            clients,
+            discovery,
+            monitor,
+            joiner,
+            pii,
+            metrics,
+            marks,
+            folds,
+            delta,
+            budget,
+        } = *self;
+        scenario.save(w);
+        campaign.save(w);
+        day.save(w);
+        engine.save(w);
+        rng.save(w);
+        clients.save(w);
+        discovery.save(w);
+        monitor.save(w);
+        joiner.save(w);
+        pii.save(w);
+        metrics.save(w);
+        marks.save(w);
+        folds.save(w);
+        delta.save(w);
+        budget.save(w);
+    }
+
+    /// Clone the viewed fields into an owned state.
+    pub(crate) fn to_state(&self) -> CampaignState {
+        let StateView {
+            scenario,
+            campaign,
+            day,
+            engine,
+            rng,
+            clients,
+            discovery,
+            monitor,
+            joiner,
+            pii,
+            metrics,
+            marks,
+            folds,
+            delta,
+            budget,
+        } = *self;
+        CampaignState {
+            scenario: scenario.clone(),
+            campaign: *campaign,
+            day: *day,
+            engine: engine.clone(),
+            rng: *rng,
+            clients: clients.clone(),
+            discovery: discovery.clone(),
+            monitor: monitor.clone(),
+            joiner: joiner.clone(),
+            pii: pii.clone(),
+            metrics: metrics.clone(),
+            marks: marks.clone(),
+            folds: folds.clone(),
+            delta: delta.clone(),
+            budget: budget.clone(),
+        }
+    }
+}
+
+// A custom impl rather than `persist_struct!`: the encoder is the one
+// shared with live saves ([`StateView::save`]), and the monitor decodes
 // against the group count of the discovery decoded just before it.
 impl Persist for CampaignState {
     fn save(&self, w: &mut Writer) {
@@ -656,21 +755,24 @@ impl Persist for CampaignState {
             delta,
             budget,
         } = self;
-        scenario.save(w);
-        campaign.save(w);
-        day.save(w);
-        engine.save(w);
-        rng.save(w);
-        clients.save(w);
-        discovery.save(w);
-        monitor.save(w);
-        joiner.save(w);
-        pii.save(w);
-        metrics.save(w);
-        marks.save(w);
-        folds.save(w);
-        delta.save(w);
-        budget.save(w);
+        StateView {
+            scenario,
+            campaign,
+            day,
+            engine,
+            rng,
+            clients,
+            discovery,
+            monitor,
+            joiner,
+            pii,
+            metrics,
+            marks,
+            folds,
+            delta,
+            budget,
+        }
+        .save(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         let scenario = ScenarioConfig::load(r)?;

@@ -49,9 +49,9 @@ use crate::joiner::Joiner;
 use crate::monitor::Monitor;
 use crate::net::Net;
 use crate::pii::PiiStore;
-use crate::state::{CampaignState, EngineState};
+use crate::state::{CampaignState, EngineState, StateView};
 use chatlens_checkpoint::{
-    chain, save_to_file_with, CheckpointError, FaultVfs, RealVfs, Recovered, Vfs,
+    chain, encode_snapshot_with, CheckpointError, FaultVfs, RealVfs, Recovered, Vfs,
 };
 use chatlens_platforms::id::PlatformKind;
 use chatlens_simnet::fault::{
@@ -745,9 +745,52 @@ impl<'a> Campaign<'a> {
     /// Capture the full campaign state (including the fold ledger when
     /// folds are attached). Valid at any day boundary.
     pub fn state(&self) -> CampaignState {
-        let mut state = self.runner.state(self.eco);
-        state.folds = self.folds.as_deref().map(FoldDriver::ledger);
-        state
+        self.with_view(|view| view.to_state())
+    }
+
+    /// Lend `f` the campaign state as a view of the live components. Only
+    /// the parts they do not hold as-is are built (the engine's pending
+    /// queue, client states, fold ledger, ecosystem delta and budget
+    /// state); the collections are borrowed, not cloned.
+    fn with_view<R>(&self, f: impl FnOnce(&StateView<'_>) -> R) -> R {
+        let Runner {
+            window: _,
+            campaign,
+            day,
+            engine,
+            net,
+            rng,
+            discovery,
+            monitor,
+            joiner,
+            pii,
+            metrics,
+            marks,
+            budget,
+        } = &self.runner;
+        let engine = EngineState::capture(engine);
+        let rng = rng.state();
+        let clients = net.export_state();
+        let folds = self.folds.as_deref().map(FoldDriver::ledger);
+        let delta = self.eco.export_delta();
+        let budget = budget.as_ref().map(MemoryBudget::state);
+        f(&StateView {
+            scenario: &self.eco.config,
+            campaign,
+            day,
+            engine: &engine,
+            rng: &rng,
+            clients: &clients,
+            discovery,
+            monitor,
+            joiner,
+            pii,
+            metrics,
+            marks,
+            folds: &folds,
+            delta: &delta,
+            budget: &budget,
+        })
     }
 
     /// Run the remaining days, record the end-of-run metrics, and
@@ -789,16 +832,19 @@ impl<'a> Campaign<'a> {
         )))
     }
 
-    /// Write the current day boundary's snapshot.
+    /// Write the current day boundary's snapshot, encoded from a view of
+    /// the live campaign: the same bytes as [`encode_snapshot`] of
+    /// [`Campaign::state`], without the copy.
+    ///
+    /// [`encode_snapshot`]: chatlens_checkpoint::encode_snapshot
     fn save(&mut self) -> Result<(), CheckpointError> {
-        let state = self.state();
+        let bytes = self.with_view(|view| encode_snapshot_with(|w| view.save(w)));
+        let day = self.runner.day;
         let snaps = self.snapshots.as_mut().expect("saving needs a policy");
-        save_to_file_with(
-            snaps.vfs.as_mut(),
-            &snaps.policy.snapshot_path(state.day),
-            &state,
-        )?;
-        snaps.saved = Some(state.day);
+        snaps
+            .vfs
+            .write_atomic(&snaps.policy.snapshot_path(day), &bytes)?;
+        snaps.saved = Some(day);
         Ok(())
     }
 }
@@ -1116,27 +1162,6 @@ impl Runner {
         );
         self.budget = Some(budget);
         result
-    }
-
-    /// Capture the full campaign state (valid at a day boundary).
-    fn state(&self, eco: &Ecosystem) -> CampaignState {
-        CampaignState {
-            scenario: eco.config.clone(),
-            campaign: self.campaign,
-            day: self.day,
-            engine: EngineState::capture(&self.engine),
-            rng: self.rng.state(),
-            clients: self.net.export_state(),
-            discovery: self.discovery.clone(),
-            monitor: self.monitor.clone(),
-            joiner: self.joiner.clone(),
-            pii: self.pii.clone(),
-            metrics: self.metrics.clone(),
-            marks: self.marks.clone(),
-            folds: None,
-            delta: eco.export_delta(),
-            budget: self.budget.as_ref().map(|b| b.state()),
-        }
     }
 
     /// Borrow the live collections for per-day fold slicing.

@@ -207,8 +207,11 @@ impl Platform {
         if as_bot && self.kind == PlatformKind::Discord {
             return Err(JoinError::BotsNotAllowed);
         }
+        // A re-join of a group the account already holds takes no new
+        // slot, so it can neither exceed the limit nor earn the ban.
+        let member = state.joined_at(gid).is_some();
         if let Some(limit) = limit {
-            if state.joined.len() as u32 >= limit {
+            if !member && state.joined.len() as u32 >= limit {
                 state.banned = true;
                 return Err(JoinError::LimitExceeded);
             }
@@ -217,7 +220,7 @@ impl Platform {
         if !group.is_alive(now) {
             return Err(JoinError::Revoked);
         }
-        if state.joined_at(gid).is_none() {
+        if !member {
             state.joined.push((gid, now));
         }
         Ok(gid)
@@ -417,6 +420,35 @@ mod tests {
         );
         // Account is now banned for everything.
         assert_eq!(p.join(acct, &codes[0], t, false), Err(JoinError::Banned));
+        assert!(p.account(acct).unwrap().banned);
+    }
+
+    #[test]
+    fn member_at_its_limit_rejoins_without_a_ban() {
+        let mut p = Platform::new(PlatformKind::Discord); // limit 100
+        let mut rng = Rng::new(6);
+        let gids: Vec<GroupId> = (0..101)
+            .map(|_| make_group(&mut p, &mut rng, None))
+            .collect();
+        let code = |p: &Platform, gid: GroupId| p.group(gid).invite.code.clone();
+        let acct = p.create_account();
+        let t = Date::new(2020, 4, 10).midnight();
+        for &gid in &gids[..100] {
+            assert_eq!(p.join(acct, &code(&p, gid), t, false), Ok(gid));
+        }
+        // The re-join after a lost acknowledgment of the limit-reaching
+        // join: the account holds the group, so it takes no new slot.
+        let last = gids[99];
+        let later = t + SimDuration::hours(1);
+        assert_eq!(p.join(acct, &code(&p, last), later, false), Ok(last));
+        assert!(!p.account(acct).unwrap().banned);
+        assert_eq!(p.joined_at(acct, last), Some(t));
+        assert_eq!(p.account(acct).unwrap().joined.len(), 100);
+        // A group the account does not hold is still over the limit.
+        assert_eq!(
+            p.join(acct, &code(&p, gids[100]), later, false),
+            Err(JoinError::LimitExceeded)
+        );
         assert!(p.account(acct).unwrap().banned);
     }
 

@@ -32,9 +32,8 @@ use crate::group::{Group, GroupHistory};
 use crate::id::{AccountId, GroupId, PlatformKind, UserId};
 use crate::message::{Message, MessageKind};
 use crate::platform::{JoinError, Platform};
-use crate::wire::{
-    decimal_len, push_i64, push_u64, sanitize, write_digits, WireDoc, MAX_LINES, MAX_VALUE_LEN,
-};
+use crate::wire::{sanitize, WireDoc, MAX_LINES, MAX_VALUE_LEN};
+use chatlens_simnet::digits::{decimal_len, push_i64, push_u64, write_digits};
 use chatlens_simnet::time::SimTime;
 use chatlens_simnet::transport::{Request, Response, Service, Status};
 

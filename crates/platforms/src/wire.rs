@@ -34,9 +34,9 @@
 //!   key that appears more than once ([`WireError::DuplicateField`]);
 //!   list-valued keys go through [`WireDoc::get_all`] instead.
 
+use chatlens_simnet::digits::push_u64;
 use std::borrow::Cow;
 use std::fmt;
-use std::fmt::Write as _;
 
 /// Maximum number of lines [`WireDoc::parse`] accepts before rejecting the
 /// body as hostile. The largest legitimate documents are full message
@@ -397,7 +397,8 @@ impl WireDoc {
         let body: usize = self.fields.iter().map(|(k, v)| k.len() + v.len() + 3).sum();
         let mut out = String::with_capacity(self.kind.len() + 8 + body);
         out.push_str(&self.kind);
-        let _ = write!(out, "\nn: {}", self.fields.len());
+        out.push_str("\nn: ");
+        push_u64(&mut out, self.fields.len() as u64);
         for (k, v) in &self.fields {
             out.push('\n');
             out.push_str(k);
@@ -451,61 +452,6 @@ fn split_field(line: &str) -> Option<(&str, &str)> {
         from = at + 1;
     }
     None
-}
-
-/// `00`, `01`, …, `99`: the digit writer emits two digits per lookup.
-const DIGIT_PAIRS: [u8; 200] = {
-    let mut table = [0u8; 200];
-    let mut i = 0;
-    while i < 100 {
-        table[2 * i] = b'0' + (i / 10) as u8;
-        table[2 * i + 1] = b'0' + (i % 10) as u8;
-        i += 1;
-    }
-    table
-};
-
-/// Write the decimal digits of `v` into `buf` so that they end just
-/// before `buf[end]`, and return the index of the first digit. `buf` must
-/// have room: up to 20 bytes before `end`.
-pub(crate) fn write_digits(buf: &mut [u8], mut end: usize, mut v: u64) -> usize {
-    while v >= 100 {
-        let pair = (v % 100) as usize * 2;
-        v /= 100;
-        end -= 2;
-        buf[end..end + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    }
-    if v >= 10 {
-        let pair = v as usize * 2;
-        end -= 2;
-        buf[end..end + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
-    } else {
-        end -= 1;
-        buf[end] = b'0' + v as u8;
-    }
-    end
-}
-
-/// Append the decimal digits of `v` to `out`: written two at a time into
-/// a stack buffer and appended once, without `fmt` machinery or a
-/// temporary `String` (the message pages carry millions of integers).
-pub fn push_u64(out: &mut String, v: u64) {
-    let mut digits = [0u8; 20];
-    let at = write_digits(&mut digits, 20, v);
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
-}
-
-/// [`push_u64`] for signed values (a leading `-` for negatives).
-pub(crate) fn push_i64(out: &mut String, v: i64) {
-    if v < 0 {
-        out.push('-');
-    }
-    push_u64(out, v.unsigned_abs());
-}
-
-/// Number of bytes [`push_u64`] appends for `v`.
-pub(crate) fn decimal_len(v: u64) -> usize {
-    v.checked_ilog10().map_or(1, |l| l as usize + 1)
 }
 
 /// Replace newlines in free-form text (group titles come from user input)
@@ -700,30 +646,6 @@ mod tests {
             for line in &lines {
                 proptest::prop_assert_eq!(split_field(line), line.split_once(": "));
             }
-        }
-    }
-
-    #[test]
-    fn digit_writer_matches_display() {
-        let mut out = String::new();
-        // Every length and both sides of every power of ten, where the
-        // pair table hands over to the single-digit tail.
-        let powers = (0..20).map(|e| 10u64.pow(e));
-        let edges = powers.flat_map(|p| [p - 1, p, p + 1, p.saturating_mul(5)]);
-        let sweep = 0..=10_000u64;
-        for v in edges
-            .chain(sweep)
-            .chain([4_294_967_295, u64::MAX - 1, u64::MAX])
-        {
-            out.clear();
-            push_u64(&mut out, v);
-            assert_eq!(out, v.to_string());
-            assert_eq!(decimal_len(v), out.len());
-        }
-        for v in [0, -1, 7, -10, i64::MIN, i64::MAX] {
-            out.clear();
-            push_i64(&mut out, v);
-            assert_eq!(out, v.to_string());
         }
     }
 

@@ -27,6 +27,8 @@
 //!   reports and snapshots; it runs on the x86 SHA extensions when the CPU
 //!   has them (the crate's only `unsafe`), on portable scalar rounds
 //!   otherwise.
+//! * [`digits`] — the table-driven decimal writer that wire pages,
+//!   message lines, tweet records and report digests share.
 //! * [`metrics`] — lightweight counters, fixed-bucket histograms and
 //!   per-stage wall-clock timings.
 //! * [`par`] — a deterministic scoped worker pool (`par_map` and
@@ -38,6 +40,7 @@
 #![deny(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod digits;
 pub mod dist;
 pub mod engine;
 pub mod event;

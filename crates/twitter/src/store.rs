@@ -179,7 +179,7 @@ impl TweetStore {
     /// accounting floor for the store — a deterministic function of the
     /// scenario, never of allocator behavior.
     pub fn encoded_bytes(&self) -> u64 {
-        let wire: u64 = self.tweets.iter().map(|t| t.encode().len() as u64).sum();
+        let wire: u64 = self.tweets.iter().map(|t| t.encoded_len() as u64).sum();
         wire + self.host_bits.len() as u64
             + 4 * (self.matching.len() as u64 + self.control.len() as u64)
     }

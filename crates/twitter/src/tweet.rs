@@ -6,6 +6,7 @@
 //! embedded URLs as **raw strings** the extraction pipeline must parse
 //! (§3.1), and tokenized text for LDA (Table 3).
 
+use chatlens_simnet::digits::{decimal_len, extend_u64};
 use chatlens_simnet::time::SimTime;
 use std::fmt;
 
@@ -151,42 +152,68 @@ impl Tweet {
     /// Encode to the wire-field value used by the `twitter/*` endpoints:
     /// `<id>|<author>|<secs>|<lang>|<hashtags>|<mentions>|<rt|->|<url,url>|<tok tok>`.
     pub fn encode(&self) -> String {
-        use std::fmt::Write as _;
-        // Single output buffer: the feeds encode millions of tweets per
-        // campaign, so no per-token/per-url intermediate strings.
-        let urls_len: usize = self.urls.iter().map(|u| u.len() + 1).sum();
-        let mut out = String::with_capacity(48 + urls_len + self.tokens.len() * 6);
-        let _ = write!(
-            out,
-            "{}|{}|{}|{}|{}|{}|",
-            self.id.0,
-            self.author.0,
-            self.at.as_secs(),
-            self.lang.code(),
-            self.hashtags,
-            self.mentions,
-        );
-        match self.retweet_of {
-            Some(TweetId(id)) => {
-                let _ = write!(out, "{id}");
-            }
-            None => out.push('-'),
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut out);
+        String::from_utf8(out).expect("digits, ASCII separators and UTF-8 urls")
+    }
+
+    /// Append [`Tweet::encode`]'s bytes to `out`, with no intermediate
+    /// string: integers go through the shared digit table, and the feeds,
+    /// snapshots and report digest write millions of tweets per campaign.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        for v in [self.id.0, u64::from(self.author.0), self.at.as_secs()] {
+            extend_u64(out, v);
+            out.push(b'|');
         }
-        out.push('|');
+        out.extend_from_slice(self.lang.code().as_bytes());
+        out.push(b'|');
+        extend_u64(out, u64::from(self.hashtags));
+        out.push(b'|');
+        extend_u64(out, u64::from(self.mentions));
+        out.push(b'|');
+        match self.retweet_of {
+            Some(TweetId(id)) => extend_u64(out, id),
+            None => out.push(b'-'),
+        }
+        out.push(b'|');
         for (i, u) in self.urls.iter().enumerate() {
             if i > 0 {
-                out.push(',');
+                out.push(b',');
             }
-            out.push_str(u);
+            out.extend_from_slice(u.as_bytes());
         }
-        out.push('|');
-        for (i, t) in self.tokens.iter().enumerate() {
+        out.push(b'|');
+        for (i, &t) in self.tokens.iter().enumerate() {
             if i > 0 {
-                out.push(' ');
+                out.push(b' ');
             }
-            let _ = write!(out, "{t}");
+            extend_u64(out, u64::from(t));
         }
-        out
+    }
+
+    /// Exact length in bytes of [`Tweet::encode`]'s output, computed
+    /// without encoding.
+    pub fn encoded_len(&self) -> usize {
+        let rt = self.retweet_of.map_or(1, |TweetId(id)| decimal_len(id));
+        let urls: usize =
+            self.urls.iter().map(String::len).sum::<usize>() + self.urls.len().saturating_sub(1);
+        let tokens: usize = self
+            .tokens
+            .iter()
+            .map(|&t| decimal_len(u64::from(t)))
+            .sum::<usize>()
+            + self.tokens.len().saturating_sub(1);
+        // Eight `|` separators between the nine fields.
+        decimal_len(self.id.0)
+            + decimal_len(u64::from(self.author.0))
+            + decimal_len(self.at.as_secs())
+            + self.lang.code().len()
+            + decimal_len(u64::from(self.hashtags))
+            + decimal_len(u64::from(self.mentions))
+            + rt
+            + urls
+            + tokens
+            + 8
     }
 
     /// Decode a value produced by [`Tweet::encode`]. `is_control` is not on
@@ -259,6 +286,109 @@ mod tests {
             tokens: vec![1, 5, 9],
             is_control: false,
         }
+    }
+
+    /// The `write!`-based encoder that [`Tweet::encode_into`] replaced,
+    /// kept as the reference for its bytes.
+    fn reference_encode(t: &Tweet) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        let _ = write!(
+            out,
+            "{}|{}|{}|{}|{}|{}|",
+            t.id.0,
+            t.author.0,
+            t.at.as_secs(),
+            t.lang.code(),
+            t.hashtags,
+            t.mentions,
+        );
+        match t.retweet_of {
+            Some(TweetId(id)) => {
+                let _ = write!(out, "{id}");
+            }
+            None => out.push('-'),
+        }
+        out.push('|');
+        for (i, u) in t.urls.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(u);
+        }
+        out.push('|');
+        for (i, tok) in t.tokens.iter().enumerate() {
+            if i > 0 {
+                out.push(' ');
+            }
+            let _ = write!(out, "{tok}");
+        }
+        out
+    }
+
+    /// Check every codec property on `t`: the in-place encoding equals the
+    /// reference, appends exactly `encoded_len` bytes after what `out`
+    /// already holds, and decodes back to `t`.
+    fn check_codec(t: &Tweet) {
+        let expected = reference_encode(t);
+        let mut out = b"prefix".to_vec();
+        t.encode_into(&mut out);
+        assert_eq!(&out[..6], b"prefix");
+        assert_eq!(&out[6..], expected.as_bytes());
+        assert_eq!(t.encoded_len(), expected.len());
+        assert_eq!(t.encode(), expected);
+        assert_eq!(Tweet::decode(&expected).as_ref(), Some(t));
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn encode_into_matches_the_reference_encoder(
+            id in proptest::prelude::any::<u64>(),
+            id_shift in 0u32..64,
+            author in proptest::prelude::any::<u32>(),
+            secs in proptest::prelude::any::<u64>(),
+            lang_idx in 0usize..15,
+            hashtags in proptest::prelude::any::<u8>(),
+            mentions in proptest::prelude::any::<u8>(),
+            rt in proptest::option::of(proptest::prelude::any::<u64>()),
+            urls in proptest::collection::vec("[a-zA-Z0-9:/._?=-]{1,48}", 0..4),
+            tokens in proptest::collection::vec(proptest::prelude::any::<u16>(), 0..400),
+        ) {
+            // The shift spreads ids over every decimal length, not just
+            // the 20-digit values a uniform u64 almost always has.
+            check_codec(&Tweet {
+                id: TweetId(id >> id_shift),
+                author: TwitterUserId(author),
+                at: SimTime::from_secs(secs),
+                lang: Lang::ALL[lang_idx],
+                hashtags,
+                mentions,
+                retweet_of: rt.map(TweetId),
+                urls,
+                tokens,
+                is_control: false,
+            });
+        }
+    }
+
+    #[test]
+    fn codec_edges_match_the_reference_encoder() {
+        let mut t = sample();
+        check_codec(&t);
+        t.id = TweetId(u64::MAX);
+        t.author = TwitterUserId(u32::MAX);
+        t.at = SimTime::from_secs(u64::MAX);
+        t.hashtags = u8::MAX;
+        t.mentions = 0;
+        t.retweet_of = Some(TweetId(u64::MAX));
+        t.lang = Lang::Other;
+        check_codec(&t);
+        t.urls.clear();
+        t.tokens.clear();
+        t.retweet_of = None;
+        check_codec(&t);
+        t.tokens = (0..=u16::MAX).step_by(7).collect();
+        check_codec(&t);
     }
 
     #[test]

@@ -16,12 +16,16 @@
 
 use std::path::PathBuf;
 
+use chatlens::analysis::StandardFolds;
 use chatlens::checkpoint::{encode_snapshot, load_from_file, CheckpointError, FORMAT_VERSION};
+use chatlens::core::budget::{BudgetLimit, BudgetPolicy};
 use chatlens::core::{
     resume_study, run_study_with, Attachments, Campaign, CampaignState, CheckpointPolicy,
+    FoldDriver,
 };
 use chatlens::core::{resume_study_days, CampaignConfig};
 use chatlens::platforms::{AccountId, PlatformKind};
+use chatlens::simnet::fault::CorruptionProfile;
 use chatlens::simnet::time::SimDuration;
 use chatlens::simnet::transport::{Request, Service, Status};
 use chatlens::{Dataset, Ecosystem, ScenarioConfig};
@@ -88,6 +92,57 @@ fn every_day_boundary_chains_to_the_next() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Step a daily-checkpointed session through every study day and check
+/// that each file it writes is, byte for byte, the snapshot of the state
+/// the session holds at that boundary. Returns the days checked.
+fn check_daily_saves(tag: &str, campaign: CampaignConfig, budgeted: bool) -> u32 {
+    let dir = scratch(tag);
+    let policy = CheckpointPolicy::daily(dir.join("chain"));
+    let budget = BudgetPolicy::new(BudgetLimit::Min, dir.join("spill"));
+    let mut driver = FoldDriver::new(StandardFolds::new(), 1);
+    let attach = Attachments {
+        checkpoint: Some(&policy),
+        folds: budgeted.then_some(&mut driver),
+        budget: budgeted.then_some(&budget),
+    };
+    let mut eco = Ecosystem::build(scenario());
+    let mut session = Campaign::new(&mut eco, campaign, attach).expect("session starts");
+    let mut day = 0;
+    loop {
+        let next = session.run_until(day + 1).expect("a day runs and saves");
+        if next == day {
+            break;
+        }
+        day = next;
+        let written = std::fs::read(policy.snapshot_path(day)).expect("daily snapshot written");
+        let state = session.state();
+        assert_eq!(state.budget.is_some(), budgeted);
+        assert_eq!(state.folds.is_some(), budgeted);
+        assert!(
+            written == encode_snapshot(&state),
+            "{tag}: the day-{day} file differs from the snapshot of the session's state"
+        );
+    }
+    drop(session);
+    let _ = std::fs::remove_dir_all(&dir);
+    day
+}
+
+#[test]
+fn every_daily_save_encodes_the_live_state() {
+    let calm = CampaignConfig {
+        threads: 1,
+        ..CampaignConfig::default()
+    };
+    let hostile = CampaignConfig {
+        corruption: CorruptionProfile::Hostile,
+        ..calm
+    };
+    assert_eq!(check_daily_saves("perday-calm", calm, false), 38);
+    assert_eq!(check_daily_saves("perday-hostile", hostile, false), 38);
+    assert_eq!(check_daily_saves("perday-budget", calm, true), 38);
 }
 
 #[test]
