@@ -8,8 +8,9 @@ use chatlens_core::joiner::JoinedGroup;
 use chatlens_core::{Dataset, DayFold, DaySlice};
 use chatlens_platforms::id::PlatformKind;
 use chatlens_platforms::message::MessageKind;
+use chatlens_simnet::fastmap::FastMap;
 use chatlens_simnet::par::Pool;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Per-kind message counts over one platform's joined groups.
@@ -66,9 +67,9 @@ fn rates_from<'a>(
 
 /// Fig 9b per-sender tallies, keyed (and therefore ordered) by sender id.
 fn per_user_from<'a>(groups: impl Iterator<Item = &'a JoinedGroup>) -> BTreeMap<u32, u64> {
-    // Tally in a HashMap (one hash probe per message), then order once by
+    // Tally in a FastMap (one hash probe per message), then order once by
     // sender id so Fig 9b's series is identical run-to-run (lint rule D2).
-    let mut tally: HashMap<u32, u64> = HashMap::new();
+    let mut tally: FastMap<u32, u64> = FastMap::default();
     for jg in groups {
         for m in &jg.messages {
             *tally.entry(m.sender.0).or_insert(0) += 1;

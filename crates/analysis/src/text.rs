@@ -6,8 +6,8 @@
 //! tokenizer ([`tokenize`]) is provided for library users bringing their
 //! own text.
 
+use chatlens_simnet::fastmap::FastSet;
 use chatlens_workload::Vocabulary;
-use std::collections::HashSet;
 
 /// The English stopword list used before LDA. Deliberately includes every
 /// filler word the workload mixes into tweets, plus the usual suspects.
@@ -29,7 +29,7 @@ pub fn tokenize(text: &str) -> Vec<String> {
 
 /// Remove stopwords from a token list (string form).
 pub fn remove_stopwords(tokens: &[String]) -> Vec<String> {
-    let set: HashSet<&str> = STOPWORDS.iter().copied().collect();
+    let set: FastSet<&str> = STOPWORDS.iter().copied().collect();
     tokens
         .iter()
         .filter(|t| !set.contains(t.as_str()))
@@ -40,7 +40,7 @@ pub fn remove_stopwords(tokens: &[String]) -> Vec<String> {
 /// Precomputed id-level stopword filter against a vocabulary.
 #[derive(Debug, Clone)]
 pub struct StopwordFilter {
-    stop_ids: HashSet<u16>,
+    stop_ids: FastSet<u16>,
 }
 
 impl StopwordFilter {

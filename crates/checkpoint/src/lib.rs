@@ -37,9 +37,9 @@
 //! little-endian fixed-width integers, `f64` via its IEEE-754 bit pattern
 //! (exact round-trip — bucket fill levels and histogram sums must survive
 //! to the bit), length-prefixed strings and sequences, index-tagged enums.
-//! Containers with nondeterministic iteration order (`HashSet`) are
-//! serialized sorted by the state-capture layer, so the same logical state
-//! always encodes to the same bytes — which is what lets the resume tests
+//! Hash containers (`FastSet`) are serialized sorted by the state-capture
+//! layer rather than in iteration order, so the same logical state always
+//! encodes to the same bytes — which is what lets the resume tests
 //! compare snapshots with `==` on `Vec<u8>`.
 //!
 //! The decoder is bounds-checked end to end: every length prefix is

@@ -4,17 +4,19 @@ use crate::budget::{BudgetError, LogView, MemoryBudget, SpillPartitionData};
 use crate::discovery::{CollectedTweet, Discovery, DiscoveryRecord};
 use crate::fold::{DayMark, DayParts, DaySlice};
 use crate::intern::Interner;
-use crate::joiner::JoinedGroup;
+use crate::joiner::{JoinedGroup, MemberRecord};
 use crate::monitor::{GapLedger, GroupTimeline, ObservedStatus, TimelineStore};
 use crate::patterns::ExtractionStats;
 use crate::pii::PiiStore;
 use crate::quarantine::QuarantineEntry;
 use chatlens_platforms::id::PlatformKind;
-use chatlens_platforms::service::push_message;
+use chatlens_platforms::service::{extend_message_line, MESSAGE_LINE_MAX};
+use chatlens_simnet::digits::extend_u64;
+use chatlens_simnet::fastmap::FastSet;
 use chatlens_simnet::hash::{to_hex, DigestWriter, Sha256};
 use chatlens_simnet::time::StudyWindow;
 use chatlens_twitter::Tweet;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
 
@@ -339,9 +341,9 @@ pub struct CampaignSummary {
 #[derive(Default)]
 struct TweetCounts {
     tweets: u64,
-    authors: HashSet<u32>,
+    authors: FastSet<u32>,
     kind_tweets: [u64; 3],
-    kind_authors: [HashSet<u32>; 3],
+    kind_authors: [FastSet<u32>; 3],
 }
 
 impl TweetCounts {
@@ -527,7 +529,7 @@ fn render_campaign_report(rollup: &TweetRollup, sum: &CampaignSummary, ds: &Data
             if let Some(v) = &tl.wa_creator_hash {
                 write!(buf, "|creator_hash={v}").unwrap();
             }
-            buf.push('\n');
+            buf.push(b'\n');
             for o in tl.iter() {
                 obs += 1;
                 match o.status {
@@ -569,7 +571,7 @@ fn render_campaign_report(rollup: &TweetRollup, sum: &CampaignSummary, ds: &Data
             for d in days {
                 write!(buf, " {d}").unwrap();
             }
-            buf.push('\n');
+            buf.push(b'\n');
         }
     });
     writeln!(out, "gaps: groups={gap_groups} days={gap_days}").unwrap();
@@ -590,19 +592,10 @@ fn render_campaign_report(rollup: &TweetRollup, sum: &CampaignSummary, ds: &Data
             )
             .unwrap();
             for m in &jg.members {
-                writeln!(
-                    buf,
-                    "  m {:?} {:?} {:?} {:?}",
-                    m.user_id, m.phone_hash, m.country, m.linked
-                )
-                .unwrap();
+                write_member_line(buf, m);
             }
             for msg in &jg.messages {
-                // `  g <secs> <sender> <kind>\n` is at most 38 bytes.
-                let line = buf.room(38);
-                line.push_str("  g ");
-                push_message(line, msg);
-                line.push('\n');
+                extend_message_line(buf.room(MESSAGE_LINE_MAX), b"  g ", msg, b"\n");
             }
         }
     });
@@ -670,4 +663,166 @@ fn render_campaign_report(rollup: &TweetRollup, sum: &CampaignSummary, ds: &Data
     });
     writeln!(out, "counters_sha256: {counters_sha}").unwrap();
     out
+}
+
+/// Write member `m`'s line of the joined digest: the bytes of
+/// `writeln!("  m {:?} {:?} {:?} {:?}", user_id, phone_hash, country,
+/// linked)`. When every string in the line prints verbatim under `Debug`,
+/// the line is written straight as bytes; any other line goes through
+/// `Debug` itself.
+fn write_member_line(buf: &mut DigestWriter, m: &MemberRecord) {
+    match plain_member_line_max(m) {
+        Some(max) => extend_member_line(buf.room(max), m),
+        None => writeln!(
+            buf,
+            "  m {:?} {:?} {:?} {:?}",
+            m.user_id, m.phone_hash, m.country, m.linked
+        )
+        .unwrap(),
+    }
+}
+
+/// Whether `Debug` prints `s` verbatim between its quotes: printable
+/// ASCII other than `"` and `\`.
+fn debug_is_verbatim(s: &str) -> bool {
+    s.bytes()
+        .all(|b| matches!(b, b' '..=b'~') && b != b'"' && b != b'\\')
+}
+
+/// An upper bound on the length of member `m`'s digest line, if every
+/// string in it prints verbatim under `Debug`.
+fn plain_member_line_max(m: &MemberRecord) -> Option<usize> {
+    // `  m Some(<10 digits>) Some("") Some("") []\n` is 42 bytes; each
+    // linked account adds at most its quotes and a `, ` separator.
+    let mut max = 42 + 4 * m.linked.len();
+    for s in m.phone_hash.iter().chain(&m.country).chain(&m.linked) {
+        if !debug_is_verbatim(s) {
+            return None;
+        }
+        max += s.len();
+    }
+    Some(max)
+}
+
+/// Append member `m`'s digest line as `Debug` prints it; every string in
+/// it must pass [`debug_is_verbatim`].
+fn extend_member_line(out: &mut Vec<u8>, m: &MemberRecord) {
+    out.extend_from_slice(b"  m ");
+    match m.user_id {
+        Some(id) => {
+            out.extend_from_slice(b"Some(");
+            extend_u64(out, u64::from(id));
+            out.push(b')');
+        }
+        None => out.extend_from_slice(b"None"),
+    }
+    for field in [&m.phone_hash, &m.country] {
+        match field {
+            Some(s) => {
+                out.extend_from_slice(b" Some(\"");
+                out.extend_from_slice(s.as_bytes());
+                out.extend_from_slice(b"\")");
+            }
+            None => out.extend_from_slice(b" None"),
+        }
+    }
+    out.extend_from_slice(b" [");
+    for (i, s) in m.linked.iter().enumerate() {
+        if i > 0 {
+            out.extend_from_slice(b", ");
+        }
+        out.push(b'"');
+        out.extend_from_slice(s.as_bytes());
+        out.push(b'"');
+    }
+    out.extend_from_slice(b"]\n");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chatlens_simnet::hash::sha256_hex;
+
+    fn debug_line(m: &MemberRecord) -> String {
+        format!(
+            "  m {:?} {:?} {:?} {:?}\n",
+            m.user_id, m.phone_hash, m.country, m.linked
+        )
+    }
+
+    /// Characters `Debug` escapes inside a string, or that are not ASCII.
+    const NOT_VERBATIM: [char; 10] = [
+        '"', '\\', '\t', '\n', '\u{1}', '\u{7f}', '\u{e9}', '\u{301}', '\u{200b}', '\u{4e2d}',
+    ];
+
+    /// A plain string, or (when `spoil` picks one) the same string with
+    /// one character from [`NOT_VERBATIM`] inserted.
+    fn string_of((plain, spoil): (String, (u8, usize))) -> String {
+        let mut s = plain;
+        if let Some(&c) = NOT_VERBATIM.get(usize::from(spoil.0)) {
+            let at = (0..=s.len())
+                .filter(|&i| s.is_char_boundary(i))
+                .nth(spoil.1 % (s.len() + 1));
+            s.insert(at.unwrap_or(0), c);
+        }
+        s
+    }
+
+    #[test]
+    fn member_lines_edge_cases() {
+        let cases = [
+            (None, None, None, vec![]),
+            (Some(0), Some(""), Some("BR"), vec![""]),
+            (Some(u32::MAX), Some("ab\"c"), None, vec!["x", "y"]),
+            (None, None, Some("a\\b"), vec!["steam", "twitch", "it's"]),
+            (Some(7), Some("\u{e9}t\u{e9}"), Some("\u{7f}"), vec!["\n"]),
+        ];
+        for (user_id, phone, country, linked) in cases {
+            let m = MemberRecord {
+                user_id,
+                phone_hash: phone.map(str::to_string),
+                country: country.map(str::to_string),
+                linked: linked.into_iter().map(str::to_string).collect(),
+            };
+            let mut w = DigestWriter::new();
+            write_member_line(&mut w, &m);
+            assert_eq!(w.finish(), sha256_hex(debug_line(&m).as_bytes()), "{m:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn member_lines_are_what_debug_prints(
+            user_id in proptest::option::of(proptest::any::<u32>()),
+            phone in proptest::option::of(("[0-9a-f]{0,64}", (0u8..20, 0usize..64))),
+            country in proptest::option::of(("[A-Z +'-]{0,4}", (0u8..20, 0usize..8))),
+            linked in proptest::collection::vec(("[a-z0-9 !#$%&'()*+,./:;<=>?@^_`{|}~-]{0,10}", (0u8..20, 0usize..12)), 0..4)
+        ) {
+            let m = MemberRecord {
+                user_id,
+                phone_hash: phone.map(string_of),
+                country: country.map(string_of),
+                linked: linked.into_iter().map(string_of).collect(),
+            };
+            let want = debug_line(&m);
+            let strings = || m.phone_hash.iter().chain(&m.country).chain(&m.linked);
+            let verbatim = strings().all(|s| !s.contains(NOT_VERBATIM));
+            // The byte path is taken exactly when every string prints
+            // verbatim, and then writes Debug's bytes within its bound.
+            match plain_member_line_max(&m) {
+                Some(max) => {
+                    proptest::prop_assert!(verbatim);
+                    let mut bytes = Vec::new();
+                    extend_member_line(&mut bytes, &m);
+                    proptest::prop_assert_eq!(&bytes[..], want.as_bytes());
+                    proptest::prop_assert!(bytes.len() <= max);
+                }
+                None => proptest::prop_assert!(!verbatim),
+            }
+            // Either way, the digest hashes Debug's bytes.
+            let mut w = DigestWriter::new();
+            write_member_line(&mut w, &m);
+            proptest::prop_assert_eq!(w.finish(), sha256_hex(want.as_bytes()));
+        }
+    }
 }

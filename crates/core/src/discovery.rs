@@ -17,12 +17,12 @@ use crate::quarantine::{day_of, verify_echoes, Fate, Provenance, QuarantineEntry
 use chatlens_platforms::id::PlatformKind;
 use chatlens_platforms::invite::{parse_invite_url, InviteCode};
 use chatlens_platforms::wire::WireDoc;
+use chatlens_simnet::fastmap::{FastMap, FastSet};
 use chatlens_simnet::time::SimTime;
 use chatlens_simnet::transport::{Request, Response, Status};
 use chatlens_twitter::store::TRACK_HOSTS;
 use chatlens_twitter::Tweet;
 use chatlens_workload::Ecosystem;
-use std::collections::{HashMap, HashSet};
 
 /// First sighting of a group URL.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,7 +73,7 @@ pub struct Discovery {
     /// Per-host Search API `since_id` watermarks.
     pub(crate) since_id: [Option<u64>; 6],
     /// Tweet id → global append index (derived; rebuilt on resume).
-    pub(crate) tweet_index: HashMap<u64, usize>,
+    pub(crate) tweet_index: FastMap<u64, usize>,
     /// Collected pattern-matched tweets, in arrival order, deduplicated.
     /// Under `--mem-budget` the cold day-prefix may be spilled to disk;
     /// indices in `tweet_index` and day-mark cursors are *global* and
@@ -85,7 +85,7 @@ pub struct Discovery {
     /// re-fetches sample windows whose early pages already landed, so
     /// control ingestion dedups by id — against this persistent set, not
     /// a per-window rebuild over the whole control corpus.
-    pub(crate) control_ids: HashSet<u64>,
+    pub(crate) control_ids: FastSet<u64>,
     /// Group dedup keys interned in discovery order: a group's [`Sym`]
     /// index equals its slot in `groups`, so every slot-indexed table in
     /// the pipeline (timelines, terminal set, gap ledger) shares this one
@@ -122,10 +122,10 @@ impl Discovery {
     pub fn new(start: SimTime) -> Discovery {
         Discovery {
             since_id: [None; 6],
-            tweet_index: HashMap::new(),
+            tweet_index: FastMap::default(),
             tweets: SpillableLog::new(),
             control: SpillableLog::new(),
-            control_ids: HashSet::new(),
+            control_ids: FastSet::default(),
             interner: Interner::new(),
             groups: Vec::new(),
             stats: ExtractionStats::default(),

@@ -16,11 +16,11 @@
 //! replays. The table is persisted wholesale through checkpoint format
 //! v4 and rebuilt index-for-index on load.
 //!
-//! The reverse index is a `HashMap` used only for point lookups, never
+//! The reverse index is a `FastMap` used only for point lookups, never
 //! iterated (lint rule D2): every traversal goes over the dense
 //! insertion-ordered `Vec`.
 
-use std::collections::HashMap;
+use chatlens_simnet::fastmap::FastMap;
 use std::fmt;
 
 /// A dense interned-string id. `Sym(i)` resolves to the `i`-th distinct
@@ -50,7 +50,7 @@ impl fmt::Debug for Sym {
 #[derive(Default)]
 pub struct Interner {
     strings: Vec<String>,
-    index: HashMap<String, u32>,
+    index: FastMap<String, u32>,
 }
 
 impl Interner {
@@ -114,7 +114,7 @@ impl Interner {
     /// If the table contains a duplicate (a corrupted checkpoint: ids
     /// would no longer be stable).
     pub fn from_symbols(strings: Vec<String>) -> Interner {
-        let mut index = HashMap::with_capacity(strings.len());
+        let mut index = FastMap::with_capacity_and_hasher(strings.len(), Default::default());
         for (i, s) in strings.iter().enumerate() {
             let i = u32::try_from(i).expect("interner overflow");
             assert!(

@@ -1035,6 +1035,39 @@ mod tests {
             let other = messages_request(u64::from(group) + 1);
             proptest::prop_assert_eq!(scan_checked(&body, platform, &other), None);
 
+            // The first message's time and sender at the edges of the
+            // digit scan: 19 digits never overflow, the 20th may, and a
+            // 21st always does. Both decodes take exactly the values that
+            // fit the field.
+            if let Some(first) = messages.first() {
+                let line = format!("\nmsg: {}", encode_message(first));
+                let (sender, kind) = (first.sender.0, first.kind.index());
+                let edges = [
+                    "9999999999999999999",
+                    "10000000000000000000",
+                    "99999999999999999999",
+                    "100000000000000000000",
+                    "18446744073709551614",
+                    "18446744073709551615",
+                    "18446744073709551616",
+                    "4294967295",
+                    "4294967296",
+                ];
+                for edge in edges {
+                    for (value, field_max) in [
+                        (format!("\nmsg: {edge} {sender} {kind}"), u64::MAX),
+                        (format!("\nmsg: {} {edge} {kind}", first.at.as_secs()), u64::from(u32::MAX)),
+                    ] {
+                        let edited = body.replacen(&line, &value, 1);
+                        let fits = edge.parse::<u64>().is_ok_and(|v| v <= field_max);
+                        let scanned = scan_checked(&edited, platform, &req);
+                        proptest::prop_assert_eq!(scanned.is_some(), fits, "{}", value);
+                        let general = decode_message_page_general(&edited, platform, &req);
+                        proptest::prop_assert_eq!(general.is_ok(), fits, "{}", value);
+                    }
+                }
+            }
+
             // Every corruption kind the transport applies.
             let prev = page(platform, group ^ 1, created_day, &messages[..messages.len() / 2]);
             let schedule = CorruptionSchedule::new(1.0);

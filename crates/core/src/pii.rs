@@ -6,8 +6,9 @@
 //! number.
 
 use chatlens_platforms::phone::parse_e164;
+use chatlens_simnet::fastmap::FastSet;
 use chatlens_simnet::hash::sha256_hex;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Hash a phone number in E.164 form. The raw string dies here.
 pub fn hash_phone(e164: &str) -> String {
@@ -20,19 +21,19 @@ pub fn hash_phone(e164: &str) -> String {
 pub struct PiiStore {
     /// WhatsApp group-creator phone hashes, harvested from landing pages
     /// *without joining* — §6's headline finding.
-    pub wa_creator_hashes: HashSet<String>,
+    pub wa_creator_hashes: FastSet<String>,
     /// Country-code counts of WhatsApp creators (Group Countries, §5).
     pub wa_creator_countries: BTreeMap<String, u64>,
     /// WhatsApp member phone hashes (visible after joining).
-    pub wa_member_hashes: HashSet<String>,
+    pub wa_member_hashes: FastSet<String>,
     /// Telegram users whose profiles the collector fetched.
-    pub tg_users_observed: HashSet<u32>,
+    pub tg_users_observed: FastSet<u32>,
     /// Telegram phone hashes (only opt-in users expose one).
-    pub tg_phone_hashes: HashSet<String>,
+    pub tg_phone_hashes: FastSet<String>,
     /// Discord users whose profiles the collector fetched.
-    pub dc_users_observed: HashSet<u32>,
+    pub dc_users_observed: FastSet<u32>,
     /// Discord users with at least one connected account.
-    pub dc_users_with_link: HashSet<u32>,
+    pub dc_users_with_link: FastSet<u32>,
     /// Connected-account counts per external platform (Table 5).
     pub dc_linked_counts: BTreeMap<String, u64>,
 }
@@ -109,7 +110,7 @@ impl PiiStore {
 
 /// Insert a phone hash, copying it only when it is new (members recur
 /// across groups).
-fn insert_hash(set: &mut HashSet<String>, hash: &str) {
+fn insert_hash(set: &mut FastSet<String>, hash: &str) {
     if !set.contains(hash) {
         set.insert(hash.to_string());
     }

@@ -35,6 +35,7 @@ use crate::pii::PiiStore;
 use crate::quarantine::{QuarantineCode, QuarantineEntry};
 use crate::study::{CampaignConfig, CampaignEvent};
 use chatlens_checkpoint::{persist_struct, CheckpointError, Persist, Reader, Writer};
+use chatlens_simnet::fastmap::FastSet;
 use chatlens_simnet::metrics::Metrics;
 use chatlens_simnet::time::SimTime;
 use chatlens_simnet::transport::ClientState;
@@ -43,7 +44,7 @@ use chatlens_twitter::Tweet;
 use chatlens_workload::ecosystem::EcosystemDelta;
 use chatlens_workload::{Ecosystem, ScenarioConfig};
 use serde::Serialize;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::hash::Hash;
 
 /// The virtual clock and pending event queue.
@@ -118,12 +119,12 @@ fn save_seq<'a, T: Persist + 'a>(items: impl ExactSizeIterator<Item = &'a T>, w:
 
 /// Encode a hash set as its sorted `Vec` (via `BTreeSet`, lint D2), so
 /// equal sets always encode to equal bytes.
-fn save_sorted<T: Persist + Ord>(set: &HashSet<T>, w: &mut Writer) {
+fn save_sorted<T: Persist + Ord>(set: &FastSet<T>, w: &mut Writer) {
     save_seq(set.iter().collect::<BTreeSet<&T>>().into_iter(), w);
 }
 
 /// Decode a set written by [`save_sorted`].
-fn load_set<T: Persist + Eq + Hash>(r: &mut Reader<'_>) -> Result<HashSet<T>, CheckpointError> {
+fn load_set<T: Persist + Eq + Hash>(r: &mut Reader<'_>) -> Result<FastSet<T>, CheckpointError> {
     Ok(Vec::<T>::load(r)?.into_iter().collect())
 }
 

@@ -12,7 +12,7 @@
 //! | id | rule |
 //! |----|------|
 //! | D1 | banned wall-clock / scheduler APIs: `SystemTime::now`, `thread::current` anywhere; `Instant::now` outside `simnet::metrics`; `std::time` in analysis/report crates |
-//! | D2 | `HashMap`/`HashSet` iteration on result paths (analysis, report, core, workload, perspective) unless the site collects into a sorted/`BTreeMap` form or only takes a cardinality |
+//! | D2 | `HashMap`/`HashSet`/`FastMap`/`FastSet` iteration on result paths (analysis, report, core, workload, perspective) unless the site collects into a sorted/`BTreeMap` form or only takes a cardinality |
 //! | D3 | ambient entropy: `thread_rng`, `from_entropy`, `OsRng`, `getrandom`, `RandomState` — every RNG must derive from the seeded root via `Rng::fork` |
 //! | D4 | `par_map`/`par_map_chunked`/`par_chunks_mut`/`run_tasks` closures must not touch locks or shared atomics (ordered merge is the only legal reduction; the `Fn` bound already forbids `&mut` capture at compile time) |
 //! | D5 | no `unwrap()`/`expect()` on lock acquisition in library crates (the `parking_lot` shim never poisons; a `Result`-shaped lock call is a sign std locks leaked in) |
@@ -126,7 +126,7 @@ impl Rule {
             Rule::D1 => {
                 "wall-clock / scheduler API (SystemTime::now, Instant::now, thread::current)"
             }
-            Rule::D2 => "HashMap/HashSet iteration on a result path",
+            Rule::D2 => "hash map/set iteration on a result path",
             Rule::D3 => "ambient entropy (thread_rng, OsRng, from_entropy, ...)",
             Rule::D4 => "lock or shared atomic inside a par_* closure",
             Rule::D5 => "unwrap()/expect() on lock acquisition in a library crate",
@@ -958,12 +958,18 @@ fn has_excuse(window: &[Tok]) -> bool {
         .any(|t| t.kind == TokKind::Ident && D2_EXCUSES.contains(&t.text.as_str()))
 }
 
-/// Identifiers declared (let-bound, field, or parameter) with a
-/// `HashMap`/`HashSet` type or initializer in this file.
+/// Hash container types whose iteration order D2 tracks: the std ones
+/// and the workspace's fixed-hasher aliases (`chatlens_simnet::fastmap`).
+/// A fixed hasher makes the order the same in every process, but not a
+/// function of the contents alone, so it is still no result order.
+const UNORDERED_TYPES: &[&str] = &["HashMap", "HashSet", "FastMap", "FastSet"];
+
+/// Identifiers declared (let-bound, field, or parameter) with an
+/// [`UNORDERED_TYPES`] type or initializer in this file.
 fn tracked_unordered_idents(toks: &[Tok]) -> BTreeSet<String> {
     let mut tracked = BTreeSet::new();
     for i in 0..toks.len() {
-        if !(toks[i].is_ident("HashMap") || toks[i].is_ident("HashSet")) {
+        if toks[i].kind != TokKind::Ident || !UNORDERED_TYPES.contains(&toks[i].text.as_str()) {
             continue;
         }
         // Walk back to the start of the declaration.
@@ -1166,6 +1172,15 @@ mod tests {
         assert_eq!(rules_of("crates/analysis/src/x.rs", src), vec![Rule::D2]);
         // Same code outside a result path is fine.
         assert_eq!(rules_of("crates/simnet/src/x.rs", src), vec![]);
+    }
+
+    #[test]
+    fn d2_fires_on_fast_map_iteration_too() {
+        let src =
+            "fn f(per_user: &FastMap<u32, u64>) { for v in per_user.values() { use_it(v); } }";
+        assert_eq!(rules_of("crates/analysis/src/x.rs", src), vec![Rule::D2]);
+        let src = "fn f() { let seen = FastSet::default(); for v in seen.iter() { use_it(v); } }";
+        assert_eq!(rules_of("crates/core/src/x.rs", src), vec![Rule::D2]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The toxicity model: per-token weights and a logistic document score.
 
+use chatlens_simnet::fastmap::FastMap;
 use chatlens_workload::Vocabulary;
-use std::collections::HashMap;
 
 /// Strongly toxic terms (drawn from the corpus vocabularies the paper's
 /// Table 3 surfaces on Telegram's sex topics and Discord's hentai topic)
@@ -32,7 +32,7 @@ const MILD: &[(&str, f64)] = &[
 /// probability.
 #[derive(Debug, Clone)]
 pub struct ToxicityLexicon {
-    weights: HashMap<u16, f64>,
+    weights: FastMap<u16, f64>,
     /// Model intercept: an empty/benign document scores near this
     /// logit's sigmoid (default −4.0 → ~0.018).
     pub intercept: f64,
@@ -42,7 +42,7 @@ impl ToxicityLexicon {
     /// Build the lexicon against `vocab` (terms missing from the
     /// vocabulary are skipped).
     pub fn build(vocab: &Vocabulary) -> ToxicityLexicon {
-        let mut weights = HashMap::new();
+        let mut weights = FastMap::default();
         for &(term, w) in STRONG.iter().chain(MILD) {
             if let Some(id) = vocab.id(term) {
                 weights.insert(id, w);

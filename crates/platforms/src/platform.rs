@@ -6,9 +6,9 @@ use crate::id::{AccountId, GroupId, PlatformKind, UserId};
 use crate::message::Message;
 use crate::spec::PlatformSpec;
 use crate::user::User;
+use chatlens_simnet::fastmap::FastMap;
 use chatlens_simnet::fault::{TokenBucket, TokenBucketState};
 use chatlens_simnet::time::SimTime;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Why a join attempt failed.
@@ -76,7 +76,7 @@ pub struct Platform {
     pub users: Vec<User>,
     /// All groups, indexed by [`GroupId`].
     pub groups: Vec<Group>,
-    invite_index: HashMap<String, GroupId>,
+    invite_index: FastMap<String, GroupId>,
     accounts: Vec<AccountState>,
     /// Telegram's API flood control (`FLOOD_WAIT`): a server-side token
     /// bucket gating `api/*` endpoints. `None` on platforms whose APIs the
@@ -106,7 +106,7 @@ impl Platform {
             spec: PlatformSpec::of(kind),
             users: Vec::new(),
             groups: Vec::new(),
-            invite_index: HashMap::new(),
+            invite_index: FastMap::default(),
             accounts: Vec::new(),
             api_bucket,
             materialized: Vec::new(),

@@ -22,8 +22,9 @@
 //!
 //! Responses are [`crate::wire`] documents; messages are encoded one per `msg`
 //! field via [`encode_message`] / [`parse_message`]. Message pages are
-//! rendered, and read back by [`scan_message_page`], in one byte pass. A
-//! message endpoint generates the group's log from its
+//! rendered (each line by [`extend_message_line`]), and read back by
+//! [`scan_message_page`], in one byte pass. A message endpoint generates
+//! the group's log from its
 //! [`MessageLog`](crate::message::MessageLog) recipe and renders it; the
 //! platform holds the generated log only until its next request, so an
 //! immediate re-fetch of the same page does not generate it again.
@@ -33,15 +34,16 @@ use crate::id::{AccountId, GroupId, PlatformKind, UserId};
 use crate::message::{Message, MessageKind};
 use crate::platform::{JoinError, Platform};
 use crate::wire::{sanitize, WireDoc, MAX_LINES, MAX_VALUE_LEN};
-use chatlens_simnet::digits::{decimal_len, push_i64, push_u64, write_digits};
+use chatlens_simnet::digits::{decimal_len, extend_i64, extend_u64, write_digits};
 use chatlens_simnet::time::SimTime;
 use chatlens_simnet::transport::{Request, Response, Service, Status};
 
 /// Encode a message as a single wire-field value: `<secs> <sender> <kind>`.
+///
+/// This is the format's reference form; pages and the report digest
+/// write the same bytes through [`extend_message_line`].
 pub fn encode_message(m: &Message) -> String {
-    let mut out = String::with_capacity(encoded_message_len(m));
-    push_message(&mut out, m);
-    out
+    format!("{} {} {}", m.at.as_secs(), m.sender.0, m.kind.index())
 }
 
 /// Longest [`encode_message`] value: a 20-digit time, a 10-digit sender,
@@ -49,15 +51,29 @@ pub fn encode_message(m: &Message) -> String {
 const MESSAGE_MAX: usize = 20 + 1 + 10 + 1 + 1;
 const _: () = assert!(MessageKind::ALL.len() <= 10, "message kinds are one digit");
 
-/// Append [`encode_message`]'s bytes for `m` to `out`. The three fields
-/// are written right to left into one stack buffer and appended at once;
-/// the message pages and the report's message digest both go through it.
-pub fn push_message(out: &mut String, m: &Message) {
-    let mut line = [b' '; MESSAGE_MAX];
-    let at = write_digits(&mut line, MESSAGE_MAX, m.kind.index() as u64);
+/// Longest message line [`extend_message_line`] writes: the longest value
+/// plus up to 16 bytes of `prefix` and `end` together.
+pub const MESSAGE_LINE_MAX: usize = MESSAGE_MAX + 16;
+
+/// Append one message line to `out`: `prefix`, [`encode_message`]'s bytes
+/// for `m`, then `end`. The line is written right to left into one stack
+/// buffer and appended at once, as bytes; every message line in the code
+/// (the `msg` lines of a page, the report's message digest) comes from
+/// here.
+///
+/// # Panics
+/// If `prefix` and `end` together are longer than 16 bytes.
+#[inline]
+pub fn extend_message_line(out: &mut Vec<u8>, prefix: &[u8], m: &Message, end: &[u8]) {
+    let mut line = [b' '; MESSAGE_LINE_MAX];
+    let tail = MESSAGE_LINE_MAX - end.len();
+    line[tail..].copy_from_slice(end);
+    let at = write_digits(&mut line, tail, m.kind.index() as u64);
     let at = write_digits(&mut line, at - 1, u64::from(m.sender.0));
     let at = write_digits(&mut line, at - 1, m.at.as_secs());
-    out.push_str(std::str::from_utf8(&line[at..]).expect("ASCII digits"));
+    let start = at - prefix.len();
+    line[start..at].copy_from_slice(prefix);
+    out.extend_from_slice(&line[start..]);
 }
 
 /// Length in bytes of [`encode_message`]'s output for `m`.
@@ -140,21 +156,20 @@ where
         (n + 1, bytes + MSG.len() + encoded_message_len(m))
     });
     let fields = 1 + usize::from(created_day.is_some()) + count;
-    let mut out = String::with_capacity(kind.len() + PAGE_HEADER_MAX + msg_bytes);
-    out.push_str(kind);
-    out.push_str("\nn: ");
-    push_u64(&mut out, fields as u64);
-    out.push_str("\ngroup: ");
-    push_u64(&mut out, u64::from(gid.0));
+    let mut out = Vec::with_capacity(kind.len() + PAGE_HEADER_MAX + msg_bytes);
+    out.extend_from_slice(kind.as_bytes());
+    out.extend_from_slice(b"\nn: ");
+    extend_u64(&mut out, fields as u64);
+    out.extend_from_slice(b"\ngroup: ");
+    extend_u64(&mut out, u64::from(gid.0));
     if let Some(day) = created_day {
-        out.push_str("\ncreated_day: ");
-        push_i64(&mut out, day);
+        out.extend_from_slice(b"\ncreated_day: ");
+        extend_i64(&mut out, day);
     }
     for m in messages() {
-        out.push_str(MSG);
-        push_message(&mut out, m);
+        extend_message_line(&mut out, MSG.as_bytes(), m, b"");
     }
-    out
+    String::from_utf8(out).expect("ASCII page")
 }
 
 /// Shortest `msg` line of a message page: `\nmsg: 0 0 0`.
@@ -234,15 +249,28 @@ impl Scanner<'_> {
     }
 
     /// Consume a decimal number as the digit writer prints it (one or
-    /// more digits, no leading zero), if it is at most `max`.
+    /// more digits, no leading zero), if it is at most `max`. One pass:
+    /// the value accumulates while the digits are scanned, and only
+    /// digits past the 19th, where a `u64` can overflow, are checked.
     fn number(&mut self, max: u64) -> Option<u64> {
-        let len = self.0.iter().take_while(|b| b.is_ascii_digit()).count();
-        let (digits, rest) = self.0.split_at(len);
-        if digits.len() > 1 && digits[0] == b'0' {
+        let s = self.0;
+        let digit = |i: usize| s.get(i).map(|b| b.wrapping_sub(b'0')).filter(|&d| d <= 9);
+        let mut v = 0u64;
+        let mut len = 0;
+        // 19 digits are at most 10^19 - 1, below `u64::MAX`.
+        while len < 19 {
+            let Some(d) = digit(len) else { break };
+            v = v * 10 + u64::from(d);
+            len += 1;
+        }
+        while let Some(d) = digit(len) {
+            v = v.checked_mul(10)?.checked_add(u64::from(d))?;
+            len += 1;
+        }
+        if len == 0 || (len > 1 && s[0] == b'0') || v > max {
             return None;
         }
-        let v = parse_decimal(digits, max)?;
-        self.0 = rest;
+        self.0 = &s[len..];
         Some(v)
     }
 
@@ -912,7 +940,68 @@ mod tests {
         }
     }
 
+    #[test]
+    fn message_lines_at_the_field_extremes() {
+        for (at, sender) in [(0, 0), (9, 9), (10, 10), (u64::MAX, u32::MAX)] {
+            for kind in MessageKind::ALL {
+                let m = Message {
+                    sender: UserId(sender),
+                    at: SimTime::from_secs(at),
+                    kind,
+                };
+                let mut line = Vec::new();
+                extend_message_line(&mut line, b"\nmsg: ", &m, b"");
+                assert_eq!(line, format!("\nmsg: {}", encode_message(&m)).as_bytes());
+                assert_eq!(encoded_message_len(&m), encode_message(&m).len());
+            }
+        }
+        // The longest line: a 16-byte prefix and end around the longest value.
+        let m = Message {
+            sender: UserId(u32::MAX),
+            at: SimTime::from_secs(u64::MAX),
+            kind: MessageKind::ALL[MessageKind::ALL.len() - 1],
+        };
+        let mut line = vec![b'x'];
+        extend_message_line(&mut line, b"0123456789", &m, b"abcdef");
+        assert_eq!(line.len(), 1 + MESSAGE_LINE_MAX);
+        assert_eq!(
+            line,
+            format!("x0123456789{}abcdef", encode_message(&m)).as_bytes()
+        );
+    }
+
     proptest::proptest! {
+        #[test]
+        fn the_line_writer_writes_encode_message_bytes(
+            at in proptest::any::<u64>(),
+            sender in proptest::any::<u32>(),
+            kind in 0usize..MessageKind::ALL.len(),
+            short in 0u8..3,
+            framing in 0usize..3
+        ) {
+            // Short fields too, where the digit writer takes its one-digit
+            // tail.
+            let (at, sender) = match short {
+                0 => (at % 100, sender % 100),
+                1 => (at >> (at % 64), sender >> (sender % 32)),
+                _ => (at, sender),
+            };
+            let m = Message {
+                sender: UserId(sender),
+                at: SimTime::from_secs(at),
+                kind: MessageKind::from_index(kind),
+            };
+            let (prefix, end): (&[u8], &[u8]) =
+                [(&b""[..], &b""[..]), (b"\nmsg: ", b""), (b"  g ", b"\n")][framing];
+            let mut line = b"kept".to_vec();
+            extend_message_line(&mut line, prefix, &m, end);
+            let mut want = b"kept".to_vec();
+            want.extend_from_slice(prefix);
+            want.extend_from_slice(encode_message(&m).as_bytes());
+            want.extend_from_slice(end);
+            proptest::prop_assert_eq!(line, want);
+        }
+
         #[test]
         fn parse_message_agrees_with_the_split_parser_on_arbitrary_strings(
             lines in proptest::collection::vec("[0-9+ \\-a:\\t]{0,24}", 0..64)

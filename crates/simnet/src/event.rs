@@ -6,6 +6,7 @@
 //! never in allocator- or hash-order — which is essential for reproducible
 //! campaigns.
 
+use crate::fastmap::FastSet;
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -48,7 +49,7 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     next_id: u64,
-    cancelled: std::collections::HashSet<EventId>,
+    cancelled: FastSet<EventId>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -64,7 +65,7 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             next_id: 0,
-            cancelled: std::collections::HashSet::new(),
+            cancelled: FastSet::default(),
         }
     }
 

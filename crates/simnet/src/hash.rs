@@ -275,13 +275,14 @@ pub fn sha256_hex(data: &[u8]) -> String {
 /// Bytes a [`DigestWriter`] buffers before hashing them.
 const DIGEST_CHUNK: usize = 64 * 1024;
 
-/// Streams text into SHA-256 through one bounded buffer, so a canonical
-/// serialization (tens of megabytes of lines, say) is hashed without ever
-/// existing as one string. Write with [`std::fmt::Write`], or reserve
-/// space with [`room`](Self::room) and push into the buffer directly.
+/// Streams text into SHA-256 through one bounded byte buffer, so a
+/// canonical serialization (tens of megabytes of lines, say) is hashed
+/// without ever existing as one string. Write with [`std::fmt::Write`],
+/// or reserve space with [`room`](Self::room) and append bytes to the
+/// buffer directly.
 #[derive(Debug)]
 pub struct DigestWriter {
-    buf: String,
+    buf: Vec<u8>,
     hasher: Sha256,
 }
 
@@ -295,36 +296,36 @@ impl DigestWriter {
     /// A fresh writer with an empty buffer.
     pub fn new() -> DigestWriter {
         DigestWriter {
-            buf: String::with_capacity(DIGEST_CHUNK),
+            buf: Vec::with_capacity(DIGEST_CHUNK),
             hasher: Sha256::new(),
         }
     }
 
     /// The buffer, after hashing out what it holds if `bytes` more would
     /// not fit. Writing more than `bytes` only grows it.
-    pub fn room(&mut self, bytes: usize) -> &mut String {
+    pub fn room(&mut self, bytes: usize) -> &mut Vec<u8> {
         if self.buf.len() + bytes > DIGEST_CHUNK {
-            self.hasher.update(self.buf.as_bytes());
+            self.hasher.update(&self.buf);
             self.buf.clear();
         }
         &mut self.buf
     }
 
-    /// Append one character.
-    pub fn push(&mut self, c: char) {
-        self.room(c.len_utf8()).push(c);
+    /// Append one byte.
+    pub fn push(&mut self, b: u8) {
+        self.room(1).push(b);
     }
 
     /// Hash what is left and return the digest as lowercase hex.
     pub fn finish(mut self) -> String {
-        self.hasher.update(self.buf.as_bytes());
+        self.hasher.update(&self.buf);
         to_hex(&self.hasher.finalize())
     }
 }
 
 impl std::fmt::Write for DigestWriter {
     fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.room(s.len()).push_str(s);
+        self.room(s.len()).extend_from_slice(s.as_bytes());
         Ok(())
     }
 }
@@ -464,8 +465,8 @@ mod tests {
             w.write_str(&line).unwrap();
             whole.push_str(&line);
         }
-        w.room(3).push_str("end");
-        w.push('\n');
+        w.room(3).extend_from_slice(b"end");
+        w.push(b'\n');
         whole.push_str("end\n");
         assert!(whole.len() > 2 * DIGEST_CHUNK);
         assert_eq!(w.finish(), sha256_hex(whole.as_bytes()));

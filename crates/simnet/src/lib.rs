@@ -27,6 +27,8 @@
 //!   reports and snapshots; it runs on the x86 SHA extensions when the CPU
 //!   has them (the crate's only `unsafe`), on portable scalar rounds
 //!   otherwise.
+//! * [`fastmap`] — a fixed multiplicative hasher and the `FastMap` /
+//!   `FastSet` aliases every hot map in the workspace uses.
 //! * [`digits`] — the table-driven decimal writer that wire pages,
 //!   message lines, tweet records and report digests share.
 //! * [`metrics`] — lightweight counters, fixed-bucket histograms and
@@ -44,6 +46,7 @@ pub mod digits;
 pub mod dist;
 pub mod engine;
 pub mod event;
+pub mod fastmap;
 pub mod fault;
 pub mod hash;
 pub mod metrics;

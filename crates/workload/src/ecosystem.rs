@@ -8,9 +8,8 @@ use chatlens_platforms::id::{GroupId, PlatformKind};
 use chatlens_platforms::platform::{AccountState, Platform};
 use chatlens_simnet::fault::TokenBucketState;
 use chatlens_simnet::rng::Rng;
-use chatlens_simnet::time::StudyWindow;
-use chatlens_twitter::TweetStore;
-use std::collections::HashMap;
+use chatlens_simnet::time::{SimTime, StudyWindow};
+use chatlens_twitter::{TweetId, TweetStore};
 
 /// Twitter author-id block assigned to each tweet population, so
 /// per-platform author pools are disjoint (the paper's per-platform user
@@ -131,13 +130,34 @@ impl Ecosystem {
                 }
             }
         }
-        // Global time order with deterministic tie-breaking (draft index).
-        let mut order: Vec<u32> = (0..drafts.len() as u32).collect();
-        order.sort_by_key(|&i| (drafts[i as usize].tweet.at, i));
+        // Global time order with deterministic tie-breaking (draft index):
+        // the keys are unique, so an unstable sort orders them as a stable
+        // one would.
+        let mut order: Vec<(SimTime, u32)> = drafts
+            .iter()
+            .enumerate()
+            .map(|(i, d)| (d.tweet.at, i as u32))
+            .collect();
+        order.sort_unstable();
+        // Retweet parents, dense: group `g` of platform `p` numbers its
+        // originals from slot `first[p][g]` of `parents[p]`.
+        let mut first: [Vec<u32>; 3] = metas.each_ref().map(|m| vec![0; m.len() + 1]);
+        for d in &drafts {
+            if let DraftKind::Original {
+                platform, group, ..
+            } = d.kind
+            {
+                first[platform][group as usize + 1] += 1;
+            }
+        }
+        let mut parents: [Vec<TweetId>; 3] = first.each_mut().map(|starts| {
+            for g in 1..starts.len() {
+                starts[g] += starts[g - 1];
+            }
+            vec![TweetId(0); starts[starts.len() - 1] as usize]
+        });
         let mut twitter = TweetStore::new(config.search_miss, config.stream_miss, config.seed);
-        let mut original_ids: HashMap<(usize, u32, u32), chatlens_twitter::TweetId> =
-            HashMap::new();
-        for &i in &order {
+        for &(_, i) in &order {
             let draft = &drafts[i as usize];
             let mut tweet = draft.tweet.clone();
             match draft.kind {
@@ -146,8 +166,8 @@ impl Ecosystem {
                     group,
                     ordinal,
                 } => {
-                    let id = twitter.push(tweet);
-                    original_ids.insert((platform, group, ordinal), id);
+                    let slot = first[platform][group as usize] + ordinal;
+                    parents[platform][slot as usize] = twitter.push(tweet);
                 }
                 DraftKind::Retweet {
                     platform,
@@ -156,7 +176,8 @@ impl Ecosystem {
                 } => {
                     // The original strictly precedes its retweets in time,
                     // so its id is already known.
-                    tweet.retweet_of = Some(original_ids[&(platform, group, of_ordinal)]);
+                    let slot = first[platform][group as usize] + of_ordinal;
+                    tweet.retweet_of = Some(parents[platform][slot as usize]);
                     twitter.push(tweet);
                 }
                 DraftKind::Control => {

@@ -10,8 +10,8 @@
 
 use chatlens_platforms::PlatformKind;
 use chatlens_simnet::dist::Categorical;
+use chatlens_simnet::fastmap::FastMap;
 use chatlens_simnet::rng::Rng;
-use std::collections::HashMap;
 
 /// One LDA-recoverable topic: label, tweet-share weight (Table 3's %), and
 /// its characteristic terms (most-probable first).
@@ -683,7 +683,7 @@ pub fn lexicon_for(lang: chatlens_twitter::Lang) -> &'static [&'static str] {
 #[derive(Debug, Clone)]
 pub struct Vocabulary {
     words: Vec<String>,
-    index: HashMap<String, u16>,
+    index: FastMap<String, u16>,
 }
 
 impl Vocabulary {
@@ -691,7 +691,7 @@ impl Vocabulary {
     pub fn build() -> Vocabulary {
         let mut v = Vocabulary {
             words: Vec::new(),
-            index: HashMap::new(),
+            index: FastMap::default(),
         };
         for kind in PlatformKind::ALL {
             for topic in topics_for(kind) {

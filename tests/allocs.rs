@@ -178,7 +178,7 @@ const REPORT_ALLOCS: u64 = 6_970;
 /// Allocator calls of `CampaignState::world` for the same campaign's
 /// day-20 snapshot: the world build plus the replayed joins, which
 /// allocate members and log recipes and generate no message.
-const WORLD_ALLOCS: u64 = 40_693;
+const WORLD_ALLOCS: u64 = 40_688;
 /// Allocator calls of the same campaign (threads 1) saving a snapshot
 /// after every day through the real filesystem.
 const DAILY_CKPT_ALLOCS: u64 = if cfg!(debug_assertions) {

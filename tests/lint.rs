@@ -117,6 +117,19 @@ fn every_rule_is_suppressed_by_its_pragma() {
 }
 
 #[test]
+fn d2_tracks_the_fixed_hasher_maps() {
+    // A fixed hasher iterates in the same order in every process, but
+    // that order is still not a function of the contents alone.
+    let iterated = "use chatlens_simnet::fastmap::FastMap;\nfn f(per_user: &FastMap<u32, u64>) -> Vec<u64> {\n let mut out = Vec::new();\n for v in per_user.values() { out.push(*v); }\n out\n}";
+    assert_eq!(
+        rules_of("crates/analysis/src/fixture.rs", iterated),
+        vec![Rule::D2]
+    );
+    let sorted = "use chatlens_simnet::fastmap::FastMap;\nfn f(per_user: FastMap<u32, u64>) -> BTreeMap<u32, u64> {\n per_user.into_iter().collect::<BTreeMap<u32, u64>>()\n}";
+    assert_eq!(rules_of("crates/analysis/src/fixture.rs", sorted), vec![]);
+}
+
+#[test]
 fn findings_carry_file_line_and_rule_id() {
     let src = "fn f() {}\nfn g() -> u64 { SystemTime::now().elapsed().as_secs() }";
     let findings = check_source("crates/core/src/fixture.rs", src);
