@@ -162,6 +162,16 @@ CHATLENS_THREADS=8 cargo test -q --workspace
 echo "==> allocation pins (--release)"
 cargo test -q --release --test allocs
 
+# The message-page kernels (the digit writer and sizing, the day-offset
+# counting sort, the canonical page scanner) run with overflow checks off
+# in release, and the scanner relies on 19 digits never overflowing a
+# `u64`; their property tests run in that profile too, and so do the
+# scanner's one-way contract tests beside the general decode in
+# `core::joiner`.
+echo "==> message-page kernel tests (--release)"
+cargo test -q --release -p chatlens-platforms -p chatlens-simnet
+cargo test -q --release -p chatlens-core --lib joiner::
+
 # The benchmark (BENCHMARK.json) is a package of its own outside the
 # workspace, so the workspace runs above never build its unit tests
 # (metric-name grammar, record round-trip, seed tables, spans). `--locked`

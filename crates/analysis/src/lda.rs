@@ -204,7 +204,10 @@ impl LdaModel {
                             *p = acc;
                         }
                         let u = rng.f64() * acc;
-                        let new = probs.partition_point(|&cum| cum < u).min(k - 1);
+                        // `probs` is a non-decreasing prefix sum, so the
+                        // count of cumulative weights below `u` is the
+                        // binary search's index, without its branches.
+                        let new = probs.iter().filter(|&&cum| cum < u).count().min(k - 1);
                         chunk.z[base + j] = new as u8;
                         kw[new * v + w] += 1;
                         nk[new] += 1;

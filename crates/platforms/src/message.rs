@@ -145,15 +145,18 @@ impl MessageLog {
         let kind = Categorical::new(&self.kind_weights);
         let daily = Poisson::new(self.msgs_per_day.max(0.0));
         let mut messages = Vec::new();
-        let mut offsets: Vec<u64> = Vec::new();
+        let mut offsets: Vec<u32> = Vec::new();
         let mut day_start = self.start.floor_day();
         'days: while day_start < self.end {
-            let n = daily.sample(&mut rng);
+            let n = daily.sample(&mut rng) as usize;
             offsets.clear();
-            offsets.extend((0..n).map(|_| rng.below(SECS_PER_DAY)));
-            offsets.sort_unstable();
+            // The counting sort's spare half comes with the same
+            // allocation.
+            offsets.reserve(2 * n);
+            offsets.extend((0..n).map(|_| rng.below(SECS_PER_DAY) as u32));
+            sort_day_offsets(&mut offsets);
             for &off in &offsets {
-                let at = day_start + SimDuration::secs(off);
+                let at = day_start + SimDuration::secs(u64::from(off));
                 if at < self.start || at >= self.end {
                     continue;
                 }
@@ -170,6 +173,57 @@ impl MessageLog {
         }
         messages
     }
+}
+
+/// Days with fewer offsets than this sort them with `sort_unstable`: below
+/// it the counting sort's fixed cost (768 counters) is not repaid.
+const RADIX_MIN: usize = 128;
+
+/// Low digit of the counting sort: 9 bits, then 8 for the high digit.
+const LOW_BITS: u32 = 9;
+const _: () = assert!(SECS_PER_DAY <= 1 << (LOW_BITS + 8), "offsets are 17-bit");
+
+/// Sort a day's second offsets (each below [`SECS_PER_DAY`]) ascending,
+/// into exactly the sequence `sort_unstable` gives. Long days take a
+/// two-pass LSD counting sort, 9 then 8 bits with the counts on the
+/// stack, through a spare half appended to `offsets` (the caller
+/// reserves it) and cut off again; equal offsets are indistinguishable,
+/// so the order is the same.
+fn sort_day_offsets(offsets: &mut Vec<u32>) {
+    let n = offsets.len();
+    if n < RADIX_MIN {
+        offsets.sort_unstable();
+        return;
+    }
+    let low_digit = |v: u32| (v & ((1 << LOW_BITS) - 1)) as usize;
+    let high_digit = |v: u32| (v >> LOW_BITS) as usize;
+    let mut low = [0usize; 1 << LOW_BITS];
+    let mut high = [0usize; 1 << 8];
+    for &v in offsets.iter() {
+        low[low_digit(v)] += 1;
+        high[high_digit(v)] += 1;
+    }
+    let starts = |counts: &mut [usize]| {
+        let mut at = 0;
+        for c in counts {
+            (*c, at) = (at, at + *c);
+        }
+    };
+    starts(&mut low);
+    starts(&mut high);
+    offsets.resize(2 * n, 0);
+    let (keys, spare) = offsets.split_at_mut(n);
+    for &v in keys.iter() {
+        let slot = &mut low[low_digit(v)];
+        spare[*slot] = v;
+        *slot += 1;
+    }
+    for &v in spare.iter() {
+        let slot = &mut high[high_digit(v)];
+        keys[*slot] = v;
+        *slot += 1;
+    }
+    offsets.truncate(n);
 }
 
 #[cfg(test)]
@@ -234,6 +288,58 @@ mod tests {
         for m in &messages {
             assert!(m.at >= log.start && m.at < log.end, "{m:?}");
             assert!(log.posters.contains(&m.sender), "{m:?}");
+        }
+    }
+
+    /// Sort `offsets` as `generate` does (the spare half reserved up
+    /// front) and check it against `sort_unstable`, and that the sort
+    /// needed no allocation of its own.
+    fn sorts_like_sort_unstable(offsets: &[u32]) -> bool {
+        let mut want = offsets.to_vec();
+        want.sort_unstable();
+        let mut got = Vec::with_capacity(2 * offsets.len());
+        got.extend_from_slice(offsets);
+        let capacity = got.capacity();
+        sort_day_offsets(&mut got);
+        got == want && got.capacity() == capacity
+    }
+
+    #[test]
+    fn day_offset_sort_edges() {
+        let last = SECS_PER_DAY as u32 - 1;
+        assert!(sorts_like_sort_unstable(&[]));
+        assert!(sorts_like_sort_unstable(&[last]));
+        for len in [RADIX_MIN - 1, RADIX_MIN, RADIX_MIN + 1, 4 * RADIX_MIN] {
+            for v in [0, 511, 512, last] {
+                assert!(sorts_like_sort_unstable(&vec![v; len]), "{len} x {v}");
+            }
+            let extremes: Vec<u32> = (0..len as u32).map(|i| [last, 0][i as usize % 2]).collect();
+            assert!(sorts_like_sort_unstable(&extremes), "{len}");
+            let strided: Vec<u32> = (0..len as u32).map(|i| last - i * 613 % last).collect();
+            assert!(sorts_like_sort_unstable(&strided), "{len}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn day_offset_sort_is_sort_unstable(
+            len in 0usize..3 * RADIX_MIN,
+            pool in 0u8..4,
+            seed in proptest::any::<u64>()
+        ) {
+            // All equal, the day's two ends, a narrow band full of
+            // repeats, or the whole day.
+            let mut rng = Rng::new(seed);
+            let last = SECS_PER_DAY - 1;
+            let offsets: Vec<u32> = (0..len)
+                .map(|_| match pool {
+                    0 => (seed % SECS_PER_DAY) as u32,
+                    1 => [0, last][rng.below(2) as usize] as u32,
+                    2 => rng.below(700) as u32,
+                    _ => rng.below(SECS_PER_DAY) as u32,
+                })
+                .collect();
+            proptest::prop_assert!(sorts_like_sort_unstable(&offsets), "{:?}", offsets);
         }
     }
 

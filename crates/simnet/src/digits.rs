@@ -77,9 +77,29 @@ pub fn extend_i64(out: &mut Vec<u8>, v: i64) {
     extend_u64(out, v.unsigned_abs());
 }
 
+/// `10^0`, …, `10^19`: the digit-count thresholds of [`decimal_len`].
+const POWERS_OF_TEN: [u64; 20] = {
+    let mut table = [1u64; 20];
+    let mut i = 1;
+    while i < 20 {
+        table[i] = table[i - 1] * 10;
+        i += 1;
+    }
+    table
+};
+
 /// Number of digits [`push_u64`] and [`extend_u64`] append for `v`.
+///
+/// No division: `(bits * 1233) >> 12` is `⌊bits · log10 2⌋` for every
+/// bit length up to 64, so `v` has that many digits, or one more if it
+/// reaches the next power of ten. `v | 1` gives 0 one digit and moves no
+/// other value across a power of ten (they are all even).
+#[inline]
 pub fn decimal_len(v: u64) -> usize {
-    v.checked_ilog10().map_or(1, |l| l as usize + 1)
+    let v = v | 1;
+    let bits = u64::BITS - v.leading_zeros();
+    let t = ((bits * 1233) >> 12) as usize;
+    t + usize::from(v >= POWERS_OF_TEN[t])
 }
 
 #[cfg(test)]
