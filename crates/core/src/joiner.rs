@@ -543,6 +543,7 @@ fn collect_whatsapp(
         Fate::Decoded((created_day, phones)) => {
             jg.created_day = Some(created_day);
             jg.member_list_available = true;
+            jg.members.reserve_exact(phones.len());
             for phone in phones {
                 pii.record_wa_member(&phone.hash);
                 jg.members.push(MemberRecord {
@@ -651,6 +652,7 @@ fn collect_telegram(
         Fate::Lost => return,
     };
     // Profile lookups: phones only for the opt-in sliver.
+    jg.members.reserve_exact(user_ids.len());
     for id in user_ids {
         let req = request("telegram/api/user", &[("account", &account), ("id", &id)]);
         let decode = |body: &str| -> Result<Option<PhoneSeen>, CoreError> {
@@ -721,6 +723,7 @@ fn collect_discord(
     let mut senders: Vec<u32> = jg.messages.iter().map(|m| m.sender.0).collect();
     senders.sort_unstable();
     senders.dedup();
+    jg.members.reserve_exact(senders.len());
     for id in senders {
         let req = request("discord/api/user", &[("id", &id)]);
         let decode = |body: &str| -> Result<Vec<String>, CoreError> {

@@ -30,6 +30,7 @@ use crate::fold::{DayMark, FoldLedger};
 use crate::intern::Interner;
 use crate::joiner::{JoinStrategy, JoinedGroup, Joiner, MemberRecord};
 use crate::monitor::{GapLedger, GroupTimeline, Monitor, ObservedStatus, TimelineStore};
+use crate::net::SERVICE_NAMES;
 use crate::patterns::ExtractionStats;
 use crate::pii::PiiStore;
 use crate::quarantine::{QuarantineCode, QuarantineEntry};
@@ -38,6 +39,7 @@ use chatlens_checkpoint::{persist_struct, CheckpointError, Persist, Reader, Writ
 use chatlens_simnet::fastmap::FastSet;
 use chatlens_simnet::metrics::Metrics;
 use chatlens_simnet::time::SimTime;
+use chatlens_simnet::trace::TraceCounters;
 use chatlens_simnet::transport::ClientState;
 use chatlens_simnet::Engine;
 use chatlens_twitter::Tweet;
@@ -870,6 +872,43 @@ pub struct SnapshotSummary {
     pub spill_day_bytes: BTreeMap<String, u64>,
     /// Deterministic metric counters (wall-clock timings excluded).
     pub counters: BTreeMap<String, u64>,
+    /// Each transport client's persisted counters, in
+    /// [`SERVICE_NAMES`] order.
+    pub transport: [TransportSummary; 4],
+}
+
+/// One transport client's exact counters as its snapshot persists them
+/// ([`TraceCounters`]), named by its service.
+#[derive(Debug, Serialize)]
+pub struct TransportSummary {
+    /// Service name, from [`SERVICE_NAMES`].
+    pub service: &'static str,
+    /// Attempts made, dropped ones included.
+    pub attempts: u64,
+    /// Attempts dropped in transit.
+    pub dropped_attempts: u64,
+    /// Answered attempts per status.
+    pub by_status: BTreeMap<String, u64>,
+    /// Attempts per endpoint.
+    pub by_endpoint: BTreeMap<String, u64>,
+    /// Circuit-breaker openings.
+    pub breaker_opened: u64,
+    /// Calls an open breaker rejected without an attempt.
+    pub breaker_fast_fails: u64,
+}
+
+impl TransportSummary {
+    fn of(service: &'static str, trace: &TraceCounters) -> TransportSummary {
+        TransportSummary {
+            service,
+            attempts: trace.total,
+            dropped_attempts: trace.dropped_attempts,
+            by_status: trace.by_status.clone(),
+            by_endpoint: trace.by_endpoint.clone(),
+            breaker_opened: trace.breaker_opened,
+            breaker_fast_fails: trace.breaker_fast_fails,
+        }
+    }
 }
 
 impl CampaignState {
@@ -935,6 +974,9 @@ impl CampaignState {
                 .filter(|(name, _)| !name.ends_with(".micros"))
                 .map(|(name, v)| (name.to_string(), v))
                 .collect(),
+            transport: std::array::from_fn(|i| {
+                TransportSummary::of(SERVICE_NAMES[i], &self.clients[i].trace)
+            }),
         }
     }
 }

@@ -129,10 +129,17 @@ impl InviteCode {
 
     /// The full URL as it appears inside tweets.
     pub fn url(&self) -> String {
-        match self.pattern {
-            UrlPattern::DiscordCom => format!("https://discord.com/invite/{}", self.code),
-            p => format!("https://{}/{}", p.host(), self.code),
-        }
+        let path = match self.pattern {
+            UrlPattern::DiscordCom => "discord.com/invite",
+            p => p.host(),
+        };
+        // Built at its exact length: tweets keep these strings for good.
+        let mut url = String::with_capacity("https://".len() + path.len() + 1 + self.code.len());
+        url.push_str("https://");
+        url.push_str(path);
+        url.push('/');
+        url.push_str(&self.code);
+        url
     }
 
     /// The platform this invite belongs to.
@@ -274,6 +281,26 @@ mod tests {
             code: "abc".into(),
         };
         assert_ne!(a.dedup_key(), c.dedup_key());
+    }
+
+    #[test]
+    fn url_spells_each_pattern_at_exact_length() {
+        for (pattern, url) in [
+            (UrlPattern::WhatsAppChat, "https://chat.whatsapp.com/abc"),
+            (UrlPattern::TMe, "https://t.me/abc"),
+            (UrlPattern::TelegramMe, "https://telegram.me/abc"),
+            (UrlPattern::TelegramOrg, "https://telegram.org/abc"),
+            (UrlPattern::DiscordGg, "https://discord.gg/abc"),
+            (UrlPattern::DiscordCom, "https://discord.com/invite/abc"),
+        ] {
+            let built = InviteCode {
+                pattern,
+                code: "abc".into(),
+            }
+            .url();
+            assert_eq!(built, url);
+            assert_eq!(built.capacity(), built.len(), "{url}");
+        }
     }
 
     #[test]

@@ -227,6 +227,14 @@ mod tests {
     }
 
     #[test]
+    fn no_country_dials_the_no_phone_sentinel() {
+        // `User` stores "no phone" as dial 0.
+        for c in COUNTRIES {
+            assert_ne!(c.dial, 0, "{}", c.iso);
+        }
+    }
+
+    #[test]
     fn dial_codes_unique() {
         let mut dials: Vec<u16> = COUNTRIES.iter().map(|c| c.dial).collect();
         dials.sort_unstable();

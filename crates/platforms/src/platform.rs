@@ -114,11 +114,9 @@ impl Platform {
         }
     }
 
-    /// Register a user; the platform assigns and returns its id.
-    pub fn push_user(&mut self, mut user: User) -> UserId {
+    /// Register a user; its id is its index in [`Platform::users`].
+    pub fn push_user(&mut self, user: User) -> UserId {
         let id = UserId(self.users.len() as u32);
-        user.id = id;
-        debug_assert_eq!(user.platform, self.kind);
         self.users.push(user);
         id
     }
@@ -318,7 +316,7 @@ mod tests {
 
     fn wa_user(p: &mut Platform, rng: &mut Rng) -> UserId {
         let phone = PhoneNumber::allocate(country_by_iso("BR").unwrap(), rng);
-        p.push_user(User::whatsapp(UserId(0), phone))
+        p.push_user(User::whatsapp(phone))
     }
 
     #[test]

@@ -423,7 +423,7 @@ impl Platform {
         // The landing page shows title, current size, and — the PII finding
         // of §6 — the creator's phone number, visible to *non-members*.
         let creator = self.user(group.creator);
-        let phone = creator.phone.expect("WhatsApp users register by phone");
+        let phone = creator.phone().expect("WhatsApp users register by phone");
         // Every successful document echoes the identity it was resolved
         // for (here the invite code), so collectors can detect a
         // cross-document splice: a body served under the wrong URL.
@@ -479,7 +479,7 @@ impl Platform {
             .field("group", gid.0)
             .field("created_day", group.created_at.date().day_number());
         for &m in &history.members {
-            let phone = self.user(m).phone.expect("WhatsApp member has phone");
+            let phone = self.user(m).phone().expect("WhatsApp member has phone");
             doc = doc.field_string("member", phone.e164());
         }
         Response::ok(doc.render())
@@ -716,7 +716,7 @@ impl Platform {
         let user = self.user(UserId(id));
         // The profile exposes connected accounts (§6, Table 5).
         let mut doc = WireDoc::new("dc-user").field("id", id);
-        for link in &user.linked {
+        for link in user.linked() {
             doc = doc.field("linked", link.label());
         }
         Response::ok(doc.render())
@@ -790,11 +790,11 @@ mod tests {
             .map(|i| match kind {
                 PlatformKind::WhatsApp => {
                     let phone = PhoneNumber::allocate(country, &mut rng);
-                    p.push_user(User::whatsapp(UserId(0), phone))
+                    p.push_user(User::whatsapp(phone))
                 }
                 PlatformKind::Telegram => {
                     let phone = PhoneNumber::allocate(country, &mut rng);
-                    p.push_user(User::telegram(UserId(0), phone, i == 1))
+                    p.push_user(User::telegram(phone, i == 1))
                 }
                 PlatformKind::Discord => {
                     let linked = if i == 1 {
@@ -802,7 +802,7 @@ mod tests {
                     } else {
                         vec![]
                     };
-                    p.push_user(User::discord(UserId(0), linked))
+                    p.push_user(User::discord(&linked))
                 }
             })
             .collect();

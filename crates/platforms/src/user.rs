@@ -6,7 +6,6 @@
 //! users had); Discord has no phone numbers but exposes **connected
 //! accounts** on other platforms for ~30% of users (Table 5).
 
-use crate::id::{PlatformKind, UserId};
 use crate::phone::PhoneNumber;
 
 /// External platforms a Discord profile can link to (Table 5).
@@ -69,76 +68,90 @@ impl LinkedPlatform {
         }
     }
 
-    /// Stable index into [`LinkedPlatform::ALL`].
+    /// Stable index into [`LinkedPlatform::ALL`] (the variants are
+    /// declared in that order).
     pub fn index(self) -> usize {
-        LinkedPlatform::ALL
-            .iter()
-            .position(|&p| p == self)
-            .expect("platform present in ALL")
+        self as usize
     }
 }
 
-/// A registered user of one messaging platform.
-#[derive(Debug, Clone)]
+/// A registered user of one messaging platform, held in 16 bytes.
+///
+/// A user is stored by the [`Platform`](crate::platform::Platform) that
+/// owns it, at the index that is its [`UserId`](crate::id::UserId), so it
+/// repeats neither. It keeps only the PII facts §6 reduces a user to:
+/// the registration phone as its `(dial, national)` pair, with dial 0
+/// meaning "no phone" (no E.164 calling code is 0); whether a co-member
+/// sees that phone; and Discord's connected accounts as a bitset over
+/// [`LinkedPlatform::ALL`], bit `i` for `ALL[i]`.
+#[derive(Debug, Clone, Copy)]
 pub struct User {
-    /// Dense platform-local id.
-    pub id: UserId,
-    /// The platform the account lives on.
-    pub platform: PlatformKind,
-    /// Registration phone number (WhatsApp and Telegram; `None` on
-    /// Discord, which registers by email).
-    pub phone: Option<PhoneNumber>,
-    /// Telegram only: whether the user opted in to showing their phone
-    /// number to group co-members (off by default; 0.68% opted in per §6).
-    pub phone_visible: bool,
-    /// Discord only: connected accounts on other platforms.
-    pub linked: Vec<LinkedPlatform>,
+    national: u64,
+    dial: u16,
+    links: u16,
+    phone_visible: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<User>() == 16);
 
 impl User {
     /// A WhatsApp user (phone always present and always visible to
     /// co-members — the crux of §6's WhatsApp finding).
-    pub fn whatsapp(id: UserId, phone: PhoneNumber) -> User {
-        User {
-            id,
-            platform: PlatformKind::WhatsApp,
-            phone: Some(phone),
-            phone_visible: true,
-            linked: Vec::new(),
-        }
+    pub fn whatsapp(phone: PhoneNumber) -> User {
+        User::with_phone(phone, true)
     }
 
     /// A Telegram user; `phone_visible` reflects the opt-in.
-    pub fn telegram(id: UserId, phone: PhoneNumber, phone_visible: bool) -> User {
+    pub fn telegram(phone: PhoneNumber, phone_visible: bool) -> User {
+        User::with_phone(phone, phone_visible)
+    }
+
+    /// A Discord user (registered by email, so no phone) with the given
+    /// connected accounts.
+    pub fn discord(linked: &[LinkedPlatform]) -> User {
         User {
-            id,
-            platform: PlatformKind::Telegram,
-            phone: Some(phone),
-            phone_visible,
-            linked: Vec::new(),
+            national: 0,
+            dial: 0,
+            links: linked.iter().fold(0, |bits, p| bits | 1 << p.index()),
+            phone_visible: false,
         }
     }
 
-    /// A Discord user with the given connected accounts.
-    pub fn discord(id: UserId, linked: Vec<LinkedPlatform>) -> User {
+    fn with_phone(phone: PhoneNumber, phone_visible: bool) -> User {
+        debug_assert_ne!(phone.dial, 0, "dial 0 is the no-phone sentinel");
         User {
-            id,
-            platform: PlatformKind::Discord,
-            phone: None,
-            phone_visible: false,
-            linked,
+            national: phone.national,
+            dial: phone.dial,
+            links: 0,
+            phone_visible,
         }
+    }
+
+    /// Registration phone number (WhatsApp and Telegram; `None` on
+    /// Discord, which registers by email).
+    pub fn phone(&self) -> Option<PhoneNumber> {
+        (self.dial != 0).then_some(PhoneNumber {
+            dial: self.dial,
+            national: self.national,
+        })
     }
 
     /// The phone number this user's platform would *expose* to a
     /// co-member: always for WhatsApp, opt-in for Telegram, never for
     /// Discord.
     pub fn exposed_phone(&self) -> Option<PhoneNumber> {
-        match self.platform {
-            PlatformKind::WhatsApp => self.phone,
-            PlatformKind::Telegram => self.phone.filter(|_| self.phone_visible),
-            PlatformKind::Discord => None,
-        }
+        self.phone().filter(|_| self.phone_visible)
+    }
+
+    /// Discord only: connected accounts on other platforms, in
+    /// [`LinkedPlatform::ALL`] order.
+    pub fn linked(&self) -> impl Iterator<Item = LinkedPlatform> {
+        let links = self.links;
+        LinkedPlatform::ALL
+            .into_iter()
+            .enumerate()
+            .filter(move |&(i, _)| links >> i & 1 != 0)
+            .map(|(_, p)| p)
     }
 }
 
@@ -153,24 +166,44 @@ mod tests {
     }
 
     #[test]
-    fn whatsapp_always_exposes_phone() {
-        let u = User::whatsapp(UserId(0), phone());
-        assert_eq!(u.exposed_phone(), Some(phone()));
+    fn each_constructor_keeps_and_exposes_its_phone() {
+        let linked = [LinkedPlatform::Twitch, LinkedPlatform::Facebook];
+        // (user, phone(), exposed_phone(), linked())
+        let table = [
+            (
+                User::whatsapp(phone()),
+                Some(phone()),
+                Some(phone()),
+                vec![],
+            ),
+            (User::telegram(phone(), false), Some(phone()), None, vec![]),
+            (
+                User::telegram(phone(), true),
+                Some(phone()),
+                Some(phone()),
+                vec![],
+            ),
+            (User::discord(&[]), None, None, vec![]),
+            (User::discord(&linked), None, None, linked.to_vec()),
+        ];
+        for (i, (user, phone, exposed, links)) in table.into_iter().enumerate() {
+            assert_eq!(user.phone(), phone, "row {i}");
+            assert_eq!(user.exposed_phone(), exposed, "row {i}");
+            assert_eq!(user.linked().collect::<Vec<_>>(), links, "row {i}");
+        }
     }
 
     #[test]
-    fn telegram_exposes_only_on_opt_in() {
-        let hidden = User::telegram(UserId(0), phone(), false);
-        assert_eq!(hidden.exposed_phone(), None);
-        let shown = User::telegram(UserId(1), phone(), true);
-        assert_eq!(shown.exposed_phone(), Some(phone()));
-    }
-
-    #[test]
-    fn discord_never_exposes_phone() {
-        let u = User::discord(UserId(0), vec![LinkedPlatform::Twitch]);
-        assert_eq!(u.exposed_phone(), None);
-        assert_eq!(u.linked, vec![LinkedPlatform::Twitch]);
+    fn every_link_subset_comes_back_in_table5_order() {
+        for mask in 0u16..1 << LinkedPlatform::ALL.len() {
+            let subset: Vec<LinkedPlatform> = LinkedPlatform::ALL
+                .into_iter()
+                .filter(|p| mask >> p.index() & 1 != 0)
+                .collect();
+            let user = User::discord(&subset);
+            assert_eq!(user.linked().collect::<Vec<_>>(), subset, "mask {mask:#x}");
+            assert_eq!(user.phone(), None, "mask {mask:#x}");
+        }
     }
 
     #[test]

@@ -13,13 +13,12 @@
 //! a checkpoint resume that replays the joins, generate none.
 
 use crate::config::PlatformParams;
-use crate::population::{generic_countries, sample_discord_links};
+use crate::population::{draw_user, generic_countries};
 use chatlens_platforms::group::{ChatKind, GroupHistory};
 use chatlens_platforms::id::{GroupId, PlatformKind, UserId};
 use chatlens_platforms::message::MessageLog;
-use chatlens_platforms::phone::{CountryCode, PhoneNumber};
+use chatlens_platforms::phone::CountryCode;
 use chatlens_platforms::platform::Platform;
-use chatlens_platforms::user::User;
 use chatlens_simnet::rng::Rng;
 use chatlens_simnet::time::{SimTime, StudyWindow};
 
@@ -62,19 +61,7 @@ pub fn materialize(
         } else {
             countries[country_dist.sample(&mut rng)]
         };
-        let user = match kind {
-            PlatformKind::WhatsApp => User::whatsapp(UserId(0), PhoneNumber::allocate(c, &mut rng)),
-            PlatformKind::Telegram => User::telegram(
-                UserId(0),
-                PhoneNumber::allocate(c, &mut rng),
-                rng.chance(params.p_phone_visible),
-            ),
-            PlatformKind::Discord => User::discord(
-                UserId(0),
-                sample_discord_links(params.p_linked_any, &mut rng),
-            ),
-        };
-        members.push(platform.push_user(user));
+        members.push(platform.push_user(draw_user(kind, c, params, &mut rng)));
     }
 
     // ---- posters --------------------------------------------------------
@@ -108,21 +95,7 @@ pub fn materialize(
                 } else {
                     countries[country_dist.sample(&mut rng)]
                 };
-                let user = match kind {
-                    PlatformKind::WhatsApp => {
-                        User::whatsapp(UserId(0), PhoneNumber::allocate(c, &mut rng))
-                    }
-                    PlatformKind::Telegram => User::telegram(
-                        UserId(0),
-                        PhoneNumber::allocate(c, &mut rng),
-                        rng.chance(params.p_phone_visible),
-                    ),
-                    PlatformKind::Discord => User::discord(
-                        UserId(0),
-                        sample_discord_links(params.p_linked_any, &mut rng),
-                    ),
-                };
-                pool_users.push(platform.push_user(user));
+                pool_users.push(platform.push_user(draw_user(kind, c, params, &mut rng)));
             }
             // Interleave past and present posters across the Zipf ranks so
             // activity is not an artifact of seniority ordering.

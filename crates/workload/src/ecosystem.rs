@@ -9,7 +9,7 @@ use chatlens_platforms::platform::{AccountState, Platform};
 use chatlens_simnet::fault::TokenBucketState;
 use chatlens_simnet::rng::Rng;
 use chatlens_simnet::time::{SimTime, StudyWindow};
-use chatlens_twitter::{TweetId, TweetStore};
+use chatlens_twitter::{Tweet, TweetId, TweetStore};
 
 /// Twitter author-id block assigned to each tweet population, so
 /// per-platform author pools are disjoint (the paper's per-platform user
@@ -124,6 +124,7 @@ impl Ecosystem {
                     let pick = rng.index(metas[other].len());
                     let group = platforms[other].group(metas[other][pick].id);
                     if group.is_alive(draft.tweet.at) {
+                        draft.tweet.urls.reserve_exact(1);
                         draft.tweet.urls.push(group.invite.url());
                         break;
                     }
@@ -158,8 +159,14 @@ impl Ecosystem {
         });
         let mut twitter = TweetStore::new(config.search_miss, config.stream_miss, config.seed);
         for &(_, i) in &order {
-            let draft = &drafts[i as usize];
-            let mut tweet = draft.tweet.clone();
+            // Move the draft's vectors into the store instead of copying
+            // them; each was built at its final length.
+            let draft = &mut drafts[i as usize];
+            let mut tweet = Tweet {
+                urls: std::mem::take(&mut draft.tweet.urls),
+                tokens: std::mem::take(&mut draft.tweet.tokens),
+                ..draft.tweet.clone()
+            };
             match draft.kind {
                 DraftKind::Original {
                     platform,
@@ -341,6 +348,20 @@ mod tests {
             .group(gid)
             .history
             .is_some());
+    }
+
+    #[test]
+    fn stored_tweets_hold_their_vectors_at_exact_length() {
+        // The store takes the drafts' vectors as they are, so they must
+        // hold no more bytes than a copy would.
+        let eco = tiny();
+        for t in eco.twitter.tweets() {
+            assert_eq!(t.urls.capacity(), t.urls.len(), "{t:?}");
+            assert_eq!(t.tokens.capacity(), t.tokens.len(), "{t:?}");
+            for url in &t.urls {
+                assert_eq!(url.capacity(), url.len(), "{url}");
+            }
+        }
     }
 
     #[test]

@@ -4,16 +4,13 @@
 
 use crate::config::PlatformParams;
 use crate::lang::LangProfile;
-use crate::population::{
-    generic_countries, sample_discord_links, whatsapp_creator_countries, CreatorModel,
-};
+use crate::population::{draw_user, generic_countries, whatsapp_creator_countries, CreatorModel};
 use crate::topics::{topic_categorical, topics_for};
 use chatlens_platforms::group::{ChatKind, Group, SizeTimeline};
 use chatlens_platforms::id::{GroupId, PlatformKind, UserId};
 use chatlens_platforms::invite::InviteCode;
-use chatlens_platforms::phone::{CountryCode, PhoneNumber};
+use chatlens_platforms::phone::CountryCode;
 use chatlens_platforms::platform::Platform;
-use chatlens_platforms::user::User;
 use chatlens_simnet::dist::{Exponential, LogNormal};
 use chatlens_simnet::rng::Rng;
 use chatlens_simnet::time::{SimDuration, SimTime, StudyWindow, SECS_PER_DAY};
@@ -172,20 +169,7 @@ pub fn generate_groups(
     let mut creator_of_group: Vec<(UserId, CountryCode)> = Vec::with_capacity(n_groups as usize);
     for &count in &counts {
         let country = creator_countries[creator_country_dist.sample(rng)];
-        let user = match kind {
-            PlatformKind::WhatsApp => {
-                User::whatsapp(UserId(0), PhoneNumber::allocate(country, rng))
-            }
-            PlatformKind::Telegram => User::telegram(
-                UserId(0),
-                PhoneNumber::allocate(country, rng),
-                rng.chance(params.p_phone_visible),
-            ),
-            PlatformKind::Discord => {
-                User::discord(UserId(0), sample_discord_links(params.p_linked_any, rng))
-            }
-        };
-        let uid = platform.push_user(user);
+        let uid = platform.push_user(draw_user(kind, country, params, rng));
         for _ in 0..count {
             creator_of_group.push((uid, country));
         }

@@ -1,8 +1,10 @@
 //! Population models: group creators, phone-number countries, Discord
 //! connected accounts, and tweet-author pools.
 
-use chatlens_platforms::phone::{country_by_iso, CountryCode, COUNTRIES};
-use chatlens_platforms::user::LinkedPlatform;
+use crate::config::PlatformParams;
+use chatlens_platforms::id::PlatformKind;
+use chatlens_platforms::phone::{country_by_iso, CountryCode, PhoneNumber, COUNTRIES};
+use chatlens_platforms::user::{LinkedPlatform, User};
 use chatlens_simnet::dist::Categorical;
 use chatlens_simnet::rng::Rng;
 
@@ -172,6 +174,25 @@ pub fn sample_discord_links(p_any: f64, rng: &mut Rng) -> Vec<LinkedPlatform> {
     links
 }
 
+/// Draw one `kind` user registered in `country`: a phone number on
+/// WhatsApp and Telegram (then Telegram's visibility opt-in), connected
+/// accounts on Discord, which leaves `country` unused.
+pub fn draw_user(
+    kind: PlatformKind,
+    country: CountryCode,
+    params: &PlatformParams,
+    rng: &mut Rng,
+) -> User {
+    match kind {
+        PlatformKind::WhatsApp => User::whatsapp(PhoneNumber::allocate(country, rng)),
+        PlatformKind::Telegram => User::telegram(
+            PhoneNumber::allocate(country, rng),
+            rng.chance(params.p_phone_visible),
+        ),
+        PlatformKind::Discord => User::discord(&sample_discord_links(params.p_linked_any, rng)),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,6 +286,22 @@ mod tests {
         for _ in 0..10_000 {
             let links = sample_discord_links(1.0, &mut rng);
             assert!(!links.is_empty());
+        }
+    }
+
+    #[test]
+    fn links_come_in_table5_order_without_repeats() {
+        // `User` keeps the links as a bitset read back in `ALL` order, so
+        // the sampler must already return them that way.
+        let mut rng = Rng::new(8);
+        for p_any in [0.30, 1.0] {
+            for _ in 0..20_000 {
+                let links = sample_discord_links(p_any, &mut rng);
+                assert!(
+                    links.windows(2).all(|w| w[0].index() < w[1].index()),
+                    "{links:?}"
+                );
+            }
         }
     }
 

@@ -177,10 +177,14 @@ pub fn generate_share_drafts(
             } else {
                 sample_lexicon_tokens(lang, vocab, rng)
             };
-            let mut urls = vec![group.invite.url()];
-            if rng.chance(p_noise_url) {
-                urls.push(NOISE_URLS[rng.index(NOISE_URLS.len())].to_string());
-            }
+            // At its final length: the store keeps this vector as it is
+            // (a cross-platform co-share reserves its own slot).
+            let noise = rng
+                .chance(p_noise_url)
+                .then(|| NOISE_URLS[rng.index(NOISE_URLS.len())]);
+            let mut urls = Vec::with_capacity(1 + usize::from(noise.is_some()));
+            urls.push(group.invite.url());
+            urls.extend(noise.map(str::to_string));
             Tweet {
                 id: TweetId(0),
                 author: TwitterUserId(author_offset + rng.below(author_pool.max(1)) as u32),

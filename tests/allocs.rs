@@ -1,6 +1,7 @@
-//! Exact allocation counts of one scale-0.002 campaign, its report, and
-//! the world rebuild of its day-20 snapshot; and the allocation count and
-//! heap peak of the same campaign saving a snapshot every day.
+//! Exact allocation counts and heap peak of one scale-0.002 campaign,
+//! the allocation counts of its report and of the world rebuild of its
+//! day-20 snapshot; and the allocation count and heap peak of the same
+//! campaign saving a snapshot every day.
 //!
 //! Allocation counts are deterministic work counters: at one worker
 //! thread the same code on the same inputs makes the same allocator
@@ -99,7 +100,8 @@ fn campaign_and_report_allocations_are_pinned() {
         threads: 1,
         ..CampaignConfig::default()
     };
-    let (ds, campaign_allocs) = counted(|| run_study_on(&mut eco, campaign));
+    let (ds, campaign_allocs, campaign_peak) =
+        counted_with_peak(|| run_study_on(&mut eco, campaign));
     let (report, report_allocs) = counted(|| ds.campaign_report());
     assert!(report.contains("joined_sha256: "), "{report}");
 
@@ -118,6 +120,7 @@ fn campaign_and_report_allocations_are_pinned() {
     assert_eq!(
         (
             campaign_allocs,
+            campaign_peak,
             report_allocs,
             world_allocs,
             daily_allocs,
@@ -125,12 +128,13 @@ fn campaign_and_report_allocations_are_pinned() {
         ),
         (
             CAMPAIGN_ALLOCS,
+            CAMPAIGN_HEAP_PEAK,
             REPORT_ALLOCS,
             WORLD_ALLOCS,
             DAILY_CKPT_ALLOCS,
             DAILY_CKPT_HEAP_PEAK
         ),
-        "allocation counts or the heap peak moved: re-pin them only for a change \
+        "allocation counts or heap peaks moved: re-pin them only for a change \
          that means to (a save that copies the campaign moves the last two)"
     );
 }
@@ -169,24 +173,29 @@ fn daily_checkpointed_campaign() -> (u64, u64) {
 /// assertions (the test profile) also audit the campaign's invariants
 /// after every day, which allocates.
 const CAMPAIGN_ALLOCS: u64 = if cfg!(debug_assertions) {
-    395_447
+    395_183
 } else {
-    380_147
+    379_883
 };
+/// Peak requested bytes `run_study_on` holds live beyond the built world:
+/// the joins' users and member tables, the collected messages and the
+/// growing collections. The same in both profiles: the test profile's
+/// per-day audit frees what it allocates below that peak.
+const CAMPAIGN_HEAP_PEAK: u64 = 29_440_721;
 /// Allocator calls of `Dataset::campaign_report` on that dataset.
-const REPORT_ALLOCS: u64 = 6_970;
+const REPORT_ALLOCS: u64 = 6_260;
 /// Allocator calls of `CampaignState::world` for the same campaign's
 /// day-20 snapshot: the world build plus the replayed joins, which
 /// allocate members and log recipes and generate no message.
-const WORLD_ALLOCS: u64 = 40_688;
+const WORLD_ALLOCS: u64 = 25_054;
 /// Allocator calls of the same campaign (threads 1) saving a snapshot
 /// after every day through the real filesystem.
 const DAILY_CKPT_ALLOCS: u64 = if cfg!(debug_assertions) {
-    401_110
+    400_846
 } else {
-    385_810
+    385_546
 };
 /// Peak requested bytes that campaign holds live beyond the built world:
 /// the growing collections plus one encoded snapshot at a time; a save
 /// that clones the campaign's collections adds their size.
-const DAILY_CKPT_HEAP_PEAK: u64 = 45_093_809;
+const DAILY_CKPT_HEAP_PEAK: u64 = 33_365_809;
