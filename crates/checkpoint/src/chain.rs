@@ -411,6 +411,7 @@ pub fn repair_chain<T: Persist>(
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests fabricate damaged files")]
 mod tests {
     use super::*;
     use crate::snapshot::{encode_snapshot, save_to_file};

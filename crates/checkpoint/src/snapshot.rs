@@ -183,6 +183,7 @@ pub fn load_from_file<T: Persist>(path: &Path) -> Result<T, CheckpointError> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "the test clears its scratch dir")]
 mod tests {
     use super::*;
 

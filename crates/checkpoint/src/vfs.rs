@@ -1,7 +1,8 @@
 //! The virtual filesystem every checkpoint/report byte flows through.
 //!
 //! This module is the **only** place in the workspace allowed to call
-//! `std::fs` (lint rule D13 enforces it; tests are exempt). Routing all
+//! `std::fs` (rule D13, enforced by the `clippy.toml` bans; the tests
+//! that fabricate damaged files take their own exemption). Routing all
 //! durable I/O through one trait buys two things:
 //!
 //! * **A real fsync contract.** [`RealVfs::write_atomic`] is
@@ -20,6 +21,11 @@
 //! `short-write`, `rename-fail`) and each kind with a zero rate consumes
 //! no RNG draws, so the `calm` profile is byte-identical to using
 //! [`RealVfs`] directly.
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the Vfs is the one home of std::fs (rule D13)"
+)]
 
 use crate::error::CheckpointError;
 use chatlens_simnet::fault::{DiskFaultKind, DiskFaultRates};

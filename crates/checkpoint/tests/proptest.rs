@@ -38,7 +38,7 @@ persist_struct!(Blob {
     j
 });
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one argument per field")]
 fn blob(
     a: u64,
     b: i64,

@@ -96,7 +96,7 @@ pub struct Dataset {
 
 impl Dataset {
     /// Assemble from the campaign components.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one argument per component")]
     pub(crate) fn assemble(
         window: StudyWindow,
         discovery: Discovery,

@@ -219,7 +219,7 @@ impl Discovery {
     /// is re-fetched once immediately, and if the retry is damaged too
     /// the page is treated exactly like a transport loss — nothing from
     /// either hostile body is ingested.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "disjoint borrows of its parts")]
     fn drain_pages(
         &mut self,
         net: &mut Net,

@@ -130,7 +130,7 @@ impl Joiner {
     /// URLs are skipped and resampled, mirroring the paper's join of live
     /// public groups. `observed_size` supplies monitor sizes for the
     /// size-biased ablation strategy (ignored under `Uniform`).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "disjoint borrows of its parts")]
     pub fn join_phase_with(
         &mut self,
         net: &mut Net,
@@ -293,7 +293,7 @@ impl Joiner {
     }
 
     /// Join uniformly at random (the paper's strategy, §3.3).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "disjoint borrows of its parts")]
     pub fn join_phase(
         &mut self,
         net: &mut Net,
@@ -466,7 +466,7 @@ fn decode_join(body: &str, join_doc: &'static str, req: &Request) -> Result<Grou
 /// ticks the pacing cursor like any other collection request, and a
 /// lost fetch is counted in `failed`. `decode` must be pure — nothing is
 /// applied until the whole body has validated.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "disjoint borrows of its parts")]
 fn fetch_decoded<T>(
     net: &mut Net,
     eco: &mut Ecosystem,
@@ -506,7 +506,7 @@ fn fetch_decoded<T>(
     fetched
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "disjoint borrows of its parts")]
 fn collect_whatsapp(
     net: &mut Net,
     eco: &mut Ecosystem,
@@ -575,7 +575,7 @@ fn collect_whatsapp(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "disjoint borrows of its parts")]
 fn collect_telegram(
     net: &mut Net,
     eco: &mut Ecosystem,
@@ -686,7 +686,7 @@ fn collect_telegram(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "disjoint borrows of its parts")]
 fn collect_discord(
     net: &mut Net,
     eco: &mut Ecosystem,

@@ -39,6 +39,7 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::let_underscore_must_use)]
 
 pub mod audit;
 pub mod budget;

@@ -856,7 +856,7 @@ impl Drop for Campaign<'_> {
             .as_ref()
             .is_some_and(|s| s.policy.on_drop && s.saved != Some(self.runner.day));
         if unsaved && self.at_boundary && std::thread::panicking() {
-            // Best-effort: never surface I/O errors mid-unwind.
+            #[expect(clippy::let_underscore_must_use, reason = "best-effort unwind save")]
             let _ = self.save();
         }
     }
@@ -1213,7 +1213,7 @@ impl Runner {
 /// One campaign event, dispatched against the pipeline components. Free
 /// function (rather than a `Runner` method) so `step_day` can lend the
 /// engine to `run_until` while the handler mutates the other fields.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "disjoint borrows of the runner")]
 fn handle_event(
     ev: CampaignEvent,
     now: SimTime,
@@ -1299,6 +1299,11 @@ fn handle_event(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    clippy::let_underscore_must_use,
+    reason = "tests read snapshots and clear scratch dirs, which may be missing"
+)]
 mod tests {
     use super::*;
     use crate::budget::BudgetLimit;

@@ -1,5 +1,5 @@
 //@ path: crates/core/src/fixture.rs
-// lint:allow(D1)
-fn f() -> u64 { SystemTime::now().elapsed().as_secs() }
-//~^^ ERROR D1
-//~^^ SUPPRESSED D1
+// lint:allow(D12)
+fn f(m: &Metrics) { m.incr("ad_hoc_key", 1); }
+//~^^ ERROR D12
+//~^^ SUPPRESSED D12

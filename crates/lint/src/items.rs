@@ -1,7 +1,7 @@
 //! A lightweight *item-level* parser layered on the token stream.
 //!
 //! The flat scanner ([`scan`](mod@crate::scan)) is enough for token-shaped
-//! rules (D1–D8), but the structure-aware rules need to know *what* a
+//! rules (D2–D8, D14), but the structure-aware rules need to know *what* a
 //! token belongs to: D9 must pair a `struct` definition's field list with
 //! the `save`/`load` bodies of its `impl Persist`, D11 must find the
 //! stream-registry constant, D12 the metric-key constants. This module

@@ -11,10 +11,10 @@
 //!   "files_scanned": 57,
 //!   "suppressed": 12,
 //!   "findings": [
-//!     { "rule": "D1", "path": "crates/x/src/y.rs",
+//!     { "rule": "D2", "path": "crates/x/src/y.rs",
 //!       "line": 3, "col": 9, "message": "..." }
 //!   ],
-//!   "per_rule": { "D1": 0, "...": 0 },
+//!   "per_rule": { "D2": 0, "...": 0 },
 //!   "per_crate": { "analysis": 0, "bin": 0 }
 //! }
 //! ```
@@ -342,7 +342,7 @@ mod tests {
     fn sample_report() -> Report {
         Report {
             findings: vec![Finding {
-                rule: Rule::D1,
+                rule: Rule::D2,
                 path: "crates/core/src/x.rs".into(),
                 line: 3,
                 col: 9,
@@ -376,7 +376,7 @@ mod tests {
         let missing_findings = r#"{"schema": "chatlens-lint/v1", "files_scanned": 1, "suppressed": 0, "per_rule": {}, "per_crate": {}}"#;
         assert!(validate(missing_findings).is_err());
         let bad_finding = r#"{"schema": "chatlens-lint/v1", "files_scanned": 1, "suppressed": 0,
-            "findings": [{"rule": "D1"}], "per_rule": {}, "per_crate": {}}"#;
+            "findings": [{"rule": "D2"}], "per_rule": {}, "per_crate": {}}"#;
         assert!(validate(bad_finding).is_err());
     }
 

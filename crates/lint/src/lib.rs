@@ -11,19 +11,31 @@
 //!
 //! | id | rule |
 //! |----|------|
-//! | D1 | banned wall-clock / scheduler APIs: `SystemTime::now`, `thread::current` anywhere; `Instant::now` outside `simnet::metrics`; `std::time` in analysis/report crates |
 //! | D2 | `HashMap`/`HashSet`/`FastMap`/`FastSet` iteration on result paths (analysis, report, core, workload, perspective) unless the site collects into a sorted/`BTreeMap` form or only takes a cardinality |
-//! | D3 | ambient entropy: `thread_rng`, `from_entropy`, `OsRng`, `getrandom`, `RandomState` — every RNG must derive from the seeded root via `Rng::fork` |
 //! | D4 | `par_map`/`par_map_chunked`/`par_chunks_mut`/`run_tasks` closures must not touch locks or shared atomics (ordered merge is the only legal reduction; the `Fn` bound already forbids `&mut` capture at compile time) |
 //! | D5 | no `unwrap()`/`expect()` on lock acquisition in library crates (the `parking_lot` shim never poisons; a `Result`-shaped lock call is a sign std locks leaked in) |
-//! | D7 | discarded transport results: a `.twitter(...)` / `.platform(...)` call in the core crate or the binary whose `Result` is dropped (`let _ = ...;` or a bare expression statement) — transport failures must be handled (retried, queued for backfill, or counted), never silently swallowed |
 //! | D8 | `unwrap()`/`expect()` on a `WireDoc` accessor result (`parse`, `parse_as`, `req`, `req_u64`, `req_i64`, `opt_u64`) outside `#[cfg(test)]` and the quarantine module — wire bodies are hostile input; a failed decode must route into the quarantine ledger, never panic a collector |
 //! | D9 | Persist-coverage: every named field of a type with an `impl Persist` (or a `persist_struct!` field list) must be referenced in both the save and load bodies; every variant of a persisted enum must round-trip unless the impl is table-driven (`ALL`) — checkpoint drift caught at lint time, not at resume time |
-//! | D10 | hot-path allocation: `format!`, `.to_string()`, `.to_owned()`, `String::from`, `.clone()` in the designated hot modules (`core::dataset`, `core::joiner`, `core::monitor`, wire parsing, `TweetStore`) — protects the zero-copy/`Cow` layout |
+//! | D10 | hot-path allocation: `format!`, `.to_string()`, `.to_owned()`, `String::from`, `.clone()` in the designated hot modules (`core::dataset`, `core::joiner`, `core::monitor`, wire parsing, the platform services and message logs, `TweetStore`) — protects the zero-copy/`Cow` layout |
 //! | D11 | RNG-stream discipline: every `Rng::fork` label must be a string literal declared in `simnet::rng::STREAM_REGISTRY`, globally unique per subsystem — shared streams are a silent determinism hazard |
 //! | D12 | metrics/trace-key registry: metric keys must be the declared constants in `simnet::metrics::keys`, never ad-hoc string literals — key families must not fork via typo |
-//! | D13 | `std::fs` calls (reads included) outside the checkpoint crate's `vfs` module — all durable I/O must flow through the `Vfs` trait so the fault-injection and fsync contracts hold (ARCHITECTURE.md "Durability & the fault VFS") |
 //! | D14 | `with_capacity`/`reserve`/`reserve_exact` sized from a wire-derived quantity (`req_u64`/`req_i64`/`opt_u64`/`get_varint`, or an identifier bound from one) without a guard — hostile input must pass `Reader::get_len` or a `.min(..)`/`.clamp(..)` bound before it sizes an allocation (the unbounded-allocation cousin of D10) |
+//!
+//! The contract's four API bans are clippy's, run by `ci.sh` as
+//! `cargo clippy --workspace --all-targets -- -D warnings -D
+//! clippy::allow_attributes_without_reason`:
+//!
+//! | id | where it is checked |
+//! |----|---------------------|
+//! | D1 | wall clock and scheduler identity: `disallowed-types` `Instant`, `SystemTime`, `Duration` and `disallowed-methods` `thread::current` in the root `clippy.toml` |
+//! | D3 | ambient entropy: `disallowed-types` `RandomState` in `clippy.toml` (the other entropy crates are not in `Cargo.lock`) |
+//! | D7 | discarded transport results: `#![deny(clippy::let_underscore_must_use)]` at the roots of `chatlens-core`, the root package and `repro`, and rustc's `unused_must_use` for the bare statement |
+//! | D13 | `std::fs` outside `checkpoint::vfs`: `disallowed-methods` for every `std::fs` free function and `disallowed-types` `File`, `OpenOptions`, `DirBuilder` in `clippy.toml` |
+//!
+//! Their exemptions are `#[expect(clippy::…, reason = "…")]`; an
+//! expectation that suppresses nothing, or one without a reason, fails
+//! the clippy step. A `lint:allow` naming one of these ids is reported
+//! like any pragma naming no rule.
 //!
 //! Rules D9–D12 are *structure-aware*: they run on an item-level parse
 //! ([`items`]) and a cross-file symbol index ([`index`]) layered on the
@@ -50,18 +62,12 @@ use std::path::{Path, PathBuf};
 /// A lint rule identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// Banned nondeterminism APIs (wall-clock, current-thread identity).
-    D1,
     /// Unordered-map iteration on result paths.
     D2,
-    /// Ambient entropy instead of the seeded RNG tree.
-    D3,
     /// Locks / shared atomics inside deterministic-parallel closures.
     D4,
     /// `unwrap`/`expect` on lock acquisition in library crates.
     D5,
-    /// Discarded `Net::twitter` / `Net::platform` results.
-    D7,
     /// `unwrap`/`expect` on `WireDoc` accessor results outside tests.
     D8,
     /// Persist-coverage: checkpoint field/variant drift.
@@ -72,46 +78,41 @@ pub enum Rule {
     D11,
     /// Ad-hoc metric-key literals instead of registry constants.
     D12,
-    /// `std::fs` calls outside the checkpoint VFS module.
-    D13,
     /// Allocations sized from unguarded wire-derived quantities.
     D14,
+    /// A `lint:allow` pragma naming an id that is no rule in
+    /// [`Rule::ALL`] (a retired rule or a typo). Only the pragma audit
+    /// reports it, and no pragma suppresses it.
+    Pragma,
 }
 
 impl Rule {
     /// All rules, in catalog order.
-    pub const ALL: [Rule; 13] = [
-        Rule::D1,
+    pub const ALL: [Rule; 9] = [
         Rule::D2,
-        Rule::D3,
         Rule::D4,
         Rule::D5,
-        Rule::D7,
         Rule::D8,
         Rule::D9,
         Rule::D10,
         Rule::D11,
         Rule::D12,
-        Rule::D13,
         Rule::D14,
     ];
 
     /// The short id used in diagnostics and `lint:allow(...)` pragmas.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::D1 => "D1",
             Rule::D2 => "D2",
-            Rule::D3 => "D3",
             Rule::D4 => "D4",
             Rule::D5 => "D5",
-            Rule::D7 => "D7",
             Rule::D8 => "D8",
             Rule::D9 => "D9",
             Rule::D10 => "D10",
             Rule::D11 => "D11",
             Rule::D12 => "D12",
-            Rule::D13 => "D13",
             Rule::D14 => "D14",
+            Rule::Pragma => "pragma",
         }
     }
 
@@ -123,14 +124,9 @@ impl Rule {
     /// One-line description for `--stats` output and docs.
     pub fn describe(self) -> &'static str {
         match self {
-            Rule::D1 => {
-                "wall-clock / scheduler API (SystemTime::now, Instant::now, thread::current)"
-            }
             Rule::D2 => "hash map/set iteration on a result path",
-            Rule::D3 => "ambient entropy (thread_rng, OsRng, from_entropy, ...)",
             Rule::D4 => "lock or shared atomic inside a par_* closure",
             Rule::D5 => "unwrap()/expect() on lock acquisition in a library crate",
-            Rule::D7 => "discarded Net::twitter/Net::platform Result (let _ = / bare statement)",
             Rule::D8 => "unwrap()/expect() on a WireDoc accessor result outside tests",
             Rule::D9 => {
                 "Persist field/variant not covered by both save and load (checkpoint drift)"
@@ -140,10 +136,10 @@ impl Rule {
             }
             Rule::D11 => "Rng::fork label not a literal from the declared STREAM_REGISTRY",
             Rule::D12 => "metric key passed as ad-hoc literal instead of a metrics::keys constant",
-            Rule::D13 => "std::fs call outside the checkpoint VFS module (route it through Vfs)",
             Rule::D14 => {
                 "with_capacity/reserve sized from an unguarded wire-derived value (validate or clamp first)"
             }
+            Rule::Pragma => "lint:allow pragma naming no rule",
         }
     }
 }
@@ -184,31 +180,25 @@ impl fmt::Display for Finding {
 struct Scope {
     /// Feeds tables/figures: analysis, report, core, workload, perspective.
     result_path: bool,
-    /// `simnet::metrics` — the one sanctioned wall-clock user.
-    metrics_exempt: bool,
     /// Under `crates/` (vs. the binary in `src/`).
     library: bool,
-    /// analysis or report crate (strictest `std::time` ban).
-    analysis_or_report: bool,
-    /// Where `Net` lives and is called: the core crate and the binary (D7).
-    net_caller: bool,
     /// The quarantine module — the one place sanctioned to dissect
     /// hostile wire bodies, exempt from D8.
     quarantine_path: bool,
     /// Designated hot modules where D10 bans allocation idioms: the
-    /// dataset/monitor per-request paths, the joiner's collect pass, wire
-    /// parsing, and the tweet store.
+    /// dataset/monitor per-request paths, the joiner's collect pass, the
+    /// platform services and message logs, wire parsing, and the tweet
+    /// store.
     hot_path: bool,
-    /// The checkpoint crate's `vfs` module — the one place in the
-    /// workspace allowed to call `std::fs` (D13).
-    vfs_module: bool,
 }
 
-/// The five files whose per-request loops D10 guards.
-const HOT_MODULES: [&str; 5] = [
+/// The seven files whose per-request loops D10 guards.
+const HOT_MODULES: [&str; 7] = [
     "core/src/dataset.rs",
     "core/src/joiner.rs",
     "core/src/monitor.rs",
+    "platforms/src/message.rs",
+    "platforms/src/service.rs",
     "platforms/src/wire.rs",
     "twitter/src/store.rs",
 ];
@@ -220,13 +210,9 @@ fn scope_of(path: &str) -> Scope {
         result_path: ["analysis", "report", "core", "workload", "perspective"]
             .iter()
             .any(|c| in_crate(c)),
-        metrics_exempt: p.ends_with("simnet/src/metrics.rs"),
         library: p.contains("crates/"),
-        analysis_or_report: in_crate("analysis") || in_crate("report"),
-        net_caller: in_crate("core") || !p.contains("crates/"),
         quarantine_path: p.ends_with("core/src/quarantine.rs"),
         hot_path: HOT_MODULES.iter().any(|m| p.ends_with(m)),
-        vfs_module: p.ends_with("checkpoint/src/vfs.rs"),
     }
 }
 
@@ -245,9 +231,6 @@ fn subsystem_of(path: &str) -> String {
 fn crate_of(path: &str) -> String {
     subsystem_of(path)
 }
-
-/// `Net` methods whose `Result` D7 refuses to see discarded.
-const NET_CALL_METHODS: [&str; 2] = ["twitter", "platform"];
 
 /// Methods whose call on an unordered map/set observes iteration order.
 const ITER_METHODS: [&str; 13] = [
@@ -279,15 +262,6 @@ const D2_EXCUSES: [&str; 10] = [
     "sort_unstable_by_key",
     "from_ints", // Ecdf::from_ints sorts on construction
     "count",
-];
-
-/// Ambient entropy constructors (D3).
-const ENTROPY_APIS: [&str; 5] = [
-    "thread_rng",
-    "from_entropy",
-    "OsRng",
-    "getrandom",
-    "RandomState",
 ];
 
 /// Deterministic-parallel entry points whose closures D4 inspects.
@@ -331,7 +305,7 @@ const D14_ALLOC_CALLS: [&str; 3] = ["with_capacity", "reserve", "reserve_exact"]
 /// explicitly bounded before allocating.
 const D14_GUARDS: [&str; 3] = ["get_len", "min", "clamp"];
 
-/// The token-shaped rules (D1–D5, D7, D8, D13, D14) over one file's token
+/// The token-shaped rules (D2, D4, D5, D8, D14) over one file's token
 /// stream. Returns raw findings, before suppression.
 fn token_findings(
     path: &str,
@@ -354,80 +328,10 @@ fn token_findings(
 
     let path_sep =
         |i: usize| toks[i].is_punct(':') && toks.get(i + 1).is_some_and(|t| t.is_punct(':'));
-    // `A :: b` at i → (i, i+3).
-    let assoc = |i: usize, a: &str, b: &str| {
-        toks[i].is_ident(a) && path_sep(i + 1) && toks.get(i + 3).is_some_and(|t| t.is_ident(b))
-    };
 
     for i in 0..toks.len() {
         if in_test(i) || toks[i].kind != TokKind::Ident {
             continue;
-        }
-        // ---- D1: wall-clock & scheduler identity --------------------------
-        if i + 3 < toks.len() {
-            if assoc(i, "SystemTime", "now") {
-                push(
-                    Rule::D1,
-                    &toks[i],
-                    "SystemTime::now() breaks replay determinism; derive times from SimTime".into(),
-                );
-            }
-            if assoc(i, "Instant", "now") && !scope.metrics_exempt {
-                push(Rule::D1, &toks[i], "Instant::now() outside simnet::metrics; route timings through Metrics::time_stage".into());
-            }
-            if assoc(i, "thread", "current") {
-                push(Rule::D1, &toks[i], "thread::current() makes behaviour depend on scheduling; key work by chunk index instead".into());
-            }
-            if scope.analysis_or_report && assoc(i, "std", "time") {
-                push(Rule::D1, &toks[i], "std::time in an analysis/report crate; artifacts must be pure functions of (seed, config)".into());
-            }
-        }
-        // ---- D13: std::fs outside the checkpoint VFS module ---------------
-        // Reads and writes alike, and no crate is exempt — only
-        // `checkpoint/src/vfs.rs` itself may touch `std::fs`, so that every
-        // durable byte passes through the `Vfs` trait's fault-injection and
-        // fsync contracts.
-        if !scope.vfs_module {
-            if i + 3 < toks.len() {
-                if toks[i].is_ident("fs")
-                    && path_sep(i + 1)
-                    && toks.get(i + 3).is_some_and(|t| t.kind == TokKind::Ident)
-                {
-                    push(
-                        Rule::D13,
-                        &toks[i + 3],
-                        format!(
-                            "`fs::{}` outside checkpoint::vfs; all file I/O must flow through the Vfs trait so fault injection and the fsync contract hold",
-                            toks[i + 3].text
-                        ),
-                    );
-                }
-                if assoc(i, "File", "create") || assoc(i, "File", "open") {
-                    push(
-                        Rule::D13,
-                        &toks[i],
-                        "`File` opened outside checkpoint::vfs; all file I/O must flow through the Vfs trait".into(),
-                    );
-                }
-            }
-            if toks[i].is_ident("OpenOptions") {
-                push(
-                    Rule::D13,
-                    &toks[i],
-                    "`OpenOptions` outside checkpoint::vfs; all file I/O must flow through the Vfs trait".into(),
-                );
-            }
-        }
-        // ---- D3: ambient entropy -----------------------------------------
-        if ENTROPY_APIS.contains(&toks[i].text.as_str()) {
-            push(
-                Rule::D3,
-                &toks[i],
-                format!(
-                    "`{}` draws ambient entropy; every generator must fork from the seeded root (Rng::fork)",
-                    toks[i].text
-                ),
-            );
         }
         // ---- D4: par closures touching shared mutability -----------------
         if PAR_CALLS.contains(&toks[i].text.as_str())
@@ -540,56 +444,6 @@ fn token_findings(
                     .is_some_and(|t| t.is_ident("parse") || t.is_ident("parse_as"))
             {
                 d8(&toks[i + 3], i + 4);
-            }
-        }
-    }
-
-    // ---- D7: discarded Net call results -----------------------------------
-    // `.twitter(...)` / `.platform(...)` whose `Result` never reaches a
-    // consumer: either bound to `_` or left as a bare expression
-    // statement. Shape-matched (a `.` before, arguments after, a `;`
-    // right after the closing paren) so value accessors like
-    // `cfg.platform(kind).n_group_urls` or `invite.platform()` in
-    // expression position never trip it.
-    if scope.net_caller {
-        for i in 0..toks.len() {
-            if in_test(i) || !toks[i].is_punct('.') {
-                continue;
-            }
-            let m = match toks.get(i + 1) {
-                Some(t)
-                    if t.kind == TokKind::Ident && NET_CALL_METHODS.contains(&t.text.as_str()) =>
-                {
-                    t
-                }
-                _ => continue,
-            };
-            if !toks.get(i + 2).is_some_and(|t| t.is_punct('(')) {
-                continue;
-            }
-            let end = balance(toks, i + 2, '(', ')');
-            if !toks.get(end + 1).is_some_and(|t| t.is_punct(';')) {
-                continue; // chained (`?`, `.unwrap()`, match scrutinee, ...)
-            }
-            let (lo, _) = statement_window(toks, i);
-            let prefix = &toks[lo..i];
-            let underscore_bound = prefix
-                .windows(3)
-                .any(|w| w[0].is_ident("let") && w[1].is_ident("_") && w[2].is_punct('='));
-            let consumed = prefix
-                .iter()
-                .any(|t| t.is_punct('=') || t.is_ident("return") || t.is_ident("match"));
-            if underscore_bound || !consumed {
-                raw.push(Finding {
-                    rule: Rule::D7,
-                    path: path.to_string(),
-                    line: m.line,
-                    col: m.col,
-                    message: format!(
-                        "`.{}(...)` Result discarded; transport failures must be handled (retried, queued for backfill, or counted), never dropped",
-                        m.text
-                    ),
-                });
             }
         }
     }
@@ -754,10 +608,11 @@ fn token_findings(
 }
 
 /// Lint a set of source files as one unit: tokenize and item-parse each,
-/// build the cross-file symbol index, run the token rules (D1–D8) and the
-/// structure-aware rules (D9–D12), apply suppression pragmas, and audit
-/// the pragmas themselves (unused or unjustified pragmas are findings
-/// attributed to the rule they name). Findings come back in input file
+/// build the cross-file symbol index, run the token rules (D2, D4, D5,
+/// D8, D14) and the structure-aware rules (D9–D12), apply suppression
+/// pragmas, and audit the pragmas themselves (unused or unjustified
+/// pragmas are findings attributed to the rule they name, and a pragma
+/// naming no rule is a [`Rule::Pragma`] finding). Findings come back in input file
 /// order, sorted by `(line, col, rule)` within each file.
 pub fn check_sources(files: &[(String, String)]) -> Report {
     struct Unit {
@@ -850,8 +705,9 @@ pub fn check_sources(files: &[(String, String)]) -> Report {
         // Pragma audit: a pragma that suppresses nothing is stale; a
         // pragma that works but carries no justification is unreviewable.
         // Both are findings against the rule the pragma names, and are
-        // not themselves suppressible. Pragmas inside test mods are
-        // exempt like everything else there.
+        // not themselves suppressible; so is a pragma naming an id that
+        // is no rule. Pragmas inside test mods are exempt like everything
+        // else there.
         let test_lines: Vec<(u32, u32)> = unit
             .tests
             .iter()
@@ -864,10 +720,21 @@ pub fn check_sources(files: &[(String, String)]) -> Report {
             {
                 continue;
             }
+            let named = pragma.rules.iter().cloned().collect::<Vec<_>>().join(", ");
+            for id in pragma.rules.iter().filter(|r| Rule::from_id(r).is_none()) {
+                kept.push(Finding {
+                    rule: Rule::Pragma,
+                    path: path.clone(),
+                    line: pragma.line,
+                    col: pragma.col,
+                    message: format!(
+                        "`lint:allow({named})` names `{id}`, which is no lint rule; D1, D3, D7 and D13 are clippy's, exempted with #[expect(.., reason = ..)]"
+                    ),
+                });
+            }
             let Some(rule) = pragma.rules.iter().find_map(|r| Rule::from_id(r)) else {
                 continue;
             };
-            let named = pragma.rules.iter().cloned().collect::<Vec<_>>().join(", ");
             if !used[pi] {
                 kept.push(Finding {
                     rule,
@@ -1084,13 +951,13 @@ impl Report {
 /// Walk `root`'s `src/` and every `crates/*/src/` tree and lint each
 /// `.rs` file. Paths in findings are workspace-relative; file order is
 /// deterministic (sorted).
+#[expect(clippy::disallowed_methods, reason = "the linter reads sources")]
 pub fn check_workspace(root: impl AsRef<Path>) -> std::io::Result<Report> {
     let root = root.as_ref();
     let mut files: Vec<PathBuf> = Vec::new();
     collect_rs(&root.join("src"), &mut files)?;
     let crates = root.join("crates");
     if crates.is_dir() {
-        // lint:allow(D13) the linter reads sources outside any durability domain
         let mut members: Vec<PathBuf> = std::fs::read_dir(&crates)?
             .filter_map(|e| e.ok())
             .map(|e| e.path())
@@ -1108,17 +975,16 @@ pub fn check_workspace(root: impl AsRef<Path>) -> std::io::Result<Report> {
             .unwrap_or(&file)
             .to_string_lossy()
             .replace('\\', "/");
-        // lint:allow(D13) the linter reads sources outside any durability domain
         sources.push((rel, std::fs::read_to_string(&file)?));
     }
     Ok(check_sources(&sources))
 }
 
+#[expect(clippy::disallowed_methods, reason = "the linter reads sources")]
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     if !dir.is_dir() {
         return Ok(());
     }
-    // lint:allow(D13) the linter reads sources outside any durability domain
     let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
         .filter_map(|e| e.ok())
         .map(|e| e.path())
@@ -1143,26 +1009,6 @@ mod tests {
             .into_iter()
             .map(|f| f.rule)
             .collect()
-    }
-
-    #[test]
-    fn d1_fires_on_wall_clock() {
-        let src = "fn f() { let t = SystemTime::now(); }";
-        assert_eq!(rules_of("crates/core/src/x.rs", src), vec![Rule::D1]);
-    }
-
-    #[test]
-    fn d1_instant_exempt_in_metrics() {
-        let src = "fn f() { let t = Instant::now(); }";
-        assert_eq!(rules_of("crates/simnet/src/metrics.rs", src), vec![]);
-        assert_eq!(rules_of("crates/simnet/src/engine.rs", src), vec![Rule::D1]);
-    }
-
-    #[test]
-    fn d1_std_time_only_in_analysis_report() {
-        let src = "use std::time::Duration;";
-        assert_eq!(rules_of("crates/analysis/src/x.rs", src), vec![Rule::D1]);
-        assert_eq!(rules_of("crates/simnet/src/x.rs", src), vec![]);
     }
 
     #[test]
@@ -1205,12 +1051,6 @@ mod tests {
     }
 
     #[test]
-    fn d3_fires_on_ambient_entropy() {
-        let src = "fn f() { let mut rng = thread_rng(); }";
-        assert_eq!(rules_of("crates/workload/src/x.rs", src), vec![Rule::D3]);
-    }
-
-    #[test]
     fn d4_fires_on_lock_in_par_closure() {
         let src = "fn f(pool: &Pool) { pool.par_map(&xs, |x| { acc.lock().push(*x); 0 }); }";
         assert_eq!(rules_of("crates/analysis/src/x.rs", src), vec![Rule::D4]);
@@ -1228,28 +1068,6 @@ mod tests {
         assert_eq!(rules_of("crates/core/src/x.rs", src), vec![Rule::D5]);
         // The binary crate may unwrap (it is allowed to crash loudly).
         assert_eq!(rules_of("src/bin/repro.rs", src), vec![]);
-    }
-
-    #[test]
-    fn d13_fires_on_reads_and_opens_everywhere_but_vfs() {
-        let read = "fn f() -> Vec<u8> { std::fs::read(\"snap.ckpt\").unwrap() }";
-        assert_eq!(
-            rules_of("crates/checkpoint/src/snapshot.rs", read),
-            vec![Rule::D13]
-        );
-        let open = "fn f() { let f = File::open(\"snap.ckpt\").unwrap(); }";
-        assert_eq!(rules_of("crates/report/src/x.rs", open), vec![Rule::D13]);
-        // The VFS module is the one sanctioned home for std::fs.
-        assert_eq!(rules_of("crates/checkpoint/src/vfs.rs", read), vec![]);
-        assert_eq!(rules_of("crates/checkpoint/src/vfs.rs", open), vec![]);
-    }
-
-    #[test]
-    fn d13_pragma_suppresses() {
-        let src = "// lint:allow(D13) CSV export is this binary's whole job\nfn f() { std::fs::write(\"t.csv\", b\"x\").unwrap(); }";
-        let (findings, suppressed) = check_source_counting("src/bin/repro.rs", src);
-        assert!(findings.is_empty());
-        assert_eq!(suppressed, 1);
     }
 
     #[test]
@@ -1291,7 +1109,7 @@ mod tests {
 
     #[test]
     fn allow_pragma_suppresses_and_counts() {
-        let src = "// lint:allow(D1) startup banner timestamp, not an artifact\nfn f() { let t = SystemTime::now(); }";
+        let src = "// lint:allow(D12) one-off probe counter, not part of the schema\nfn f(m: &mut Metrics) { m.incr(\"probe\"); }";
         let (findings, suppressed) = check_source_counting("crates/core/src/x.rs", src);
         assert!(findings.is_empty());
         assert_eq!(suppressed, 1);
@@ -1299,38 +1117,49 @@ mod tests {
 
     #[test]
     fn allow_pragma_is_rule_specific() {
-        // The D2 pragma does not silence the D1 finding — and since it
+        // The D2 pragma does not silence the D12 finding — and since it
         // suppresses nothing, the pragma audit flags it as stale too.
-        let src = "// lint:allow(D2) wrong rule\nfn f() { let t = SystemTime::now(); }";
+        let src = "// lint:allow(D2) wrong rule\nfn f(m: &mut Metrics) { m.incr(\"probe\"); }";
         assert_eq!(
             rules_of("crates/core/src/x.rs", src),
-            vec![Rule::D2, Rule::D1]
+            vec![Rule::D2, Rule::D12]
         );
     }
 
     #[test]
     fn unjustified_pragma_is_a_finding() {
-        let bare = "// lint:allow(D1)\nfn f() { let t = SystemTime::now(); }";
+        let bare = "// lint:allow(D12)\nfn f(m: &mut Metrics) { m.incr(\"probe\"); }";
         let (findings, suppressed) = check_source_counting("crates/core/src/x.rs", bare);
-        assert_eq!(suppressed, 1); // the D1 site itself is silenced...
+        assert_eq!(suppressed, 1); // the D12 site itself is silenced...
         assert_eq!(findings.len(), 1); // ...but the bare pragma is flagged
         assert!(findings[0].message.contains("no justification"));
         // One trailing word is a label, not a justification.
-        let one_word = "// lint:allow(D1) startup\nfn f() { let t = SystemTime::now(); }";
+        let one_word = "// lint:allow(D12) probe\nfn f(m: &mut Metrics) { m.incr(\"probe\"); }";
         let (findings, _) = check_source_counting("crates/core/src/x.rs", one_word);
         assert_eq!(findings.len(), 1);
     }
 
     #[test]
     fn unused_pragma_is_a_finding() {
-        let src = "// lint:allow(D13) nothing to suppress here at all\nfn f() {}";
+        let src = "// lint:allow(D11) nothing to suppress here at all\nfn f() {}";
         let findings = check_source("crates/core/src/x.rs", src);
         assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, Rule::D13);
+        assert_eq!(findings[0].rule, Rule::D11);
         assert!(findings[0].message.contains("suppresses nothing"));
+        // A retired id (D1, D3, D7 and D13 are clippy's) or a typo names
+        // no rule, so its pragma is reported, alone or beside a kept id.
+        for src in [
+            "// lint:allow(D13) reads outside the durability domain\nfn f() {}",
+            "// lint:allow(D12, D1) probe counter, not part of the schema\nfn f(m: &mut Metrics) { m.incr(\"probe\"); }",
+        ] {
+            let findings = check_source("crates/core/src/x.rs", src);
+            assert_eq!(findings.len(), 1, "{findings:?}");
+            assert_eq!(findings[0].rule, Rule::Pragma);
+            assert!(findings[0].message.contains("no lint rule"));
+        }
         // Inside a test mod, stale pragmas are exempt like everything else.
         let in_test =
-            "#[cfg(test)]\nmod tests {\n // lint:allow(D13) stale but in tests\n fn t() {}\n}";
+            "#[cfg(test)]\nmod tests {\n // lint:allow(D11) stale but in tests\n fn t() {}\n}";
         assert_eq!(rules_of("crates/core/src/x.rs", in_test), vec![]);
     }
 
@@ -1502,42 +1331,14 @@ mod tests {
 
     #[test]
     fn commented_out_violations_do_not_fire() {
-        let src = "// let t = SystemTime::now();\n/* thread_rng() */ fn f() {}";
+        let src = "// m.incr(\"probe\");\n/* rng.fork(\"mystery\") */ fn f() {}";
         assert_eq!(rules_of("crates/core/src/x.rs", src), vec![]);
     }
 
     #[test]
     fn string_embedded_violations_do_not_fire() {
-        let src = r#"const MSG: &str = "never call SystemTime::now() here";"#;
-        assert_eq!(rules_of("crates/core/src/x.rs", src), vec![]);
-    }
-
-    #[test]
-    fn d7_fires_on_discarded_net_results() {
-        let bare = "fn f(net: &mut Net) { net.twitter(eco, now, &req); }";
-        assert_eq!(rules_of("crates/core/src/x.rs", bare), vec![Rule::D7]);
-        let underscore = "fn f(net: &mut Net) { let _ = net.platform(eco, kind, now, &req); }";
-        assert_eq!(rules_of("src/bin/repro.rs", underscore), vec![Rule::D7]);
-        // Outside the core crate / binary the rule does not apply.
-        assert_eq!(rules_of("crates/simnet/src/x.rs", bare), vec![]);
-    }
-
-    #[test]
-    fn d7_consumed_results_pass() {
-        for src in [
-            "fn f() -> Result<Response, CoreError> { net.twitter(eco, now, &req) }",
-            "fn f() { let resp = net.twitter(eco, now, &req); use_it(resp); }",
-            "fn f() { match net.platform(eco, kind, now, &req) { Ok(r) => x(r), Err(_) => y() } }",
-            "fn f() { if let Ok(r) = net.twitter(eco, now, &req) { x(r); } }",
-            "fn g() -> Result<(), E> { net.twitter(eco, now, &req)?; Ok(()) }",
-            "fn h() { let Ok(resp) = net.platform(eco, kind, now, &req) else { return; }; }",
-        ] {
-            assert_eq!(rules_of("crates/core/src/x.rs", src), vec![], "{src}");
-        }
-        // Value accessors sharing the method names never trip the rule.
-        let accessors =
-            "fn f() { let n = cfg.platform(kind).n_group_urls; let p = invite.platform(); }";
-        assert_eq!(rules_of("crates/core/src/x.rs", accessors), vec![]);
+        let src = r#"const MSG: &str = "never call format!("x") or v.clone() here";"#;
+        assert_eq!(rules_of("crates/core/src/monitor.rs", src), vec![]);
     }
 
     #[test]

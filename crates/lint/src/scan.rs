@@ -152,7 +152,8 @@ pub fn scan(source: &str) -> Scan {
         let (line, col) = (cur.line, cur.col);
         match b {
             // Line comment (also handles doc comments //! and ///) —
-            // capture a lint:allow pragma if the comment carries one.
+            // capture a lint:allow pragma if a plain comment carries one;
+            // a doc comment that mentions the syntax documents it.
             b'/' if cur.peek(1) == Some(b'/') => {
                 let start = cur.pos;
                 while let Some(c) = cur.peek(0) {
@@ -162,7 +163,8 @@ pub fn scan(source: &str) -> Scan {
                     cur.bump();
                 }
                 let body = &source[start..cur.pos];
-                if let Some((rules, justified)) = parse_allow(body) {
+                let doc = body.starts_with("///") || body.starts_with("//!");
+                if let Some((rules, justified)) = parse_allow(body).filter(|_| !doc) {
                     out.allows.entry(line).or_default().extend(rules.clone());
                     out.pragmas.push(AllowPragma {
                         line,
@@ -588,10 +590,13 @@ mod tests {
 
     #[test]
     fn allow_pragmas_are_collected() {
-        let src = "// lint:allow(D1, D2) — wall clock is fine here\nlet x = 1;";
+        let src = "// lint:allow(D11, D2) — fixed label family, sorted here\nlet x = 1;";
         let s = scan(src);
         let rules = &s.allows[&1];
-        assert!(rules.contains("D1") && rules.contains("D2"));
+        assert!(rules.contains("D11") && rules.contains("D2"));
+        // A doc comment that shows the syntax documents it; it is no pragma.
+        let doc = scan("/// put `// lint:allow(D2) reason` above the site\n//! `lint:allow(D4)`\n");
+        assert!(doc.pragmas.is_empty() && doc.allows.is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The structure-aware rules (D9–D12), layered on the item parser and
 //! the workspace symbol index.
 //!
-//! Unlike D1–D8 these rules reason about *items*: D9 pairs `Persist`
+//! Unlike the token rules these reason about *items*: D9 pairs `Persist`
 //! impls and `persist_struct!` invocations with the struct/enum they
 //! serialize and demands field/variant coverage in both directions of the
 //! wire format; D10 bans allocation idioms in the designated hot modules;

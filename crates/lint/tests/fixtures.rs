@@ -11,6 +11,7 @@
 //!
 //! The harness diffs expectations against the real report and prints
 //! the missing and unexpected findings side by side on drift.
+#![expect(clippy::disallowed_methods, reason = "reads the fixture corpus")]
 
 use chatlens_lint::{check_source_counting, Rule};
 

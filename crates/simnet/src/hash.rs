@@ -178,7 +178,7 @@ fn compress(state: &mut [u32; 8], block: &[u8]) {
 /// Intel reference round layout: the state lives in two registers as
 /// `ABEF` and `CDGH`, and each `sha256rnds2` runs two rounds.
 #[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
+#[expect(unsafe_code, reason = "SHA intrinsics; each block states its SAFETY")]
 mod ni {
     use super::K;
     use std::arch::x86_64::*;

@@ -145,7 +145,7 @@ impl Histogram {
 pub mod keys {
     // Name tables document themselves: each constant name mirrors its
     // key string, and the module doc above carries the contract.
-    #![allow(missing_docs)]
+    #![expect(missing_docs, reason = "each constant's name mirrors its key string")]
 
     // Transport-layer counters.
     pub const TRANSPORT_ATTEMPTS: &str = "transport.attempts";
@@ -177,6 +177,9 @@ pub mod keys {
     pub const STAGE_JOIN: &str = "join";
     pub const STAGE_COLLECT: &str = "collect";
     pub const STAGE_BACKFILL: &str = "backfill";
+    // The repro binary's world build: `Ecosystem::build`, or
+    // `CampaignState::world` on resume.
+    pub const STAGE_BUILD: &str = "build";
     // Artifact-generation stage timers (the repro binary).
     pub const STAGE_TABLE2: &str = "table2";
     pub const STAGE_TABLE4: &str = "table4";
@@ -300,6 +303,7 @@ impl Metrics {
     /// Timings are real elapsed time and therefore *not* deterministic —
     /// they exist for throughput tracking (BENCH records, `repro`
     /// `--timings`) and must never feed back into simulation state.
+    #[expect(clippy::disallowed_types, reason = "the one sanctioned wall clock")]
     pub fn time_stage<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
         let start = std::time::Instant::now();
         let out = f();
@@ -433,6 +437,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::disallowed_types, reason = "the test sleeps to be timed")]
     fn time_stage_records_duration_and_runs() {
         let mut m = Metrics::new();
         let out = m.time_stage("lda", || {

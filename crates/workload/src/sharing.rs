@@ -75,7 +75,7 @@ const NOISE_URLS: [&str; 4] = [
 ];
 
 /// Generate the sharing tweets for all of one platform's groups.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one platform's build inputs")]
 pub fn generate_share_drafts(
     platform: &Platform,
     metas: &[GroupMeta],

@@ -13,6 +13,7 @@ fn main() {
     // 2% of the paper's scale: ~7K groups, ~80K tweets, runs in seconds.
     let config = ScenarioConfig::at_scale(0.02);
     println!("building the ecosystem and running the campaign (scale 0.02)...");
+    #[expect(clippy::disallowed_types, reason = "the example times itself")]
     let started = std::time::Instant::now();
     let dataset = run_study(config);
     println!("done in {:.1?}\n", started.elapsed());

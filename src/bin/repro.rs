@@ -17,6 +17,7 @@
 //! campaign dataset itself — is bit-identical at any thread count; only
 //! wall-clock time changes. `--timings` prints the per-stage wall-clock
 //! table recorded in [`chatlens::simnet::metrics::Metrics`].
+#![deny(clippy::let_underscore_must_use)]
 
 use chatlens::analysis::content::ContentOutput;
 use chatlens::analysis::discovery::DiscoveryOutput;
@@ -404,7 +405,7 @@ fn main() {
             }
         }
     }
-    // lint:allow(D1) stderr progress timing for the operator; no artifact reads it
+    #[expect(clippy::disallowed_types, reason = "operator progress timer")]
     let t0 = std::time::Instant::now();
     if corruption != CorruptionProfile::Calm {
         eprintln!("# corruption profile: {}", corruption.name());
@@ -435,7 +436,7 @@ fn main() {
                      whose spill/ subdirectory is the default)",
                 ))
             });
-        // lint:allow(D13) operator-addressed spill scratch dir; the Vfs owns every byte inside it
+        #[expect(clippy::disallowed_methods, reason = "operator's spill scratch dir")]
         if let Err(e) = std::fs::create_dir_all(&dir) {
             exit_with(CliError::failed(format!("{}: {e}", dir.display())));
         }
@@ -488,13 +489,16 @@ fn main() {
         folds: Some(&mut driver),
         budget: budget.as_ref(),
     };
-    let mut eco = match &state {
+    // The binary's own stage timings (the world build, then the
+    // artifacts), reported next to the campaign's under `--timings`.
+    let mut stages = Metrics::new();
+    let mut eco = stages.time_stage(keys::STAGE_BUILD, || match &state {
         Some(state) => state.world(),
         None => {
             eprintln!("# building ecosystem and running the 38-day campaign...");
             Ecosystem::build(config)
         }
-    };
+    });
     let session = match &state {
         Some(state) => Campaign::resume(&mut eco, state, attach),
         None => Campaign::new(&mut eco, campaign, attach),
@@ -548,9 +552,6 @@ fn main() {
     }
 
     let mut cmp: Vec<Comparison> = Vec::new();
-    // Analysis-side stage timings, reported next to the campaign's
-    // (`stage.*` counters inside `ds.metrics`) under `--timings`.
-    let mut stages = Metrics::new();
     let all = artifact == "all";
     let folds = driver.folds();
     if all || artifact == "table1" {
@@ -634,7 +635,7 @@ fn main() {
             "campaign stage timings (wall-clock, nondeterministic)",
             outcome.metrics(),
         );
-        print_stage_timings("analysis stage timings", &stages);
+        print_stage_timings("build and analysis stage timings", &stages);
     }
     if !cmp.is_empty() {
         println!("\n## Paper vs measured (scale {scale}, seed {seed})\n");
@@ -699,7 +700,7 @@ fn parse_outage(arg: &str, ban: bool) -> (usize, OutageSpec) {
 /// budget — the accountant's statistics at finish.
 fn print_run_summary(outcome: &Outcome, s: &CampaignSummary, report_out: Option<&std::path::Path>) {
     if let Some(path) = report_out {
-        // lint:allow(D13) operator-requested report export, outside the durability domain
+        #[expect(clippy::disallowed_methods, reason = "operator-requested export")]
         if let Err(e) = std::fs::write(path, outcome.report().as_bytes()) {
             exit_with(CliError::failed(format!("{}: {e}", path.display())));
         }

@@ -37,6 +37,7 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::let_underscore_must_use)]
 
 pub use chatlens_analysis as analysis;
 pub use chatlens_checkpoint as checkpoint;

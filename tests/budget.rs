@@ -9,6 +9,7 @@
 //! resume, at 1, 2 and 8 worker threads — every combination must
 //! converge on the same report bytes, and every detected torn spill
 //! write must be ledgered.
+#![expect(clippy::disallowed_methods, reason = "clears scratch directories")]
 
 use std::path::PathBuf;
 

@@ -13,6 +13,7 @@
 //! 2. A full resume from representative boundaries (early / middle /
 //!    last) produces a final [`Dataset`] equal to the uninterrupted
 //!    run's, at 1, 2 and 8 threads.
+#![expect(clippy::disallowed_methods, reason = "reads and damages snapshots")]
 
 use std::path::PathBuf;
 

@@ -9,6 +9,7 @@
 //! `tests/golden/dump_config.json.txt`; refresh them after an
 //! intentional output change with
 //! `UPDATE_GOLDEN=1 cargo test --test cli`.
+#![expect(clippy::disallowed_methods, reason = "goldens and scratch directories")]
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -197,6 +198,7 @@ fn budgeted_run_prints_every_unbudgeted_line_and_the_campaign_timings() {
     assert!(lines.last().is_some_and(|l| l.starts_with("budget: ")));
     for stderr in [plain_err, budgeted_err] {
         assert!(stderr.contains("# campaign stage timings"), "{stderr}");
+        assert!(stderr.contains("\n#   stage.build.micros = "), "{stderr}");
     }
 }
 

@@ -3,6 +3,7 @@
 //! analysis table, every rejection quarantined with provenance — and a
 //! hostile campaign must stay bit-identical across thread counts and
 //! across a day-boundary kill/resume.
+#![expect(clippy::disallowed_methods, reason = "clears scratch directories")]
 
 use chatlens::core::quarantine::{QuarantineCode, QuarantineEntry};
 use chatlens::core::{audit_dataset, CoreError};

@@ -9,6 +9,7 @@
 //! crash-after-ack torn write), a tenth land truncated, and reads see
 //! occasional bit-rot — yet no kill point loses data, because some valid
 //! ancestor always survives and replaying the lost days is deterministic.
+#![expect(clippy::disallowed_methods, reason = "damages its scratch snapshots")]
 
 use std::path::PathBuf;
 

@@ -17,6 +17,7 @@
 //! all equal the golden fragments byte for byte. The folded runs'
 //! campaign reports equal the golden reports too, so the fold plumbing
 //! provably does not perturb the collection pipeline.
+#![expect(clippy::disallowed_methods, reason = "reads goldens, clears scratch")]
 
 use chatlens::analysis::{batch_fragments, StandardFolds};
 use chatlens::checkpoint::load_from_file;

@@ -32,6 +32,7 @@
 //! ```
 //!
 //! and justify the new bytes in the PR description.
+#![expect(clippy::disallowed_methods, reason = "goldens and scratch directories")]
 
 use chatlens::analysis::batch_fragments;
 use chatlens::checkpoint::{encode_snapshot, load_from_file};

@@ -1,6 +1,7 @@
 //! Integration tests for the determinism lint (`chatlens-lint`): every
 //! rule firing on a fixture snippet, every rule silenced by its
 //! `lint:allow` pragma, and the real workspace tree scanning clean.
+#![expect(clippy::disallowed_methods, reason = "reads sources, writes a fixture")]
 
 use chatlens_lint::{check_source, check_source_counting, check_workspace, Rule};
 
@@ -16,22 +17,10 @@ fn rules_of(path: &str, src: &str) -> Vec<Rule> {
 fn fixtures() -> Vec<(Rule, &'static str, &'static str, &'static str)> {
     vec![
         (
-            Rule::D1,
-            "crates/core/src/fixture.rs",
-            "fn f() -> u64 { SystemTime::now().elapsed().as_secs() }",
-            "// lint:allow(D1) fixture: operator-facing timestamp\nfn f() -> u64 { SystemTime::now().elapsed().as_secs() }",
-        ),
-        (
             Rule::D2,
             "crates/analysis/src/fixture.rs",
             "fn f(m: &HashMap<u32, u64>) -> u64 { let mut s = 0; for v in m.values() { s += v; } s }",
             "fn f(m: &HashMap<u32, u64>) -> u64 {\n let mut s = 0;\n // lint:allow(D2) fixture: sum is order-insensitive\n for v in m.values() { s += v; }\n s }",
-        ),
-        (
-            Rule::D3,
-            "crates/workload/src/fixture.rs",
-            "fn f() -> u64 { thread_rng().next() }",
-            "// lint:allow(D3) fixture: entropy is fine in this fixture\nfn f() -> u64 { thread_rng().next() }",
         ),
         (
             Rule::D4,
@@ -44,12 +33,6 @@ fn fixtures() -> Vec<(Rule, &'static str, &'static str, &'static str)> {
             "crates/simnet/src/fixture.rs",
             "fn f(m: &std::sync::Mutex<u32>) -> u32 { *m.lock().unwrap() }",
             "fn f(m: &std::sync::Mutex<u32>) -> u32 {\n // lint:allow(D5) fixture: std mutex on purpose\n *m.lock().unwrap()\n}",
-        ),
-        (
-            Rule::D7,
-            "crates/core/src/fixture.rs",
-            "fn f(net: &mut Net) { let _ = net.twitter(eco, now, &req); }",
-            "fn f(net: &mut Net) {\n // lint:allow(D7) fixture: warm-up call, outcome intentionally unused\n let _ = net.twitter(eco, now, &req);\n}",
         ),
         (
             Rule::D8,
@@ -80,12 +63,6 @@ fn fixtures() -> Vec<(Rule, &'static str, &'static str, &'static str)> {
             "crates/core/src/fixture.rs",
             "fn f(m: &Metrics) { m.incr(\"ad_hoc_key\", 1); }",
             "fn f(m: &Metrics) {\n // lint:allow(D12) fixture: one-off probe counter, not part of the schema\n m.incr(\"ad_hoc_key\", 1);\n}",
-        ),
-        (
-            Rule::D13,
-            "crates/core/src/fixture.rs",
-            "fn f() -> String { std::fs::read_to_string(\"in.json\").unwrap() }",
-            "// lint:allow(D13) fixture: diagnostic read outside the durability domain\nfn f() -> String { std::fs::read_to_string(\"in.json\").unwrap() }",
         ),
         (
             Rule::D14,
@@ -131,29 +108,29 @@ fn d2_tracks_the_fixed_hasher_maps() {
 
 #[test]
 fn findings_carry_file_line_and_rule_id() {
-    let src = "fn f() {}\nfn g() -> u64 { SystemTime::now().elapsed().as_secs() }";
+    let src = "fn f() {}\nfn g(m: &Metrics) { m.incr(\"ad_hoc_key\", 1); }";
     let findings = check_source("crates/core/src/fixture.rs", src);
     assert_eq!(findings.len(), 1);
     let f = &findings[0];
-    assert_eq!((f.line, f.rule), (2, Rule::D1));
+    assert_eq!((f.line, f.rule), (2, Rule::D12));
     let rendered = f.to_string();
     assert!(
         rendered.starts_with("crates/core/src/fixture.rs:2:"),
         "{rendered}"
     );
-    assert!(rendered.contains("[D1]"), "{rendered}");
+    assert!(rendered.contains("[D12]"), "{rendered}");
 }
 
 #[test]
 fn wrong_rule_pragma_does_not_suppress() {
-    // The D1 finding survives the mismatched pragma, and the pragma itself
+    // The D12 finding survives the mismatched pragma, and the pragma itself
     // becomes a finding: a `lint:allow` that suppresses nothing is dead
     // weight that hides drift, so the audit flags it (attributed to the
     // rule it names, at the pragma's own line).
-    let src = "// lint:allow(D3) wrong rule on purpose\nfn f() -> u64 { SystemTime::now().elapsed().as_secs() }";
+    let src = "// lint:allow(D11) wrong rule on purpose\nfn f(m: &Metrics) { m.incr(\"ad_hoc_key\", 1); }";
     assert_eq!(
         rules_of("crates/core/src/fixture.rs", src),
-        vec![Rule::D3, Rule::D1]
+        vec![Rule::D11, Rule::D12]
     );
 }
 
@@ -177,7 +154,7 @@ fn the_real_workspace_tree_is_clean() {
     // number requires a justification comment at the new site. The audit
     // rules guarantee each one both suppresses a real finding and carries
     // a justification, so the count is exact, not a ceiling.
-    assert_eq!(report.suppressed, 44, "unexpected lint:allow pragma count");
+    assert_eq!(report.suppressed, 41, "unexpected lint:allow pragma count");
 }
 
 #[test]
@@ -206,7 +183,7 @@ fn repro_lint_exits_zero_on_clean_tree_and_nonzero_on_violation() {
     );
 
     // Seeded violation fixture: a minimal workspace layout whose one
-    // source file calls a banned API.
+    // source file passes an ad-hoc metric key.
     let fixture_root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("target")
         .join("lint-violation-fixture");
@@ -215,7 +192,7 @@ fn repro_lint_exits_zero_on_clean_tree_and_nonzero_on_violation() {
     std::fs::create_dir_all(fixture_root.join("src")).expect("fixture src dir");
     std::fs::write(
         src_dir.join("lib.rs"),
-        "pub fn now() -> u64 { SystemTime::now().elapsed().as_secs() }\n",
+        "pub fn probe(m: &Metrics) { m.incr(\"ad_hoc_key\", 1); }\n",
     )
     .expect("fixture file");
     let bad = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -228,11 +205,87 @@ fn repro_lint_exits_zero_on_clean_tree_and_nonzero_on_violation() {
         "repro lint must exit nonzero on the violation fixture"
     );
     let out = String::from_utf8_lossy(&bad.stdout);
-    assert!(out.contains("[D1]"), "diagnostic names the rule: {out}");
+    assert!(out.contains("[D12]"), "diagnostic names the rule: {out}");
     assert!(
         out.contains("crates/bad/src/lib.rs:1:"),
         "diagnostic names file and line: {out}"
     );
+}
+
+/// Rules D1, D3 and D13 are the bans in the root `clippy.toml`, and D7
+/// is `clippy::let_underscore_must_use` denied at the crate roots. Each
+/// statement below names one banned API under an `#[expect]`, so deleting
+/// its ban leaves the expectation unfulfilled and fails `cargo clippy
+/// -D warnings`; nothing banned is called. An `#[expect]` turns its lint
+/// on, so `discard` shows only that clippy catches D7's pattern: the
+/// crate-root denies are read from the sources.
+#[test]
+fn every_clippy_ban_is_enforced() {
+    #[expect(clippy::disallowed_types, reason = "fixture: D1 bans the wall clock")]
+    let _: Option<std::time::Instant> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: D1 bans the wall clock")]
+    let _: Option<std::time::SystemTime> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: D1 bans the wall clock")]
+    let _: Option<std::time::Duration> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: D3 bans ambient entropy")]
+    let _: Option<std::hash::RandomState> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: D13 confines std::fs")]
+    let _: Option<std::fs::File> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: D13 confines std::fs")]
+    let _: Option<std::fs::OpenOptions> = None;
+    #[expect(clippy::disallowed_types, reason = "fixture: D13 confines std::fs")]
+    let _: Option<std::fs::DirBuilder> = None;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D1 bans thread ids")]
+    let _ = std::thread::current;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D13 confines std::fs")]
+    let _ = std::fs::canonicalize::<&str>;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D13 confines std::fs")]
+    let _ = std::fs::copy::<&str, &str>;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D13 confines std::fs")]
+    let _ = std::fs::create_dir::<&str>;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D13 confines std::fs")]
+    let _ = std::fs::create_dir_all::<&str>;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D13 confines std::fs")]
+    let _ = std::fs::exists::<&str>;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D13 confines std::fs")]
+    let _ = std::fs::hard_link::<&str, &str>;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D13 confines std::fs")]
+    let _ = std::fs::metadata::<&str>;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D13 confines std::fs")]
+    let _ = std::fs::read::<&str>;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D13 confines std::fs")]
+    let _ = std::fs::read_dir::<&str>;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D13 confines std::fs")]
+    let _ = std::fs::read_link::<&str>;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D13 confines std::fs")]
+    let _ = std::fs::read_to_string::<&str>;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D13 confines std::fs")]
+    let _ = std::fs::remove_dir::<&str>;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D13 confines std::fs")]
+    let _ = std::fs::remove_dir_all::<&str>;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D13 confines std::fs")]
+    let _ = std::fs::remove_file::<&str>;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D13 confines std::fs")]
+    let _ = std::fs::rename::<&str, &str>;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D13 confines std::fs")]
+    let _ = std::fs::set_permissions::<&str>;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D13 confines std::fs")]
+    let _ = std::fs::symlink_metadata::<&str>;
+    #[expect(clippy::disallowed_methods, reason = "fixture: D13 confines std::fs")]
+    let _ = std::fs::write::<&str, &str>;
+    use chatlens::core::net::Net;
+    use chatlens::simnet::{transport::Request, SimTime};
+    #[expect(clippy::let_underscore_must_use, reason = "fixture: D7 drops a result")]
+    fn discard(net: &mut Net, eco: &mut chatlens::Ecosystem, now: SimTime, req: &Request) {
+        let _ = net.twitter(eco, now, req);
+    }
+    let _ = discard;
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    for krate in ["crates/core/src/lib.rs", "src/lib.rs", "src/bin/repro.rs"] {
+        let src = std::fs::read_to_string(root.join(krate)).expect("read crate root");
+        let deny = "\n#![deny(clippy::let_underscore_must_use)]\n";
+        assert!(src.contains(deny), "{krate} must deny D7's lint");
+    }
 }
 
 /// The `unsafe` boundary: the keyword appears only in the SHA-256

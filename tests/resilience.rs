@@ -2,6 +2,7 @@
 //! collapse, under an unreliable network — the smoltcp-style "adverse
 //! conditions" discipline of the networking guides applied to the whole
 //! pipeline.
+#![expect(clippy::disallowed_methods, reason = "clears scratch directories")]
 
 use chatlens::core::monitor::ObservedStatus;
 use chatlens::platforms::id::PlatformKind;
