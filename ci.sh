@@ -27,9 +27,10 @@ cargo clippy --workspace --all-targets -- -D warnings \
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-# Hard gate: the determinism & concurrency static-analysis pass must be
-# clean before the test matrix runs (rule catalog in DESIGN.md
-# "Determinism lint"; exits nonzero on any finding). The pass also has
+# Hard gate: the determinism & concurrency static-analysis pass (rules
+# D2, D4, D5, D8, D10 and D14; D9, D11 and D12 are types the build above
+# already checked) must be clean before the test matrix runs (rule
+# catalog in DESIGN.md "Determinism lint"; exits nonzero on any finding). The pass also has
 # a perf budget — a full workspace scan must finish inside 5 seconds —
 # and its machine-readable report (target/lint.json, schema
 # chatlens-lint/v1) must validate and be byte-stable across runs.

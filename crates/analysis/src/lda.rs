@@ -25,7 +25,7 @@
 //! chunk degenerates to the exact serial collapsed Gibbs sampler.
 
 use chatlens_simnet::par::Pool;
-use chatlens_simnet::rng::Rng;
+use chatlens_simnet::rng::{Rng, Stream};
 
 /// Documents per Gibbs chunk. A pure constant: chunk boundaries must be a
 /// function of the corpus alone so thread count can't affect results.
@@ -144,8 +144,7 @@ impl LdaModel {
         let mut n_k = vec![0u32; k];
         let init_counts = pool.par_chunks_mut(1, &mut chunks, |c, slice| {
             let chunk = &mut slice[0];
-            // lint:allow(D11) per-chunk label family: the chunk index is part of the stream identity
-            let mut rng = Rng::new(cfg.seed).fork(&format!("lda/init/{c}"));
+            let mut rng = Rng::new(cfg.seed).fork(Stream::LdaInit { chunk: c });
             let mut kw = vec![0u32; k * v];
             let mut nk = vec![0u32; k];
             let chunk_docs = &docs[chunk.d0..chunk.d0 + chunk.offsets.len()];
@@ -181,8 +180,7 @@ impl LdaModel {
             let nk_snap = n_k.clone();
             let locals = pool.par_chunks_mut(1, &mut chunks, |c, slice| {
                 let chunk = &mut slice[0];
-                // lint:allow(D11) per-sweep/per-chunk label family: indices are part of the stream identity
-                let mut rng = Rng::new(cfg.seed).fork(&format!("lda/sweep/{sweep}/{c}"));
+                let mut rng = Rng::new(cfg.seed).fork(Stream::LdaSweep { sweep, chunk: c });
                 let mut kw = kw_snap.clone();
                 let mut nk = nk_snap.clone();
                 let mut probs = vec![0.0f64; k];

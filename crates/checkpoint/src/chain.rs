@@ -28,9 +28,9 @@
 
 use crate::codec::Persist;
 use crate::error::CheckpointError;
-use crate::persist_struct;
 use crate::snapshot::{load_from_file_with, save_to_file_with};
 use crate::vfs::{tmp_sibling, RealVfs, Vfs};
+use crate::{persist_enum, persist_struct};
 use std::path::Path;
 
 /// File name of the persisted recovery ledger inside a checkpoint
@@ -151,23 +151,10 @@ impl RecoveryAction {
     }
 }
 
-impl Persist for RecoveryAction {
-    fn save(&self, w: &mut crate::Writer) {
-        w.put_u8(match self {
-            RecoveryAction::Skipped => 0,
-            RecoveryAction::Quarantined => 1,
-        });
-    }
-    fn load(r: &mut crate::Reader<'_>) -> Result<Self, CheckpointError> {
-        match r.get_u8()? {
-            0 => Ok(RecoveryAction::Skipped),
-            1 => Ok(RecoveryAction::Quarantined),
-            n => Err(CheckpointError::Malformed(format!(
-                "RecoveryAction tag {n}"
-            ))),
-        }
-    }
-}
+persist_enum!(RecoveryAction {
+    0 => Skipped,
+    1 => Quarantined,
+});
 
 /// One damaged chain link: which day, which file, what was wrong, and
 /// what was done about it.

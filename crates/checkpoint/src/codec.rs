@@ -84,6 +84,22 @@ impl Writer {
         );
     }
 
+    /// Append a string as its `String` encoding: a varint byte length,
+    /// then the UTF-8 bytes.
+    pub fn put_str(&mut self, s: &str) {
+        self.put_varint(s.len() as u64);
+        self.put_bytes(s.as_bytes());
+    }
+
+    /// Append `items` exactly as a `Vec` of them encodes: a varint
+    /// count, then each item.
+    pub fn put_seq<'a, T: Persist + 'a>(&mut self, items: impl ExactSizeIterator<Item = &'a T>) {
+        self.put_varint(items.len() as u64);
+        for item in items {
+            item.save(self);
+        }
+    }
+
     /// Append a LEB128 varint: seven value bits per byte, low bits first,
     /// high bit set on every byte except the last. The encoding is
     /// minimal-length by construction, so it is canonical.
@@ -215,6 +231,51 @@ macro_rules! persist_struct {
     };
 }
 
+/// Implement [`Persist`] for an enum from an explicit tag list: each
+/// variant writes its `u8` tag, then its listed fields in order. `save`
+/// is one exhaustive `match`, so a variant left out of the list does not
+/// compile, and `load` decodes the same list; an unknown tag is
+/// [`CheckpointError::Malformed`]. The tags and field order are the wire
+/// format.
+///
+/// ```
+/// use chatlens_checkpoint::persist_enum;
+/// enum Event { Tick, Day { n: u32 } }
+/// persist_enum!(Event { 0 => Tick, 1 => Day { n } });
+/// ```
+///
+/// ```compile_fail,E0004
+/// use chatlens_checkpoint::persist_enum;
+/// enum Event { Tick, Day { n: u32 } }
+/// persist_enum!(Event { 0 => Tick });
+/// ```
+#[macro_export]
+macro_rules! persist_enum {
+    ($ty:ident { $($tag:literal => $variant:ident $({ $($field:ident),+ })?),+ $(,)? }) => {
+        impl $crate::Persist for $ty {
+            fn save(&self, w: &mut $crate::Writer) {
+                match self {
+                    $($ty::$variant $({ $($field),+ })? => {
+                        w.put_u8($tag);
+                        $($($crate::Persist::save($field, w);)+)?
+                    })+
+                }
+            }
+            fn load(
+                r: &mut $crate::Reader<'_>,
+            ) -> Result<Self, $crate::CheckpointError> {
+                match r.get_u8()? {
+                    $($tag => Ok($ty::$variant $({ $($field: $crate::Persist::load(r)?),+ })?),)+
+                    tag => Err($crate::CheckpointError::Malformed(format!(
+                        concat!(stringify!($ty), " tag {}"),
+                        tag
+                    ))),
+                }
+            }
+        }
+    };
+}
+
 // `u8` stays a raw byte: a varint would cost a second byte for values
 // ≥ 128, and single bytes are already as small as it gets.
 impl Persist for u8 {
@@ -296,8 +357,7 @@ impl Persist for f64 {
 
 impl Persist for String {
     fn save(&self, w: &mut Writer) {
-        w.put_varint(self.len() as u64);
-        w.put_bytes(self.as_bytes());
+        w.put_str(self);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         let len = r.get_len()?;
@@ -312,8 +372,7 @@ impl Persist for std::borrow::Cow<'static, str> {
     // whether the live value borrowed a `'static` literal or owned its
     // bytes, and loading always produces an owned value.
     fn save(&self, w: &mut Writer) {
-        w.put_varint(self.len() as u64);
-        w.put_bytes(self.as_bytes());
+        w.put_str(self);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         Ok(std::borrow::Cow::Owned(String::load(r)?))
@@ -341,10 +400,7 @@ impl<T: Persist> Persist for Option<T> {
 
 impl<T: Persist> Persist for Vec<T> {
     fn save(&self, w: &mut Writer) {
-        w.put_varint(self.len() as u64);
-        for item in self {
-            item.save(w);
-        }
+        w.put_seq(self.iter());
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         let len = r.get_len()?;

@@ -10,7 +10,7 @@
 
 use crate::codec::{Persist, Reader, Writer};
 use crate::error::CheckpointError;
-use crate::persist_struct;
+use crate::{persist_enum, persist_struct};
 use chatlens_platforms::id::{GroupId, PlatformKind, UserId};
 use chatlens_platforms::invite::{InviteCode, UrlPattern};
 use chatlens_platforms::message::{Message, MessageKind};
@@ -64,43 +64,17 @@ persist_struct!(FaultInjector {
     error_chance
 });
 
-impl Persist for FaultProfile {
-    fn save(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            FaultProfile::Calm => 0,
-            FaultProfile::Bursty => 1,
-            FaultProfile::Outage => 2,
-        });
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match r.get_u8()? {
-            0 => Ok(FaultProfile::Calm),
-            1 => Ok(FaultProfile::Bursty),
-            2 => Ok(FaultProfile::Outage),
-            n => Err(CheckpointError::Malformed(format!("FaultProfile tag {n}"))),
-        }
-    }
-}
+persist_enum!(FaultProfile {
+    0 => Calm,
+    1 => Bursty,
+    2 => Outage,
+});
 
-impl Persist for CorruptionProfile {
-    fn save(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            CorruptionProfile::Calm => 0,
-            CorruptionProfile::Noisy => 1,
-            CorruptionProfile::Hostile => 2,
-        });
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match r.get_u8()? {
-            0 => Ok(CorruptionProfile::Calm),
-            1 => Ok(CorruptionProfile::Noisy),
-            2 => Ok(CorruptionProfile::Hostile),
-            n => Err(CheckpointError::Malformed(format!(
-                "CorruptionProfile tag {n}"
-            ))),
-        }
-    }
-}
+persist_enum!(CorruptionProfile {
+    0 => Calm,
+    1 => Noisy,
+    2 => Hostile,
+});
 
 persist_struct!(OutageSpec {
     start_day,
@@ -108,35 +82,11 @@ persist_struct!(OutageSpec {
     ban
 });
 
-impl Persist for BreakerState {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            BreakerState::Closed {
-                consecutive_failures,
-            } => {
-                w.put_u8(0);
-                consecutive_failures.save(w);
-            }
-            BreakerState::Open { until } => {
-                w.put_u8(1);
-                until.save(w);
-            }
-            BreakerState::HalfOpen => w.put_u8(2),
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match r.get_u8()? {
-            0 => Ok(BreakerState::Closed {
-                consecutive_failures: u32::load(r)?,
-            }),
-            1 => Ok(BreakerState::Open {
-                until: SimTime::load(r)?,
-            }),
-            2 => Ok(BreakerState::HalfOpen),
-            n => Err(CheckpointError::Malformed(format!("BreakerState tag {n}"))),
-        }
-    }
-}
+persist_enum!(BreakerState {
+    0 => Closed { consecutive_failures },
+    1 => Open { until },
+    2 => HalfOpen,
+});
 
 persist_struct!(TraceCounters {
     total,
@@ -163,11 +113,10 @@ persist_struct!(ClientState {
 
 // ---- simnet: metrics ------------------------------------------------------
 
-// lint:allow(D9) `counts` is saved through the bucket_counts() accessor; load rebuilds every field via from_parts
 impl Persist for Histogram {
     fn save(&self, w: &mut Writer) {
-        self.bounds().to_vec().save(w);
-        self.bucket_counts().to_vec().save(w);
+        w.put_seq(self.bounds().iter());
+        w.put_seq(self.bucket_counts().iter());
         self.count().save(w);
         self.sum().save(w);
         self.min().save(w);
@@ -202,15 +151,19 @@ impl Persist for Histogram {
 }
 
 impl Persist for Metrics {
+    // The encoding of the `BTreeMap<String, _>` pair `load` reads,
+    // written straight from the registry's own maps.
     fn save(&self, w: &mut Writer) {
-        let counters: BTreeMap<String, u64> =
-            self.counters().map(|(k, v)| (k.to_string(), v)).collect();
-        counters.save(w);
-        let histograms: BTreeMap<String, Histogram> = self
-            .histograms()
-            .map(|(k, h)| (k.to_string(), h.clone()))
-            .collect();
-        histograms.save(w);
+        w.put_varint(self.counters().len() as u64);
+        for (name, value) in self.counters() {
+            w.put_str(name);
+            value.save(w);
+        }
+        w.put_varint(self.histograms().len() as u64);
+        for (name, histogram) in self.histograms() {
+            w.put_str(name);
+            histogram.save(w);
+        }
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         let counters = BTreeMap::<String, u64>::load(r)?;
@@ -295,7 +248,6 @@ persist_struct!(Message { sender, at, kind });
 /// layout; only `is_control` rides alongside, since the wire form does not
 /// carry it. The wire text is written straight into the snapshot buffer
 /// ([`Tweet::encode_into`]), as the `String` it would encode to.
-// lint:allow(D9) Tweet rides the wire codec (encode/decode), whose field coverage the codec round-trip tests pin
 impl Persist for Tweet {
     fn save(&self, w: &mut Writer) {
         w.put_prefixed(self.encoded_len(), |out| self.encode_into(out));
@@ -413,6 +365,7 @@ persist_struct!(ScenarioConfig {
 mod tests {
     use super::*;
     use crate::snapshot::{decode_snapshot, encode_snapshot};
+    use chatlens_simnet::metrics::keys;
 
     fn round_trip<T: Persist + PartialEq + std::fmt::Debug>(value: T) {
         let back: T = decode_snapshot(&encode_snapshot(&value)).unwrap();
@@ -514,10 +467,23 @@ mod tests {
     #[test]
     fn metrics_round_trip_exactly() {
         let mut m = Metrics::new();
-        m.add("a.count", 7);
-        m.incr("b.count");
-        m.observe("lat", 0.5, &[0.1, 1.0, 10.0]);
-        m.observe("lat", 25.0, &[0.1, 1.0, 10.0]);
+        m.add(keys::JOIN_DEAD_AT_JOIN, 7);
+        m.incr(keys::JOIN_FAILED_FETCHES);
+        m.observe(keys::DISCOVERY_GROUPS_KNOWN, 0.5, &[0.1, 1.0, 10.0]);
+        m.observe(keys::DISCOVERY_GROUPS_KNOWN, 25.0, &[0.1, 1.0, 10.0]);
+        // The registry encodes as the two maps it is restored from.
+        let counters: BTreeMap<String, u64> =
+            m.counters().map(|(k, v)| (k.to_string(), v)).collect();
+        let histograms: BTreeMap<String, Histogram> = m
+            .histograms()
+            .map(|(k, h)| (k.to_string(), h.clone()))
+            .collect();
+        let mut maps = Writer::new();
+        counters.save(&mut maps);
+        histograms.save(&mut maps);
+        let mut direct = Writer::new();
+        m.save(&mut direct);
+        assert_eq!(direct.into_bytes(), maps.into_bytes());
         round_trip(m);
         round_trip(Metrics::new());
     }

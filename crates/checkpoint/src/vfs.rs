@@ -10,9 +10,8 @@
 //!   returns `Ok` the bytes survive power loss — not just process death.
 //! * **A deterministic fault domain.** [`FaultVfs`] wraps the real thing
 //!   and injects torn writes, short writes, bit-rot, `ENOSPC` and rename
-//!   failures from a dedicated registered RNG stream
-//!   (`("checkpoint", "disk")` in `STREAM_REGISTRY`), exactly the way
-//!   `simnet::fault` injects network faults. A campaign run under
+//!   failures from a dedicated RNG stream ([`Stream::Disk`]), exactly
+//!   the way `simnet::fault` injects network faults. A campaign run under
 //!   `--disk-fault torn` damages its own checkpoint chain on a schedule
 //!   that replays bit-identically — which is what lets the crash-storm
 //!   suite prove chain recovery rebuilds the same report bytes.
@@ -29,7 +28,7 @@
 
 use crate::error::CheckpointError;
 use chatlens_simnet::fault::{DiskFaultKind, DiskFaultRates};
-use chatlens_simnet::rng::Rng;
+use chatlens_simnet::rng::{Rng, Stream};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -170,13 +169,13 @@ pub struct FaultVfs {
 
 impl FaultVfs {
     /// Build the fault domain from a campaign seed and an injection-rate
-    /// schedule. The RNG is the registered `("checkpoint", "disk")`
-    /// stream forked off the campaign seed, so the same `(seed, rates)`
-    /// always damages the same operations.
+    /// schedule. The RNG is the [`Stream::Disk`] stream forked off the
+    /// campaign seed, so the same `(seed, rates)` always damages the same
+    /// operations.
     pub fn new(seed: u64, rates: DiskFaultRates) -> FaultVfs {
         FaultVfs {
             real: RealVfs,
-            rng: Rng::new(seed).fork("disk"),
+            rng: Rng::new(seed).fork(Stream::Disk),
             rates,
             injected: Vec::new(),
         }

@@ -55,8 +55,8 @@
 use crate::discovery::{CollectedTweet, Discovery};
 use crate::fold::DayMark;
 use chatlens_checkpoint::{
-    decode_snapshot, encode_snapshot, load_from_file_with, persist_struct, save_to_file_with,
-    CheckpointError, FaultVfs, Persist, RealVfs, Vfs, Writer,
+    decode_snapshot, encode_snapshot, load_from_file_with, persist_enum, persist_struct,
+    save_to_file_with, CheckpointError, FaultVfs, Persist, RealVfs, Vfs, Writer,
 };
 use chatlens_simnet::fault::DiskFaultProfile;
 use chatlens_simnet::hash::sha256;
@@ -515,33 +515,13 @@ pub enum SpillIncidentKind {
     KeptResident,
 }
 
-impl Persist for SpillIncidentKind {
-    fn save(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            SpillIncidentKind::WriteFailed => 0,
-            SpillIncidentKind::TornDetected => 1,
-            SpillIncidentKind::ReadDamaged => 2,
-            SpillIncidentKind::Rewritten => 3,
-            SpillIncidentKind::KeptResident => 4,
-        });
-    }
-    fn load(
-        r: &mut chatlens_checkpoint::Reader<'_>,
-    ) -> Result<Self, chatlens_checkpoint::CheckpointError> {
-        Ok(match r.get_u8()? {
-            0 => SpillIncidentKind::WriteFailed,
-            1 => SpillIncidentKind::TornDetected,
-            2 => SpillIncidentKind::ReadDamaged,
-            3 => SpillIncidentKind::Rewritten,
-            4 => SpillIncidentKind::KeptResident,
-            n => {
-                return Err(chatlens_checkpoint::CheckpointError::Malformed(format!(
-                    "unknown spill incident kind {n}"
-                )))
-            }
-        })
-    }
-}
+persist_enum!(SpillIncidentKind {
+    0 => WriteFailed,
+    1 => TornDetected,
+    2 => ReadDamaged,
+    3 => Rewritten,
+    4 => KeptResident,
+});
 
 impl fmt::Display for SpillIncidentKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

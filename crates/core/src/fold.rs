@@ -42,7 +42,7 @@ use crate::joiner::JoinedGroup;
 use crate::monitor::{GapLedger, TimelineStore};
 use crate::pii::PiiStore;
 use chatlens_checkpoint::{persist_struct, CheckpointError, Reader, Writer};
-use chatlens_simnet::metrics::{keys, Metrics};
+use chatlens_simnet::metrics::{keys, Metrics, StageKey};
 use chatlens_simnet::par::Pool;
 use chatlens_simnet::time::StudyWindow;
 use chatlens_twitter::Tweet;
@@ -342,6 +342,9 @@ pub struct FoldDriver<S: ?Sized + FoldSet = dyn FoldSet> {
     groups_seen: usize,
     joined_seen: usize,
     metrics: Metrics,
+    /// Each fold's daily and finishing stage timers, in registration
+    /// order, made once so timing a fold allocates nothing.
+    stages: Vec<(StageKey, StageKey)>,
     /// Last encoded state size per fold, in registration order.
     state_bytes: Vec<u64>,
     peak_state_bytes: u64,
@@ -353,6 +356,16 @@ impl<S: FoldSet> FoldDriver<S> {
     /// `finish` fan-out; folding itself is sequential per day).
     pub fn new(folds: S, threads: usize) -> FoldDriver<S> {
         let state_bytes = vec![0; folds.folds().len()];
+        let stages = folds
+            .folds()
+            .into_iter()
+            .map(|fold| {
+                (
+                    keys::fold_stage(fold.name()),
+                    keys::fold_finish_stage(fold.name()),
+                )
+            })
+            .collect();
         FoldDriver {
             pool: Pool::new(threads),
             days_folded: 0,
@@ -361,6 +374,7 @@ impl<S: FoldSet> FoldDriver<S> {
             groups_seen: 0,
             joined_seen: 0,
             metrics: Metrics::new(),
+            stages,
             state_bytes,
             peak_state_bytes: 0,
             folds,
@@ -414,9 +428,8 @@ impl<S: ?Sized + FoldSet> FoldDriver<S> {
             joined: self.joined_seen as u64,
         };
         let slice = parts.slice(day, &prev);
-        for fold in self.folds.folds_mut() {
-            let stage = format!("{}.{}", keys::STAGE_FOLD, fold.name());
-            self.metrics.time_stage(&stage, || fold.fold_day(&slice));
+        for (fold, (stage, _)) in self.folds.folds_mut().into_iter().zip(&self.stages) {
+            self.metrics.time_stage(stage, || fold.fold_day(&slice));
         }
         self.metrics.incr(keys::FOLD_DAYS);
         self.days_folded += 1;
@@ -505,9 +518,9 @@ impl<S: ?Sized + FoldSet> FoldDriver<S> {
             .folds
             .folds()
             .into_iter()
-            .map(|fold| {
-                let stage = format!("{}.{}", keys::STAGE_FOLD_FINISH, fold.name());
-                let fragment = self.metrics.time_stage(&stage, || fold.finish(&self.pool));
+            .zip(&self.stages)
+            .map(|(fold, (_, stage))| {
+                let fragment = self.metrics.time_stage(stage, || fold.finish(&self.pool));
                 (fold.name(), fragment)
             })
             .collect();

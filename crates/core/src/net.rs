@@ -10,7 +10,7 @@
 use crate::error::CoreError;
 use chatlens_platforms::id::PlatformKind;
 use chatlens_simnet::fault::{CorruptionSchedule, FaultInjector, FaultSchedule};
-use chatlens_simnet::rng::Rng;
+use chatlens_simnet::rng::{Rng, Stream};
 use chatlens_simnet::time::{SimDuration, SimTime};
 use chatlens_simnet::transport::{Client, ClientConfig, ClientState, Request, Response, Router};
 use chatlens_workload::Ecosystem;
@@ -77,14 +77,14 @@ impl Net {
         };
         let [tw, wa, tg, dc] = schedules;
         Net {
-            twitter: Client::with_schedule(api.clone(), tw, rng.fork("twitter"), start)
+            twitter: Client::with_schedule(api.clone(), tw, rng.fork(Stream::Twitter), start)
                 .with_corruption(corruption),
             platforms: [
-                Client::with_schedule(scraper.clone(), wa, rng.fork("whatsapp"), start)
+                Client::with_schedule(scraper.clone(), wa, rng.fork(Stream::WhatsApp), start)
                     .with_corruption(corruption),
-                Client::with_schedule(api, tg, rng.fork("telegram"), start)
+                Client::with_schedule(api, tg, rng.fork(Stream::Telegram), start)
                     .with_corruption(corruption),
-                Client::with_schedule(scraper, dc, rng.fork("discord"), start)
+                Client::with_schedule(scraper, dc, rng.fork(Stream::Discord), start)
                     .with_corruption(corruption),
             ],
         }

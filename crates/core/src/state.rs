@@ -35,7 +35,7 @@ use crate::patterns::ExtractionStats;
 use crate::pii::PiiStore;
 use crate::quarantine::{QuarantineCode, QuarantineEntry};
 use crate::study::{CampaignConfig, CampaignEvent};
-use chatlens_checkpoint::{persist_struct, CheckpointError, Persist, Reader, Writer};
+use chatlens_checkpoint::{persist_enum, persist_struct, CheckpointError, Persist, Reader, Writer};
 use chatlens_simnet::fastmap::FastSet;
 use chatlens_simnet::metrics::Metrics;
 use chatlens_simnet::time::SimTime;
@@ -84,9 +84,14 @@ impl EngineState {
 // to fail before reaching it.
 impl Persist for EngineState {
     fn save(&self, w: &mut Writer) {
-        self.now.save(w);
-        self.processed.save(w);
-        self.pending.save(w);
+        let EngineState {
+            now,
+            processed,
+            pending,
+        } = self;
+        now.save(w);
+        processed.save(w);
+        pending.save(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         let now = SimTime::load(r)?;
@@ -110,19 +115,10 @@ impl Persist for EngineState {
     }
 }
 
-/// Encode `items` exactly as a `Vec` of them encodes: a varint count,
-/// then each item.
-fn save_seq<'a, T: Persist + 'a>(items: impl ExactSizeIterator<Item = &'a T>, w: &mut Writer) {
-    w.put_varint(items.len() as u64);
-    for item in items {
-        item.save(w);
-    }
-}
-
 /// Encode a hash set as its sorted `Vec` (via `BTreeSet`, lint D2), so
 /// equal sets always encode to equal bytes.
 fn save_sorted<T: Persist + Ord>(set: &FastSet<T>, w: &mut Writer) {
-    save_seq(set.iter().collect::<BTreeSet<&T>>().into_iter(), w);
+    w.put_seq(set.iter().collect::<BTreeSet<&T>>().into_iter());
 }
 
 /// Decode a set written by [`save_sorted`].
@@ -157,8 +153,8 @@ impl Persist for Discovery {
             quarantine,
         } = self;
         since_id.save(w);
-        save_seq(tweets.resident().iter(), w);
-        save_seq(control.resident().iter(), w);
+        w.put_seq(tweets.resident().iter());
+        w.put_seq(control.resident().iter());
         groups.save(w);
         stats.save(w);
         last_stream_drain.save(w);
@@ -167,7 +163,7 @@ impl Persist for Discovery {
         pending_stream.save(w);
         pending_sample.save(w);
         quarantine.save(w);
-        save_seq(interner.symbols().iter(), w);
+        w.put_seq(interner.symbols().iter());
         tweets.base().save(w);
         control.base().save(w);
     }
@@ -262,7 +258,7 @@ impl Monitor {
         w.put_varint(gaps.group_count() as u64);
         for (slot, days) in gaps.iter() {
             (slot as u32).save(w);
-            save_seq(days.iter(), w);
+            w.put_seq(days.iter());
         }
         quarantine.save(w);
     }
@@ -380,112 +376,38 @@ impl Persist for PiiStore {
 
 // Core enums and records referenced by the components above.
 
-impl Persist for CampaignEvent {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            CampaignEvent::Search => w.put_u8(0),
-            CampaignEvent::StreamDrain => w.put_u8(1),
-            CampaignEvent::SampleDrain => w.put_u8(2),
-            CampaignEvent::Monitor { day } => {
-                w.put_u8(3);
-                day.save(w);
-            }
-            CampaignEvent::Join => w.put_u8(4),
-            CampaignEvent::Collect => w.put_u8(5),
-            CampaignEvent::Backfill { day } => {
-                w.put_u8(6);
-                day.save(w);
-            }
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match r.get_u8()? {
-            0 => Ok(CampaignEvent::Search),
-            1 => Ok(CampaignEvent::StreamDrain),
-            2 => Ok(CampaignEvent::SampleDrain),
-            3 => Ok(CampaignEvent::Monitor { day: u32::load(r)? }),
-            4 => Ok(CampaignEvent::Join),
-            5 => Ok(CampaignEvent::Collect),
-            6 => Ok(CampaignEvent::Backfill { day: u32::load(r)? }),
-            n => Err(CheckpointError::Malformed(format!("CampaignEvent tag {n}"))),
-        }
-    }
-}
+persist_enum!(CampaignEvent {
+    0 => Search,
+    1 => StreamDrain,
+    2 => SampleDrain,
+    3 => Monitor { day },
+    4 => Join,
+    5 => Collect,
+    6 => Backfill { day },
+});
 
-impl Persist for JoinStrategy {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            JoinStrategy::Uniform => w.put_u8(0),
-            JoinStrategy::SizeBiased => w.put_u8(1),
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match r.get_u8()? {
-            0 => Ok(JoinStrategy::Uniform),
-            1 => Ok(JoinStrategy::SizeBiased),
-            n => Err(CheckpointError::Malformed(format!("JoinStrategy tag {n}"))),
-        }
-    }
-}
+persist_enum!(JoinStrategy {
+    0 => Uniform,
+    1 => SizeBiased,
+});
 
-impl Persist for ObservedStatus {
-    fn save(&self, w: &mut Writer) {
-        match self {
-            ObservedStatus::Alive { size, online } => {
-                w.put_u8(0);
-                size.save(w);
-                online.save(w);
-            }
-            ObservedStatus::Revoked => w.put_u8(1),
-            ObservedStatus::Failed => w.put_u8(2),
-        }
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match r.get_u8()? {
-            0 => Ok(ObservedStatus::Alive {
-                size: u32::load(r)?,
-                online: u32::load(r)?,
-            }),
-            1 => Ok(ObservedStatus::Revoked),
-            2 => Ok(ObservedStatus::Failed),
-            n => Err(CheckpointError::Malformed(format!(
-                "ObservedStatus tag {n}"
-            ))),
-        }
-    }
-}
+persist_enum!(ObservedStatus {
+    0 => Alive { size, online },
+    1 => Revoked,
+    2 => Failed,
+});
 
-impl Persist for QuarantineCode {
-    fn save(&self, w: &mut Writer) {
-        w.put_u8(match self {
-            QuarantineCode::WrongKind => 0,
-            QuarantineCode::MalformedLine => 1,
-            QuarantineCode::MissingField => 2,
-            QuarantineCode::BadNumber => 3,
-            QuarantineCode::TooLarge => 4,
-            QuarantineCode::DuplicateField => 5,
-            QuarantineCode::CountMismatch => 6,
-            QuarantineCode::SpliceMismatch => 7,
-            QuarantineCode::BadPayload => 8,
-        });
-    }
-    fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
-        match r.get_u8()? {
-            0 => Ok(QuarantineCode::WrongKind),
-            1 => Ok(QuarantineCode::MalformedLine),
-            2 => Ok(QuarantineCode::MissingField),
-            3 => Ok(QuarantineCode::BadNumber),
-            4 => Ok(QuarantineCode::TooLarge),
-            5 => Ok(QuarantineCode::DuplicateField),
-            6 => Ok(QuarantineCode::CountMismatch),
-            7 => Ok(QuarantineCode::SpliceMismatch),
-            8 => Ok(QuarantineCode::BadPayload),
-            n => Err(CheckpointError::Malformed(format!(
-                "QuarantineCode tag {n}"
-            ))),
-        }
-    }
-}
+persist_enum!(QuarantineCode {
+    0 => WrongKind,
+    1 => MalformedLine,
+    2 => MissingField,
+    3 => BadNumber,
+    4 => TooLarge,
+    5 => DuplicateField,
+    6 => CountMismatch,
+    7 => SpliceMismatch,
+    8 => BadPayload,
+});
 
 persist_struct!(QuarantineEntry {
     service,
@@ -503,14 +425,24 @@ persist_struct!(QuarantineEntry {
 // breaks either property must fail at load, not at first query.
 impl Persist for GroupTimeline {
     fn save(&self, w: &mut Writer) {
-        self.days.save(w);
-        self.statuses.save(w);
-        self.title.save(w);
-        self.tg_kind.save(w);
-        self.dc_created_day.save(w);
-        self.dc_creator.save(w);
-        self.wa_creator_cc.save(w);
-        self.wa_creator_hash.save(w);
+        let GroupTimeline {
+            days,
+            statuses,
+            title,
+            tg_kind,
+            dc_created_day,
+            dc_creator,
+            wa_creator_cc,
+            wa_creator_hash,
+        } = self;
+        days.save(w);
+        statuses.save(w);
+        title.save(w);
+        tg_kind.save(w);
+        dc_created_day.save(w);
+        dc_creator.save(w);
+        wa_creator_cc.save(w);
+        wa_creator_hash.save(w);
     }
     fn load(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
         let days = Vec::<u32>::load(r)?;

@@ -1230,7 +1230,7 @@ fn handle_event(
     match ev {
         CampaignEvent::Search => {
             metrics.incr(keys::CAMPAIGN_SEARCH_ROUNDS);
-            metrics.time_stage(keys::STAGE_SEARCH, || {
+            metrics.time_stage(&keys::STAGE_SEARCH, || {
                 discovery.run_search(net, eco, now);
             });
             metrics.observe(
@@ -1241,24 +1241,24 @@ fn handle_event(
         }
         CampaignEvent::StreamDrain => {
             metrics.incr(keys::CAMPAIGN_STREAM_DRAINS);
-            metrics.time_stage(keys::STAGE_STREAM, || {
+            metrics.time_stage(&keys::STAGE_STREAM, || {
                 discovery.drain_stream(net, eco, now);
             });
         }
         CampaignEvent::SampleDrain => {
             metrics.incr(keys::CAMPAIGN_SAMPLE_DRAINS);
-            metrics.time_stage(keys::STAGE_SAMPLE, || {
+            metrics.time_stage(&keys::STAGE_SAMPLE, || {
                 discovery.drain_sample(net, eco, now);
             });
         }
         CampaignEvent::Monitor { day } => {
             metrics.incr(keys::CAMPAIGN_MONITOR_ROUNDS);
-            metrics.time_stage(keys::STAGE_MONITOR, || {
+            metrics.time_stage(&keys::STAGE_MONITOR, || {
                 monitor.run_day(net, eco, discovery, now, day, Some(pii));
             });
         }
         CampaignEvent::Join => {
-            metrics.time_stage(keys::STAGE_JOIN, || {
+            metrics.time_stage(&keys::STAGE_JOIN, || {
                 for kind in PlatformKind::ALL {
                     let budget = eco.config.join_budget_scaled(kind);
                     let disco: &Discovery = discovery;
@@ -1284,13 +1284,13 @@ fn handle_event(
             });
         }
         CampaignEvent::Collect => {
-            metrics.time_stage(keys::STAGE_COLLECT, || {
+            metrics.time_stage(&keys::STAGE_COLLECT, || {
                 joiner.collect_phase(net, eco, now, pii);
             });
         }
         CampaignEvent::Backfill { day } => {
             metrics.incr(keys::CAMPAIGN_BACKFILL_ROUNDS);
-            metrics.time_stage(keys::STAGE_BACKFILL, || {
+            metrics.time_stage(&keys::STAGE_BACKFILL, || {
                 discovery.backfill(net, eco, now);
                 monitor.backfill_day(net, eco, discovery, now, day, Some(pii));
             });

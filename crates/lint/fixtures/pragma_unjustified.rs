@@ -1,5 +1,5 @@
 //@ path: crates/core/src/fixture.rs
-// lint:allow(D12)
-fn f(m: &Metrics) { m.incr("ad_hoc_key", 1); }
-//~^^ ERROR D12
-//~^^ SUPPRESSED D12
+// lint:allow(D8)
+fn f(doc: &WireDoc) -> u64 { doc.req_u64("size").unwrap() }
+//~^^ ERROR D8
+//~^^ SUPPRESSED D8

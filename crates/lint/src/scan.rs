@@ -18,10 +18,6 @@ pub enum TokKind {
     Punct,
     /// A string, raw-string, byte-string, char, or numeric literal.
     Literal,
-    /// A `"..."` or raw-string literal whose *contents* are retained in
-    /// `text` — the D11/D12 registry rules match stream labels and metric
-    /// keys against them. Escape sequences are kept verbatim.
-    Str,
     /// A lifetime (`'a`) — kept distinct so `'a` never parses as a char.
     Lifetime,
 }
@@ -31,8 +27,7 @@ pub enum TokKind {
 pub struct Tok {
     /// Token kind.
     pub kind: TokKind,
-    /// Identifier text, single punctuation char, string-literal contents
-    /// for [`TokKind::Str`], or `""` for other literals.
+    /// Identifier text, single punctuation char, or `""` for literals.
     pub text: String,
     /// 1-based source line.
     pub line: u32,
@@ -49,11 +44,6 @@ impl Tok {
     /// Whether this token is the punctuation character `c`.
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct && self.text.len() == 1 && self.text.starts_with(c)
-    }
-
-    /// The string-literal contents, if this token is a [`TokKind::Str`].
-    pub fn str_contents(&self) -> Option<&str> {
-        (self.kind == TokKind::Str).then_some(self.text.as_str())
     }
 }
 
@@ -198,21 +188,12 @@ pub fn scan(source: &str) -> Scan {
                     }
                 }
             }
-            // Plain string literal — contents retained for the registry
-            // rules (D11 stream labels, D12 metric keys).
+            // Plain string literal.
             b'"' => {
-                let start = cur.pos;
                 consume_string(&mut cur);
-                // Strip the closing quote if the literal terminated (an
-                // unterminated literal at EOF keeps its tail verbatim).
-                let end = if cur.pos > start + 1 && source.as_bytes()[cur.pos - 1] == b'"' {
-                    cur.pos - 1
-                } else {
-                    cur.pos
-                };
                 out.tokens.push(Tok {
-                    kind: TokKind::Str,
-                    text: source.get(start + 1..end).unwrap_or("").to_string(),
+                    kind: TokKind::Literal,
+                    text: String::new(),
                     line,
                     col,
                 });
@@ -291,18 +272,10 @@ pub fn scan(source: &str) -> Scan {
                         j += 1;
                     }
                     if cur.peek(j) == Some(b'"') {
-                        let (lo, hi) = consume_raw_string(&mut cur);
+                        consume_raw_string(&mut cur);
                         out.tokens.push(Tok {
-                            kind: if text == "r" {
-                                TokKind::Str
-                            } else {
-                                TokKind::Literal
-                            },
-                            text: if text == "r" {
-                                source.get(lo..hi).unwrap_or("").to_string()
-                            } else {
-                                String::new()
-                            },
+                            kind: TokKind::Literal,
+                            text: String::new(),
                             line,
                             col,
                         });
@@ -324,20 +297,14 @@ pub fn scan(source: &str) -> Scan {
                         continue;
                     }
                 } else if str_capable && next == Some(b'"') {
-                    let (kind, content) = if text == "b" {
+                    if text == "b" {
                         consume_string(&mut cur);
-                        (TokKind::Literal, String::new())
                     } else {
-                        let (lo, hi) = consume_raw_string(&mut cur);
-                        if text == "r" {
-                            (TokKind::Str, source.get(lo..hi).unwrap_or("").to_string())
-                        } else {
-                            (TokKind::Literal, String::new())
-                        }
-                    };
+                        consume_raw_string(&mut cur);
+                    }
                     out.tokens.push(Tok {
-                        kind,
-                        text: content,
+                        kind: TokKind::Literal,
+                        text: String::new(),
                         line,
                         col,
                     });
@@ -433,19 +400,17 @@ fn consume_string(cur: &mut Cursor) {
 /// Consume a raw string starting at the `#`s or quote after the `r`/`br`
 /// prefix: `#*"` ... `"#*` with a matching number of hashes, no escapes.
 /// Returns the byte range of the string's contents.
-fn consume_raw_string(cur: &mut Cursor) -> (usize, usize) {
+fn consume_raw_string(cur: &mut Cursor) {
     let mut hashes = 0usize;
     while cur.peek(0) == Some(b'#') {
         cur.bump();
         hashes += 1;
     }
     cur.bump(); // opening "
-    let lo = cur.pos;
     loop {
         match cur.peek(0) {
-            None => return (lo, cur.pos),
+            None => return,
             Some(b'"') => {
-                let quote_at = cur.pos;
                 cur.bump();
                 let mut seen = 0usize;
                 while seen < hashes && cur.peek(0) == Some(b'#') {
@@ -453,7 +418,7 @@ fn consume_raw_string(cur: &mut Cursor) -> (usize, usize) {
                     seen += 1;
                 }
                 if seen == hashes {
-                    return (lo, quote_at);
+                    return;
                 }
             }
             Some(_) => {
@@ -590,10 +555,10 @@ mod tests {
 
     #[test]
     fn allow_pragmas_are_collected() {
-        let src = "// lint:allow(D11, D2) — fixed label family, sorted here\nlet x = 1;";
+        let src = "// lint:allow(D10, D2) — cold path, sorted here\nlet x = 1;";
         let s = scan(src);
         let rules = &s.allows[&1];
-        assert!(rules.contains("D11") && rules.contains("D2"));
+        assert!(rules.contains("D10") && rules.contains("D2"));
         // A doc comment that shows the syntax documents it; it is no pragma.
         let doc = scan("/// put `// lint:allow(D2) reason` above the site\n//! `lint:allow(D4)`\n");
         assert!(doc.pragmas.is_empty() && doc.allows.is_empty());

@@ -4,6 +4,7 @@
 //! health numbers (requests issued, revocations observed, joins denied…)
 //! without threading bespoke counters through every call path.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -134,93 +135,171 @@ impl Histogram {
     }
 }
 
+/// A counter or histogram key: one of the constants in [`keys`], the
+/// only place a key can be made.
+///
+/// Metric writers take a `Key`, never a string, so a key family cannot
+/// fork via typo (`transport.breaker_opend`):
+///
+/// ```
+/// use chatlens_simnet::metrics::{keys, Metrics};
+/// let mut m = Metrics::new();
+/// m.incr(keys::JOIN_DEAD_AT_JOIN);
+/// ```
+///
+/// ```compile_fail,E0308
+/// use chatlens_simnet::metrics::{keys, Metrics};
+/// let mut m = Metrics::new();
+/// m.incr("ad_hoc");
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Key(&'static str);
+
+impl AsRef<str> for Key {
+    fn as_ref(&self) -> &str {
+        self.0
+    }
+}
+
+/// A stage timer for [`Metrics::time_stage`]: the names of its
+/// `stage.<name>.micros` and `stage.<name>.runs` counters, made once.
+/// The fixed stages are constants in [`keys`]; each analysis fold's
+/// stages come from [`keys::fold_stage`] and [`keys::fold_finish_stage`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StageKey {
+    micros: Cow<'static, str>,
+    runs: Cow<'static, str>,
+}
+
 /// The declared metric- and trace-key registry.
 ///
 /// Every counter, histogram, and stage-timer key used on the artifact
-/// path is a named constant here; the lint's D12 rule rejects ad-hoc
-/// string literals at `Metrics` call sites so a key family can't fork
-/// via typo (`transport.breaker_opend`). The *values* are part of the
-/// golden output — renaming one changes report bytes — so add, don't
-/// edit. The lint also rejects two constants declaring the same value.
+/// path is a constant here, and [`Key`] and [`StageKey`] have no other
+/// constructor. The *values* are part of the golden output — renaming
+/// one changes report bytes — so add, don't edit. A unit test checks
+/// that no two keys declare the same string.
 pub mod keys {
     // Name tables document themselves: each constant name mirrors its
     // key string, and the module doc above carries the contract.
     #![expect(missing_docs, reason = "each constant's name mirrors its key string")]
 
-    // Transport-layer counters.
-    pub const TRANSPORT_ATTEMPTS: &str = "transport.attempts";
-    pub const TRANSPORT_BREAKER_OPENED: &str = "transport.breaker_opened";
-    pub const TRANSPORT_BREAKER_FAST_FAILS: &str = "transport.breaker_fast_fails";
-    pub const TRANSPORT_CORRUPTED: &str = "transport.corrupted";
-    // Discovery / monitoring / joining counters.
-    pub const DISCOVERY_UNRECOVERED_WINDOWS: &str = "discovery.unrecovered_windows";
-    pub const DISCOVERY_TWEETS_COLLECTED: &str = "discovery.tweets_collected";
-    pub const DISCOVERY_GROUPS_DISCOVERED: &str = "discovery.groups_discovered";
-    pub const DISCOVERY_FAILED_REQUESTS: &str = "discovery.failed_requests";
-    pub const DISCOVERY_GROUPS_KNOWN: &str = "discovery.groups_known";
-    pub const MONITOR_GAP_DAYS: &str = "monitor.gap_days";
-    pub const JOIN_DEAD_AT_JOIN: &str = "join.dead_at_join";
-    pub const JOIN_JOINED_GROUPS: &str = "join.joined_groups";
-    pub const JOIN_FAILED_FETCHES: &str = "join.failed_fetches";
-    pub const QUARANTINE_ENTRIES: &str = "quarantine.entries";
-    // Campaign round counters.
-    pub const CAMPAIGN_SEARCH_ROUNDS: &str = "campaign.search_rounds";
-    pub const CAMPAIGN_STREAM_DRAINS: &str = "campaign.stream_drains";
-    pub const CAMPAIGN_SAMPLE_DRAINS: &str = "campaign.sample_drains";
-    pub const CAMPAIGN_MONITOR_ROUNDS: &str = "campaign.monitor_rounds";
-    pub const CAMPAIGN_BACKFILL_ROUNDS: &str = "campaign.backfill_rounds";
-    // Campaign stage timers (`Metrics::time_stage`).
-    pub const STAGE_SEARCH: &str = "search";
-    pub const STAGE_STREAM: &str = "stream";
-    pub const STAGE_SAMPLE: &str = "sample";
-    pub const STAGE_MONITOR: &str = "monitor";
-    pub const STAGE_JOIN: &str = "join";
-    pub const STAGE_COLLECT: &str = "collect";
-    pub const STAGE_BACKFILL: &str = "backfill";
-    // The repro binary's world build: `Ecosystem::build`, or
-    // `CampaignState::world` on resume.
-    pub const STAGE_BUILD: &str = "build";
-    // Artifact-generation stage timers (the repro binary).
-    pub const STAGE_TABLE2: &str = "table2";
-    pub const STAGE_TABLE4: &str = "table4";
-    pub const STAGE_TABLE5: &str = "table5";
-    pub const STAGE_FIG1: &str = "fig1";
-    pub const STAGE_FIG2: &str = "fig2";
-    pub const STAGE_FIG3: &str = "fig3";
-    pub const STAGE_FIG4: &str = "fig4";
-    pub const STAGE_FIG5: &str = "fig5";
-    pub const STAGE_FIG6: &str = "fig6";
-    pub const STAGE_FIG7: &str = "fig7";
-    pub const STAGE_FIG8: &str = "fig8";
-    pub const STAGE_FIG9: &str = "fig9";
-    pub const STAGE_LDA: &str = "lda";
-    pub const STAGE_EXTRAS: &str = "extras";
-    pub const STAGE_EXTENSIONS: &str = "extensions";
+    use super::{Key, StageKey};
+    use std::borrow::Cow;
 
-    // Incremental analysis folds (per-fold stages are computed as
-    // `fold.<name>` / `fold_finish.<name>` from these prefixes).
-    pub const STAGE_FOLD: &str = "fold";
-    pub const STAGE_FOLD_FINISH: &str = "fold_finish";
-    pub const FOLD_DAYS: &str = "fold.days";
-    pub const FOLD_STATE_PEAK_BYTES: &str = "fold.state_peak_bytes";
+    /// Declare counter keys, listed in `ALL` for the distinctness test.
+    macro_rules! counters {
+        ($($name:ident = $value:literal;)+) => {
+            $(pub const $name: Key = Key($value);)+
+            #[cfg(test)]
+            pub(super) const ALL: &[Key] = &[$($name),+];
+        };
+    }
 
-    // Memory-budget accounting (`repro run --mem-budget`). These live in
-    // the budget runtime's own registry, never the dataset's — the
-    // campaign report's counter digest is a frozen byte contract and a
-    // budgeted run must reproduce an unbudgeted run's bytes exactly.
-    pub const BUDGET_RESIDENT_BYTES: &str = "budget.resident";
-    pub const BUDGET_RESIDENT_PEAK_BYTES: &str = "budget.resident_peak";
-    pub const BUDGET_SPILLED_BYTES: &str = "budget.spilled";
-    pub const BUDGET_EVICTIONS: &str = "budget.evictions";
-    pub const BUDGET_FAULTS: &str = "budget.faults";
-    pub const BUDGET_TORN_DETECTED: &str = "budget.torn_detected";
+    /// Declare stage timers, listed in `ALL_STAGES` for the distinctness
+    /// test.
+    macro_rules! stages {
+        ($($name:ident = $stage:literal;)+) => {
+            $(pub const $name: StageKey = StageKey {
+                micros: Cow::Borrowed(concat!("stage.", $stage, ".micros")),
+                runs: Cow::Borrowed(concat!("stage.", $stage, ".runs")),
+            };)+
+            #[cfg(test)]
+            pub(super) const ALL_STAGES: &[StageKey] = &[$($name),+];
+        };
+    }
 
-    // Checkpoint-chain durability counters (`repro checkpoint verify`
-    // / `repair` summaries and the chain-recovery resume path).
-    pub const CHECKPOINT_CHAIN_VALID: &str = "checkpoint.chain_valid";
-    pub const CHECKPOINT_CHAIN_INVALID: &str = "checkpoint.chain_invalid";
-    pub const CHECKPOINT_SNAPSHOTS_SKIPPED: &str = "checkpoint.snapshots_skipped";
-    pub const CHECKPOINT_QUARANTINED: &str = "checkpoint.quarantined";
+    counters! {
+        // Transport-layer counters.
+        TRANSPORT_ATTEMPTS = "transport.attempts";
+        TRANSPORT_BREAKER_OPENED = "transport.breaker_opened";
+        TRANSPORT_BREAKER_FAST_FAILS = "transport.breaker_fast_fails";
+        TRANSPORT_CORRUPTED = "transport.corrupted";
+        // Discovery / monitoring / joining counters.
+        DISCOVERY_UNRECOVERED_WINDOWS = "discovery.unrecovered_windows";
+        DISCOVERY_TWEETS_COLLECTED = "discovery.tweets_collected";
+        DISCOVERY_GROUPS_DISCOVERED = "discovery.groups_discovered";
+        DISCOVERY_FAILED_REQUESTS = "discovery.failed_requests";
+        DISCOVERY_GROUPS_KNOWN = "discovery.groups_known";
+        MONITOR_GAP_DAYS = "monitor.gap_days";
+        JOIN_DEAD_AT_JOIN = "join.dead_at_join";
+        JOIN_JOINED_GROUPS = "join.joined_groups";
+        JOIN_FAILED_FETCHES = "join.failed_fetches";
+        QUARANTINE_ENTRIES = "quarantine.entries";
+        // Campaign round counters.
+        CAMPAIGN_SEARCH_ROUNDS = "campaign.search_rounds";
+        CAMPAIGN_STREAM_DRAINS = "campaign.stream_drains";
+        CAMPAIGN_SAMPLE_DRAINS = "campaign.sample_drains";
+        CAMPAIGN_MONITOR_ROUNDS = "campaign.monitor_rounds";
+        CAMPAIGN_BACKFILL_ROUNDS = "campaign.backfill_rounds";
+        // Incremental analysis folds.
+        FOLD_DAYS = "fold.days";
+        FOLD_STATE_PEAK_BYTES = "fold.state_peak_bytes";
+        // Memory-budget accounting (`repro run --mem-budget`). These
+        // live in the budget runtime's own registry, never the
+        // dataset's — the campaign report's counter digest is a frozen
+        // byte contract and a budgeted run must reproduce an unbudgeted
+        // run's bytes exactly.
+        BUDGET_RESIDENT_BYTES = "budget.resident";
+        BUDGET_RESIDENT_PEAK_BYTES = "budget.resident_peak";
+        BUDGET_SPILLED_BYTES = "budget.spilled";
+        BUDGET_EVICTIONS = "budget.evictions";
+        BUDGET_FAULTS = "budget.faults";
+        BUDGET_TORN_DETECTED = "budget.torn_detected";
+        // Checkpoint-chain durability counters (`repro checkpoint
+        // verify` / `repair` summaries and the chain-recovery resume
+        // path).
+        CHECKPOINT_CHAIN_VALID = "checkpoint.chain_valid";
+        CHECKPOINT_CHAIN_INVALID = "checkpoint.chain_invalid";
+        CHECKPOINT_SNAPSHOTS_SKIPPED = "checkpoint.snapshots_skipped";
+        CHECKPOINT_QUARANTINED = "checkpoint.quarantined";
+    }
+
+    stages! {
+        // Campaign stage timers.
+        STAGE_SEARCH = "search";
+        STAGE_STREAM = "stream";
+        STAGE_SAMPLE = "sample";
+        STAGE_MONITOR = "monitor";
+        STAGE_JOIN = "join";
+        STAGE_COLLECT = "collect";
+        STAGE_BACKFILL = "backfill";
+        // The repro binary's world build: `Ecosystem::build`, or
+        // `CampaignState::world` on resume.
+        STAGE_BUILD = "build";
+        // Artifact-generation stage timers (the repro binary).
+        STAGE_TABLE2 = "table2";
+        STAGE_TABLE4 = "table4";
+        STAGE_TABLE5 = "table5";
+        STAGE_FIG1 = "fig1";
+        STAGE_FIG2 = "fig2";
+        STAGE_FIG3 = "fig3";
+        STAGE_FIG4 = "fig4";
+        STAGE_FIG5 = "fig5";
+        STAGE_FIG6 = "fig6";
+        STAGE_FIG7 = "fig7";
+        STAGE_FIG8 = "fig8";
+        STAGE_FIG9 = "fig9";
+        STAGE_LDA = "lda";
+        STAGE_EXTRAS = "extras";
+        STAGE_EXTENSIONS = "extensions";
+    }
+
+    /// The `stage.fold.<fold>` timer of one analysis fold's daily step.
+    pub fn fold_stage(fold: &str) -> StageKey {
+        StageKey {
+            micros: Cow::Owned(format!("stage.fold.{fold}.micros")),
+            runs: Cow::Owned(format!("stage.fold.{fold}.runs")),
+        }
+    }
+
+    /// The `stage.fold_finish.<fold>` timer of one analysis fold's
+    /// end-of-run rendering.
+    pub fn fold_finish_stage(fold: &str) -> StageKey {
+        StageKey {
+            micros: Cow::Owned(format!("stage.fold_finish.{fold}.micros")),
+            runs: Cow::Owned(format!("stage.fold_finish.{fold}.runs")),
+        }
+    }
 }
 
 /// A registry of named counters and histograms with deterministic
@@ -237,42 +316,57 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Add `n` to the counter `name` (creating it at zero).
-    pub fn add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+    /// Add `n` to the counter `key` (creating it at zero).
+    pub fn add(&mut self, key: Key, n: u64) {
+        self.bump(key.0, n);
     }
 
-    /// Increment the counter `name` by one.
-    pub fn incr(&mut self, name: &str) {
-        self.add(name, 1);
+    /// Increment the counter `key` by one.
+    pub fn incr(&mut self, key: Key) {
+        self.bump(key.0, 1);
+    }
+
+    /// Add `n` to the counter `name`; the name is copied only when the
+    /// counter is created.
+    fn bump(&mut self, name: &str, n: u64) {
+        match self.counters.get_mut(name) {
+            Some(v) => *v += n,
+            None => {
+                self.counters.insert(name.to_string(), n);
+            }
+        }
     }
 
     /// Read a counter (0 if absent).
-    pub fn get(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+    pub fn get(&self, name: impl AsRef<str>) -> u64 {
+        self.counters.get(name.as_ref()).copied().unwrap_or(0)
     }
 
-    /// Observe a value into the histogram `name`, creating it with the
+    /// Observe a value into the histogram `key`, creating it with the
     /// given default bounds on first use.
-    pub fn observe(&mut self, name: &str, value: f64, default_bounds: &[f64]) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(default_bounds))
-            .observe(value);
+    pub fn observe(&mut self, key: Key, value: f64, default_bounds: &[f64]) {
+        match self.histograms.get_mut(key.0) {
+            Some(h) => h.observe(value),
+            None => {
+                let mut h = Histogram::new(default_bounds);
+                h.observe(value);
+                self.histograms.insert(key.0.to_string(), h);
+            }
+        }
     }
 
     /// Read a histogram if it exists.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+    pub fn histogram(&self, name: impl AsRef<str>) -> Option<&Histogram> {
+        self.histograms.get(name.as_ref())
     }
 
     /// Iterate counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
+    pub fn counters(&self) -> impl ExactSizeIterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// Iterate histograms in name order (checkpoint export).
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
+    pub fn histograms(&self) -> impl ExactSizeIterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
@@ -304,20 +398,17 @@ impl Metrics {
     /// they exist for throughput tracking (BENCH records, `repro`
     /// `--timings`) and must never feed back into simulation state.
     #[expect(clippy::disallowed_types, reason = "the one sanctioned wall clock")]
-    pub fn time_stage<R>(&mut self, name: &str, f: impl FnOnce() -> R) -> R {
+    pub fn time_stage<R>(&mut self, stage: &StageKey, f: impl FnOnce() -> R) -> R {
         let start = std::time::Instant::now();
         let out = f();
-        self.add(
-            &format!("stage.{name}.micros"),
-            start.elapsed().as_micros() as u64,
-        );
-        self.incr(&format!("stage.{name}.runs"));
+        self.bump(&stage.micros, start.elapsed().as_micros() as u64);
+        self.bump(&stage.runs, 1);
         out
     }
 
     /// Total microseconds recorded for a stage by [`Metrics::time_stage`].
-    pub fn stage_micros(&self, name: &str) -> u64 {
-        self.get(&format!("stage.{name}.micros"))
+    pub fn stage_micros(&self, stage: &StageKey) -> u64 {
+        self.get(&stage.micros)
     }
 
     /// Counters under the `stage.` prefix, in name order — the per-stage
@@ -333,8 +424,8 @@ impl Metrics {
     /// # Panics
     /// Panics on a histogram name collision.
     pub fn merge(&mut self, other: &Metrics) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+        for (k, &v) in &other.counters {
+            self.bump(k, v);
         }
         for k in other.histograms.keys() {
             assert!(
@@ -374,10 +465,29 @@ mod tests {
     #[test]
     fn counters_accumulate() {
         let mut m = Metrics::new();
-        m.incr("a");
-        m.add("a", 4);
-        assert_eq!(m.get("a"), 5);
+        m.incr(keys::JOIN_DEAD_AT_JOIN);
+        m.add(keys::JOIN_DEAD_AT_JOIN, 4);
+        m.add(keys::JOIN_FAILED_FETCHES, 0);
+        assert_eq!(m.get(keys::JOIN_DEAD_AT_JOIN), 5);
+        assert_eq!(m.get("join.dead_at_join"), 5);
         assert_eq!(m.get("missing"), 0);
+        let names: Vec<&str> = m.counters().map(|(n, _)| n).collect();
+        assert_eq!(names, ["join.dead_at_join", "join.failed_fetches"]);
+    }
+
+    #[test]
+    fn declared_keys_are_distinct() {
+        let fold = [keys::fold_stage("x"), keys::fold_finish_stage("x")];
+        let mut names: Vec<&str> = keys::ALL.iter().map(|k| k.0).collect();
+        for stage in keys::ALL_STAGES.iter().chain(&fold) {
+            names.extend([&*stage.micros, &*stage.runs]);
+        }
+        let distinct: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(distinct.len(), names.len(), "two keys declare one string");
+        assert_eq!(
+            (&*fold[0].micros, &*fold[1].runs),
+            ("stage.fold.x.micros", "stage.fold_finish.x.runs")
+        );
     }
 
     #[test]
@@ -414,9 +524,9 @@ mod tests {
     #[test]
     fn registry_histograms() {
         let mut m = Metrics::new();
-        m.observe("lat", 5.0, &[1.0, 10.0]);
-        m.observe("lat", 0.5, &[999.0]); // bounds ignored on reuse
-        let h = m.histogram("lat").unwrap();
+        m.observe(keys::DISCOVERY_GROUPS_KNOWN, 5.0, &[1.0, 10.0]);
+        m.observe(keys::DISCOVERY_GROUPS_KNOWN, 0.5, &[999.0]); // bounds ignored on reuse
+        let h = m.histogram(keys::DISCOVERY_GROUPS_KNOWN).unwrap();
         assert_eq!(h.count(), 2);
         assert_eq!(h.bucket_count(0), 1);
         assert!(m.histogram("other").is_none());
@@ -425,30 +535,30 @@ mod tests {
     #[test]
     fn merge_adds_counters() {
         let mut a = Metrics::new();
-        a.add("x", 1);
+        a.add(keys::BUDGET_FAULTS, 1);
         let mut b = Metrics::new();
-        b.add("x", 2);
-        b.add("y", 3);
-        b.observe("h", 1.0, &[10.0]);
+        b.add(keys::BUDGET_FAULTS, 2);
+        b.add(keys::BUDGET_EVICTIONS, 3);
+        b.observe(keys::DISCOVERY_GROUPS_KNOWN, 1.0, &[10.0]);
         a.merge(&b);
-        assert_eq!(a.get("x"), 3);
-        assert_eq!(a.get("y"), 3);
-        assert!(a.histogram("h").is_some());
+        assert_eq!(a.get(keys::BUDGET_FAULTS), 3);
+        assert_eq!(a.get(keys::BUDGET_EVICTIONS), 3);
+        assert!(a.histogram(keys::DISCOVERY_GROUPS_KNOWN).is_some());
     }
 
     #[test]
     #[expect(clippy::disallowed_types, reason = "the test sleeps to be timed")]
     fn time_stage_records_duration_and_runs() {
         let mut m = Metrics::new();
-        let out = m.time_stage("lda", || {
+        let out = m.time_stage(&keys::STAGE_LDA, || {
             std::thread::sleep(std::time::Duration::from_millis(2));
             7u32
         });
         assert_eq!(out, 7);
-        m.time_stage("lda", || ());
+        m.time_stage(&keys::STAGE_LDA, || ());
         assert_eq!(m.get("stage.lda.runs"), 2);
-        assert!(m.stage_micros("lda") >= 2000);
-        assert_eq!(m.stage_micros("missing"), 0);
+        assert!(m.stage_micros(&keys::STAGE_LDA) >= 2000);
+        assert_eq!(m.stage_micros(&keys::STAGE_FIG1), 0);
         let stages: Vec<&str> = m.stages().map(|(n, _)| n).collect();
         assert_eq!(stages, ["stage.lda.micros", "stage.lda.runs"]);
     }
@@ -456,11 +566,11 @@ mod tests {
     #[test]
     fn display_lists_everything() {
         let mut m = Metrics::new();
-        m.add("requests", 7);
-        m.observe("latency", 2.0, &[1.0, 5.0]);
+        m.add(keys::TRANSPORT_ATTEMPTS, 7);
+        m.observe(keys::DISCOVERY_GROUPS_KNOWN, 2.0, &[1.0, 5.0]);
         let s = m.to_string();
-        assert!(s.contains("requests = 7"));
-        assert!(s.contains("latency: n=1"));
+        assert!(s.contains("transport.attempts = 7"));
+        assert!(s.contains("discovery.groups_known: n=1"));
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! has no `rand` requirement here and owning the implementation guarantees
 //! cross-version reproducibility.
 
+use crate::digits::write_digits;
+
 /// SplitMix64: a tiny, high-quality 64-bit generator used for seeding.
 ///
 /// One SplitMix64 step is also the recommended way to expand a single `u64`
@@ -43,30 +45,94 @@ pub struct Rng {
     s: [u64; 4],
 }
 
-/// The declared RNG stream registry: every static `Rng::fork` label in
-/// the workspace, paired with the subsystem (crate) that owns it.
+/// A named RNG stream: every label [`Rng::fork`] accepts.
 ///
-/// The lint's D11 rule enforces that a fork label is a string literal
-/// drawn from this table and that no label is claimed by two subsystems —
-/// two call sites sharing a stream is a silent determinism hazard the
-/// moment call order changes. Dynamic label *families* (per-platform
-/// transport streams, per-topic LDA sweeps) are audited at their call
-/// sites with justified pragmas instead.
-///
-/// Entries are `(subsystem, label)`; the label strings feed the FNV hash
-/// in [`Rng::fork`], so renaming one changes every downstream draw — the
-/// golden-output suite pins them.
-pub const STREAM_REGISTRY: &[(&str, &str)] = &[
-    ("simnet", "burst"),
-    ("simnet", "corruption"),
-    ("core", "twitter"),
-    ("core", "whatsapp"),
-    ("core", "telegram"),
-    ("core", "discord"),
-    ("workload", "control"),
-    ("workload", "cross-platform"),
-    ("checkpoint", "disk"),
-];
+/// A stream is a variant here, never a string at the call site, so two
+/// subsystems cannot share a label by accident and a typo does not
+/// compile. The label bytes feed the FNV hash in [`Rng::fork`]: renaming
+/// one changes every downstream draw, and the golden-output suite pins
+/// them. Each variant's doc gives its label.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stream {
+    /// `burst`: a transport client's Gilbert–Elliott burst layer.
+    Burst,
+    /// `corruption`: a transport client's payload-corruption draws.
+    Corruption,
+    /// `twitter`: the Twitter API client.
+    Twitter,
+    /// `whatsapp`: the WhatsApp scraper client.
+    WhatsApp,
+    /// `telegram`: the Telegram API client.
+    Telegram,
+    /// `discord`: the Discord scraper client.
+    Discord,
+    /// `WhatsApp`: the WhatsApp world generator (groups and shares).
+    WhatsAppWorld,
+    /// `Telegram`: the Telegram world generator.
+    TelegramWorld,
+    /// `Discord`: the Discord world generator.
+    DiscordWorld,
+    /// `control`: the control-sample tweet generator.
+    Control,
+    /// `cross-platform`: the cross-platform co-share pass.
+    CrossPlatform,
+    /// `disk`: the checkpoint fault domain's injected disk faults.
+    Disk,
+    /// `lda/init/<chunk>`: one LDA chunk's random initialization.
+    LdaInit {
+        /// Document chunk index.
+        chunk: usize,
+    },
+    /// `lda/sweep/<sweep>/<chunk>`: one LDA chunk's Gibbs sweep.
+    LdaSweep {
+        /// Zero-based sweep number.
+        sweep: usize,
+        /// Document chunk index.
+        chunk: usize,
+    },
+}
+
+impl Stream {
+    /// The label's fixed text and the decimal indices that follow it,
+    /// each written after a `/`.
+    fn parts(self) -> (&'static str, [Option<usize>; 2]) {
+        let name = match self {
+            Stream::Burst => "burst",
+            Stream::Corruption => "corruption",
+            Stream::Twitter => "twitter",
+            Stream::WhatsApp => "whatsapp",
+            Stream::Telegram => "telegram",
+            Stream::Discord => "discord",
+            Stream::WhatsAppWorld => "WhatsApp",
+            Stream::TelegramWorld => "Telegram",
+            Stream::DiscordWorld => "Discord",
+            Stream::Control => "control",
+            Stream::CrossPlatform => "cross-platform",
+            Stream::Disk => "disk",
+            Stream::LdaInit { chunk } => return ("lda/init", [Some(chunk), None]),
+            Stream::LdaSweep { sweep, chunk } => return ("lda/sweep", [Some(sweep), Some(chunk)]),
+        };
+        (name, [None, None])
+    }
+
+    /// FNV-1a over the label bytes, digits streamed without formatting.
+    fn hash(self) -> u64 {
+        let fnv = |h: u64, bytes: &[u8]| {
+            bytes
+                .iter()
+                .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+        };
+        let (name, indices) = self.parts();
+        let mut h = fnv(0xcbf2_9ce4_8422_2325, name.as_bytes());
+        for index in indices.into_iter().flatten() {
+            let mut buf = [0u8; 21];
+            let at = write_digits(&mut buf, 21, index as u64) - 1;
+            buf[at] = b'/';
+            h = fnv(h, &buf[at..]);
+        }
+        h
+    }
+}
 
 impl Rng {
     /// Construct from a 64-bit seed.
@@ -105,18 +171,24 @@ impl Rng {
         Rng { s }
     }
 
-    /// Derive an independent generator for the subsystem named `label`.
+    /// Derive an independent generator for `stream`.
     ///
-    /// Forking hashes the label (FNV-1a) together with fresh output from
-    /// `self`, so distinct labels — and successive forks under the same
-    /// label — yield decorrelated streams.
-    pub fn fork(&mut self, label: &str) -> Rng {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in label.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        Rng::new(h ^ self.next_u64())
+    /// Forking hashes the stream's label (FNV-1a) together with fresh
+    /// output from `self`, so distinct streams — and successive forks of
+    /// the same stream — yield decorrelated generators. Only a declared
+    /// [`Stream`] is a label:
+    ///
+    /// ```
+    /// use chatlens_simnet::rng::{Rng, Stream};
+    /// let disk = Rng::new(7).fork(Stream::Disk);
+    /// ```
+    ///
+    /// ```compile_fail,E0308
+    /// use chatlens_simnet::rng::{Rng, Stream};
+    /// let disk = Rng::new(7).fork("disk");
+    /// ```
+    pub fn fork(&mut self, stream: Stream) -> Rng {
+        Rng::new(stream.hash() ^ self.next_u64())
     }
 
     /// Next raw 64-bit output.
@@ -267,8 +339,8 @@ mod tests {
     #[test]
     fn fork_labels_decorrelate() {
         let mut root = Rng::new(7);
-        let mut a = root.clone().fork("alpha");
-        let mut b = root.fork("beta");
+        let mut a = root.clone().fork(Stream::Control);
+        let mut b = root.fork(Stream::Disk);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert_eq!(same, 0);
     }
@@ -383,5 +455,115 @@ mod tests {
         assert!(r.pick(&empty).is_none());
         let items = [10, 20, 30];
         assert!(items.contains(r.pick(&items).unwrap()));
+    }
+
+    /// FNV-1a of `label`, the way forks hashed a string label.
+    fn fnv(label: &str) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in label.bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+        h
+    }
+
+    /// The label text a stream's hash covers.
+    fn label(stream: Stream) -> String {
+        let (name, indices) = stream.parts();
+        let mut out = name.to_string();
+        for index in indices.into_iter().flatten() {
+            out.push_str(&format!("/{index}"));
+        }
+        out
+    }
+
+    /// Every variant once, with its label string from before streams
+    /// were typed; the match fails to compile when a variant is added.
+    fn streams() -> Vec<(Stream, &'static str)> {
+        let table = vec![
+            (Stream::Burst, "burst"),
+            (Stream::Corruption, "corruption"),
+            (Stream::Twitter, "twitter"),
+            (Stream::WhatsApp, "whatsapp"),
+            (Stream::Telegram, "telegram"),
+            (Stream::Discord, "discord"),
+            (Stream::WhatsAppWorld, "WhatsApp"),
+            (Stream::TelegramWorld, "Telegram"),
+            (Stream::DiscordWorld, "Discord"),
+            (Stream::Control, "control"),
+            (Stream::CrossPlatform, "cross-platform"),
+            (Stream::Disk, "disk"),
+            (Stream::LdaInit { chunk: 0 }, "lda/init/0"),
+            (Stream::LdaInit { chunk: 7 }, "lda/init/7"),
+            (Stream::LdaInit { chunk: 1234 }, "lda/init/1234"),
+            (Stream::LdaSweep { sweep: 0, chunk: 0 }, "lda/sweep/0/0"),
+            (
+                Stream::LdaSweep {
+                    sweep: 12,
+                    chunk: 3,
+                },
+                "lda/sweep/12/3",
+            ),
+            (
+                Stream::LdaSweep {
+                    sweep: 3,
+                    chunk: 12,
+                },
+                "lda/sweep/3/12",
+            ),
+            (
+                Stream::LdaSweep {
+                    sweep: 99_999,
+                    chunk: 10,
+                },
+                "lda/sweep/99999/10",
+            ),
+        ];
+        for (stream, _) in &table {
+            match stream {
+                Stream::Burst
+                | Stream::Corruption
+                | Stream::Twitter
+                | Stream::WhatsApp
+                | Stream::Telegram
+                | Stream::Discord
+                | Stream::WhatsAppWorld
+                | Stream::TelegramWorld
+                | Stream::DiscordWorld
+                | Stream::Control
+                | Stream::CrossPlatform
+                | Stream::Disk
+                | Stream::LdaInit { .. }
+                | Stream::LdaSweep { .. } => {}
+            }
+        }
+        table
+    }
+
+    #[test]
+    fn streams_hash_their_old_label_bytes() {
+        for (stream, old) in streams() {
+            assert_eq!(label(stream), old);
+            assert_eq!(stream.hash(), fnv(old), "{stream:?}");
+        }
+        let widest = Stream::LdaInit { chunk: usize::MAX };
+        assert_eq!(widest.hash(), fnv(&format!("lda/init/{}", usize::MAX)));
+    }
+
+    #[test]
+    fn stream_labels_are_distinct() {
+        let mut labels: Vec<String> = streams()
+            .into_iter()
+            .filter(|(s, _)| !matches!(s, Stream::LdaInit { .. } | Stream::LdaSweep { .. }))
+            .map(|(s, _)| label(s))
+            .collect();
+        for sweep in 0..40 {
+            labels.push(label(Stream::LdaInit { chunk: sweep }));
+            for chunk in 0..40 {
+                labels.push(label(Stream::LdaSweep { sweep, chunk }));
+            }
+        }
+        let distinct: std::collections::BTreeSet<&String> = labels.iter().collect();
+        assert_eq!(distinct.len(), labels.len());
     }
 }

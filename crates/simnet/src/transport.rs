@@ -21,7 +21,7 @@ use crate::fault::{
     Backoff, CorruptionSchedule, FaultInjector, FaultSchedule, OutageMode, TokenBucket,
     TokenBucketState,
 };
-use crate::rng::Rng;
+use crate::rng::{Rng, Stream};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceCounters;
 use std::borrow::Cow;
@@ -379,7 +379,7 @@ impl Client {
     ) -> Self {
         let bucket = TokenBucket::new(config.burst, config.rate_per_sec, start);
         let burst_rng = if plan.burst.is_some() {
-            rng.fork("burst")
+            rng.fork(Stream::Burst)
         } else {
             Rng::new(0)
         };
@@ -406,7 +406,7 @@ impl Client {
     /// configurations bit-identical to clients built without this call.
     pub fn with_corruption(mut self, corruption: CorruptionSchedule) -> Client {
         if corruption.is_active() {
-            self.corrupt_rng = self.rng.fork("corruption");
+            self.corrupt_rng = self.rng.fork(Stream::Corruption);
         }
         self.corruption = corruption;
         self

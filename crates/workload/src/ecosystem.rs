@@ -7,7 +7,7 @@ use crate::topics::Vocabulary;
 use chatlens_platforms::id::{GroupId, PlatformKind};
 use chatlens_platforms::platform::{AccountState, Platform};
 use chatlens_simnet::fault::TokenBucketState;
-use chatlens_simnet::rng::Rng;
+use chatlens_simnet::rng::{Rng, Stream};
 use chatlens_simnet::time::{SimTime, StudyWindow};
 use chatlens_twitter::{Tweet, TweetId, TweetStore};
 
@@ -67,8 +67,11 @@ impl Ecosystem {
         for kind in PlatformKind::ALL {
             let i = kind.index();
             let params = &config.platforms[i];
-            // lint:allow(D11) per-platform label family: kind.name() ranges over the fixed PlatformKind table
-            let mut rng = root.fork(kind.name());
+            let mut rng = root.fork(match kind {
+                PlatformKind::WhatsApp => Stream::WhatsAppWorld,
+                PlatformKind::Telegram => Stream::TelegramWorld,
+                PlatformKind::Discord => Stream::DiscordWorld,
+            });
             let n_groups = config.scaled(params.n_group_urls);
             metas[i] = generate_groups(&mut platforms[i], params, &window, n_groups, &mut rng);
             drafts.extend(generate_share_drafts(
@@ -84,7 +87,7 @@ impl Ecosystem {
             ));
         }
         {
-            let mut rng = root.fork("control");
+            let mut rng = root.fork(Stream::Control);
             drafts.extend(generate_control_drafts(
                 &config.control,
                 config.scaled(config.control.n_tweets),
@@ -99,7 +102,7 @@ impl Ecosystem {
         // counts such a tweet in both platforms' rows but once in its
         // total (the rows sum to 2,244,032 against a printed 2,234,128).
         {
-            let mut rng = root.fork("cross-platform");
+            let mut rng = root.fork(Stream::CrossPlatform);
             for draft in &mut drafts {
                 let own = match draft.kind {
                     DraftKind::Original { platform, .. } | DraftKind::Retweet { platform, .. } => {

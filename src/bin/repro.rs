@@ -68,10 +68,12 @@ ARTIFACT:
 SUBCOMMANDS:
     lint [--stats] [--format <text|json>] [--out <path>]
                      run the determinism & concurrency static-analysis
-                     pass (chatlens-lint) over the workspace sources and
-                     exit nonzero on any finding; --stats prints the
-                     per-rule and per-crate summary tables (see DESIGN.md
-                     §Determinism lint for the rule catalog D1..D14);
+                     pass (chatlens-lint: rules D2, D4, D5, D8, D10 and
+                     D14) over the workspace sources and exit nonzero on
+                     any finding; --stats prints the per-rule and
+                     per-crate summary tables (DESIGN.md §Determinism
+                     lint: clippy checks D1, D3, D7 and D13, the compiler
+                     D9, D11 and D12);
                      --format json prints the machine-readable
                      chatlens-lint/v1 report instead of diagnostics and
                      --out <path> writes that report to a file as well
@@ -492,7 +494,7 @@ fn main() {
     // The binary's own stage timings (the world build, then the
     // artifacts), reported next to the campaign's under `--timings`.
     let mut stages = Metrics::new();
-    let mut eco = stages.time_stage(keys::STAGE_BUILD, || match &state {
+    let mut eco = stages.time_stage(&keys::STAGE_BUILD, || match &state {
         Some(state) => state.world(),
         None => {
             eprintln!("# building ecosystem and running the 38-day campaign...");
@@ -558,68 +560,76 @@ fn main() {
         table1();
     }
     if all || artifact == "table2" {
-        stages.time_stage(keys::STAGE_TABLE2, || table2(&summary, scale, &mut cmp));
+        stages.time_stage(&keys::STAGE_TABLE2, || table2(&summary, scale, &mut cmp));
     }
     if all || artifact == "fig1" {
-        stages.time_stage(keys::STAGE_FIG1, || {
+        stages.time_stage(&keys::STAGE_FIG1, || {
             fig1(&folds.discovery.output(), scale, &mut cmp)
         });
     }
     if all || artifact == "fig2" {
-        stages.time_stage(keys::STAGE_FIG2, || {
+        stages.time_stage(&keys::STAGE_FIG2, || {
             fig2(&folds.discovery.output(), &mut cmp)
         });
     }
     if all || artifact == "fig3" {
-        stages.time_stage(keys::STAGE_FIG3, || fig3(&folds.content.output(), &mut cmp));
+        stages.time_stage(&keys::STAGE_FIG3, || {
+            fig3(&folds.content.output(), &mut cmp)
+        });
     }
     if all || artifact == "fig4" {
-        stages.time_stage(keys::STAGE_FIG4, || fig4(&folds.content.output(), &mut cmp));
+        stages.time_stage(&keys::STAGE_FIG4, || {
+            fig4(&folds.content.output(), &mut cmp)
+        });
     }
     if all || artifact == "table3" {
-        stages.time_stage(keys::STAGE_LDA, || {
+        stages.time_stage(&keys::STAGE_LDA, || {
             table3(folds.topics.output(), threads, &mut cmp)
         });
     }
     if all || artifact == "fig5" {
-        stages.time_stage(keys::STAGE_FIG5, || {
+        stages.time_stage(&keys::STAGE_FIG5, || {
             fig5(&folds.lifecycle.output(), &mut cmp)
         });
     }
     if all || artifact == "fig6" {
-        stages.time_stage(keys::STAGE_FIG6, || {
+        stages.time_stage(&keys::STAGE_FIG6, || {
             fig6(&folds.lifecycle.output(), &mut cmp)
         });
     }
     if all || artifact == "fig7" {
-        stages.time_stage(keys::STAGE_FIG7, || {
+        stages.time_stage(&keys::STAGE_FIG7, || {
             fig7(&folds.membership.output(), &mut cmp)
         });
     }
     if all || artifact == "fig8" {
-        stages.time_stage(keys::STAGE_FIG8, || {
+        stages.time_stage(&keys::STAGE_FIG8, || {
             fig8(&folds.messages.output(), &mut cmp)
         });
     }
     if all || artifact == "fig9" {
-        stages.time_stage(keys::STAGE_FIG9, || {
+        stages.time_stage(&keys::STAGE_FIG9, || {
             fig9(&folds.messages.output(), &mut cmp)
         });
     }
     if all || artifact == "table4" {
-        stages.time_stage(keys::STAGE_TABLE4, || table4(&folds.pii.output(), &mut cmp));
+        stages.time_stage(&keys::STAGE_TABLE4, || {
+            table4(&folds.pii.output(), &mut cmp)
+        });
     }
     if all || artifact == "table5" {
-        stages.time_stage(keys::STAGE_TABLE5, || table5(&folds.pii.output(), &mut cmp));
+        stages.time_stage(&keys::STAGE_TABLE5, || {
+            table5(&folds.pii.output(), &mut cmp)
+        });
     }
     if all || artifact == "extras" {
-        stages.time_stage(keys::STAGE_EXTRAS, || extras(&summary, folds, &mut cmp));
+        stages.time_stage(&keys::STAGE_EXTRAS, || extras(&summary, folds, &mut cmp));
     }
     if all || artifact == "extensions" {
         let start = eco.window.start_time();
         let discovery = folds.discovery.output();
         stages
-            .time_stage(keys::STAGE_EXTENSIONS, || {
+            .time_stage(&keys::STAGE_EXTENSIONS, || {
                 extensions(&mut outcome, start, &discovery, threads, &mut cmp)
             })
             .unwrap_or_else(|e| exit_with(study_failure(e.into())));

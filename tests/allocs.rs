@@ -174,9 +174,9 @@ fn daily_checkpointed_campaign() -> (u64, u64) {
 /// assertions (the test profile) also audit the campaign's invariants
 /// after every day, which allocates.
 const CAMPAIGN_ALLOCS: u64 = if cfg!(debug_assertions) {
-    395_070
+    384_480
 } else {
-    379_770
+    369_180
 };
 /// Peak requested bytes `run_study_on` holds live beyond the built world:
 /// the joins' users and member tables, the collected messages and the
@@ -192,9 +192,9 @@ const WORLD_ALLOCS: u64 = 25_054;
 /// Allocator calls of the same campaign (threads 1) saving a snapshot
 /// after every day through the real filesystem.
 const DAILY_CKPT_ALLOCS: u64 = if cfg!(debug_assertions) {
-    400_733
+    389_097
 } else {
-    385_433
+    373_797
 };
 /// Peak requested bytes that campaign holds live beyond the built world:
 /// the growing collections plus one encoded snapshot at a time; a save

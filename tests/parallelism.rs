@@ -7,7 +7,7 @@
 
 use chatlens::analysis::{fold_dataset, LdaConfig, LdaModel, StandardFolds};
 use chatlens::platforms::id::PlatformKind;
-use chatlens::simnet::metrics::Metrics;
+use chatlens::simnet::metrics::{keys, Metrics};
 use chatlens::{run_study_with, CampaignConfig, Dataset, ScenarioConfig};
 
 fn scenario() -> ScenarioConfig {
@@ -133,10 +133,8 @@ fn lda_timing_recorded_and_parallel_speedup_on_multicore() {
         .map(|&w| w as usize + 1)
         .max()
         .unwrap();
-    let mut metrics = Metrics::new();
     let fit = |metrics: &mut Metrics, threads: usize| {
-        let stage = format!("lda.t{threads}");
-        metrics.time_stage(&stage, || {
+        metrics.time_stage(&keys::STAGE_LDA, || {
             LdaModel::fit(
                 &docs,
                 vocab_len,
@@ -149,14 +147,15 @@ fn lda_timing_recorded_and_parallel_speedup_on_multicore() {
                 },
             )
         });
-        metrics.stage_micros(&stage)
+        metrics.stage_micros(&keys::STAGE_LDA)
     };
-    let serial_us = fit(&mut metrics, 1);
-    let four_us = fit(&mut metrics, 4);
+    let (mut serial, mut four) = (Metrics::new(), Metrics::new());
+    let serial_us = fit(&mut serial, 1);
+    let four_us = fit(&mut four, 4);
     assert!(serial_us > 0, "serial LDA timing recorded");
     assert!(four_us > 0, "4-thread LDA timing recorded");
-    assert_eq!(metrics.get("stage.lda.t1.runs"), 1);
-    assert_eq!(metrics.get("stage.lda.t4.runs"), 1);
+    assert_eq!(serial.get("stage.lda.runs"), 1);
+    assert_eq!(four.get("stage.lda.runs"), 1);
     if cores >= 4 {
         let speedup = serial_us as f64 / four_us as f64;
         assert!(
